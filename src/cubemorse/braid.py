@@ -20,8 +20,6 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import FormatError, IntegrityError
 from .cubical import CubicalComplex
@@ -380,6 +378,10 @@ class CondensationPoset:
 
 def condensation(sk: BraidSkeleton, cross_flat: np.ndarray | None = None) -> CondensationPoset:
     """Build the condensation poset of the crossing relation."""
+    # scipy.sparse takes most of the package's import time; only this needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if cross_flat is None:
         cross_flat = crossing_table(sk).ravel(order="F")
     T = cross_flat.size
@@ -446,21 +448,22 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
 
 
 def _verify_grading(grades: np.ndarray, base: int, d: int, poset: CondensationPoset) -> None:
-    N = grades.size
-    idx = np.arange(N, dtype=np.int64)
+    grid = grades.reshape((base,) * d, order="F")
     n = poset.n
     codes: set[int] = set()
-    stride = 1
-    for _ in range(d):
-        digit = (idx // stride) % base
-        even = (digit & 1) == 0
-        for sign, ok in ((1, digit <= base - 3), (-1, digit >= 2)):
-            mask = even & ok
-            if mask.any():
-                cells = idx[mask]
-                pair = grades[cells].astype(np.int64) * n + grades[cells + sign * stride]
-                codes.update(np.unique(pair).tolist())
-        stride *= base
+
+    def digits(ax: int, start: int, stop: int) -> np.ndarray:
+        ix: list = [slice(None)] * d
+        ix[ax] = slice(start, stop, 2)
+        return grid[tuple(ix)]
+
+    for ax in range(d):
+        # each odd digit 2l+1 against its even faces 2l (below) and 2l+2 (above)
+        odd = digits(ax, 1, base)
+        for even in (digits(ax, 0, base - 1), digits(ax, 2, base)):
+            ne = even != odd
+            pair = even[ne].astype(np.int64) * n + odd[ne]
+            codes.update(np.unique(pair).tolist())
     for code in sorted(codes):
         p, q = divmod(code, n)
         if not poset.leq(p, q):
@@ -507,18 +510,16 @@ class BraidComplex:
         """Cell tally per (grade, dimension), for Euler bookkeeping."""
         base = self.cx.base
         d = self.cx.d
-        N = self.grades.size
-        idx = np.arange(N, dtype=np.int64)
-        dims = np.zeros(N, dtype=np.int64)
-        stride = 1
-        for _ in range(d):
-            dims += (idx // stride) % base & 1
-            stride *= base
-        codes = self.grades.astype(np.int64) * (d + 1) + dims
-        uniq, cnt = np.unique(codes, return_counts=True)
+        # a cell's dimension is its count of odd digits; the sum over all axes
+        # is symmetric, so the axis order of the grid does not matter
+        parity = (np.arange(base) & 1).astype(np.int8)
+        dims = np.zeros((1,) * d, dtype=np.int8)
+        for ax in range(d):
+            dims = dims + parity.reshape([base if a == ax else 1 for a in range(d)])
+        tally = np.bincount(self.grades * (d + 1) + dims.ravel(), minlength=self.poset.n * (d + 1))
         return {
-            (int(u) // (d + 1), int(u) % (d + 1)): int(c)
-            for u, c in zip(uniq, cnt)
+            (int(u) // (d + 1), int(u) % (d + 1)): int(tally[u])
+            for u in np.flatnonzero(tally)
         }
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .core import (
     CellComplexLike,
     FormatError,
@@ -215,6 +217,20 @@ class CubicalComplex(CellComplexLike):
             return iter(range(self.total_ids))
         excl = self._excluded
         return (c for c in range(self.total_ids) if c != excl)
+
+    def member_ids(self) -> np.ndarray:
+        """All member cell ids, ascending, as int32 when every id fits, else int64."""
+        if self.total_ids > np.iinfo(np.int64).max:
+            raise SizeGuardError(f"cell ids of a {self.base}^{self.d} grid exceed int64")
+        dtype = np.int32 if self.total_ids <= np.iinfo(np.int32).max else np.int64
+        if self.kind == "explicit":
+            ids = np.fromiter(self._members, dtype=dtype, count=len(self._members))  # type: ignore[arg-type]
+            ids.sort()
+            return ids
+        ids = np.arange(self.total_ids, dtype=dtype)
+        if self._excluded is not None:
+            ids = np.delete(ids, self._excluded)
+        return ids
 
     def is_member(self, cell: int) -> bool:
         if not 0 <= cell < self.total_ids:

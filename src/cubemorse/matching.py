@@ -6,8 +6,11 @@ w_1, ..., w_n, a cell takes the partner offered by the earliest entry under
 which both sides are still unclaimed.  :func:`mate` resolves one cell by
 structural recursion; :func:`mate_table` materializes the same function by
 sweeping the whole complex level by level and exists as an independent
-cross-check.  :func:`fiber_mate` is the production evaluation used on the
-anchor fibers of cubical complexes, where entries are single-bit toggles.
+cross-check.  On cubical complexes, where entries are single-bit extent
+toggles, :func:`template_sweep` is the production evaluation: one array pass
+per axis over all member ids.  :func:`fiber_mate` evaluates the same
+matching on one anchor fiber and backs :class:`TemplateMatching`, the
+per-cell oracle that ``verify`` and the tests check the sweep against.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -20,6 +23,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import (
     CellComplexLike,
@@ -144,6 +149,54 @@ def fiber_mate(
     return state, level
 
 
+def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.ndarray]:
+    """The template matching of a whole cubical complex, one array pass per axis.
+
+    Level i toggles the extent of coordinate i, which moves a cell id by
+    ``pows[i-1]`` between an even digit 2l < 2m and the odd digit 2l + 1 of
+    the same fiber.  The orbits of one toggle are disjoint transpositions,
+    so pairing every still-unmatched member with an even digit against its
+    unmatched odd neighbour (of equal grade, if graded) all at once
+    reproduces the level construction of :func:`fiber_mate` exactly.
+
+    Args:
+        cx: the cubical complex.
+        grade_of: optional per-cell grade (numpy array, callable or
+            indexable by id); pairs must not cross grades.
+
+    Returns:
+        (ids, code): the ascending member ids and, per member, the signed
+        level of its pair as int8: +i when it pairs upward with
+        ``id + pows[i-1]``, -i when it pairs downward with
+        ``id - pows[i-1]``, 0 when it stays fixed.
+    """
+    ids = cx.member_ids()
+    n = ids.size
+    grade = None
+    if isinstance(grade_of, np.ndarray):
+        grade = grade_of[ids]
+    elif grade_of is not None:
+        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
+        grade = np.fromiter(map(gfun, ids.tolist()), dtype=np.int64, count=n)
+    code = np.zeros(n, dtype=np.int8)
+    free = np.ones(n, dtype=bool)
+    last = n - 1
+    for level, p in enumerate(cx.pows, start=1):
+        digit = ids // p % cx.base
+        src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
+        want = ids[src] + p
+        dst = np.minimum(np.searchsorted(ids, want), last)
+        ok = (ids[dst] == want) & free[dst]
+        if grade is not None:
+            ok &= grade[src] == grade[dst]
+        src, dst = src[ok], dst[ok]
+        code[src] = level
+        code[dst] = -level
+        free[src] = False
+        free[dst] = False
+    return ids, code
+
+
 class SequenceMatching:
     """Matching oracle for an arbitrary complex, backed by the recursion."""
 
@@ -170,9 +223,10 @@ class SequenceMatching:
 class TemplateMatching:
     """Template matching of a cubical complex, resolved fiber by fiber.
 
-    The aggregated extent-toggle matching never pairs cells across fibers,
-    so each anchor's table is computed independently with
-    :func:`fiber_mate` and kept in a bounded LRU cache.
+    The per-cell oracle for ``verify`` and the tests; reduction rounds use
+    :func:`template_sweep`.  The aggregated extent-toggle matching never
+    pairs cells across fibers, so each anchor's table is computed
+    independently with :func:`fiber_mate` and kept in a bounded LRU cache.
 
     Args:
         cx: the cubical complex.

@@ -5,7 +5,8 @@ cells and, over GF(2), a boundary that counts alternating paths: a path
 steps from a face of a cell into the partner of a lower cell and onward.
 :func:`morse_boundary` performs the count with memoized depth-first
 propagation, :func:`template_round` runs one reduction round of a cubical
-complex using the fiber-resolved template matching, and
+complex under the template matching, evaluated as an array sweep over the
+member ids (:func:`cubemorse.matching.template_sweep`), and
 :func:`generic_round` produces a deterministic acyclic matching on an
 already-explicit complex so rounds can be iterated until the boundary (or
 its same-grade part) vanishes.  :func:`homology` and
@@ -15,6 +16,7 @@ its same-grade part) vanishes.  :func:`homology` and
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -24,7 +26,7 @@ from .core import (
     IntegrityError,
 )
 from .cubical import CubicalComplex
-from .matching import TemplateMatching, fiber_mate
+from .matching import template_sweep
 
 
 def morse_boundary(
@@ -116,8 +118,8 @@ def morse_complex(
     """Reduce any complex handle along a matching oracle.
 
     Streams all cells to find the fixed ones, then counts flows.  For large
-    cubical complexes prefer :func:`template_round`, which resolves the
-    matching fiber by fiber instead of cell by cell.
+    cubical complexes prefer :func:`template_round`, which matches all cells
+    in a few array passes instead of querying the oracle cell by cell.
     """
     criticals = [c for c in cx.cells() if oracle(c) == c]
     bdry = morse_boundary(criticals, cx.boundary, oracle, cx.dim)
@@ -133,36 +135,37 @@ def morse_complex(
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
-    The sweep visits each fiber once, pairing inside the fiber with
-    :func:`cubemorse.matching.fiber_mate`; only the fixed cells are kept.
-    Flow counting then re-resolves fibers on demand through a bounded cache.
+    :func:`cubemorse.matching.template_sweep` matches all member ids in one
+    array pass per axis; the members it leaves fixed are the critical cells,
+    and flow counting reads each partner from the sweep's code array.
     """
-    offs = cx.offsets()
-    gfun = None
-    if grade_of is not None:
-        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
-    criticals: list[int] = []
-    width = cx.d
-    for base, members in cx.iter_fibers():
-        if not members:
-            continue
-        grade = None
-        if gfun is not None:
-            grade = {msk: gfun(base + offs[msk]) for msk in members}
-        partner, _ = fiber_mate(members, width, grade)
-        for msk in members:
-            if partner[msk] == msk:
-                criticals.append(base + offs[msk])
-    criticals.sort()
-    matching = TemplateMatching(cx, grade_of)
-    bdry = morse_boundary(criticals, cx._boundary_raw, matching, cx.dim_of)
+    ids, code = template_sweep(cx, grade_of)
+    criticals = ids[code == 0].tolist()
+    bdry = morse_boundary(criticals, cx._boundary_raw, _sweep_mate(cx, ids, code), cx.dim_of)
     dims = {c: cx.dim_of(c) for c in criticals}
     grades = None
-    if gfun is not None:
+    if grade_of is not None:
+        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
         grades = {c: int(gfun(c)) for c in criticals}
     out = ExplicitComplex(dims, bdry, grades)
     out.check_dd_zero()
     return out
+
+
+def _sweep_mate(cx: CubicalComplex, ids, code) -> Callable[[int], int]:
+    """Partner lookup for member cells over a :func:`template_sweep` result."""
+    step = [0] * (2 * cx.d + 1)  # step[level] = -step[-level] = pows[level - 1]
+    for level, p in enumerate(cx.pows, start=1):
+        step[level] = p
+        step[-level] = -p
+    codes = code.tolist()
+    if cx.kind == "explicit":
+        keys = ids.tolist()
+        return lambda c: c + step[codes[bisect_left(keys, c)]]
+    excl = cx._excluded
+    if excl is None:
+        return lambda c: c + step[codes[c]]
+    return lambda c: c + step[codes[c - (c > excl)]]
 
 
 def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
@@ -287,7 +290,7 @@ def _input_euler(cx: CubicalComplex) -> int:
 def homology(cx: CubicalComplex) -> HomologyResult:
     """Betti numbers over GF(2) by iterated Morse reduction.
 
-    Round one applies the template matching fiber by fiber; later rounds use
+    Round one applies the template matching as an array sweep; later rounds use
     :func:`generic_round` on the explicit remainder until the boundary is
     zero, at which point the cell counts per dimension are the Betti
     numbers.  Euler characteristic is asserted after every round.

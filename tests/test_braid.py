@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,10 @@ from cubemorse.braid import (
     reference_braid,
     torus_knot,
     validate_skeleton,
+    _verify_grading,
 )
 from cubemorse.core import FormatError, IntegrityError
-from cubemorse.cubical import alpha, beta
+from cubemorse.cubical import CubicalComplex, alpha, beta
 
 REFERENCE_ROWS = [(0, 0, 0), (1, 3, 1), (2, 1, 2), (3, 4, 3), (4, 2, 4), (5, 5, 5)]
 
@@ -213,6 +217,59 @@ def test_input_counts_tally():
         by_dim[dm] += n
     # cells of C(5;2) by dimension: vertices, edges, squares
     assert by_dim == [36, 60, 25]
+
+
+def test_input_counts_equal_brute_force_tally():
+    for sk in (reference_braid(), torus_knot(5)):
+        bc = build_braid_complex(sk)
+        want = Counter((bc.grade_of(c), bc.cx.dim_of(c)) for c in bc.cx.cells())
+        assert bc.input_counts() == dict(want)
+
+
+class ChainPoset:
+    """Classes 0 < 1 < ... < n-1."""
+
+    n = 4
+
+    def leq(self, p, q):
+        return p <= q
+
+
+@pytest.mark.parametrize("vertex, coface", [((0, 2), (1, 2)), ((4, 2), (3, 2))])
+def test_verify_grading_catches_each_direction(vertex, coface):
+    # C(2; 2), digits 0..4: vertices 0, edges 2, squares 3, except that one
+    # edge next to the vertex has grade 1.  Raising the vertex to grade 2 then
+    # breaks only the pair with that edge: at digit 0 through the +1
+    # neighbour, at digit 2m = 4 through the -1 neighbour.
+    cx = CubicalComplex.full(2, 2)
+    grades = np.array([[0, 2, 3][cx.dim_of(c)] for c in cx.cells()], dtype=np.int32)
+    grades[cx.cell_id(coface)] = 1
+    _verify_grading(grades, cx.base, cx.d, ChainPoset())
+    grades[cx.cell_id(vertex)] = 2
+    with pytest.raises(IntegrityError, match="grade 2 is not below coface grade 1"):
+        _verify_grading(grades, cx.base, cx.d, ChainPoset())
+
+
+def test_verify_grading_agrees_with_coface_scan():
+    bc = build_braid_complex(reference_braid())
+    cx, po = bc.cx, bc.poset
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(60):
+        grades = bc.grades.copy()
+        grades[rng.randrange(grades.size)] = rng.randrange(po.n)
+        bad = any(
+            not po.leq(int(grades[c]), int(grades[k]))
+            for c in cx.cells()
+            for k in cx.coboundary(c)
+        )
+        outcomes.add(bad)
+        if bad:
+            with pytest.raises(IntegrityError):
+                _verify_grading(grades, cx.base, cx.d, po)
+        else:
+            _verify_grading(grades, cx.base, cx.d, po)
+    assert outcomes == {False, True}
 
 
 def test_build_braid_complex_fields():

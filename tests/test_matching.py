@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import SizeGuardError, TrichotomyError
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
@@ -12,6 +14,7 @@ from cubemorse.matching import (
     fiber_mate,
     mate,
     mate_table,
+    template_sweep,
     verify_acyclic,
     verify_matching,
     verify_stable,
@@ -249,3 +252,49 @@ def test_template_matching_is_clean_on_spheres():
         report = verify_matching(cx, w)
         assert report.ok, report.violations[:3]
         assert report.n_fixed == 2  # one cell per surviving Betti generator
+
+
+def assert_sweep_matches_oracle(cx, grades=None):
+    """The array sweep pairs every member exactly as the fiber oracle does."""
+    ids, code = template_sweep(cx, grades)
+    assert ids.tolist() == list(cx.cells())
+    assert code.dtype == np.int8
+    w = TemplateMatching(cx, grades)
+    for c, k in zip(ids.tolist(), code.tolist()):
+        step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
+        assert c + step == w(c), c
+        assert w.provenance(c) == (abs(k) if k else None), c
+
+
+def test_template_sweep_matches_oracle_on_random_complexes():
+    rng = random.Random(21)
+    for _ in range(40):
+        cx = random_cubical_complex(rng, rng.randint(1, 4), rng.randint(1, 3))
+        assert_sweep_matches_oracle(cx)
+        # a list is indexable by id but neither an array nor callable
+        assert_sweep_matches_oracle(cx, [rng.randrange(3) for _ in range(cx.total_ids)])
+
+
+def test_template_sweep_matches_oracle_around_excluded_cell():
+    # the excluded top cell shifts the position of every later member
+    for d in range(1, 6):
+        assert_sweep_matches_oracle(CubicalComplex.sphere(d))
+    for d in range(1, 4):
+        assert_sweep_matches_oracle(CubicalComplex.top_sphere(d))
+
+
+def test_template_sweep_matches_oracle_on_braid_gradings():
+    for sk in (reference_braid(), torus_knot(5)):
+        bc = build_braid_complex(sk)
+        assert_sweep_matches_oracle(bc.cx, bc.grades)
+        assert_sweep_matches_oracle(bc.cx, bc.grade_of)
+
+
+def test_template_sweep_on_sparse_grid():
+    # ids beyond int32 on a grid far too large for a bitmap over all ids
+    cx = CubicalComplex.from_cells(1000, 3, [1_234_567_891, 7_999_999_999])
+    assert cx.total_ids > 2**32
+    ids, code = template_sweep(cx)
+    assert ids.dtype == np.int64
+    assert_sweep_matches_oracle(cx)
+    assert int((code == 0).sum()) == 2  # two disjoint contractible closures

@@ -68,6 +68,16 @@ def test_template_round_matches_morse_complex():
         }
 
 
+def test_graded_template_round_matches_morse_complex():
+    for sk in (reference_braid(), torus_knot(5)):
+        bc = build_braid_complex(sk)
+        a = template_round(bc.cx, bc.grades)
+        b = morse_complex(bc.cx, TemplateMatching(bc.cx, bc.grades), bc.grade_of)
+        assert a.dims == b.dims
+        assert a.grades == b.grades
+        assert sorted(a.boundary_entries()) == sorted(b.boundary_entries())
+
+
 def test_template_round_preserves_euler_and_betti():
     rng = random.Random(12)
     for _ in range(30):
