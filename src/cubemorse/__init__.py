@@ -1,8 +1,10 @@
 """Memory-light homology and connection matrices for large cubical complexes.
 
-Cells are integer-coded and complexes answer queries from the code instead
-of materializing incidence data; matchings are resolved one anchor fiber at
-a time, so a reduction round touches the full complex only as a stream.
+Cells are integer-coded and complexes answer queries from the code, decoded
+through small per-chunk digit tables, instead of materializing incidence
+data.  The first reduction round evaluates the template matching as one
+array pass per axis over the member ids; flow counting and the later
+coreduction rounds work on the few cells it leaves fixed.
 """
 
 from .core import (

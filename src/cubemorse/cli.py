@@ -100,13 +100,6 @@ class RunResult:
 def build_parser() -> _Parser:
     p = _Parser(prog="cubemorse", description=__doc__)
     p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CUBEMORSE_THREADS", "1")),
-        help="worker count for cell streaming (reserved; evaluation is serial "
-        "and output does not depend on it)",
-    )
-    p.add_argument(
         "--force",
         action="store_true",
         help="override the size guard on very large complexes",

@@ -8,6 +8,15 @@ of the digit vector in base 2m+1 with coordinate 1 least significant.  Nothing
 is materialized for the built-in families: membership, boundary, and fiber
 queries are all answered from the codec.
 
+The codec decodes a cell chunk by chunk rather than digit by digit.  The d
+digits are split into chunks of k digits, k as large as base**k <= 4096
+allows, and each chunk has lookup tables indexed by its value: the number of
+odd digits, the extent bits, and the ascending powers of the odd digits
+(with their sum).  A query then costs one ``divmod`` per chunk below the top
+one, e.g. one for the 10-digit ids of ``sphere(9)``.  The tables are built
+on first use and never exceed 4096 entries per chunk, whatever m is; a base
+above 4096 gets one-digit chunks whose entries depend on parity alone.
+
 The *fiber* of a cell is the set of cells sharing its anchor (the vector of
 lower endpoints l).  Each fiber is a sub-hypercube spanned by the extent bits,
 which is what makes hypercube template pairings applicable one fiber at a
@@ -16,7 +25,7 @@ time (:func:`alpha`, :func:`beta`).
 
 from __future__ import annotations
 
-from itertools import product
+from math import comb
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,6 +38,56 @@ from .core import (
 )
 
 CLOSURE_CELL_GUARD = 100_000_000
+TABLE_LIMIT = 4096  # most entries in one chunk table of the codec
+
+
+class _ParityTable:
+    """Chunk table of a one-digit chunk in a base too large to tabulate:
+    every entry depends only on the parity of the digit."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: list):
+        self.pair = pair
+
+    def __getitem__(self, r: int):
+        return self.pair[r & 1]
+
+
+class _DigitTables:
+    """The codec's chunk tables for one grid (see the module docstring).
+
+    ``mod`` is base**k.  Each of ``odd``, ``bits``, ``offs`` and ``pows`` is
+    a pair (tables of the chunks below the top one, ascending; table of the
+    top chunk): a cell id yields the lower chunk values by ``divmod`` with
+    ``mod`` and leaves the top chunk's value as the last quotient.
+    """
+
+    __slots__ = ("mod", "odd", "bits", "offs", "pows")
+
+    def __init__(self, base: int, pows: list[int]):
+        d = len(pows)
+        k = 1
+        while k < d and base ** (k + 1) <= TABLE_LIMIT:
+            k += 1
+        self.mod = base ** k
+        digits = range(base) if base <= TABLE_LIMIT else range(2)
+        chunks: list[tuple[list, list, list, list]] = []
+        for lo in range(0, d, k):
+            odd, bits, pw = [0], [0], [()]
+            for i in range(lo, min(d, lo + k)):
+                b, p = 1 << i, pows[i]
+                odd = [n + (c & 1) for c in digits for n in odd]
+                bits = [x | b if c & 1 else x for c in digits for x in bits]
+                pw = [ps + (p,) if c & 1 else ps for c in digits for ps in pw]
+            tabs = (odd, bits, [sum(ps) for ps in pw], pw)
+            if base > TABLE_LIMIT:
+                tabs = tuple(_ParityTable(t) for t in tabs)
+            chunks.append(tabs)
+        *low, top = chunks
+        self.odd, self.bits, self.offs, self.pows = (
+            ([c[f] for c in low], top[f]) for f in range(4)
+        )
 
 
 class CubicalComplex(CellComplexLike):
@@ -54,7 +113,8 @@ class CubicalComplex(CellComplexLike):
         elif kind not in ("full", "explicit"):
             raise ValueError(f"unknown kind {kind!r}")
         self._offs: list[int] | None = None
-        self._max_dim_cache: int | None = None
+        self._tabs: _DigitTables | None = None
+        self._counts_by_dim: list[int] | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -86,7 +146,11 @@ class CubicalComplex(CellComplexLike):
         anchors: list[tuple[int, ...]],
         force: bool = False,
     ) -> "CubicalComplex":
-        """Closure of a list of top cubes given by their anchor vectors."""
+        """Closure of a list of top cubes given by their anchor vectors.
+
+        The closure is built as int64 id arrays, so a grid whose ids exceed
+        int64 is refused with :class:`SizeGuardError`.
+        """
         estimate = len(anchors) * 3 ** d
         if estimate > CLOSURE_CELL_GUARD and not force:
             raise SizeGuardError(
@@ -94,15 +158,21 @@ class CubicalComplex(CellComplexLike):
                 "pass force to override"
             )
         cx = cls(m, d, "explicit", frozenset())
-        members: set[int] = set()
         for a in anchors:
             if len(a) != d:
                 raise FormatError(f"anchor {a} does not have {d} coordinates")
-            if any(not 0 <= ai <= m - 1 for ai in a):
+            if min(a) < 0 or max(a) > m - 1:
                 raise FormatError(f"anchor {a} out of range 0..{m - 1}")
-            for digits in product(*[(2 * ai, 2 * ai + 1, 2 * ai + 2) for ai in a]):
-                members.add(sum(c * p for c, p in zip(digits, cx.pows)))
-        cx._members = frozenset(members)
+        if cx.total_ids > np.iinfo(np.int64).max:
+            raise SizeGuardError(f"cell ids of a {cx.base}^{d} grid exceed int64")
+        pows = np.array(cx.pows, dtype=np.int64)
+        corners = np.array(anchors, dtype=np.int64).reshape(-1, d) @ (2 * pows)
+        # every digit of a closure cell is 2a, 2a + 1 or 2a + 2
+        steps = np.zeros(1, dtype=np.int64)
+        for p in cx.pows:
+            steps = (steps + np.array([0, p, 2 * p])[:, None]).ravel()
+        ids = np.sort((corners[:, None] + steps).ravel())
+        cx._members = frozenset(ids[np.diff(ids, prepend=-1) != 0].tolist())
         return cx
 
     @classmethod
@@ -147,31 +217,48 @@ class CubicalComplex(CellComplexLike):
         )
 
     def dim_of(self, cell: int) -> int:
-        d = 0
-        for _ in range(self.d):
-            cell, r = cell // self.base, cell % self.base
-            d += r & 1
-        return d
+        t = self._tabs or self._tables()
+        low, top = t.odd
+        mod = t.mod
+        n = 0
+        for odd in low:
+            cell, r = divmod(cell, mod)
+            n += odd[r]
+        return n + top[cell]
 
     def anchor(self, cell: int) -> tuple[int, ...]:
         return tuple(c // 2 for c in self.digits(cell))
 
     def extent_mask(self, cell: int) -> int:
         """Extent bits, bit i-1 set when coordinate i is an edge interval."""
+        t = self._tabs or self._tables()
+        low, top = t.bits
+        mod = t.mod
         mask = 0
-        for i in range(self.d):
-            cell, r = cell // self.base, cell % self.base
-            mask |= (r & 1) << i
-        return mask
+        for bits in low:
+            cell, r = divmod(cell, mod)
+            mask |= bits[r]
+        return mask | top[cell]
 
     def anchor_base(self, cell: int) -> int:
         """Id of the anchor vertex of the fiber containing this cell."""
-        base = 0
-        for p in self.pows:
-            r = cell % self.base
-            cell //= self.base
-            base += (r & ~1) * p
-        return base
+        return self.anchor_and_mask(cell)[0]
+
+    def anchor_and_mask(self, cell: int) -> tuple[int, int]:
+        """(anchor_base(cell), extent_mask(cell)) in one table pass."""
+        t = self._tabs or self._tables()
+        (low_bits, top_bits), (low_offs, top_offs) = t.bits, t.offs
+        mod = t.mod
+        rem, mask, off = cell, 0, 0
+        for bits, offs in zip(low_bits, low_offs):
+            rem, r = divmod(rem, mod)
+            mask |= bits[r]
+            off += offs[r]
+        return cell - off - top_offs[rem], mask | top_bits[rem]
+
+    def _tables(self) -> _DigitTables:
+        self._tabs = _DigitTables(self.base, self.pows)
+        return self._tabs
 
     def offsets(self) -> list[int]:
         """offsets()[mask] = id delta from a fiber's anchor vertex to the cell
@@ -198,17 +285,32 @@ class CubicalComplex(CellComplexLike):
 
     @property
     def max_cell_dim(self) -> int:
-        if self.kind == "full":
-            return self.d
-        if self.kind == "sphere":
-            return self.d - 1
-        if self.kind == "top_sphere":
-            return self.d
-        if self._max_dim_cache is None:
-            self._max_dim_cache = max(
-                (self.dim_of(c) for c in self._members), default=-1  # type: ignore[union-attr]
-            )
-        return self._max_dim_cache
+        return len(self.counts_by_dim()) - 1
+
+    def counts_by_dim(self) -> list[int]:
+        """Member cells per dimension 0..max_cell_dim.
+
+        Closed form for the grid kinds; an explicit complex counts its
+        members in one int8 digit-parity pass over :meth:`member_ids`.
+        Computed once per complex.
+        """
+        if self._counts_by_dim is None:
+            if self.kind == "explicit":
+                ids = self.member_ids()
+                dims = np.zeros(ids.size, dtype=np.int8)
+                for p in self.pows:
+                    dims += (ids // p % self.base & 1).astype(np.int8)
+                counts = np.bincount(dims, minlength=self.d + 1).tolist()
+            else:
+                # an i-cell picks i edge and d - i vertex digits
+                m, d = self.m, self.d
+                counts = [comb(d, i) * m ** i * (m + 1) ** (d - i) for i in range(d + 1)]
+                if self._excluded is not None:
+                    counts[d] -= 1  # the excluded cell has all digits odd
+            while counts and counts[-1] == 0:
+                counts.pop()
+            self._counts_by_dim = counts
+        return self._counts_by_dim
 
     def cells(self) -> Iterator[int]:
         if self.kind == "explicit":
@@ -244,16 +346,15 @@ class CubicalComplex(CellComplexLike):
         return self.dim_of(cell)
 
     def _boundary_raw(self, cell: int) -> list[int]:
-        out = []
-        rem = cell
-        for p in self.pows:
-            r = rem % self.base
-            rem //= self.base
-            if r & 1:
-                out.append(cell - p)
-                out.append(cell + p)
-        out.sort()
-        return out
+        t = self._tabs or self._tables()
+        low, top = t.pows
+        mod = t.mod
+        rem, ps = cell, ()
+        for pw in low:
+            rem, r = divmod(rem, mod)
+            ps += pw[r]
+        ps += top[rem]
+        return [cell - p for p in reversed(ps)] + [cell + p for p in ps]
 
     def boundary(self, cell: int) -> tuple[int, ...]:
         self._require(cell)
@@ -319,10 +420,10 @@ class CubicalComplex(CellComplexLike):
         if self.kind == "explicit":
             groups: dict[int, list[int]] = {}
             for c in self._members:  # type: ignore[union-attr]
-                groups.setdefault(self.anchor_base(c), []).append(c)
+                base, mask = self.anchor_and_mask(c)
+                groups.setdefault(base, []).append(mask)
             for base in sorted(groups):
-                masks = sorted(self.extent_mask(c) for c in groups[base])
-                yield base, masks
+                yield base, sorted(groups[base])
             return
         n_anchor = self.m + 1
         for aidx in range(n_anchor ** self.d):

@@ -267,20 +267,17 @@ class TemplateMatching:
         cx = self.cx
         if not cx.is_member(cell):
             raise NonMemberCellError(f"cell {cell} is not a member")
-        offs = cx.offsets()
-        mask = cx.extent_mask(cell)
-        base = cell - offs[mask]
+        base, mask = cx.anchor_and_mask(cell)
         partner, _ = self._fiber(base)
         pm = partner[mask]
-        return cell if pm == mask else base + offs[pm]
+        return cell if pm == mask else base + cx.offsets()[pm]
 
     def provenance(self, cell: int) -> int | None:
         cx = self.cx
         if not cx.is_member(cell):
             raise NonMemberCellError(f"cell {cell} is not a member")
-        offs = cx.offsets()
-        mask = cx.extent_mask(cell)
-        _, level = self._fiber(cell - offs[mask])
+        base, mask = cx.anchor_and_mask(cell)
+        _, level = self._fiber(base)
         return level.get(mask)
 
     def entries(self) -> list[Entry]:

@@ -16,7 +16,6 @@ its same-grade part) vanishes.  :func:`homology` and
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -41,6 +40,10 @@ def morse_boundary(
     are memoized, and the traversal is an explicit stack so path length is
     not limited by the interpreter recursion depth.  Revisiting a lower cell
     that is still open means the matching flows in a cycle.
+
+    ``mate_of`` must return the partner of every lower cell (one paired with
+    a coface) and may map any other cell, upper cells included, to itself;
+    ``dim_of`` is only asked about cells ``mate_of`` moves.
     """
     crit = set(criticals)
     memo: dict[int, frozenset[int]] = {}
@@ -137,7 +140,8 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
 
     :func:`cubemorse.matching.template_sweep` matches all member ids in one
     array pass per axis; the members it leaves fixed are the critical cells,
-    and flow counting reads each partner from the sweep's code array.
+    and flow counting reads each lower cell's partner from the sweep's code
+    array.
     """
     ids, code = template_sweep(cx, grade_of)
     criticals = ids[code == 0].tolist()
@@ -153,15 +157,20 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
 
 
 def _sweep_mate(cx: CubicalComplex, ids, code) -> Callable[[int], int]:
-    """Partner lookup for member cells over a :func:`template_sweep` result."""
-    step = [0] * (2 * cx.d + 1)  # step[level] = -step[-level] = pows[level - 1]
+    """Partner lookup over a :func:`template_sweep` result for flow counting.
+
+    A lower cell (code > 0) maps to its coface partner; every other member
+    maps to itself, so :func:`morse_boundary` never asks the dimension of
+    an upper cell.
+    """
+    step = [0] * (2 * cx.d + 1)  # step[level] = pows[level - 1], step[-level] = 0
     for level, p in enumerate(cx.pows, start=1):
         step[level] = p
-        step[-level] = -p
-    codes = code.tolist()
     if cx.kind == "explicit":
-        keys = ids.tolist()
-        return lambda c: c + step[codes[bisect_left(keys, c)]]
+        up = code > 0
+        lower = dict(zip(ids[up].tolist(), code[up].tolist()))  # lower cell -> level
+        return lambda c: c + step[lower.get(c, 0)]
+    codes = code.tolist()
     excl = cx._excluded
     if excl is None:
         return lambda c: c + step[codes[c]]
@@ -277,14 +286,7 @@ class ConleyResult:
 
 
 def _input_euler(cx: CubicalComplex) -> int:
-    if cx.kind == "explicit":
-        return sum(1 if cx.dim_of(c) % 2 == 0 else -1 for c in cx.cells())
-    # the full grid is a product of contractible intervals
-    total = 1
-    if cx.kind in ("sphere", "top_sphere"):
-        # one top cell (all coordinates odd, dimension cx.d) is excluded
-        total -= (-1) ** cx.d
-    return total
+    return sum(-n if k % 2 else n for k, n in enumerate(cx.counts_by_dim()))
 
 
 def homology(cx: CubicalComplex) -> HomologyResult:

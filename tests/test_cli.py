@@ -199,15 +199,20 @@ def test_bench_usage(capsys):
     assert main(["bench", "verify", "--gen", "sphere:1"]) == EXIT_USAGE
 
 
-def test_threads_env_does_not_change_output(monkeypatch, capsys):
-    assert main(["sphere", "--kind", "s", "--dim", "2", "--json"]) == EXIT_OK
-    base = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("CUBEMORSE_THREADS", "8")
-    assert main(["sphere", "--kind", "s", "--dim", "2", "--json"]) == EXIT_OK
-    with_env = json.loads(capsys.readouterr().out)
-    for key in ("betti", "rounds", "cell_count", "command"):
-        assert base[key] == with_env[key]
-
-
 def test_json_csv_flags_conflict(capsys):
     assert main(["sphere", "--kind", "s", "--dim", "1", "--json", "--csv"]) == EXIT_USAGE
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import cubemorse
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cubemorse.__file__)))
+    code = "import sys, cubemorse; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

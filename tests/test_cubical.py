@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from cubemorse.cubical import (
     parse_top_cell_file,
 )
 from cubemorse.hypercube import hboundary
+from cubemorse.morse import _input_euler, homology
 from .helpers import random_cubical_complex
 
 
@@ -299,3 +301,85 @@ def test_alpha_is_an_involution():
             i = rng.randrange(1, cx.d + 1)
             once = alpha(i, cell, cx)
             assert alpha(i, once, cx) == cell
+
+
+def _digit_loop_codec(cx, cell):
+    """Reference decode, one digit at a time: (dim, extent mask, anchor
+    base, sorted raw boundary)."""
+    digits = cx.digits(cell)
+    odd = [i for i, c in enumerate(digits) if c & 1]
+    base = sum((c & ~1) * p for c, p in zip(digits, cx.pows))
+    faces = sorted(cell + s * cx.pows[i] for i in odd for s in (-1, 1))
+    return len(odd), sum(1 << i for i in odd), base, faces
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [
+        CubicalComplex.full(1, 5),  # base 3, one chunk
+        CubicalComplex.sphere(9),  # base 3, chunks of 7 + 3 digits
+        CubicalComplex.sphere(20),  # base 3, three chunks of 7
+        CubicalComplex.full(5, 7),  # base 11, chunks of 3 + 3 + 1 digits
+        CubicalComplex.full(30, 3),  # base 61, chunks of 2 + 1 digits
+        CubicalComplex.from_cells(1000, 3, [2001**3 - 2]),  # ids above 2^32
+        CubicalComplex.full(5000, 2),  # base 10001: one-digit parity chunks
+    ],
+    ids=["b3d5", "sphere9", "sphere20", "b11d7", "b61d3", "b2001-int64", "b10001"],
+)
+def test_table_codec_matches_digit_loop(cx):
+    rng = random.Random(cx.base * 31 + cx.d)
+    cells = [0, cx.total_ids - 1] + [rng.randrange(cx.total_ids) for _ in range(3000)]
+    for cell in cells:
+        dim, mask, base, faces = _digit_loop_codec(cx, cell)
+        assert cx.dim_of(cell) == dim
+        assert cx.extent_mask(cell) == mask
+        assert cx.anchor_and_mask(cell) == (base, mask)
+        assert cx.anchor_base(cell) == base
+        assert cx._boundary_raw(cell) == faces
+
+
+def test_codec_tables_do_not_grow_with_m():
+    m, d, anchors = parse_top_cell_file("3 1000000\n0 0 0\n999999 5 7\n")
+    cx = CubicalComplex.from_top_cells(m, d, anchors)
+    assert cx.cell_count == 54
+    assert cx.dim_of(cx.cell_id((1, 1, 2 * m))) == 2
+    assert homology(cx).betti == [2, 0, 0, 0]
+    for low, top in (cx._tabs.odd, cx._tabs.bits, cx._tabs.offs, cx._tabs.pows):
+        for tab in low + [top]:
+            assert not isinstance(tab, list) or len(tab) <= 4096
+    for cx in (CubicalComplex.full(30, 3), CubicalComplex.sphere(20)):
+        cx.dim_of(0)
+        for low, top in (cx._tabs.odd, cx._tabs.pows):
+            assert all(len(tab) <= 4096 for tab in low + [top])
+
+
+def test_from_top_cells_equals_product_closure():
+    rng = random.Random(77)
+    for d, m in ((1, 4), (2, 3), (3, 5), (4, 2)):
+        anchors = [tuple(rng.randrange(m) for _ in range(d)) for _ in range(rng.randint(1, 12))]
+        cx = CubicalComplex.from_top_cells(m, d, anchors)
+        want = set()
+        for a in anchors:
+            for digits in itertools.product(*[(2 * x, 2 * x + 1, 2 * x + 2) for x in a]):
+                want.add(sum(c * p for c, p in zip(digits, cx.pows)))
+        assert cx._members == frozenset(want)
+
+
+def test_counts_by_dim_match_brute_force():
+    rng = random.Random(4242)
+    cases = [random_cubical_complex(rng, rng.randint(1, 4)) for _ in range(25)]
+    cases += [
+        CubicalComplex.full(2, 3),
+        CubicalComplex.sphere(3),
+        CubicalComplex.top_sphere(2),
+        CubicalComplex.from_top_cells(3, 2, []),
+    ]
+    for cx in cases:
+        want = [0] * (cx.d + 1)
+        for c in cx.cells():
+            want[sum(x & 1 for x in cx.digits(c))] += 1
+        while want and want[-1] == 0:
+            want.pop()
+        assert cx.counts_by_dim() == want
+        assert cx.max_cell_dim == len(want) - 1
+        assert _input_euler(cx) == sum((-1) ** k * n for k, n in enumerate(want))

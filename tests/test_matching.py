@@ -19,6 +19,7 @@ from cubemorse.matching import (
     verify_matching,
     verify_stable,
 )
+from cubemorse.morse import _sweep_mate
 from .helpers import random_cubical_complex, random_hypercube_members
 
 
@@ -255,15 +256,18 @@ def test_template_matching_is_clean_on_spheres():
 
 
 def assert_sweep_matches_oracle(cx, grades=None):
-    """The array sweep pairs every member exactly as the fiber oracle does."""
+    """The array sweep pairs every member exactly as the fiber oracle does,
+    and flow counting's mate moves exactly the lower cells to their partners."""
     ids, code = template_sweep(cx, grades)
     assert ids.tolist() == list(cx.cells())
     assert code.dtype == np.int8
     w = TemplateMatching(cx, grades)
+    mate = _sweep_mate(cx, ids, code)
     for c, k in zip(ids.tolist(), code.tolist()):
         step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
         assert c + step == w(c), c
         assert w.provenance(c) == (abs(k) if k else None), c
+        assert mate(c) == (w(c) if k > 0 else c), c
 
 
 def test_template_sweep_matches_oracle_on_random_complexes():
