@@ -55,16 +55,16 @@ class BraidSkeleton:
 def validate_skeleton(rows: Sequence[Sequence[int]]) -> BraidSkeleton:
     """Check the braid-diagram axioms and build a :class:`BraidSkeleton`.
 
-    Checks, in order: rectangular integer data with values in range, every
-    cross-section a permutation of 0..m-1, a well-defined wrap-around
-    permutation, and transversality (strands meeting at a point must cross,
-    with cyclic indexing at the seam).  All violations are collected into
-    one :class:`SkeletonError`.
+    Checks, in order: at least two strands of rectangular integer data with
+    values in range, every cross-section a permutation of 0..m-1, a
+    well-defined wrap-around permutation, and transversality (strands
+    meeting at a point must cross, with cyclic indexing at the seam).  All
+    violations are collected into one :class:`SkeletonError`.
     """
     bad: list[tuple[str, str]] = []
     m = len(rows)
-    if m == 0:
-        raise SkeletonError([("shape", "no strands")])
+    if m < 2:
+        raise SkeletonError([("shape", f"need at least 2 strands, got {m}")])
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise SkeletonError([("shape", f"strand lengths differ: {sorted(lengths)}")])
@@ -523,11 +523,11 @@ class BraidComplex:
         }
 
 
-def build_braid_complex(sk: BraidSkeleton, verify_grading: bool = True) -> BraidComplex:
+def build_braid_complex(sk: BraidSkeleton) -> BraidComplex:
     """Crossing table, condensation poset, and per-cell grades for a diagram."""
     cross_flat = crossing_table(sk).ravel(order="F")
     poset = condensation(sk, cross_flat)
-    grades = grade_cells(sk, poset, verify=verify_grading)
+    grades = grade_cells(sk, poset)
     cx = CubicalComplex.full(sk.m - 1, sk.d)
     return BraidComplex(
         skeleton=sk, cx=cx, poset=poset, grades=grades, cross_flat=cross_flat

@@ -4,9 +4,13 @@ A cell of a cubical complex with m intervals per axis and d coordinates is a
 product of elementary intervals, one per coordinate: either a vertex [l, l] or
 an edge [l, l+1].  Coordinate i is stored as a digit c_i in 0..2m, with
 c = 2l for [l, l] and c = 2l + 1 for [l, l+1], and the cell id is the value
-of the digit vector in base 2m+1 with coordinate 1 least significant.  Nothing
-is materialized for the built-in families: membership, boundary, and fiber
-queries are all answered from the codec.
+of the digit vector in base 2m+1 with coordinate 1 least significant.
+
+A complex is one of two shapes.  A *grid* is the whole base**d id range,
+optionally minus one excluded cell (the all-odd centre, for the spheres);
+nothing is materialized, and membership, boundary and fiber queries are
+answered from the codec.  An *explicit* complex stores its member ids in
+``members``, a frozenset; a grid has ``members = None``.
 
 The codec decodes a cell chunk by chunk rather than digit by digit.  The d
 digits are split into chunks of k digits, k as large as base**k <= 4096
@@ -91,27 +95,20 @@ class _DigitTables:
 
 
 class CubicalComplex(CellComplexLike):
-    """See module docstring.  Build via :meth:`full`, :meth:`sphere`,
-    :meth:`top_sphere`, :meth:`from_top_cells`, or :meth:`from_cells`."""
+    """See module docstring.  ``CubicalComplex(m, d)`` is the full grid;
+    :meth:`sphere` and :meth:`top_sphere` exclude its centre cell, and
+    :meth:`from_top_cells` and :meth:`from_cells` set ``members``."""
 
-    def __init__(self, m: int, d: int, kind: str, members: frozenset[int] | None = None):
+    def __init__(self, m: int, d: int):
         if m < 1 or d < 1:
             raise ValueError("need m >= 1 and d >= 1")
         self.m = m
         self.d = d
-        self.kind = kind
         self.base = 2 * m + 1
         self.pows = [self.base ** i for i in range(d)]
         self.total_ids = self.base ** d
-        self._members = members
+        self.members: frozenset[int] | None = None
         self._excluded: int | None = None
-        if kind == "sphere":
-            # the unique top cell, all digits odd
-            self._excluded = sum(self.pows)
-        elif kind == "top_sphere":
-            self._excluded = 3 * sum(self.pows)
-        elif kind not in ("full", "explicit"):
-            raise ValueError(f"unknown kind {kind!r}")
         self._offs: list[int] | None = None
         self._tabs: _DigitTables | None = None
         self._counts_by_dim: list[int] | None = None
@@ -121,22 +118,26 @@ class CubicalComplex(CellComplexLike):
     @classmethod
     def full(cls, m: int, d: int) -> "CubicalComplex":
         """All cells of the m-interval grid in d coordinates."""
-        return cls(m, d, "full")
+        return cls(m, d)
 
     @classmethod
     def sphere(cls, d: int) -> "CubicalComplex":
         """Boundary-sphere of a single (d+1)-cube: every cell except the top one."""
-        if d < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        return cls(1, d + 1, "sphere")
+        return cls._centre_removed(1, d)
 
     @classmethod
     def top_sphere(cls, d: int) -> "CubicalComplex":
         """A thickened d-sphere: the 3-per-axis grid in d+1 coordinates with the
         central top cube removed."""
+        return cls._centre_removed(3, d)
+
+    @classmethod
+    def _centre_removed(cls, m: int, d: int) -> "CubicalComplex":
         if d < 1:
             raise ValueError("sphere dimension must be >= 1")
-        return cls(3, d + 1, "top_sphere")
+        cx = cls(m, d + 1)
+        cx._excluded = cx.total_ids // 2  # m is odd: the centre has all digits odd
+        return cx
 
     @classmethod
     def from_top_cells(
@@ -157,7 +158,7 @@ class CubicalComplex(CellComplexLike):
                 f"closure estimate {estimate} cells exceeds {CLOSURE_CELL_GUARD}; "
                 "pass force to override"
             )
-        cx = cls(m, d, "explicit", frozenset())
+        cx = cls(m, d)
         for a in anchors:
             if len(a) != d:
                 raise FormatError(f"anchor {a} does not have {d} coordinates")
@@ -172,13 +173,13 @@ class CubicalComplex(CellComplexLike):
         for p in cx.pows:
             steps = (steps + np.array([0, p, 2 * p])[:, None]).ravel()
         ids = np.sort((corners[:, None] + steps).ravel())
-        cx._members = frozenset(ids[np.diff(ids, prepend=-1) != 0].tolist())
+        cx.members = frozenset(ids[np.diff(ids, prepend=-1) != 0].tolist())
         return cx
 
     @classmethod
     def from_cells(cls, m: int, d: int, cells: list[int]) -> "CubicalComplex":
         """Closure (under taking faces) of an arbitrary set of cell ids."""
-        cx = cls(m, d, "explicit", frozenset())
+        cx = cls(m, d)
         members: set[int] = set()
         stack = list(cells)
         while stack:
@@ -189,7 +190,7 @@ class CubicalComplex(CellComplexLike):
                 raise NonMemberCellError(f"cell id {c} out of range for this grid")
             members.add(c)
             stack.extend(cx._boundary_raw(c))
-        cx._members = frozenset(members)
+        cx.members = frozenset(members)
         return cx
 
     # -- codec ----------------------------------------------------------
@@ -277,11 +278,9 @@ class CubicalComplex(CellComplexLike):
 
     @property
     def cell_count(self) -> int:
-        if self.kind == "explicit":
-            return len(self._members)  # type: ignore[arg-type]
-        if self._excluded is not None:
-            return self.total_ids - 1
-        return self.total_ids
+        if self.members is not None:
+            return len(self.members)
+        return self.total_ids - (self._excluded is not None)
 
     @property
     def max_cell_dim(self) -> int:
@@ -290,12 +289,12 @@ class CubicalComplex(CellComplexLike):
     def counts_by_dim(self) -> list[int]:
         """Member cells per dimension 0..max_cell_dim.
 
-        Closed form for the grid kinds; an explicit complex counts its
-        members in one int8 digit-parity pass over :meth:`member_ids`.
-        Computed once per complex.
+        Closed form for grids; an explicit complex counts its members in
+        one int8 digit-parity pass over :meth:`member_ids`.  Computed once
+        per complex.
         """
         if self._counts_by_dim is None:
-            if self.kind == "explicit":
+            if self.members is not None:
                 ids = self.member_ids()
                 dims = np.zeros(ids.size, dtype=np.int8)
                 for p in self.pows:
@@ -306,17 +305,15 @@ class CubicalComplex(CellComplexLike):
                 m, d = self.m, self.d
                 counts = [comb(d, i) * m ** i * (m + 1) ** (d - i) for i in range(d + 1)]
                 if self._excluded is not None:
-                    counts[d] -= 1  # the excluded cell has all digits odd
+                    counts[self.dim_of(self._excluded)] -= 1
             while counts and counts[-1] == 0:
                 counts.pop()
             self._counts_by_dim = counts
         return self._counts_by_dim
 
     def cells(self) -> Iterator[int]:
-        if self.kind == "explicit":
-            return iter(sorted(self._members))  # type: ignore[arg-type]
-        if self._excluded is None:
-            return iter(range(self.total_ids))
+        if self.members is not None:
+            return iter(sorted(self.members))
         excl = self._excluded
         return (c for c in range(self.total_ids) if c != excl)
 
@@ -325,8 +322,8 @@ class CubicalComplex(CellComplexLike):
         if self.total_ids > np.iinfo(np.int64).max:
             raise SizeGuardError(f"cell ids of a {self.base}^{self.d} grid exceed int64")
         dtype = np.int32 if self.total_ids <= np.iinfo(np.int32).max else np.int64
-        if self.kind == "explicit":
-            ids = np.fromiter(self._members, dtype=dtype, count=len(self._members))  # type: ignore[arg-type]
+        if self.members is not None:
+            ids = np.fromiter(self.members, dtype=dtype, count=len(self.members))
             ids.sort()
             return ids
         ids = np.arange(self.total_ids, dtype=dtype)
@@ -337,8 +334,8 @@ class CubicalComplex(CellComplexLike):
     def is_member(self, cell: int) -> bool:
         if not 0 <= cell < self.total_ids:
             return False
-        if self.kind == "explicit":
-            return cell in self._members  # type: ignore[operator]
+        if self.members is not None:
+            return cell in self.members
         return cell != self._excluded
 
     def dim(self, cell: int) -> int:
@@ -389,37 +386,25 @@ class CubicalComplex(CellComplexLike):
                 raise NonMemberCellError(f"anchor {anchor} out of range")
             if l <= self.m - 1:
                 allowed |= 1 << i
-        if self.kind == "explicit":
-            base = sum(2 * l * p for l, p in zip(anchor, self.pows))
-            offs = self.offsets()
-            out = []
-            sub = 0
-            while True:
-                if base + offs[sub] in self._members:  # type: ignore[operator]
-                    out.append(sub)
-                if sub == allowed:
-                    break
-                sub = (sub - allowed) & allowed
-            return out
-        masks = []
+        base = sum(2 * l * p for l, p in zip(anchor, self.pows))
+        offs = self.offsets()
+        is_member = self.is_member
+        out = []
         sub = 0
         while True:
-            masks.append(sub)
+            if is_member(base + offs[sub]):
+                out.append(sub)
             if sub == allowed:
                 break
             sub = (sub - allowed) & allowed
-        if self.kind == "sphere" and all(l == 0 for l in anchor):
-            masks.pop()  # the excluded top cell is the final (full) mask
-        elif self.kind == "top_sphere" and all(l == 1 for l in anchor):
-            masks.pop()
-        return masks
+        return out
 
     def iter_fibers(self) -> Iterator[tuple[int, list[int]]]:
         """Yield (anchor vertex id, member extent masks) for every nonempty
         fiber, in ascending anchor id order."""
-        if self.kind == "explicit":
+        if self.members is not None:
             groups: dict[int, list[int]] = {}
-            for c in self._members:  # type: ignore[union-attr]
+            for c in self.members:
                 base, mask = self.anchor_and_mask(c)
                 groups.setdefault(base, []).append(mask)
             for base in sorted(groups):

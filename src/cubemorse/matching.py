@@ -36,6 +36,7 @@ from .core import (
 from .cubical import CubicalComplex
 
 Entry = Callable[[int], int]
+FIBER_CACHE = 1 << 16  # fiber tables a TemplateMatching keeps
 
 
 def _mate_helper(x: int, i: int, entries: Sequence[Entry], memo: dict) -> int:
@@ -226,22 +227,21 @@ class TemplateMatching:
     The per-cell oracle for ``verify`` and the tests; reduction rounds use
     :func:`template_sweep`.  The aggregated extent-toggle matching never
     pairs cells across fibers, so each anchor's table is computed
-    independently with :func:`fiber_mate` and kept in a bounded LRU cache.
+    independently with :func:`fiber_mate` and kept in an LRU cache of
+    ``FIBER_CACHE`` tables.
 
     Args:
         cx: the cubical complex.
         grade_of: optional per-cell grade (callable or indexable by id);
             when given, pairs are restricted to one grade class.
-        cache_fibers: maximum number of fiber tables retained.
     """
 
-    def __init__(self, cx: CubicalComplex, grade_of=None, cache_fibers: int = 1 << 16):
+    def __init__(self, cx: CubicalComplex, grade_of=None):
         self.cx = cx
         if grade_of is None or callable(grade_of):
             self._grade = grade_of
         else:
             self._grade = grade_of.__getitem__
-        self.cache_fibers = cache_fibers
         self._cache: OrderedDict[int, tuple[dict, dict]] = OrderedDict()
 
     def _fiber(self, base: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -259,7 +259,7 @@ class TemplateMatching:
             grade = {msk: gf(base + offs[msk]) for msk in members}
         tab = fiber_mate(members, cx.d, grade)
         self._cache[base] = tab
-        if len(self._cache) > self.cache_fibers:
+        if len(self._cache) > FIBER_CACHE:
             self._cache.popitem(last=False)
         return tab
 

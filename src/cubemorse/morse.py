@@ -8,9 +8,11 @@ propagation, :func:`template_round` runs one reduction round of a cubical
 complex under the template matching, evaluated as an array sweep over the
 member ids (:func:`cubemorse.matching.template_sweep`), and
 :func:`generic_round` produces a deterministic acyclic matching on an
-already-explicit complex so rounds can be iterated until the boundary (or
-its same-grade part) vanishes.  :func:`homology` and
-:func:`connection_matrix` are the two iterated pipelines.
+already-explicit complex.  Every round ends in the same collapse onto
+the fixed cells.  :func:`homology` and :func:`connection_matrix` share one
+reduction loop: homology is the connection matrix over a one-element
+poset, so it runs the loop ungraded, while :func:`connection_matrix` runs
+it graded and stops once no boundary entry joins equal grades.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .core import (
     AcyclicityError,
@@ -125,14 +129,7 @@ def morse_complex(
     in a few array passes instead of querying the oracle cell by cell.
     """
     criticals = [c for c in cx.cells() if oracle(c) == c]
-    bdry = morse_boundary(criticals, cx.boundary, oracle, cx.dim)
-    dims = {c: cx.dim(c) for c in criticals}
-    grades = None
-    if grade_of is not None:
-        grades = {c: int(grade_of(c)) for c in criticals}
-    out = ExplicitComplex(dims, bdry, grades)
-    out.check_dd_zero()
-    return out
+    return _collapse(criticals, cx.boundary, oracle, cx.dim, grade_of)
 
 
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
@@ -145,12 +142,17 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """
     ids, code = template_sweep(cx, grade_of)
     criticals = ids[code == 0].tolist()
-    bdry = morse_boundary(criticals, cx._boundary_raw, _sweep_mate(cx, ids, code), cx.dim_of)
-    dims = {c: cx.dim_of(c) for c in criticals}
-    grades = None
-    if grade_of is not None:
-        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
-        grades = {c: int(gfun(c)) for c in criticals}
+    if grade_of is not None and not callable(grade_of):
+        grade_of = grade_of.__getitem__
+    return _collapse(criticals, cx._boundary_raw, _sweep_mate(cx, ids, code), cx.dim_of, grade_of)
+
+
+def _collapse(criticals, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
+    """The tail of every round: the reduced complex on the fixed cells, with
+    dimensions, grades when ``grade_of`` is given, and d^2 = 0 checked."""
+    bdry = morse_boundary(criticals, boundary_of, mate_of, dim_of)
+    dims = {c: dim_of(c) for c in criticals}
+    grades = None if grade_of is None else {c: int(grade_of(c)) for c in criticals}
     out = ExplicitComplex(dims, bdry, grades)
     out.check_dd_zero()
     return out
@@ -161,20 +163,20 @@ def _sweep_mate(cx: CubicalComplex, ids, code) -> Callable[[int], int]:
 
     A lower cell (code > 0) maps to its coface partner; every other member
     maps to itself, so :func:`morse_boundary` never asks the dimension of
-    an upper cell.
+    an upper cell.  Grids read the level from an id-indexed code list;
+    explicit complexes keep a dict of their lower cells.
     """
     step = [0] * (2 * cx.d + 1)  # step[level] = pows[level - 1], step[-level] = 0
     for level, p in enumerate(cx.pows, start=1):
         step[level] = p
-    if cx.kind == "explicit":
-        up = code > 0
-        lower = dict(zip(ids[up].tolist(), code[up].tolist()))  # lower cell -> level
-        return lambda c: c + step[lower.get(c, 0)]
-    codes = code.tolist()
-    excl = cx._excluded
-    if excl is None:
+    if cx.members is None:
+        by_id = np.zeros(cx.total_ids, dtype=np.int8)
+        by_id[ids] = code
+        codes = by_id.tolist()
         return lambda c: c + step[codes[c]]
-    return lambda c: c + step[codes[c - (c > excl)]]
+    up = code > 0
+    lower = dict(zip(ids[up].tolist(), code[up].tolist()))  # lower cell -> level
+    return lambda c: c + step[lower.get(c, 0)]
 
 
 def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
@@ -256,16 +258,10 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
 def reduce_round(E: ExplicitComplex, partner: dict[int, int]) -> ExplicitComplex:
     """Collapse an explicit complex along a matching given as a partner dict."""
     criticals = [c for c in E.dims if partner[c] == c]
-    bdry = morse_boundary(
-        criticals, lambda c: E._bdry.get(c, ()), partner.__getitem__, E.dims.__getitem__
+    grade_of = None if E.grades is None else E.grades.__getitem__
+    return _collapse(
+        criticals, lambda c: E._bdry.get(c, ()), partner.__getitem__, E.dims.__getitem__, grade_of
     )
-    dims = {c: E.dims[c] for c in criticals}
-    grades = None
-    if E.grades is not None:
-        grades = {c: E.grades[c] for c in criticals}
-    out = ExplicitComplex(dims, bdry, grades)
-    out.check_dd_zero()
-    return out
 
 
 @dataclass
@@ -289,55 +285,58 @@ def _input_euler(cx: CubicalComplex) -> int:
     return sum(-n if k % 2 else n for k, n in enumerate(cx.counts_by_dim()))
 
 
+def _reduce(
+    cx: CubicalComplex, grade_of, check: Callable[[ExplicitComplex], None]
+) -> tuple[ExplicitComplex, list[int]]:
+    """The reduction loop of :func:`homology` and :func:`connection_matrix`.
+
+    Round one is :func:`template_round`; later rounds reduce along
+    :func:`generic_round` until no boundary entry joins equal grades (an
+    ungraded complex is one grade).  ``check`` runs after every round.
+    Returns the final complex and the cell count after each round.
+    """
+    E = template_round(cx, grade_of)
+    check(E)
+    sizes = [E.cell_count]
+    while any(E.grades is None or E.grades[f] == E.grades[c] for f, c in E.boundary_entries()):
+        nxt = reduce_round(E, generic_round(E, graded=E.grades is not None))
+        if nxt.cell_count >= E.cell_count:
+            raise IntegrityError("reduction round made no progress")
+        check(nxt)
+        sizes.append(nxt.cell_count)
+        E = nxt
+    return E, sizes
+
+
 def homology(cx: CubicalComplex) -> HomologyResult:
     """Betti numbers over GF(2) by iterated Morse reduction.
 
-    Round one applies the template matching as an array sweep; later rounds use
-    :func:`generic_round` on the explicit remainder until the boundary is
-    zero, at which point the cell counts per dimension are the Betti
-    numbers.  Euler characteristic is asserted after every round.
+    Runs the reduction loop ungraded, i.e. the connection matrix over a
+    one-element poset: the final boundary is zero and the cell counts per
+    dimension are the Betti numbers.  The Euler characteristic is asserted
+    after every round.
     """
     euler_in = _input_euler(cx)
-    E = template_round(cx)
-    rounds = 1
-    sizes = [E.cell_count]
-    if E.euler() != euler_in:
-        raise IntegrityError(
-            f"round 1 changed the Euler characteristic ({euler_in} -> {E.euler()})"
-        )
-    while E.nonzero_boundary():
-        partner = generic_round(E)
-        nxt = reduce_round(E, partner)
-        rounds += 1
-        sizes.append(nxt.cell_count)
-        if nxt.cell_count >= E.cell_count:
-            raise IntegrityError("reduction round made no progress")
-        if nxt.euler() != euler_in:
-            raise IntegrityError("reduction round changed the Euler characteristic")
-        E = nxt
+
+    def check(E: ExplicitComplex) -> None:
+        if E.euler() != euler_in:
+            raise IntegrityError(
+                f"reduction round changed the Euler characteristic ({euler_in} -> {E.euler()})"
+            )
+
+    E, sizes = _reduce(cx, None, check)
     betti = E.counts_by_dim()
     betti += [0] * (cx.max_cell_dim + 1 - len(betti))
-    return HomologyResult(betti=betti, rounds=rounds, round_sizes=sizes, complex=E)
+    return HomologyResult(betti=betti, rounds=len(sizes), round_sizes=sizes, complex=E)
 
 
-def _same_grade_entry(E: ExplicitComplex) -> bool:
-    g = E.grades
-    assert g is not None
-    return any(g[f] == g[c] for f, c in E.boundary_entries())
-
-
-def _check_filtered(E: ExplicitComplex, poset, strict: bool) -> None:
+def _check_filtered(E: ExplicitComplex, poset) -> None:
+    """Every boundary entry between distinct grades descends the poset."""
     g = E.grades
     assert g is not None
     for f, c in E.boundary_entries():
         gf, gc = g[f], g[c]
-        if gf == gc:
-            if strict:
-                raise IntegrityError(
-                    f"boundary entry ({f}, {c}) joins equal grades {gf}"
-                )
-            continue
-        if poset is not None and not poset.leq(gf, gc):
+        if gf != gc and not poset.leq(gf, gc):
             raise IntegrityError(
                 f"boundary entry ({f}, {c}) does not descend the grading "
                 f"({gf} vs {gc})"
@@ -352,30 +351,21 @@ def connection_matrix(
 ) -> ConleyResult:
     """Graded Morse reduction until no boundary entry joins equal grades.
 
-    Round one restricts the template matching to grade classes; later rounds
-    use the graded coreduction matching.  After every round the boundary
-    must descend the grading (checked against ``poset`` when given), the
-    per-grade Euler characteristics must match ``input_counts`` when given,
-    and the tower height is the number of rounds executed.
+    Runs the reduction loop graded: round one restricts the template
+    matching to grade classes, later rounds use the graded coreduction
+    matching.  After every round the boundary must descend the grading
+    (checked against ``poset`` when given) and the per-grade Euler
+    characteristics must match ``input_counts`` when given.  The tower
+    height is the number of rounds executed.
     """
-    E = template_round(cx, grade_of)
-    tower = 1
-    sizes = [E.cell_count]
-    if input_counts is not None:
-        _check_graded_euler(E, input_counts)
-    _check_filtered(E, poset, strict=False)
-    while _same_grade_entry(E):
-        partner = generic_round(E, graded=True)
-        nxt = reduce_round(E, partner)
-        tower += 1
-        sizes.append(nxt.cell_count)
-        if nxt.cell_count >= E.cell_count:
-            raise IntegrityError("graded reduction round made no progress")
+
+    def check(E: ExplicitComplex) -> None:
         if input_counts is not None:
-            _check_graded_euler(nxt, input_counts)
-        _check_filtered(nxt, poset, strict=False)
-        E = nxt
-    _check_filtered(E, poset, strict=True)
+            _check_graded_euler(E, input_counts)
+        if poset is not None:
+            _check_filtered(E, poset)
+
+    E, sizes = _reduce(cx, grade_of, check)
     counts: dict[tuple[int, int], int] = {}
     assert E.grades is not None
     for c, d in E.dims.items():
@@ -383,7 +373,7 @@ def connection_matrix(
         counts[key] = counts.get(key, 0) + 1
     scc_count = getattr(poset, "n", None)
     return ConleyResult(
-        complex=E, tower=tower, round_sizes=sizes, counts=counts, scc_count=scc_count
+        complex=E, tower=len(sizes), round_sizes=sizes, counts=counts, scc_count=scc_count
     )
 
 

@@ -52,6 +52,9 @@ def test_validate_rejects_ragged_and_empty():
         validate_skeleton([(0, 0), (1, 1, 1)])
     with pytest.raises(SkeletonError):
         validate_skeleton([(0,), (1,)])
+    with pytest.raises(SkeletonError) as e:
+        validate_skeleton([(0, 0, 0)])  # one strand
+    assert [k for k, _ in e.value.violations] == ["shape"]
 
 
 def test_validate_transversality_bounce():

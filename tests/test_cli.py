@@ -133,6 +133,9 @@ def test_braid_bad_skeleton_file(tmp_path, capsys):
     f2 = tmp_path / "short.braid"
     f2.write_text("3 2\n0 0 0\n")
     assert main(["braid", "--file", str(f2)]) == EXIT_VALIDATION
+    f3 = tmp_path / "one.braid"
+    f3.write_text("1 2\n0 0 0\n")
+    assert main(["braid", "--file", str(f3)]) == EXIT_VALIDATION
 
 
 def test_braid_usage(capsys):

@@ -13,7 +13,7 @@ from cubemorse.cubical import (
     parse_top_cell_file,
 )
 from cubemorse.hypercube import hboundary
-from cubemorse.morse import _input_euler, homology
+from cubemorse.morse import _input_euler, homology, template_round
 from .helpers import random_cubical_complex
 
 
@@ -112,7 +112,7 @@ def test_from_top_cells_closure():
     cx = CubicalComplex.from_top_cells(2, 2, [(0, 0)])
     # one unit square: 4 vertices + 4 edges + 1 square
     assert cx.cell_count == 9
-    assert cx.kind == "explicit"
+    assert cx.members is not None
     assert validate_complex(cx).ok
     two = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
     assert two.cell_count == 17  # squares share one corner vertex
@@ -362,7 +362,7 @@ def test_from_top_cells_equals_product_closure():
         for a in anchors:
             for digits in itertools.product(*[(2 * x, 2 * x + 1, 2 * x + 2) for x in a]):
                 want.add(sum(c * p for c, p in zip(digits, cx.pows)))
-        assert cx._members == frozenset(want)
+        assert cx.members == frozenset(want)
 
 
 def test_counts_by_dim_match_brute_force():
@@ -383,3 +383,20 @@ def test_counts_by_dim_match_brute_force():
         assert cx.counts_by_dim() == want
         assert cx.max_cell_dim == len(want) - 1
         assert _input_euler(cx) == sum((-1) ** k * n for k, n in enumerate(want))
+
+
+def test_sphere_grids_equal_their_explicit_closures():
+    # the grid-minus-centre layout and the member-set layout answer alike
+    cases = [CubicalComplex.sphere(d) for d in range(1, 6)]
+    cases += [CubicalComplex.top_sphere(d) for d in range(1, 4)]
+    for grid in cases:
+        assert grid.members is None
+        explicit = CubicalComplex.from_cells(grid.m, grid.d, list(grid.cells()))
+        assert list(explicit.cells()) == list(grid.cells())
+        assert explicit.member_ids().tolist() == grid.member_ids().tolist()
+        assert explicit.counts_by_dim() == grid.counts_by_dim()
+        for anchor in itertools.product(range(grid.m + 1), repeat=grid.d):
+            assert explicit.fiber_members(anchor) == grid.fiber_members(anchor)
+        a, b = template_round(explicit), template_round(grid)
+        assert a.dims == b.dims
+        assert list(a.boundary_entries()) == list(b.boundary_entries())

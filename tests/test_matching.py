@@ -7,6 +7,7 @@ from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import SizeGuardError, TrichotomyError
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
+from cubemorse import matching
 from cubemorse.matching import (
     SequenceMatching,
     TemplateMatching,
@@ -144,10 +145,11 @@ def test_template_matching_full_grid():
     assert verify_stable(cx, w, w.entries(), w.provenance)
 
 
-def test_template_matching_small_cache_same_answers():
+def test_template_matching_small_cache_same_answers(monkeypatch):
     cx = CubicalComplex.sphere(2)
     big = TemplateMatching(cx)
-    tiny = TemplateMatching(cx, cache_fibers=2)
+    tiny = TemplateMatching(cx)
+    monkeypatch.setattr(matching, "FIBER_CACHE", 2)
     for c in cx.cells():
         assert big(c) == tiny(c)
         assert big.provenance(c) == tiny.provenance(c)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
@@ -215,7 +216,7 @@ def test_filtered_boundary_violation_raises():
     from cubemorse.morse import _check_filtered
 
     with pytest.raises(IntegrityError):
-        _check_filtered(E, Chain(), strict=False)
+        _check_filtered(E, Chain())
 
 
 def test_homology_via_rounds_on_hypercube_subcomplexes():
@@ -244,3 +245,16 @@ def test_generic_rounds_reduce_square_boundary_to_two_cells():
         E = reduce_round(E, partner)
     assert len(E.dims) == 2
     assert betti_oracle(E) == [1, 1]
+
+
+def test_homology_is_the_one_grade_connection_matrix():
+    # homology runs the graded loop with every cell in a single grade
+    rng = random.Random(31)
+    for _ in range(30):
+        cx = random_cubical_complex(rng, rng.randint(1, 4), rng.randint(1, 3))
+        h = homology(cx)
+        c = connection_matrix(cx, np.zeros(cx.total_ids, dtype=int))
+        assert h.complex.dims == c.complex.dims
+        assert list(h.complex.boundary_entries()) == list(c.complex.boundary_entries())
+        assert h.round_sizes == c.round_sizes
+        assert h.rounds == c.tower == len(h.round_sizes)
