@@ -315,6 +315,8 @@ class CubicalComplex(CellComplexLike):
         if self.members is not None:
             return iter(sorted(self.members))
         excl = self._excluded
+        if excl is None:
+            return iter(range(self.total_ids))
         return (c for c in range(self.total_ids) if c != excl)
 
     def member_ids(self) -> np.ndarray:
@@ -386,18 +388,19 @@ class CubicalComplex(CellComplexLike):
                 raise NonMemberCellError(f"anchor {anchor} out of range")
             if l <= self.m - 1:
                 allowed |= 1 << i
-        base = sum(2 * l * p for l, p in zip(anchor, self.pows))
-        offs = self.offsets()
-        is_member = self.is_member
-        out = []
+        masks = []
         sub = 0
         while True:
-            if is_member(base + offs[sub]):
-                out.append(sub)
+            masks.append(sub)
             if sub == allowed:
                 break
             sub = (sub - allowed) & allowed
-        return out
+        if self.members is None and self._excluded is None:
+            return masks
+        base = sum(2 * l * p for l, p in zip(anchor, self.pows))
+        offs = self.offsets()
+        is_member = self.is_member
+        return [s for s in masks if is_member(base + offs[s])]
 
     def iter_fibers(self) -> Iterator[tuple[int, list[int]]]:
         """Yield (anchor vertex id, member extent masks) for every nonempty
