@@ -261,25 +261,27 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
         )
     report = ValidationReport(checked_cells=0)
     cap = 200
+    is_member, dim, boundary = cx.is_member, cx.dim, cx.boundary
     for c in cx.cells():
-        report.checked_cells += 1
         if len(report.violations) >= cap:
             break
-        d = cx.dim(c)
-        faces = cx.boundary(c)
+        report.checked_cells += 1
+        d = dim(c)
+        faces = boundary(c)
         if list(faces) != sorted(set(faces)):
             report.violations.append(Violation("boundary-order", c, "faces not ascending/unique"))
         acc: set[int] = set()
         for f in faces:
-            if not cx.is_member(f):
+            if not is_member(f):
                 report.violations.append(Violation("closure", c, f"face {f} not a member"))
                 continue
-            if cx.dim(f) != d - 1:
+            df = dim(f)
+            if df != d - 1:
                 report.violations.append(
-                    Violation("dimension", c, f"face {f} has dim {cx.dim(f)}, expected {d - 1}")
+                    Violation("dimension", c, f"face {f} has dim {df}, expected {d - 1}")
                 )
                 continue
-            acc.symmetric_difference_update(cx.boundary(f))
+            acc.symmetric_difference_update(boundary(f))
         if acc:
             report.violations.append(
                 Violation("dd-nonzero", c, f"d(d(cell)) nonzero at {sorted(acc)[:4]}")

@@ -341,7 +341,8 @@ class CubicalComplex(CellComplexLike):
         return cell != self._excluded
 
     def dim(self, cell: int) -> int:
-        self._require(cell)
+        if not self.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
         return self.dim_of(cell)
 
     def _boundary_raw(self, cell: int) -> list[int]:
@@ -356,11 +357,13 @@ class CubicalComplex(CellComplexLike):
         return [cell - p for p in reversed(ps)] + [cell + p for p in ps]
 
     def boundary(self, cell: int) -> tuple[int, ...]:
-        self._require(cell)
+        if not self.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
         return tuple(self._boundary_raw(cell))
 
     def coboundary(self, cell: int) -> tuple[int, ...]:
-        self._require(cell)
+        if not self.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
         out = []
         rem = cell
         for p in self.pows:
@@ -373,10 +376,6 @@ class CubicalComplex(CellComplexLike):
                     out.append(cell + p)
         out.sort()
         return tuple(out)
-
-    def _require(self, cell: int) -> None:
-        if not self.is_member(cell):
-            raise NonMemberCellError(f"cell {cell} is not a member")
 
     # -- fibers ------------------------------------------------------------
 
@@ -459,7 +458,8 @@ def alpha(i: int, cell: int, cx: CubicalComplex) -> int:
     """
     if not 1 <= i <= cx.d:
         raise ValueError(f"coordinate index {i} out of range 1..{cx.d}")
-    cx._require(cell)
+    if not cx.is_member(cell):
+        raise NonMemberCellError(f"cell {cell} is not a member")
     p = cx.pows[i - 1]
     digit = (cell // p) % cx.base
     cand = cell - p if digit & 1 else cell + p

@@ -109,20 +109,19 @@ class HypercubeComplex(CellComplexLike):
         return self._members is None or cell in self._members
 
     def dim(self, cell: int) -> int:
-        self._require(cell)
+        if not self.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
         return hdim(cell)
 
     def boundary(self, cell: int) -> tuple[int, ...]:
-        self._require(cell)
+        if not self.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
         return hboundary(cell)
 
     def coboundary(self, cell: int) -> tuple[int, ...]:
-        self._require(cell)
-        return tuple(y for y in hcoboundary(cell, self.n) if self.is_member(y))
-
-    def _require(self, cell: int) -> None:
         if not self.is_member(cell):
             raise NonMemberCellError(f"cell {cell} is not a member")
+        return tuple(y for y in hcoboundary(cell, self.n) if self.is_member(y))
 
     def template_entries(self) -> list[Callable[[int], int]]:
         """The template sequence pulled back to this subcomplex.

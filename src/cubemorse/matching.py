@@ -7,10 +7,12 @@ which both sides are still unclaimed.  :func:`mate` resolves one cell by
 structural recursion; :func:`mate_table` materializes the same function by
 sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
-toggles, :func:`template_sweep` is the production evaluation: one array pass
-per axis over all member ids.  :func:`fiber_mate` evaluates the same
-matching on one anchor fiber and backs :class:`TemplateMatching`, the
-per-cell oracle that ``verify`` and the tests check the sweep against.
+toggles, :func:`template_sweep` is the one production evaluation: one array
+pass per axis over all member ids.  :class:`TemplateMatching` is a per-cell
+view of that sweep, so ``verify`` checks the matching the reduction rounds
+use.  :func:`fiber_mate` evaluates the same matching on one anchor fiber; it
+stays as the tests' independent oracle for the sweep and as the benchmark's
+fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -20,7 +22,6 @@ acyclicity for aggregated matchings.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,7 +37,6 @@ from .core import (
 from .cubical import CubicalComplex
 
 Entry = Callable[[int], int]
-FIBER_CACHE = 1 << 16  # fiber tables a TemplateMatching keeps
 
 
 def _mate_helper(x: int, i: int, entries: Sequence[Entry], memo: dict) -> int:
@@ -198,6 +198,13 @@ def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.nd
     return ids, code
 
 
+def _grid_codes(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray) -> list[int]:
+    """A grid's :func:`template_sweep` codes as a list indexed by cell id."""
+    by_id = np.zeros(cx.total_ids, dtype=np.int8)
+    by_id[ids] = code
+    return by_id.tolist()
+
+
 class SequenceMatching:
     """Matching oracle for an arbitrary complex, backed by the recursion."""
 
@@ -222,74 +229,62 @@ class SequenceMatching:
 
 
 class TemplateMatching:
-    """Template matching of a cubical complex, resolved fiber by fiber.
+    """Per-cell view of :func:`template_sweep`, the production matching.
 
-    The per-cell oracle for ``verify`` and the tests; reduction rounds use
-    :func:`template_sweep`.  The aggregated extent-toggle matching never
-    pairs cells across fibers, so each anchor's table is computed
-    independently with :func:`fiber_mate` and kept in an LRU cache of
-    ``FIBER_CACHE`` tables.
+    The sweep runs on the first query.  Its level codes are kept in a list
+    indexed by cell id for grids and in a dict keyed by member id for
+    explicit complexes.  A cell with code k maps to ``cell + pows[k-1]``
+    when k > 0, to ``cell - pows[-k-1]`` when k < 0 and to itself when
+    k = 0, and its pair forms at level |k|.  Queries about non-members
+    raise :class:`NonMemberCellError`.
 
     Args:
         cx: the cubical complex.
-        grade_of: optional per-cell grade (callable or indexable by id);
-            when given, pairs are restricted to one grade class.
+        grade_of: optional per-cell grade (numpy array, callable or
+            indexable by id); when given, pairs are restricted to one
+            grade class.
     """
 
     def __init__(self, cx: CubicalComplex, grade_of=None):
         self.cx = cx
-        if grade_of is None or callable(grade_of):
-            self._grade = grade_of
-        else:
-            self._grade = grade_of.__getitem__
-        self._cache: OrderedDict[int, tuple[dict, dict]] = OrderedDict()
+        self._grade_of = grade_of
+        self._codes: list[int] | dict[int, int] | None = None
+        self._step = [0] * (2 * cx.d + 1)  # step[k] = cell delta of code k
+        for level, p in enumerate(cx.pows, start=1):
+            self._step[level] = p
+            self._step[-level] = -p
 
-    def _fiber(self, base: int) -> tuple[dict[int, int], dict[int, int]]:
-        tab = self._cache.get(base)
-        if tab is not None:
-            self._cache.move_to_end(base)
-            return tab
+    def _code(self, cell: int) -> int:
         cx = self.cx
-        anchor = tuple(c // 2 for c in cx.digits(base))
-        members = cx.fiber_members(anchor)
-        grade = None
-        if self._grade is not None:
-            offs = cx.offsets()
-            gf = self._grade
-            grade = {msk: gf(base + offs[msk]) for msk in members}
-        tab = fiber_mate(members, cx.d, grade)
-        self._cache[base] = tab
-        if len(self._cache) > FIBER_CACHE:
-            self._cache.popitem(last=False)
-        return tab
+        if not cx.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
+        if self._codes is None:
+            ids, code = template_sweep(cx, self._grade_of)
+            if cx.members is None:
+                self._codes = _grid_codes(cx, ids, code)
+            else:
+                self._codes = dict(zip(ids.tolist(), code.tolist()))
+        return self._codes[cell]
 
     def __call__(self, cell: int) -> int:
-        cx = self.cx
-        if not cx.is_member(cell):
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        base, mask = cx.anchor_and_mask(cell)
-        partner, _ = self._fiber(base)
-        pm = partner[mask]
-        return cell if pm == mask else base + cx.offsets()[pm]
+        return cell + self._step[self._code(cell)]
 
     def provenance(self, cell: int) -> int | None:
-        cx = self.cx
-        if not cx.is_member(cell):
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        base, mask = cx.anchor_and_mask(cell)
-        _, level = self._fiber(base)
-        return level.get(mask)
+        """1-based level at which the cell pairs; None if unmatched."""
+        return abs(self._code(cell)) or None
 
     def entries(self) -> list[Entry]:
         """The underlying elementary pairings as callables on cell ids."""
         from .cubical import alpha, beta
 
         cx = self.cx
-        if self._grade is None:
+        gf = self._grade_of
+        if gf is None:
             return [
                 (lambda c, i=i: alpha(i, c, cx)) for i in range(1, cx.d + 1)
             ]
-        gf = self._grade
+        if not callable(gf):
+            gf = gf.__getitem__
         return [
             (lambda c, i=i: beta(i, c, cx, gf)) for i in range(1, cx.d + 1)
         ]
@@ -301,7 +296,11 @@ def classify(cell: int, oracle: Callable[[int], int], cx: CellComplexLike) -> st
     Raises TrichotomyError when the partner is not an incident cell one
     dimension away.
     """
-    m = oracle(cell)
+    return _classify(cell, oracle(cell), cx)
+
+
+def _classify(cell: int, m: int, cx: CellComplexLike) -> str:
+    """:func:`classify` of a cell whose partner ``m`` is already known."""
     if m == cell:
         return "A"
     dc = cx.dim(cell)
@@ -354,9 +353,9 @@ def verify_matching(
     rep = MatchingReport(checked_cells=0)
     cap = 200
     for c in cx.cells():
-        rep.checked_cells += 1
         if len(rep.violations) >= cap:
             break
+        rep.checked_cells += 1
         try:
             m = oracle(c)
         except Exception as exc:  # noqa: BLE001 - reported, not raised
@@ -368,11 +367,12 @@ def verify_matching(
         if not cx.is_member(m):
             rep.violations.append(("non-member", c, f"partner {m} not a member"))
             continue
-        if oracle(m) != c:
-            rep.violations.append(("involution", c, f"partner {m} maps to {oracle(m)}"))
+        back = oracle(m)
+        if back != c:
+            rep.violations.append(("involution", c, f"partner {m} maps to {back}"))
             continue
         try:
-            kind = classify(c, oracle, cx)
+            kind = _classify(c, m, cx)
         except TrichotomyError as exc:
             rep.violations.append(("trichotomy", c, str(exc)))
             continue

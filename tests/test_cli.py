@@ -10,6 +10,7 @@ from cubemorse.cli import (
     RunResult,
     main,
 )
+from cubemorse import matching
 from cubemorse.core import ExplicitComplex, FormatError
 
 REFERENCE_TEXT = "6 2\n0 0 0\n1 3 1\n2 1 2\n3 4 3\n4 2 4\n5 5 5\n"
@@ -171,6 +172,31 @@ def test_verify_usage(capsys):
     assert main(["verify", "--gen", "sphere:2", "extra.txt"]) == EXIT_USAGE
     assert main(["verify", "--gen", "nope:3"]) == EXIT_USAGE
     assert main(["verify", "--gen", "sphere:x"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("corruption", ["flip-sign", "non-incident"])
+def test_verify_checks_the_production_sweep(monkeypatch, capsys, corruption):
+    real_sweep = matching.template_sweep
+
+    def broken_sweep(cx, grade_of=None):
+        ids, code = real_sweep(cx, grade_of)
+        code = code.copy()  # ids[c] == c below the excluded centre
+        if corruption == "flip-sign":
+            code[0] = -code[0]  # cell 0 now pairs with the id -1
+        else:
+            code[2], code[3] = 1, -1  # vertex (2,0,0,0) with edge (0,1,0,0)
+        return ids, code
+
+    monkeypatch.setattr(matching, "template_sweep", broken_sweep)
+    assert main(["verify", "--gen", "sphere:3", "--acyclic", "--stable"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("complex: ok")
+    assert lines[1].startswith("matching: ") and not lines[1].startswith("matching: ok")
+    assert "Traceback" not in captured.err
+    if corruption == "flip-sign":
+        # --acyclic asks the dimension of the non-member partner: exit 2, no traceback
+        assert "error: cell -1 is not a member" in captured.err
 
 
 def test_verify_bad_file(tmp_path, capsys):

@@ -181,6 +181,14 @@ def test_validate_complex_flags_defects():
     assert "violation" in rep.summary()
 
 
+def test_validate_complex_counts_cells_up_to_the_cap():
+    # 300 edges, each with one missing face: the 200-violation cap stops the scan
+    stub = StubComplex({c: 1 for c in range(1000, 1300)}, {c: (c - 1000,) for c in range(1000, 1300)})
+    rep = validate_complex(stub)
+    assert len(rep.violations) == 200
+    assert rep.checked_cells == 200
+
+
 def test_validate_complex_passes_good_inputs():
     assert validate_complex(circle_complex()).ok
     assert validate_complex(CubicalComplex.full(2, 2)).ok

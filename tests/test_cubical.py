@@ -13,6 +13,7 @@ from cubemorse.cubical import (
     parse_top_cell_file,
 )
 from cubemorse.hypercube import hboundary
+from cubemorse.matching import TemplateMatching
 from cubemorse.morse import _input_euler, homology, template_round
 from .helpers import random_cubical_complex
 
@@ -400,3 +401,37 @@ def test_sphere_grids_equal_their_explicit_closures():
         a, b = template_round(explicit), template_round(grid)
         assert a.dims == b.dims
         assert list(a.boundary_entries()) == list(b.boundary_entries())
+
+
+def _mate_after_sweep(cx, cell):
+    w = TemplateMatching(cx)
+    w(next(cx.cells()))  # the sweep codes exist before the non-member query
+    return w(cell)
+
+
+NON_MEMBER_QUERIES = {
+    "dim": lambda cx, c: cx.dim(c),
+    "boundary": lambda cx, c: cx.boundary(c),
+    "coboundary": lambda cx, c: cx.coboundary(c),
+    "alpha": lambda cx, c: alpha(1, c, cx),
+    "matching": lambda cx, c: TemplateMatching(cx)(c),
+    "matching-after-sweep": _mate_after_sweep,
+    "provenance": lambda cx, c: TemplateMatching(cx).provenance(c),
+}
+_SPHERE = CubicalComplex.sphere(2)
+_TOPS = CubicalComplex.from_top_cells(2, 2, [(0, 0)])
+NON_MEMBERS = {
+    "sphere-centre": (_SPHERE, _SPHERE.total_ids // 2),
+    "out-of-range": (_SPHERE, _SPHERE.total_ids),
+    "negative": (_SPHERE, -1),
+    "top-cells-non-member": (_TOPS, _TOPS.cell_id((4, 4))),
+}
+
+
+@pytest.mark.parametrize("where", NON_MEMBERS)
+@pytest.mark.parametrize("query", NON_MEMBER_QUERIES)
+def test_non_member_queries_raise(query, where):
+    cx, cell = NON_MEMBERS[where]
+    assert not cx.is_member(cell)
+    with pytest.raises(NonMemberCellError):
+        NON_MEMBER_QUERIES[query](cx, cell)

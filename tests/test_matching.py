@@ -7,7 +7,6 @@ from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import SizeGuardError, TrichotomyError
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
-from cubemorse import matching
 from cubemorse.matching import (
     SequenceMatching,
     TemplateMatching,
@@ -145,18 +144,8 @@ def test_template_matching_full_grid():
     assert verify_stable(cx, w, w.entries(), w.provenance)
 
 
-def test_template_matching_small_cache_same_answers(monkeypatch):
-    cx = CubicalComplex.sphere(2)
-    big = TemplateMatching(cx)
-    want = {c: (big(c), big.provenance(c)) for c in cx.cells()}
-    monkeypatch.setattr(matching, "FIBER_CACHE", 2)
-    tiny = TemplateMatching(cx)
-    for c in cx.cells():
-        assert (tiny(c), tiny.provenance(c)) == want[c]
-
-
 def test_template_matching_equals_sequence_over_alpha():
-    # fiber-local tables against the one-shot recursion over the whole grid
+    # the production sweep against the one-shot recursion over the whole grid
     rng = random.Random(5)
     for _ in range(40):
         cx = random_cubical_complex(rng, rng.randint(1, 3))
@@ -191,6 +180,18 @@ def test_verify_matching_reports_bad_oracles():
     swap = {0b00: 0b11, 0b11: 0b00, 0b01: 0b01, 0b10: 0b10}
     rep = verify_matching(cx, swap.__getitem__)
     assert any(kind == "trichotomy" for kind, _, _ in rep.violations)
+
+
+def test_verify_matching_counts_cells_up_to_the_cap():
+    # every cell's oracle call fails, so the 200-violation cap stops the scan
+    cx = CubicalComplex.full(3, 3)
+
+    def broken(c):
+        raise ValueError("no partner")
+
+    rep = verify_matching(cx, broken)
+    assert len(rep.violations) == 200
+    assert rep.checked_cells == 200
 
 
 def test_verify_acyclic_detects_flow_cycle():
@@ -257,19 +258,36 @@ def test_template_matching_is_clean_on_spheres():
         assert report.n_fixed == 2  # one cell per surviving Betti generator
 
 
+def fiber_oracle(cx, grades=None):
+    """(partner, level) of every member, from :func:`fiber_mate` run on each
+    fiber of ``cx.iter_fibers()`` independently of the array sweep."""
+    gfun = grades if grades is None or callable(grades) else grades.__getitem__
+    offs = cx.offsets()
+    partner, level = {}, {}
+    for base, members in cx.iter_fibers():
+        grade = None if gfun is None else {msk: gfun(base + offs[msk]) for msk in members}
+        fp, fl = fiber_mate(members, cx.d, grade)
+        for msk in members:
+            partner[base + offs[msk]] = base + offs[fp[msk]]
+            level[base + offs[msk]] = fl.get(msk)
+    return partner, level
+
+
 def assert_sweep_matches_oracle(cx, grades=None):
-    """The array sweep pairs every member exactly as the fiber oracle does,
-    and flow counting's mate moves exactly the lower cells to their partners."""
+    """The array sweep, and the TemplateMatching view of it, pair every
+    member exactly as the per-fiber oracle does, and flow counting's mate
+    moves exactly the lower cells to their partners."""
     ids, code = template_sweep(cx, grades)
     assert ids.tolist() == list(cx.cells())
     assert code.dtype == np.int8
+    partner, level = fiber_oracle(cx, grades)
     w = TemplateMatching(cx, grades)
     mate = _sweep_mate(cx, ids, code)
     for c, k in zip(ids.tolist(), code.tolist()):
         step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
-        assert c + step == w(c), c
-        assert w.provenance(c) == (abs(k) if k else None), c
-        assert mate(c) == (w(c) if k > 0 else c), c
+        assert c + step == partner[c] == w(c), c
+        assert (abs(k) if k else None) == level[c] == w.provenance(c), c
+        assert mate(c) == (partner[c] if k > 0 else c), c
 
 
 def test_template_sweep_matches_oracle_on_random_complexes():
