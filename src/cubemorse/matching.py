@@ -9,10 +9,11 @@ sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
 toggles, :func:`template_sweep` is the one production evaluation: one array
 pass per axis over all member ids.  :class:`TemplateMatching` is a per-cell
-view of that sweep, so ``verify`` checks the matching the reduction rounds
-use.  :func:`fiber_mate` evaluates the same matching on one anchor fiber; it
-stays as the tests' independent oracle for the sweep and as the benchmark's
-fiber replay.
+view of that sweep, run on one anchor fiber at a time as queries reach it,
+so ``verify`` checks the matching the reduction rounds use.
+:func:`fiber_mate` evaluates the same matching on one fiber in pure Python;
+it stays as the tests' independent oracle for the sweep and as the
+benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -150,8 +151,8 @@ def fiber_mate(
     return state, level
 
 
-def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.ndarray]:
-    """The template matching of a whole cubical complex, one array pass per axis.
+def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """The template matching of a cubical complex, one array pass per axis.
 
     Level i toggles the extent of coordinate i, which moves a cell id by
     ``pows[i-1]`` between an even digit 2l < 2m and the odd digit 2l + 1 of
@@ -164,6 +165,8 @@ def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.nd
         cx: the cubical complex.
         grade_of: optional per-cell grade (numpy array, callable or
             indexable by id); pairs must not cross grades.
+        ids: ascending member ids closed under the toggles, such as one
+            anchor fiber; all members when None.
 
     Returns:
         (ids, code): the ascending member ids and, per member, the signed
@@ -171,7 +174,7 @@ def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.nd
         ``id + pows[i-1]``, -i when it pairs downward with
         ``id - pows[i-1]``, 0 when it stays fixed.
     """
-    ids = cx.member_ids()
+    ids = cx.member_ids() if ids is None else ids
     n = ids.size
     grade = None
     if isinstance(grade_of, np.ndarray):
@@ -184,9 +187,11 @@ def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.nd
     last = n - 1
     for level, p in enumerate(cx.pows, start=1):
         digit = ids // p % cx.base
-        src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
+        src = (free & (digit & 1 == 0) & (digit < 2 * cx.m)).nonzero()[0]
+        if not src.size:
+            continue
         want = ids[src] + p
-        dst = np.minimum(np.searchsorted(ids, want), last)
+        dst = np.minimum(ids.searchsorted(want), last)
         ok = (ids[dst] == want) & free[dst]
         if grade is not None:
             ok &= grade[src] == grade[dst]
@@ -196,13 +201,6 @@ def template_sweep(cx: CubicalComplex, grade_of=None) -> tuple[np.ndarray, np.nd
         free[src] = False
         free[dst] = False
     return ids, code
-
-
-def _grid_codes(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray) -> list[int]:
-    """A grid's :func:`template_sweep` codes as a list indexed by cell id."""
-    by_id = np.zeros(cx.total_ids, dtype=np.int8)
-    by_id[ids] = code
-    return by_id.tolist()
 
 
 class SequenceMatching:
@@ -231,12 +229,12 @@ class SequenceMatching:
 class TemplateMatching:
     """Per-cell view of :func:`template_sweep`, the production matching.
 
-    The sweep runs on the first query.  Its level codes are kept in a list
-    indexed by cell id for grids and in a dict keyed by member id for
-    explicit complexes.  A cell with code k maps to ``cell + pows[k-1]``
-    when k > 0, to ``cell - pows[-k-1]`` when k < 0 and to itself when
-    k = 0, and its pair forms at level |k|.  Queries about non-members
-    raise :class:`NonMemberCellError`.
+    The first query in an anchor fiber sweeps that fiber's members
+    (``cx.fiber_members``) and keeps their codes, so each fiber is swept
+    once; pairs never leave a fiber, so the codes are the whole sweep's.
+    A cell with code k maps to ``cell + pows[k-1]`` when k > 0, to
+    ``cell - pows[-k-1]`` when k < 0 and to itself when k = 0, and its
+    pair forms at level |k|.  Non-members raise :class:`NonMemberCellError`.
 
     Args:
         cx: the cubical complex.
@@ -248,7 +246,7 @@ class TemplateMatching:
     def __init__(self, cx: CubicalComplex, grade_of=None):
         self.cx = cx
         self._grade_of = grade_of
-        self._codes: list[int] | dict[int, int] | None = None
+        self._codes: dict[int, int] = {}  # cell id -> sweep code, per resolved fiber
         self._step = [0] * (2 * cx.d + 1)  # step[k] = cell delta of code k
         for level, p in enumerate(cx.pows, start=1):
             self._step[level] = p
@@ -258,12 +256,12 @@ class TemplateMatching:
         cx = self.cx
         if not cx.is_member(cell):
             raise NonMemberCellError(f"cell {cell} is not a member")
-        if self._codes is None:
-            ids, code = template_sweep(cx, self._grade_of)
-            if cx.members is None:
-                self._codes = _grid_codes(cx, ids, code)
-            else:
-                self._codes = dict(zip(ids.tolist(), code.tolist()))
+        if cell not in self._codes:
+            base = cx.anchor_base(cell)
+            offs = cx.offsets()
+            fiber = [base + offs[s] for s in cx.fiber_members(cx.anchor(cell))]
+            ids, code = template_sweep(cx, self._grade_of, np.array(fiber, dtype=np.int64))
+            self._codes.update(zip(ids.tolist(), code.tolist()))
         return self._codes[cell]
 
     def __call__(self, cell: int) -> int:

@@ -21,13 +21,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .core import (
     AcyclicityError,
     ExplicitComplex,
     IntegrityError,
 )
 from .cubical import CubicalComplex
-from .matching import _grid_codes, template_sweep
+from .matching import template_sweep
 
 
 def morse_boundary(
@@ -168,7 +170,9 @@ def _sweep_mate(cx: CubicalComplex, ids, code) -> Callable[[int], int]:
     for level, p in enumerate(cx.pows, start=1):
         step[level] = p
     if cx.members is None:
-        codes = _grid_codes(cx, ids, code)
+        by_id = np.zeros(cx.total_ids, dtype=np.int8)
+        by_id[ids] = code
+        codes = by_id.tolist()
         return lambda c: c + step[codes[c]]
     up = code > 0
     lower = dict(zip(ids[up].tolist(), code[up].tolist()))  # lower cell -> level

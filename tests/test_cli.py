@@ -178,13 +178,17 @@ def test_verify_usage(capsys):
 def test_verify_checks_the_production_sweep(monkeypatch, capsys, corruption):
     real_sweep = matching.template_sweep
 
-    def broken_sweep(cx, grade_of=None):
-        ids, code = real_sweep(cx, grade_of)
-        code = code.copy()  # ids[c] == c below the excluded centre
+    def broken_sweep(cx, grade_of=None, ids=None):
+        ids, code = real_sweep(cx, grade_of, ids)
+        code = code.copy()
+        at = {c: i for i, c in enumerate(ids.tolist())}  # TemplateMatching sweeps one fiber
         if corruption == "flip-sign":
-            code[0] = -code[0]  # cell 0 now pairs with the id -1
+            wrong = {0: -1}  # cell 0 now pairs with the id -1
         else:
-            code[2], code[3] = 1, -1  # vertex (2,0,0,0) with edge (0,1,0,0)
+            wrong = {2: 1, 3: -1}  # vertex (2,0,0,0) with edge (0,1,0,0)
+        for c, k in wrong.items():
+            if c in at:
+                code[at[c]] = k
         return ids, code
 
     monkeypatch.setattr(matching, "template_sweep", broken_sweep)

@@ -314,6 +314,33 @@ def test_template_sweep_matches_oracle_on_braid_gradings():
         assert_sweep_matches_oracle(bc.cx, bc.grade_of)
 
 
+def test_template_matching_sweeps_each_fiber_once(monkeypatch):
+    """Queries in any order sweep each anchor fiber once, through
+    ``cx.fiber_members``, and agree with the whole-complex sweep."""
+    rng = random.Random(5)
+    grids = [CubicalComplex.sphere(3), CubicalComplex.full(2, 3)]
+    for cx in grids + [random_cubical_complex(rng, 3) for _ in range(5)]:
+        n_fibers = sum(1 for _ in cx.iter_fibers())
+        ids, code = template_sweep(cx)
+        whole = dict(zip(ids.tolist(), code.tolist()))
+        anchors = []
+        fiber_members = cx.fiber_members
+
+        def counted(anchor, fiber_members=fiber_members):
+            anchors.append(anchor)
+            return fiber_members(anchor)
+
+        monkeypatch.setattr(cx, "fiber_members", counted)
+        w = TemplateMatching(cx)
+        cells = ids.tolist()
+        rng.shuffle(cells)
+        for c in cells + cells:
+            k = whole[c]
+            assert w.provenance(c) == (abs(k) or None), c
+            assert w(c) == c + (0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])), c
+        assert len(anchors) == len(set(anchors)) == n_fibers
+
+
 def test_template_sweep_on_sparse_grid():
     # ids beyond int32 on a grid far too large for a bitmap over all ids
     cx = CubicalComplex.from_cells(1000, 3, [1_234_567_891, 7_999_999_999])
