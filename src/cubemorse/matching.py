@@ -7,13 +7,11 @@ which both sides are still unclaimed.  :func:`mate` resolves one cell by
 structural recursion; :func:`mate_table` materializes the same function by
 sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
-toggles, :func:`template_sweep` is the one production evaluation: one array
-pass per axis over all member ids.  :class:`TemplateMatching` is a per-cell
-view of that sweep, run on one anchor fiber at a time as queries reach it,
-so ``verify`` checks the matching the reduction rounds use.
-:func:`fiber_mate` evaluates the same matching on one fiber in pure Python;
-it stays as the tests' independent oracle for the sweep and as the
-benchmark's fiber replay.
+toggles, :func:`template_sweep` is the production evaluation, one array pass
+per axis, and :class:`TemplateMatching` its per-cell view, so ``verify``
+checks the matching the reduction rounds use.  :func:`fiber_mate` evaluates
+it on one anchor fiber in pure Python, as the tests' independent oracle and
+the benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -187,11 +185,9 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
     last = n - 1
     for level, p in enumerate(cx.pows, start=1):
         digit = ids // p % cx.base
-        src = (free & (digit & 1 == 0) & (digit < 2 * cx.m)).nonzero()[0]
-        if not src.size:
-            continue
+        src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
         want = ids[src] + p
-        dst = np.minimum(ids.searchsorted(want), last)
+        dst = np.minimum(np.searchsorted(ids, want), last)
         ok = (ids[dst] == want) & free[dst]
         if grade is not None:
             ok &= grade[src] == grade[dst]
@@ -229,12 +225,14 @@ class SequenceMatching:
 class TemplateMatching:
     """Per-cell view of :func:`template_sweep`, the production matching.
 
-    The first query in an anchor fiber sweeps that fiber's members
-    (``cx.fiber_members``) and keeps their codes, so each fiber is swept
-    once; pairs never leave a fiber, so the codes are the whole sweep's.
-    A cell with code k maps to ``cell + pows[k-1]`` when k > 0, to
-    ``cell - pows[-k-1]`` when k < 0 and to itself when k = 0, and its
-    pair forms at level |k|.  Non-members raise :class:`NonMemberCellError`.
+    A grid is swept one anchor fiber at a time as queries reach its fibers,
+    and whole once 1/16 of them are swept: by then the small sweeps, about
+    0.1 ms each, cost about one whole sweep.  An explicit complex, whose
+    fibers are often a few cells each, is swept whole on the first query.
+    Pairs never leave a fiber, so the codes are the whole sweep's.  Code k
+    maps a cell to ``cell + pows[k-1]`` when k > 0, to ``cell - pows[-k-1]``
+    when k < 0 and to itself when k = 0; the pair forms at level |k|.
+    Non-members raise :class:`NonMemberCellError`.
 
     Args:
         cx: the cubical complex.
@@ -246,23 +244,28 @@ class TemplateMatching:
     def __init__(self, cx: CubicalComplex, grade_of=None):
         self.cx = cx
         self._grade_of = grade_of
-        self._codes: dict[int, int] = {}  # cell id -> sweep code, per resolved fiber
-        self._step = [0] * (2 * cx.d + 1)  # step[k] = cell delta of code k
-        for level, p in enumerate(cx.pows, start=1):
-            self._step[level] = p
-            self._step[-level] = -p
+        self._codes: dict[int, int] = {}  # member id -> sweep code, for swept members
+        self._step = [0, *cx.pows, *(-p for p in reversed(cx.pows))]  # step[k]: delta of code k
+        self._fibers_left = 0 if cx.members is not None else (cx.m + 1) ** cx.d // 16
 
     def _code(self, cell: int) -> int:
-        cx = self.cx
-        if not cx.is_member(cell):
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        if cell not in self._codes:
-            base = cx.anchor_base(cell)
-            offs = cx.offsets()
-            fiber = [base + offs[s] for s in cx.fiber_members(cx.anchor(cell))]
-            ids, code = template_sweep(cx, self._grade_of, np.array(fiber, dtype=np.int64))
-            self._codes.update(zip(ids.tolist(), code.tolist()))
-        return self._codes[cell]
+        code = self._codes.get(cell)
+        if code is None:
+            cx = self.cx
+            if not cx.is_member(cell):
+                raise NonMemberCellError(f"cell {cell} is not a member")
+            keys = None  # all members
+            if self._fibers_left:
+                self._fibers_left -= 1
+                anchor = cx.anchor(cell)
+                base, offs = cx.cell_id(tuple(2 * l for l in anchor)), cx.offsets()
+                keys = [base + offs[s] for s in cx.fiber_members(anchor)]
+            ids = None if keys is None else np.array(keys, dtype=np.int64)
+            codes = template_sweep(cx, self._grade_of, ids)[1]
+            # cells() lists the swept ids, reusing an explicit complex's member ints
+            self._codes.update(zip(cx.cells() if keys is None else keys, codes.tolist()))
+            code = self._codes[cell]
+        return code
 
     def __call__(self, cell: int) -> int:
         return cell + self._step[self._code(cell)]
@@ -276,13 +279,11 @@ class TemplateMatching:
         from .cubical import alpha, beta
 
         cx = self.cx
-        gf = self._grade_of
-        if gf is None:
+        if self._grade_of is None:
             return [
                 (lambda c, i=i: alpha(i, c, cx)) for i in range(1, cx.d + 1)
             ]
-        if not callable(gf):
-            gf = gf.__getitem__
+        gf = self._grade_of if callable(self._grade_of) else self._grade_of.__getitem__
         return [
             (lambda c, i=i: beta(i, c, cx, gf)) for i in range(1, cx.d + 1)
         ]
@@ -389,7 +390,7 @@ def _lower_cells(cx, oracle):
     out = {}
     for c in cx.cells():
         m = oracle(c)
-        if m != c and cx.dim(m) == cx.dim(c) + 1:
+        if m != c and out.get(m) != c and cx.dim(m) == cx.dim(c) + 1:
             out[c] = m
     return out
 

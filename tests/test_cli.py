@@ -174,25 +174,33 @@ def test_verify_usage(capsys):
     assert main(["verify", "--gen", "sphere:x"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("source", ["grid", "explicit"])
 @pytest.mark.parametrize("corruption", ["flip-sign", "non-incident"])
-def test_verify_checks_the_production_sweep(monkeypatch, capsys, corruption):
+def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corruption, source):
+    # a grid is first swept one fiber at a time, an explicit complex whole
+    if source == "grid":
+        given = ["--gen", "sphere:3"]
+    else:
+        f = tmp_path / "cube.txt"
+        f.write_text("3 1\n0 0 0\n")  # the closed unit cube of C(1; 3)
+        given = [str(f)]
     real_sweep = matching.template_sweep
 
     def broken_sweep(cx, grade_of=None, ids=None):
         ids, code = real_sweep(cx, grade_of, ids)
         code = code.copy()
-        at = {c: i for i, c in enumerate(ids.tolist())}  # TemplateMatching sweeps one fiber
+        at = {c: i for i, c in enumerate(ids.tolist())}
         if corruption == "flip-sign":
             wrong = {0: -1}  # cell 0 now pairs with the id -1
         else:
-            wrong = {2: 1, 3: -1}  # vertex (2,0,0,0) with edge (0,1,0,0)
+            wrong = {2: 1, 3: -1}  # vertex with digits 2,0,... and edge with digits 0,1,...
         for c, k in wrong.items():
             if c in at:
                 code[at[c]] = k
         return ids, code
 
     monkeypatch.setattr(matching, "template_sweep", broken_sweep)
-    assert main(["verify", "--gen", "sphere:3", "--acyclic", "--stable"]) == EXIT_VALIDATION
+    assert main(["verify", *given, "--acyclic", "--stable"]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert lines[0].startswith("complex: ok")

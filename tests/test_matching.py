@@ -7,6 +7,7 @@ from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import SizeGuardError, TrichotomyError
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
+from cubemorse import matching
 from cubemorse.matching import (
     SequenceMatching,
     TemplateMatching,
@@ -314,14 +315,24 @@ def test_template_sweep_matches_oracle_on_braid_gradings():
         assert_sweep_matches_oracle(bc.cx, bc.grade_of)
 
 
-def test_template_matching_sweeps_each_fiber_once(monkeypatch):
-    """Queries in any order sweep each anchor fiber once, through
-    ``cx.fiber_members``, and agree with the whole-complex sweep."""
+def test_template_matching_sweeps_fibers_then_whole(monkeypatch):
+    """Queries in any order agree with the whole-complex sweep.  A grid is
+    swept one anchor fiber at a time, through ``cx.fiber_members``, until
+    1/16 of its fibers are swept, and then whole; an explicit complex is
+    swept whole on the first query."""
+    real_sweep = matching.template_sweep
+    sweeps = []
+
+    def counted_sweep(cx, grade_of=None, ids=None):
+        sweeps.append("whole" if ids is None else "fiber")
+        return real_sweep(cx, grade_of, ids)
+
+    monkeypatch.setattr(matching, "template_sweep", counted_sweep)
     rng = random.Random(5)
-    grids = [CubicalComplex.sphere(3), CubicalComplex.full(2, 3)]
+    grids = [CubicalComplex.sphere(3), CubicalComplex.full(2, 3), CubicalComplex.full(3, 3)]
     for cx in grids + [random_cubical_complex(rng, 3) for _ in range(5)]:
         n_fibers = sum(1 for _ in cx.iter_fibers())
-        ids, code = template_sweep(cx)
+        ids, code = real_sweep(cx)
         whole = dict(zip(ids.tolist(), code.tolist()))
         anchors = []
         fiber_members = cx.fiber_members
@@ -331,6 +342,7 @@ def test_template_matching_sweeps_each_fiber_once(monkeypatch):
             return fiber_members(anchor)
 
         monkeypatch.setattr(cx, "fiber_members", counted)
+        sweeps.clear()
         w = TemplateMatching(cx)
         cells = ids.tolist()
         rng.shuffle(cells)
@@ -338,7 +350,9 @@ def test_template_matching_sweeps_each_fiber_once(monkeypatch):
             k = whole[c]
             assert w.provenance(c) == (abs(k) or None), c
             assert w(c) == c + (0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])), c
-        assert len(anchors) == len(set(anchors)) == n_fibers
+        n_fiber_sweeps = n_fibers // 16 if cx.members is None else 0
+        assert sweeps == ["fiber"] * n_fiber_sweeps + ["whole"]
+        assert len(anchors) == len(set(anchors)) == n_fiber_sweeps
 
 
 def test_template_sweep_on_sparse_grid():
