@@ -28,7 +28,14 @@ from .core import (
     validate_complex,
 )
 from .cubical import CubicalComplex, parse_top_cell_file
-from .matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
+from .matching import (
+    FLOW_CHECK_LIMIT,
+    TemplateMatching,
+    _refuse_above,
+    verify_acyclic,
+    verify_matching,
+    verify_stable,
+)
 from .morse import connection_matrix, homology
 from .braid import (
     SkeletonError,
@@ -344,6 +351,11 @@ def cmd_verify(args) -> int:
         with open(args.file) as fh:
             m, d, anchors = parse_top_cell_file(fh.read())
         cx = CubicalComplex.from_top_cells(m, d, anchors, force=args.force)
+    # refuse an oversized flow check before the first pass prints
+    if args.acyclic:
+        _refuse_above("verify_acyclic", cx, FLOW_CHECK_LIMIT)
+    if args.stable:
+        _refuse_above("verify_stable", cx, FLOW_CHECK_LIMIT)
     failed = False
     report = validate_complex(cx)
     print(f"complex: {report.summary()}")

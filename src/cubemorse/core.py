@@ -254,11 +254,23 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
     Every face of a member cell must be a member of dimension one less, and
     the GF(2) sum of faces-of-faces must vanish.  Violations are collected
     (capped at 200) rather than raised.
+
+    A :class:`~cubemorse.cubical.CubicalComplex` is first checked by array
+    passes in chunks of ``ARRAY_CHUNK`` cells, so memory stays bounded
+    whatever the complex size: one call of ``_boundary_raw`` and ``dim_of``
+    per member, compared with the array face formula (see
+    ``CubicalComplex._validates_clean``).  Those passes only decide that
+    nothing is wrong; on any anomaly the cell-by-cell walk below runs and
+    writes the report.
     """
+    from .cubical import CubicalComplex  # cubical imports this module
+
     if cx.cell_count > max_cells:
         raise SizeGuardError(
             f"refusing to validate {cx.cell_count} cells (limit {max_cells})"
         )
+    if isinstance(cx, CubicalComplex) and cx._validates_clean():
+        return ValidationReport(checked_cells=cx.cell_count)
     report = ValidationReport(checked_cells=0)
     cap = 200
     is_member, dim, boundary = cx.is_member, cx.dim, cx.boundary

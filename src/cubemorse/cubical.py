@@ -29,6 +29,7 @@ time (:func:`alpha`, :func:`beta`).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 from typing import Callable, Iterator
 
@@ -43,6 +44,7 @@ from .core import (
 
 CLOSURE_CELL_GUARD = 100_000_000
 TABLE_LIMIT = 4096  # most entries in one chunk table of the codec
+ARRAY_CHUNK = 256  # cells per chunk of the array checks, which bounds their memory
 
 
 class _ParityTable:
@@ -355,6 +357,85 @@ class CubicalComplex(CellComplexLike):
             ps += pw[r]
         ps += top[rem]
         return [cell - p for p in reversed(ps)] + [cell + p for p in ps]
+
+    def _face_arrays(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The faces of each cell by the array face formula, flattened in
+        :meth:`_boundary_raw`'s order: ``id - pows[i]`` for each odd digit i
+        descending, then ``id + pows[i]`` ascending.
+
+        Returns:
+            (faces, owner, dims): faces as int64, owner[j] the index in
+            ``ids`` of the cell of faces[j], dims the odd-digit counts.
+        """
+        ids = ids.astype(np.int64)
+        odd = np.empty((ids.size, self.d), dtype=bool)
+        rem = ids
+        for i in range(self.d):
+            quo = rem // self.base
+            odd[:, i] = (rem - quo * self.base) & 1
+            rem = quo
+        pows = np.array(self.pows, dtype=np.int64)
+        owner, col = np.nonzero(np.concatenate([odd[:, ::-1], odd], axis=1))
+        faces = ids[owner] + np.concatenate([-pows[::-1], pows])[col]
+        return faces, owner, odd.sum(axis=1)
+
+    def _checked_faces(self, ids: np.ndarray, rows: bool = True):
+        """:meth:`_face_arrays` of ``ids`` when :meth:`dim_of`, and
+        :meth:`_boundary_raw` if ``rows``, called once per cell, return the
+        same dims and faces; None when they do not, or raise."""
+        out = self._face_arrays(ids)
+        faces, _, dims = out
+        cells = ids.tolist()
+        try:
+            if list(map(self.dim_of, cells)) != dims.tolist():
+                return None
+            if not rows:
+                return out
+            got = list(map(self._boundary_raw, cells))
+            if list(map(len, got)) != (2 * dims).tolist():
+                return None
+            flat = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=faces.size)
+        except Exception:  # noqa: BLE001 - the per-cell walk raises or reports it
+            return None
+        return out if np.array_equal(flat, faces) else None
+
+    def _validates_clean(self) -> bool:
+        """Whether :func:`cubemorse.core.validate_complex` finds no violation,
+        decided by array passes over :meth:`member_ids` in chunks of
+        ``ARRAY_CHUNK`` cells.
+
+        Each member's :meth:`_boundary_raw` and :meth:`dim_of` are called
+        once and compared with :meth:`_face_arrays`.  Per chunk the rows must
+        then be ascending and unique, every face a member (``searchsorted``
+        in the member ids) of dimension one less by digit parity, and every
+        (cell, face of a face) key must occur an even number of times, which
+        is d∘d = 0 over GF(2).  False, for the per-cell walk, also when the
+        keys could overflow int64.
+        """
+        span = 2 * self.total_ids  # face-of-face ids lie within total_ids of their cell
+        if span * ARRAY_CHUNK > np.iinfo(np.int64).max:
+            return False
+        ids = self.member_ids()
+        last = ids.size - 1
+        for lo in range(0, ids.size, ARRAY_CHUNK):
+            chunk = ids[lo:lo + ARRAY_CHUNK]
+            checked = self._checked_faces(chunk)
+            if checked is None:
+                return False
+            faces, owner, dims = checked
+            same_row = owner[1:] == owner[:-1]
+            members = ids[np.minimum(np.searchsorted(ids, faces), last)]
+            ffaces, fowner, fdims = self._face_arrays(faces)
+            cell = owner[fowner]
+            keys = np.sort(cell * span + (ffaces - chunk[cell] + self.total_ids))
+            if not (
+                np.all(faces[1:][same_row] > faces[:-1][same_row])
+                and np.array_equal(members, faces)
+                and np.array_equal(fdims, dims[owner] - 1)
+                and np.array_equal(keys[0::2], keys[1::2])
+            ):
+                return False
+        return True
 
     def boundary(self, cell: int) -> tuple[int, ...]:
         if not self.is_member(cell):

@@ -8,20 +8,32 @@ structural recursion; :func:`mate_table` materializes the same function by
 sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
 toggles, :func:`template_sweep` is the production evaluation, one array pass
-per axis, and :class:`TemplateMatching` its per-cell view, so ``verify``
-checks the matching the reduction rounds use.  :func:`fiber_mate` evaluates
-it on one anchor fiber in pure Python, as the tests' independent oracle and
-the benchmark's fiber replay.
+per axis, and :class:`TemplateMatching` wraps it, so ``verify`` checks the
+matching the reduction rounds use.  :func:`fiber_mate` evaluates it on one
+anchor fiber in pure Python, as the tests' independent oracle and the
+benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
 induced flow relation, and the pair-stability property that guarantees
 acyclicity for aggregated matchings.
+
+Given a :class:`TemplateMatching`, the checks run as numpy passes over one
+whole sweep: partners are ``ids + step[code]``, the pair checks compare the
+codes with the codec's digits, ``dim_of`` and ``_boundary_raw`` (once per
+matched cell, ``ARRAY_CHUNK`` cells at a time), acyclicity is a Kahn peel
+over the flow-edge arrays and stability a test on the same edges.  The
+passes only decide that all is clean.  On any anomaly, and for every other
+oracle, the checks walk the cells and query the oracle one cell at a time,
+which writes the exact report or raises the exact error.  Memory beyond the
+sweep codes is bounded by the chunk size, except for the flow-edge arrays,
+whose complexes ``FLOW_CHECK_LIMIT`` bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,9 +45,17 @@ from .core import (
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import CubicalComplex
+from .cubical import ARRAY_CHUNK, CubicalComplex, alpha, beta
 
 Entry = Callable[[int], int]
+
+FLOW_CHECK_LIMIT = 100_000  # default cell limit of verify_acyclic and verify_stable
+
+
+def _refuse_above(name: str, cx: CellComplexLike, max_cells: int) -> None:
+    """Raise :class:`SizeGuardError` when ``cx`` has more than ``max_cells`` cells."""
+    if cx.cell_count > max_cells:
+        raise SizeGuardError(f"{name} refuses {cx.cell_count} cells (limit {max_cells})")
 
 
 def _mate_helper(x: int, i: int, entries: Sequence[Entry], memo: dict) -> int:
@@ -86,10 +106,7 @@ def mate_table(
         (partner, level): partner[c] is c's match (c itself when unmatched),
         level[c] the 1-based entry index at which the pair formed.
     """
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"mate_table refuses {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("mate_table", cx, max_cells)
     partner = {c: c for c in cx.cells()}
     level: dict[int, int] = {}
     avail = set(partner)
@@ -223,12 +240,14 @@ class SequenceMatching:
 
 
 class TemplateMatching:
-    """Per-cell view of :func:`template_sweep`, the production matching.
+    """The production matching of :func:`template_sweep`, per cell and, for
+    the ``verify_*`` checks, as one whole-sweep array view.
 
-    A grid is swept one anchor fiber at a time as queries reach its fibers,
-    and whole once 1/16 of them are swept: by then the small sweeps, about
-    0.1 ms each, cost about one whole sweep.  An explicit complex, whose
-    fibers are often a few cells each, is swept whole on the first query.
+    Per-cell queries sweep a grid one anchor fiber at a time as they reach
+    its fibers, and whole once 1/16 of them are swept: by then the small
+    sweeps, about 0.1 ms each, cost about one whole sweep.  An explicit
+    complex, whose fibers are often a few cells each, is swept whole on the
+    first query.
     Pairs never leave a fiber, so the codes are the whole sweep's.  Code k
     maps a cell to ``cell + pows[k-1]`` when k > 0, to ``cell - pows[-k-1]``
     when k < 0 and to itself when k = 0; the pair forms at level |k|.
@@ -270,23 +289,69 @@ class TemplateMatching:
     def __call__(self, cell: int) -> int:
         return cell + self._step[self._code(cell)]
 
+    @cached_property
+    def _clean_sweep(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(ids, code) of one whole :func:`template_sweep` when
+        :func:`verify_matching` would find nothing wrong with it, else None.
+
+        Every partner ``ids + step[code]`` must be a member whose partner is
+        the cell again, and every pair must toggle an even digit below 2m of
+        its lower cell up to the odd digit of its upper cell, so the two are
+        face and coface one dimension apart.  ``dim_of`` of every matched
+        cell and ``_boundary_raw`` of every upper cell, which the per-cell
+        checks read, are compared with the codec formula in chunks of
+        ``ARRAY_CHUNK`` cells (``CubicalComplex._checked_faces``).
+        Computed once.
+        """
+        cx = self.cx
+        if cx.total_ids > np.iinfo(np.int64).max:
+            return None
+        ids = cx.member_ids()
+        try:
+            code = np.asarray(template_sweep(cx, self._grade_of)[1])
+        except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
+            return None
+        if code.shape != ids.shape or code.dtype.kind not in "iu":
+            return None
+        if np.any(np.abs(code.astype(np.int64)) > cx.d):
+            return None
+        step = np.array(self._step, dtype=np.int64)
+        partner = ids + step[code]
+        at = np.minimum(np.searchsorted(ids, partner), ids.size - 1)
+        up = code > 0
+        toggled = ids[up] // step[code[up]] % cx.base
+        if not (
+            np.array_equal(ids[at], partner)
+            and np.array_equal(code[at], -code)
+            and np.all(toggled % 2 == 0)
+            and np.all(toggled < 2 * cx.m)
+        ):
+            return None
+        for cells, rows in ((ids[code > 0], False), (ids[code < 0], True)):
+            for lo in range(0, cells.size, ARRAY_CHUNK):
+                if cx._checked_faces(cells[lo:lo + ARRAY_CHUNK], rows) is None:
+                    return None
+        return ids, code
+
     def provenance(self, cell: int) -> int | None:
         """1-based level at which the cell pairs; None if unmatched."""
         return abs(self._code(cell)) or None
 
     def entries(self) -> list[Entry]:
         """The underlying elementary pairings as callables on cell ids."""
-        from .cubical import alpha, beta
-
         cx = self.cx
         if self._grade_of is None:
-            return [
-                (lambda c, i=i: alpha(i, c, cx)) for i in range(1, cx.d + 1)
-            ]
+            return [partial(alpha, i, cx=cx) for i in range(1, cx.d + 1)]
         gf = self._grade_of if callable(self._grade_of) else self._grade_of.__getitem__
-        return [
-            (lambda c, i=i: beta(i, c, cx, gf)) for i in range(1, cx.d + 1)
-        ]
+        return [partial(beta, i, cx=cx, grade_of=gf) for i in range(1, cx.d + 1)]
+
+    def _own_toggles(self, entries: Sequence[Entry]) -> bool:
+        """Whether ``entries`` are exactly what :meth:`entries` returns on an
+        ungraded complex: ``alpha`` of levels 1..d on this complex."""
+        return self._grade_of is None and len(entries) == self.cx.d and all(
+            isinstance(e, partial) and e.func is alpha and e.args == (i,) and e.keywords == {"cx": self.cx}
+            for i, e in enumerate(entries, start=1)
+        )
 
 
 def classify(cell: int, oracle: Callable[[int], int], cx: CellComplexLike) -> str:
@@ -345,10 +410,12 @@ def verify_matching(
     Each cell must be fixed or matched to an incident cell one dimension
     away, with the partner pointing back.
     """
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"verify_matching refuses {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("verify_matching", cx, max_cells)
+    sweep = _array_view(cx, oracle)
+    if sweep is not None:
+        code = sweep[1]
+        n_lower = int(np.count_nonzero(code > 0))
+        return MatchingReport(code.size, code.size - 2 * n_lower, n_lower, n_lower)
     rep = MatchingReport(checked_cells=0)
     cap = 200
     for c in cx.cells():
@@ -386,6 +453,65 @@ def verify_matching(
     return rep
 
 
+def _array_view(cx: CellComplexLike, oracle) -> tuple[np.ndarray, np.ndarray] | None:
+    """The clean sweep of ``oracle`` when it is a :class:`TemplateMatching`
+    of ``cx``; None when the per-cell path must run (another oracle, or any
+    anomaly)."""
+    if type(oracle) is TemplateMatching and oracle.cx is cx:
+        return oracle._clean_sweep
+    return None
+
+
+def _flow_edges(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray):
+    """Flow edges of a clean sweep, built ``ARRAY_CHUNK`` lower cells at a time.
+
+    An edge runs from lower cell q0, with partner k0, to each other lower
+    cell q1 among the faces of k0.  It is unstable when q1 = k0 - pows[t]
+    with t + 1 < min(code(q0), code(q1)): toggle t + 1 changes digit t
+    alone, so it sends q1 to k0 exactly then, at a level below both pairs.
+
+    Returns:
+        (n, src, dst, unstable): the number of lower cells, the edges as
+        indices of lower cells in id order (src ascending) and a flag per
+        edge.
+    """
+    pows = np.array(cx.pows, dtype=np.int64)
+    lower = np.flatnonzero(code > 0)
+    rank = np.cumsum(code > 0) - 1  # index among the lower cells
+    last = ids.size - 1
+    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
+    for lo in range(0, lower.size, ARRAY_CHUNK):
+        at = lower[lo:lo + ARRAY_CHUNK]
+        partner = ids[at] + pows[code[at] - 1]
+        faces, owner, _ = cx._face_arrays(partner)
+        hit = np.minimum(np.searchsorted(ids, faces), last)
+        keep = (ids[hit] == faces) & (code[hit] > 0) & (faces != ids[at][owner])
+        owner, hit, gap = owner[keep], hit[keep], (partner[owner] - faces)[keep]
+        t = np.searchsorted(pows, gap)
+        unstable = (gap > 0) & (t + 1 < np.minimum(code[at][owner], code[hit]))
+        parts.append((lo + owner, rank[hit], unstable))
+    src, dst, unstable = (np.concatenate(p) for p in zip(*parts))
+    return lower.size, src, dst, unstable
+
+
+def _peel(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Kahn's topological peel of the graph on nodes 0..n-1 with edges
+    src -> dst, src ascending: True when every node peels off, i.e. the
+    graph has no directed cycle."""
+    indeg = np.bincount(dst, minlength=n)
+    start = np.searchsorted(src, np.arange(n + 1))
+    frontier = np.flatnonzero(indeg == 0)
+    peeled = 0
+    while frontier.size:
+        peeled += frontier.size
+        first, count = start[frontier], start[frontier + 1] - start[frontier]
+        out = dst[np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)]
+        np.subtract.at(indeg, out, 1)
+        out = np.unique(out)
+        frontier = out[indeg[out] == 0]
+    return peeled == n
+
+
 def _lower_cells(cx, oracle):
     out = {}
     for c in cx.cells():
@@ -398,17 +524,19 @@ def _lower_cells(cx, oracle):
 def verify_acyclic(
     cx: CellComplexLike,
     oracle: Callable[[int], int],
-    max_cells: int = 100_000,
+    max_cells: int = FLOW_CHECK_LIMIT,
 ) -> bool:
     """True when the flow relation on lower cells has no directed cycle.
 
     The relation steps from a lower cell q to every other lower cell in the
-    boundary of q's partner.  Iterative three-color depth-first search.
+    boundary of q's partner.  A clean :class:`TemplateMatching` is checked
+    by a Kahn peel over the flow-edge arrays; otherwise an iterative
+    three-color depth-first search walks the cells.
     """
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"verify_acyclic refuses {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("verify_acyclic", cx, max_cells)
+    sweep = _array_view(cx, oracle)
+    if sweep is not None:
+        return _peel(*_flow_edges(cx, *sweep)[:3])
     lower = _lower_cells(cx, oracle)
     color: dict[int, int] = {}  # 1 open, 2 done
     for start in sorted(lower):
@@ -444,7 +572,7 @@ def verify_stable(
     oracle: Callable[[int], int],
     entries: Sequence[Entry],
     provenance: Callable[[int], int | None] | None = None,
-    max_cells: int = 100_000,
+    max_cells: int = FLOW_CHECK_LIMIT,
 ) -> bool:
     """Check pair stability of a matching built from the given entries.
 
@@ -453,14 +581,23 @@ def verify_stable(
     unstable when some earlier entry i < min(j, j') would have sent q1 to
     q0's partner; an aggregated matching never produces this.
 
+    A clean ungraded :class:`TemplateMatching`, passed with its own
+    :meth:`~TemplateMatching.entries` and provenance, is checked over the
+    flow-edge arrays (see :func:`_flow_edges`); any other input walks the
+    cells.
+
     Args:
         provenance: level lookup for matched cells; defaults to
             ``oracle.provenance``.
     """
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"verify_stable refuses {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("verify_stable", cx, max_cells)
+    sweep = _array_view(cx, oracle)
+    if (
+        sweep is not None
+        and provenance in (None, oracle.provenance)
+        and oracle._own_toggles(entries)  # type: ignore[attr-defined]
+    ):
+        return not _flow_edges(cx, *sweep)[3].any()
     if provenance is None:
         provenance = oracle.provenance  # type: ignore[attr-defined]
     lower = _lower_cells(cx, oracle)

@@ -211,6 +211,14 @@ def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corru
         assert "error: cell -1 is not a member" in captured.err
 
 
+@pytest.mark.parametrize("flag, check", [("--acyclic", "verify_acyclic"), ("--stable", "verify_stable")])
+def test_verify_refuses_oversized_flow_checks_first(capsys, flag, check):
+    assert main(["verify", "--gen", "sphere:10", flag]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {check} refuses 177146 cells (limit 100000)\n"
+
+
 def test_verify_bad_file(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("not a header\n")
