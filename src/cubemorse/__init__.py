@@ -19,7 +19,7 @@ from .core import (
     betti_oracle,
     validate_complex,
 )
-from .cubical import CubicalComplex, alpha, beta, fiber_embed, fiber_map
+from .cubical import CubicalComplex, alpha, beta
 from .hypercube import HypercubeComplex
 from .matching import (
     SequenceMatching,
@@ -81,8 +81,6 @@ __all__ = [
     "condensation",
     "connection_matrix",
     "crossing_number",
-    "fiber_embed",
-    "fiber_map",
     "generic_round",
     "homology",
     "mate",

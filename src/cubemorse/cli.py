@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (FormatError, SkeletonError, NonMemberCellError) as exc:
+    except (FormatError, SkeletonError, NonMemberCellError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (IntegrityError, AcyclicityError) as exc:

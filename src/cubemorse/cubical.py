@@ -232,23 +232,10 @@ class CubicalComplex(CellComplexLike):
     def anchor(self, cell: int) -> tuple[int, ...]:
         return tuple(c // 2 for c in self.digits(cell))
 
-    def extent_mask(self, cell: int) -> int:
-        """Extent bits, bit i-1 set when coordinate i is an edge interval."""
-        t = self._tabs or self._tables()
-        low, top = t.bits
-        mod = t.mod
-        mask = 0
-        for bits in low:
-            cell, r = divmod(cell, mod)
-            mask |= bits[r]
-        return mask | top[cell]
-
-    def anchor_base(self, cell: int) -> int:
-        """Id of the anchor vertex of the fiber containing this cell."""
-        return self.anchor_and_mask(cell)[0]
-
     def anchor_and_mask(self, cell: int) -> tuple[int, int]:
-        """(anchor_base(cell), extent_mask(cell)) in one table pass."""
+        """(id of the anchor vertex of the cell's fiber, extent mask of the
+        cell) in one table pass; bit i-1 of the mask is set when coordinate
+        i is an edge interval."""
         t = self._tabs or self._tables()
         (low_bits, top_bits), (low_offs, top_offs) = t.bits, t.offs
         mod = t.mod
@@ -380,24 +367,23 @@ class CubicalComplex(CellComplexLike):
         return faces, owner, odd.sum(axis=1)
 
     def _checked_faces(self, ids: np.ndarray, rows: bool = True):
-        """:meth:`_face_arrays` of ``ids`` when :meth:`dim_of`, and
-        :meth:`_boundary_raw` if ``rows``, called once per cell, return the
-        same dims and faces; None when they do not, or raise."""
-        out = self._face_arrays(ids)
-        faces, _, dims = out
+        """The faces of ``ids`` by :meth:`_face_arrays` when :meth:`dim_of`,
+        and :meth:`_boundary_raw` if ``rows``, called once per cell, return
+        the same dims and faces; None when they do not, or raise."""
+        faces, _, dims = self._face_arrays(ids)
         cells = ids.tolist()
         try:
             if list(map(self.dim_of, cells)) != dims.tolist():
                 return None
             if not rows:
-                return out
+                return faces
             got = list(map(self._boundary_raw, cells))
             if list(map(len, got)) != (2 * dims).tolist():
                 return None
             flat = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=faces.size)
         except Exception:  # noqa: BLE001 - the per-cell walk raises or reports it
             return None
-        return out if np.array_equal(flat, faces) else None
+        return faces if np.array_equal(flat, faces) else None
 
     def _validates_clean(self) -> bool:
         """Whether :func:`cubemorse.core.validate_complex` finds no violation,
@@ -405,34 +391,22 @@ class CubicalComplex(CellComplexLike):
         ``ARRAY_CHUNK`` cells.
 
         Each member's :meth:`_boundary_raw` and :meth:`dim_of` are called
-        once and compared with :meth:`_face_arrays`.  Per chunk the rows must
-        then be ascending and unique, every face a member (``searchsorted``
-        in the member ids) of dimension one less by digit parity, and every
-        (cell, face of a face) key must occur an even number of times, which
-        is d∘d = 0 over GF(2).  False, for the per-cell walk, also when the
-        keys could overflow int64.
+        once and must equal :meth:`_face_arrays`, the face formula
+        (:meth:`_checked_faces`); every face must then be a member
+        (``searchsorted`` in the member ids).  That is all the per-cell walk
+        can find: closure makes every face a member, so every row and dim it
+        reads is the formula's, and the formula's rows are ascending, one
+        dimension lower and cancel in pairs (d∘d = 0).  False, for the
+        per-cell walk, also when the ids exceed int64.
         """
-        span = 2 * self.total_ids  # face-of-face ids lie within total_ids of their cell
-        if span * ARRAY_CHUNK > np.iinfo(np.int64).max:
+        if self.total_ids > np.iinfo(np.int64).max:
             return False
         ids = self.member_ids()
         last = ids.size - 1
         for lo in range(0, ids.size, ARRAY_CHUNK):
-            chunk = ids[lo:lo + ARRAY_CHUNK]
-            checked = self._checked_faces(chunk)
-            if checked is None:
-                return False
-            faces, owner, dims = checked
-            same_row = owner[1:] == owner[:-1]
-            members = ids[np.minimum(np.searchsorted(ids, faces), last)]
-            ffaces, fowner, fdims = self._face_arrays(faces)
-            cell = owner[fowner]
-            keys = np.sort(cell * span + (ffaces - chunk[cell] + self.total_ids))
-            if not (
-                np.all(faces[1:][same_row] > faces[:-1][same_row])
-                and np.array_equal(members, faces)
-                and np.array_equal(fdims, dims[owner] - 1)
-                and np.array_equal(keys[0::2], keys[1::2])
+            faces = self._checked_faces(ids[lo:lo + ARRAY_CHUNK])
+            if faces is None or not np.array_equal(
+                ids[np.minimum(np.searchsorted(ids, faces), last)], faces
             ):
                 return False
         return True
@@ -506,36 +480,12 @@ class CubicalComplex(CellComplexLike):
             yield base, self.fiber_members(tuple(anchor))
 
 
-def fiber_map(cx: CubicalComplex, cell: int) -> tuple[int, ...]:
-    """Grade of a cell under the anchor grading: negated anchor coordinates.
-
-    Cells map to the same value exactly when they share a fiber; the value
-    order makes anchored sub-hypercubes the grade classes.
-    """
-    return tuple(-l for l in cx.anchor(cell))
-
-
-def fiber_embed(cx: CubicalComplex, cell: int) -> int:
-    """Embed a cell into the hypercube on d bits spanned by its extents.
-
-    Bit i of the result (1-based from the left, as in :mod:`.hypercube`)
-    is set when coordinate i of the cell is an edge interval, so the i-th
-    hypercube template corresponds to toggling extent i here.
-    """
-    bits = 0
-    d = cx.d
-    for i, c in enumerate(cx.digits(cell), start=1):
-        if c & 1:
-            bits |= 1 << (d - i)
-    return bits
-
-
 def alpha(i: int, cell: int, cx: CubicalComplex) -> int:
     """Toggle the extent of coordinate i while keeping the anchor.
 
     Returns the toggled cell when it belongs to the complex, else the cell
     itself.  Restricted to any single fiber this is a hypercube template
-    pulled back along the fiber embedding.
+    pulled back along the extent bits of the fiber.
     """
     if not 1 <= i <= cx.d:
         raise ValueError(f"coordinate index {i} out of range 1..{cx.d}")

@@ -19,13 +19,16 @@ induced flow relation, and the pair-stability property that guarantees
 acyclicity for aggregated matchings.
 
 Given a :class:`TemplateMatching`, the checks run as numpy passes over one
-whole sweep: partners are ``ids + step[code]``, the pair checks compare the
-codes with the codec's digits, ``dim_of`` and ``_boundary_raw`` (once per
-matched cell, ``ARRAY_CHUNK`` cells at a time), acyclicity is a Kahn peel
-over the flow-edge arrays and stability a test on the same edges.  The
-passes only decide that all is clean.  On any anomaly, and for every other
-oracle, the checks walk the cells and query the oracle one cell at a time,
-which writes the exact report or raises the exact error.  Memory beyond the
+whole sweep.  Partners are ``ids + step[code]``; each must be a member (a
+``searchsorted`` in the member ids) that maps back.  The pair checks
+compare the codes with the codec's digits, and the ``dim_of`` and
+``_boundary_raw`` rows of the matched cells with the array face formula,
+once per cell, ``ARRAY_CHUNK`` cells at a time.  The flow-edge arrays are
+built once per matching (``TemplateMatching._flows``): acyclicity is a
+Kahn peel over them and stability a test on the same edges.  The passes
+only decide that all is clean.  On any anomaly, and for every other oracle,
+the checks walk the cells and query the oracle one cell at a time, which
+writes the exact report or raises the exact error.  Memory beyond the
 sweep codes is bounded by the chunk size, except for the flow-edge arrays,
 whose complexes ``FLOW_CHECK_LIMIT`` bounds.
 """
@@ -333,6 +336,12 @@ class TemplateMatching:
                     return None
         return ids, code
 
+    @cached_property
+    def _flows(self):
+        """:func:`_flow_edges` of the clean sweep, built once for both
+        :func:`verify_acyclic` and :func:`verify_stable`."""
+        return _flow_edges(self.cx, *self._clean_sweep)
+
     def provenance(self, cell: int) -> int | None:
         """1-based level at which the cell pairs; None if unmatched."""
         return abs(self._code(cell)) or None
@@ -411,9 +420,9 @@ def verify_matching(
     away, with the partner pointing back.
     """
     _refuse_above("verify_matching", cx, max_cells)
-    sweep = _array_view(cx, oracle)
-    if sweep is not None:
-        code = sweep[1]
+    view = _array_view(cx, oracle)
+    if view is not None:
+        code = view._clean_sweep[1]
         n_lower = int(np.count_nonzero(code > 0))
         return MatchingReport(code.size, code.size - 2 * n_lower, n_lower, n_lower)
     rep = MatchingReport(checked_cells=0)
@@ -453,12 +462,12 @@ def verify_matching(
     return rep
 
 
-def _array_view(cx: CellComplexLike, oracle) -> tuple[np.ndarray, np.ndarray] | None:
-    """The clean sweep of ``oracle`` when it is a :class:`TemplateMatching`
-    of ``cx``; None when the per-cell path must run (another oracle, or any
-    anomaly)."""
-    if type(oracle) is TemplateMatching and oracle.cx is cx:
-        return oracle._clean_sweep
+def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
+    """``oracle`` when it is a :class:`TemplateMatching` of ``cx`` with a
+    clean sweep; None when the per-cell path must run (another oracle, or
+    any anomaly)."""
+    if type(oracle) is TemplateMatching and oracle.cx is cx and oracle._clean_sweep is not None:
+        return oracle
     return None
 
 
@@ -534,9 +543,9 @@ def verify_acyclic(
     three-color depth-first search walks the cells.
     """
     _refuse_above("verify_acyclic", cx, max_cells)
-    sweep = _array_view(cx, oracle)
-    if sweep is not None:
-        return _peel(*_flow_edges(cx, *sweep)[:3])
+    view = _array_view(cx, oracle)
+    if view is not None:
+        return _peel(*view._flows[:3])
     lower = _lower_cells(cx, oracle)
     color: dict[int, int] = {}  # 1 open, 2 done
     for start in sorted(lower):
@@ -591,13 +600,9 @@ def verify_stable(
             ``oracle.provenance``.
     """
     _refuse_above("verify_stable", cx, max_cells)
-    sweep = _array_view(cx, oracle)
-    if (
-        sweep is not None
-        and provenance in (None, oracle.provenance)
-        and oracle._own_toggles(entries)  # type: ignore[attr-defined]
-    ):
-        return not _flow_edges(cx, *sweep)[3].any()
+    view = _array_view(cx, oracle)
+    if view is not None and provenance in (None, view.provenance) and view._own_toggles(entries):
+        return not view._flows[3].any()
     if provenance is None:
         provenance = oracle.provenance  # type: ignore[attr-defined]
     lower = _lower_cells(cx, oracle)

@@ -225,6 +225,15 @@ def test_verify_bad_file(tmp_path, capsys):
     assert main(["verify", str(f)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [["cubical"], ["verify"], ["braid", "--file"]])
+def test_non_utf8_file_is_a_format_error(tmp_path, capsys, argv):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"\xff\xfe")
+    assert main([*argv, str(f)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bench_human(capsys):
     assert main(["bench", "--repeat", "2", "sphere", "--kind", "s", "--dim", "2"]) == EXIT_OK
     out = capsys.readouterr().out

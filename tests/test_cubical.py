@@ -8,8 +8,6 @@ from cubemorse.cubical import (
     CubicalComplex,
     alpha,
     beta,
-    fiber_embed,
-    fiber_map,
     parse_top_cell_file,
 )
 from cubemorse.hypercube import hboundary
@@ -42,8 +40,8 @@ def test_anchor_extent_offsets_decompose_cells():
     cx = CubicalComplex.full(3, 3)
     offs = cx.offsets()
     for cell in random.Random(3).sample(range(cx.base**3), 60):
-        mask = cx.extent_mask(cell)
-        assert cell == cx.anchor_base(cell) + offs[mask]
+        base, mask = cx.anchor_and_mask(cell)
+        assert cell == base + offs[mask]
         assert bin(mask).count("1") == cx.dim_of(cell)
         for i, c in enumerate(cx.digits(cell)):
             assert bool(mask >> i & 1) == bool(c & 1)
@@ -172,19 +170,6 @@ def test_sphere_fiber_drops_the_excluded_mask():
     assert top.fiber_members((0, 0)) == [0, 1, 2, 3]
 
 
-def test_fiber_map_and_embed():
-    cx = CubicalComplex.full(3, 2)
-    cell = cx.cell_id((3, 6))  # [1,2] x [3,3]
-    assert fiber_map(cx, cell) == (-1, -3)
-    assert fiber_embed(cx, cell) == 0b10
-    vertex = cx.cell_id((2, 6))
-    assert fiber_map(cx, vertex) == fiber_map(cx, cell)
-    assert fiber_embed(cx, vertex) == 0b00
-    # same fiber exactly when the map values agree
-    other = cx.cell_id((2, 5))
-    assert fiber_map(cx, other) != fiber_map(cx, cell)
-
-
 def test_alpha_toggles_extent():
     cx = CubicalComplex.full(2, 2)
     assert alpha(1, 0, cx) == cx.cell_id((1, 0))
@@ -264,29 +249,27 @@ def test_codec_round_trip_on_random_ids():
         assert cx.cell_id(cx.digits(cell)) == cell
 
 
-def test_fiber_map_is_monotone_on_faces():
+def test_face_anchors_dominate_the_cell_anchor():
     cx = CubicalComplex.full(4, 3)
     cubes = [c for c in cx.cells() if cx.dim(c) == 3]
     assert len(cubes) == 4 ** 3
     for cell in cubes:
-        top = fiber_map(cx, cell)
+        top = cx.anchor(cell)
         for face in cx.boundary(cell):
-            assert all(a <= b for a, b in zip(fiber_map(cx, face), top))
+            assert all(a >= b for a, b in zip(cx.anchor(face), top))
 
 
-def test_fiber_embed_preserves_incidence_within_a_fiber():
+def test_extent_masks_preserve_incidence_within_a_fiber():
     cx = CubicalComplex.full(4, 2)
-    base = cx.cell_id((2, 6))  # anchor (1, 3), grade (-1, -3)
+    base = cx.cell_id((2, 6))  # anchor (1, 3)
     masks = cx.fiber_members((1, 3))
     assert len(masks) == 4
     offs = cx.offsets()
     cells = [base + offs[m] for m in masks]
-    assert all(fiber_map(cx, c) == (-1, -3) for c in cells)
-    for a in cells:
-        for b in cells:
-            assert (a in cx.boundary(b)) == (
-                fiber_embed(cx, a) in hboundary(fiber_embed(cx, b))
-            )
+    assert all(cx.anchor_and_mask(c) == (base, m) for c, m in zip(cells, masks))
+    for a, ma in zip(cells, masks):
+        for b, mb in zip(cells, masks):
+            assert (a in cx.boundary(b)) == (ma in hboundary(mb))
 
 
 def test_alpha_is_an_involution():
@@ -333,9 +316,7 @@ def test_table_codec_matches_digit_loop(cx):
     for cell in cells:
         dim, mask, base, faces = _digit_loop_codec(cx, cell)
         assert cx.dim_of(cell) == dim
-        assert cx.extent_mask(cell) == mask
         assert cx.anchor_and_mask(cell) == (base, mask)
-        assert cx.anchor_base(cell) == base
         assert cx._boundary_raw(cell) == faces
 
 

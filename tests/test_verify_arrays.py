@@ -15,7 +15,7 @@ import pytest
 from cubemorse import matching
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import validate_complex
-from cubemorse.cubical import CubicalComplex, alpha
+from cubemorse.cubical import ARRAY_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from .helpers import random_cubical_complex
 
@@ -96,6 +96,13 @@ def test_graded_array_checks_agree_on_braids():
         assert verify_matching(cx, w) == verify_matching(cx, plain)
         assert verify_acyclic(cx, w) is verify_acyclic(cx, plain) is True
         assert verify_stable(cx, w, w.entries()) is verify_stable(cx, plain, w.entries(), w.provenance)
+
+
+def test_ids_beyond_int64_take_the_per_cell_walk():
+    cx = CubicalComplex.from_cells(1, 45, [3 ** 45 - 1])
+    assert not cx._validates_clean()
+    assert validate_complex(cx) == validate_complex(PerCell(cx))
+    assert validate_complex(cx).ok
 
 
 def kinds(report) -> set:
@@ -250,3 +257,32 @@ def test_template_shaped_matchings(monkeypatch, kind):
         assert arrays == cells
         found += arrays[2 if kind == "cycle" else 3] is False
     assert found
+
+
+def test_each_fact_is_computed_once(monkeypatch):
+    """validate_complex reads each member's row and dim once and expands
+    the face formula once per chunk; the two flow checks share one build of
+    the flow edges."""
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("_face_arrays", "_boundary_raw", "dim_of"):
+        count(CubicalComplex, name)
+    cx = CubicalComplex.sphere(5)
+    assert validate_complex(cx).ok
+    n = cx.cell_count
+    assert calls == {"_face_arrays": -(-n // ARRAY_CHUNK), "_boundary_raw": n, "dim_of": n}
+
+    count(matching, "_flow_edges")
+    cx = CubicalComplex.sphere(3)
+    w = TemplateMatching(cx)
+    assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
+    assert calls["_flow_edges"] == 1
