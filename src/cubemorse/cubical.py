@@ -406,7 +406,7 @@ class CubicalComplex(CellComplexLike):
         for lo in range(0, ids.size, ARRAY_CHUNK):
             faces = self._checked_faces(ids[lo:lo + ARRAY_CHUNK])
             if faces is None or not np.array_equal(
-                ids[np.minimum(np.searchsorted(ids, faces), last)], faces
+                ids[np.minimum(np.searchsorted(ids, faces.astype(ids.dtype)), last)], faces
             ):
                 return False
         return True

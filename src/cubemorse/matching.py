@@ -25,7 +25,9 @@ compare the codes with the codec's digits, and the ``dim_of`` and
 ``_boundary_raw`` rows of the matched cells with the array face formula,
 once per cell, ``ARRAY_CHUNK`` cells at a time.  The flow-edge arrays are
 built once per matching (``TemplateMatching._flows``): acyclicity is a
-Kahn peel over them and stability a test on the same edges.  The passes
+Kahn peel over them and stability a test on the same edges; round one's
+flow counting (:func:`cubemorse.morse.morse_boundary`) shares the face
+lookup (:func:`_faces_in`) and the layered peel (:func:`_layers`).  The passes
 only decide that all is clean.  On any anomaly, and for every other oracle,
 the checks walk the cells and query the oracle one cell at a time, which
 writes the exact report or raises the exact error.  Memory beyond the
@@ -311,7 +313,7 @@ class TemplateMatching:
             return None
         ids = cx.member_ids()
         try:
-            code = np.asarray(template_sweep(cx, self._grade_of)[1])
+            code = np.asarray(template_sweep(cx, self._grade_of, ids)[1])
         except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
             return None
         if code.shape != ids.shape or code.dtype.kind not in "iu":
@@ -471,6 +473,23 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
+def _faces_in(cx: CubicalComplex, ids: np.ndarray, cells: np.ndarray):
+    """The member faces of ``cells`` by the array face formula.
+
+    Faces are looked up in ``ids`` in its own dtype, since a ``searchsorted``
+    of int64 keys into int32 ids copies all of ``ids`` first.
+
+    Returns:
+        (owner, at, faces): per member face, the index of its cell in
+        ``cells``, its position in ``ids`` and its id, in
+        :meth:`CubicalComplex._face_arrays` order (owner ascending).
+    """
+    faces, owner, _ = cx._face_arrays(cells)
+    at = np.minimum(np.searchsorted(ids, faces.astype(ids.dtype)), ids.size - 1)
+    keep = ids[at] == faces
+    return owner[keep], at[keep], faces[keep]
+
+
 def _flow_edges(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray):
     """Flow edges of a clean sweep, built ``ARRAY_CHUNK`` lower cells at a time.
 
@@ -487,14 +506,12 @@ def _flow_edges(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray):
     pows = np.array(cx.pows, dtype=np.int64)
     lower = np.flatnonzero(code > 0)
     rank = np.cumsum(code > 0) - 1  # index among the lower cells
-    last = ids.size - 1
     parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
     for lo in range(0, lower.size, ARRAY_CHUNK):
         at = lower[lo:lo + ARRAY_CHUNK]
         partner = ids[at] + pows[code[at] - 1]
-        faces, owner, _ = cx._face_arrays(partner)
-        hit = np.minimum(np.searchsorted(ids, faces), last)
-        keep = (ids[hit] == faces) & (code[hit] > 0) & (faces != ids[at][owner])
+        owner, hit, faces = _faces_in(cx, ids, partner)
+        keep = (code[hit] > 0) & (hit != at[owner])
         owner, hit, gap = owner[keep], hit[keep], (partner[owner] - faces)[keep]
         t = np.searchsorted(pows, gap)
         unstable = (gap > 0) & (t + 1 < np.minimum(code[at][owner], code[hit]))
@@ -503,22 +520,32 @@ def _flow_edges(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray):
     return lower.size, src, dst, unstable
 
 
-def _peel(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+def _rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given rows of a CSR with row
+    pointers ``indptr``, concatenated in the order of ``rows``."""
+    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _layers(n: int, src: np.ndarray, dst: np.ndarray):
     """Kahn's topological peel of the graph on nodes 0..n-1 with edges
-    src -> dst, src ascending: True when every node peels off, i.e. the
-    graph has no directed cycle."""
+    src -> dst, src ascending, one layer at a time: yields, ascending, the
+    nodes whose in-edges all come from earlier layers.  Every node is
+    yielded exactly when the graph has no directed cycle."""
     indeg = np.bincount(dst, minlength=n)
     start = np.searchsorted(src, np.arange(n + 1))
     frontier = np.flatnonzero(indeg == 0)
-    peeled = 0
     while frontier.size:
-        peeled += frontier.size
-        first, count = start[frontier], start[frontier + 1] - start[frontier]
-        out = dst[np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)]
+        yield frontier
+        out = dst[_rows(start, frontier)]
         np.subtract.at(indeg, out, 1)
         out = np.unique(out)
         frontier = out[indeg[out] == 0]
-    return peeled == n
+
+
+def _peel(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """True when the graph of :func:`_layers` has no directed cycle."""
+    return sum(layer.size for layer in _layers(n, src, dst)) == n
 
 
 def _lower_cells(cx, oracle):

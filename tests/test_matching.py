@@ -20,7 +20,7 @@ from cubemorse.matching import (
     verify_matching,
     verify_stable,
 )
-from cubemorse.morse import _sweep_mate
+from cubemorse.morse import _SweepMate
 from .helpers import random_cubical_complex, random_hypercube_members
 
 
@@ -283,7 +283,7 @@ def assert_sweep_matches_oracle(cx, grades=None):
     assert code.dtype == np.int8
     partner, level = fiber_oracle(cx, grades)
     w = TemplateMatching(cx, grades)
-    mate = _sweep_mate(cx, ids, code)
+    mate = _SweepMate(cx, ids, code)
     for c, k in zip(ids.tolist(), code.tolist()):
         step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
         assert c + step == partner[c] == w(c), c

@@ -31,12 +31,13 @@ def test_morse_boundary_counts_flowlines_mod_2():
 
 
 def test_morse_boundary_detects_cycles():
-    # edges 1 and 2 each flow into the other through their partner squares
-    dims = {1: 1, 2: 1, 11: 2, 12: 2, 13: 2}
-    E = ExplicitComplex(dims, {11: (1, 2), 12: (1, 2), 13: (1, 2)})
-    w = {1: 11, 11: 1, 2: 12, 12: 2, 13: 13}
+    # edges 1 and 2 each flow into the other through their partner squares;
+    # the fixed edge 3 gives the fixed square 13 a row to count
+    dims = {1: 1, 2: 1, 3: 1, 11: 2, 12: 2, 13: 2}
+    E = ExplicitComplex(dims, {11: (1, 2), 12: (1, 2), 13: (1, 2, 3)})
+    w = {1: 11, 11: 1, 2: 12, 12: 2, 3: 3, 13: 13}
     with pytest.raises(AcyclicityError):
-        morse_boundary([13], E.boundary, w.__getitem__, E.dim)
+        morse_boundary([3, 13], E.boundary, w.__getitem__, E.dim)
 
 
 def test_morse_complex_full_cube_collapses_to_nothing():

@@ -286,3 +286,15 @@ def test_each_fact_is_computed_once(monkeypatch):
     w = TemplateMatching(cx)
     assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
     assert calls["_flow_edges"] == 1
+
+
+def test_verify_matching_builds_member_ids_once(monkeypatch):
+    """The clean-sweep check hands the member ids it holds to the sweep, so
+    verify_matching on an explicit complex builds them once."""
+    calls = []
+    real = CubicalComplex.member_ids
+    monkeypatch.setattr(CubicalComplex, "member_ids", lambda self: calls.append(self) or real(self))
+    cx = random_cubical_complex(random.Random(4), 3)
+    assert cx.members is not None
+    assert verify_matching(cx, TemplateMatching(cx)).ok
+    assert len(calls) == 1
