@@ -20,13 +20,8 @@ from .core import (
     validate_complex,
 )
 from .cubical import CubicalComplex, alpha, beta
-from .hypercube import HypercubeComplex
 from .matching import (
-    SequenceMatching,
     TemplateMatching,
-    classify,
-    mate,
-    mate_table,
     verify_acyclic,
     verify_matching,
     verify_stable,
@@ -37,7 +32,6 @@ from .morse import (
     connection_matrix,
     generic_round,
     homology,
-    morse_complex,
     template_round,
 )
 from .braid import (
@@ -65,10 +59,8 @@ __all__ = [
     "ExplicitComplex",
     "FormatError",
     "HomologyResult",
-    "HypercubeComplex",
     "IntegrityError",
     "NonMemberCellError",
-    "SequenceMatching",
     "SizeGuardError",
     "SkeletonError",
     "TemplateMatching",
@@ -77,15 +69,11 @@ __all__ = [
     "beta",
     "betti_oracle",
     "build_braid_complex",
-    "classify",
     "condensation",
     "connection_matrix",
     "crossing_number",
     "generic_round",
     "homology",
-    "mate",
-    "mate_table",
-    "morse_complex",
     "nfold_cover",
     "reference_braid",
     "template_round",

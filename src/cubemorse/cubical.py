@@ -47,6 +47,15 @@ TABLE_LIMIT = 4096  # most entries in one chunk table of the codec
 ARRAY_CHUNK = 256  # cells per chunk of the array checks, which bounds their memory
 
 
+def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, hit): the positions of ``keys`` in the ascending ``ids``, clipped
+    to the last, and whether each key is there.  The keys are searched in
+    the dtype of ``ids``, since a ``searchsorted`` of int64 keys into int32
+    ids copies all of ``ids`` first; ``hit`` compares the uncast keys."""
+    at = np.minimum(np.searchsorted(ids, keys.astype(ids.dtype, copy=False)), ids.size - 1)
+    return at, ids[at] == keys
+
+
 class _ParityTable:
     """Chunk table of a one-digit chunk in a base too large to tabulate:
     every entry depends only on the parity of the digit."""
@@ -402,12 +411,9 @@ class CubicalComplex(CellComplexLike):
         if self.total_ids > np.iinfo(np.int64).max:
             return False
         ids = self.member_ids()
-        last = ids.size - 1
         for lo in range(0, ids.size, ARRAY_CHUNK):
             faces = self._checked_faces(ids[lo:lo + ARRAY_CHUNK])
-            if faces is None or not np.array_equal(
-                ids[np.minimum(np.searchsorted(ids, faces.astype(ids.dtype)), last)], faces
-            ):
+            if faces is None or not _lookup(ids, faces)[1].all():
                 return False
         return True
 

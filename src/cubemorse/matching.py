@@ -18,39 +18,48 @@ and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
 induced flow relation, and the pair-stability property that guarantees
 acyclicity for aggregated matchings.
 
-Given a :class:`TemplateMatching`, the checks run as numpy passes over one
-whole sweep.  Partners are ``ids + step[code]``; each must be a member (a
-``searchsorted`` in the member ids) that maps back.  The pair checks
-compare the codes with the codec's digits, and the ``dim_of`` and
-``_boundary_raw`` rows of the matched cells with the array face formula,
-once per cell, ``ARRAY_CHUNK`` cells at a time.  The flow-edge arrays are
-built once per matching (``TemplateMatching._flows``): acyclicity is a
-Kahn peel over them and stability a test on the same edges; round one's
-flow counting (:func:`cubemorse.morse.morse_boundary`) shares the face
-lookup (:func:`_faces_in`) and the layered peel (:func:`_layers`).  The passes
-only decide that all is clean.  On any anomaly, and for every other oracle,
-the checks walk the cells and query the oracle one cell at a time, which
-writes the exact report or raises the exact error.  Memory beyond the
-sweep codes is bounded by the chunk size, except for the flow-edge arrays,
-whose complexes ``FLOW_CHECK_LIMIT`` bounds.
+This module alone reads the sweep's encoding (ids, code): a member's
+partner is ``ids + step[code]`` (:func:`_steps`), found in the member ids
+by ``cubemorse.cubical._lookup``.  Given a :class:`TemplateMatching`, the
+checks run as numpy passes over one whole sweep.  Each partner must be a
+member that maps back.  The pair checks compare the codes with the codec's
+digits, and the ``dim_of`` and ``_boundary_raw`` rows of the matched cells
+with the array face formula, once per cell, ``ARRAY_CHUNK`` cells at a
+time.
+
+One function builds the flow graph of a sweep (:func:`_flow_graph`),
+breadth first, ``ARRAY_CHUNK`` nodes at a time, and two stages read it.
+``verify`` builds it once per matching from all lower cells
+(``TemplateMatching._flows``): acyclicity is a Kahn peel over it and
+stability a test on the same edges.  Round one's flow counting
+(:func:`cubemorse.morse.morse_boundary` given a :class:`_SweepMate`)
+builds it from the fixed cells whose rows count and sums the flow rows mod
+2 in a layered peel from the sinks (:func:`_sweep_flows`).
+
+The ``verify`` passes only decide that all is clean.  On any anomaly, and
+for every other oracle, the checks walk the cells and query the oracle one
+cell at a time, which writes the exact report or raises the exact error.
+Memory beyond the sweep codes is bounded by the chunk size, except for the
+flow graph, whose complexes ``FLOW_CHECK_LIMIT`` bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    AcyclicityError,
     CellComplexLike,
     IntegrityError,
     NonMemberCellError,
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import ARRAY_CHUNK, CubicalComplex, alpha, beta
+from .cubical import ARRAY_CHUNK, CubicalComplex, _lookup, alpha, beta
 
 Entry = Callable[[int], int]
 
@@ -204,13 +213,11 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
         grade = np.fromiter(map(gfun, ids.tolist()), dtype=np.int64, count=n)
     code = np.zeros(n, dtype=np.int8)
     free = np.ones(n, dtype=bool)
-    last = n - 1
     for level, p in enumerate(cx.pows, start=1):
         digit = ids // p % cx.base
         src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
-        want = ids[src] + p
-        dst = np.minimum(np.searchsorted(ids, want), last)
-        ok = (ids[dst] == want) & free[dst]
+        dst, ok = _lookup(ids, ids[src] + p)
+        ok &= free[dst]
         if grade is not None:
             ok &= grade[src] == grade[dst]
         src, dst = src[ok], dst[ok]
@@ -219,6 +226,12 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
         free[src] = False
         free[dst] = False
     return ids, code
+
+
+def _steps(cx: CubicalComplex) -> list[int]:
+    """step[k]: the id change from a cell of sweep code k to its partner,
+    ``pows[k-1]`` for k > 0, ``-pows[-k-1]`` for k < 0 and 0 for k = 0."""
+    return [0, *cx.pows, *(-p for p in reversed(cx.pows))]
 
 
 class SequenceMatching:
@@ -269,7 +282,7 @@ class TemplateMatching:
         self.cx = cx
         self._grade_of = grade_of
         self._codes: dict[int, int] = {}  # member id -> sweep code, for swept members
-        self._step = [0, *cx.pows, *(-p for p in reversed(cx.pows))]  # step[k]: delta of code k
+        self._step = _steps(cx)
         self._fibers_left = 0 if cx.members is not None else (cx.m + 1) ** cx.d // 16
 
     def _code(self, cell: int) -> int:
@@ -321,12 +334,11 @@ class TemplateMatching:
         if np.any(np.abs(code.astype(np.int64)) > cx.d):
             return None
         step = np.array(self._step, dtype=np.int64)
-        partner = ids + step[code]
-        at = np.minimum(np.searchsorted(ids, partner), ids.size - 1)
+        at, hit = _lookup(ids, ids + step[code])
         up = code > 0
         toggled = ids[up] // step[code[up]] % cx.base
         if not (
-            np.array_equal(ids[at], partner)
+            hit.all()
             and np.array_equal(code[at], -code)
             and np.all(toggled % 2 == 0)
             and np.all(toggled < 2 * cx.m)
@@ -340,9 +352,28 @@ class TemplateMatching:
 
     @cached_property
     def _flows(self):
-        """:func:`_flow_edges` of the clean sweep, built once for both
-        :func:`verify_acyclic` and :func:`verify_stable`."""
-        return _flow_edges(self.cx, *self._clean_sweep)
+        """The flow edges of the clean sweep, built once for both
+        :func:`verify_acyclic` and :func:`verify_stable`: the
+        :func:`_flow_graph` of all lower cells, so nodes are numbered by id.
+
+        An edge runs from lower cell q0, with partner k0, to each other
+        lower cell q1 among the faces of k0.  It is unstable when the gap
+        k0 - q1 is pows[t] with t + 1 < min(code(q0), code(q1)): toggle t + 1
+        changes digit t alone, so it sends q1 to k0 exactly then, at a level
+        below both pairs.
+
+        Returns:
+            (n, src, dst, unstable): the number of lower cells, the edges
+            (src ascending, faces in boundary order) and a flag per edge.
+        """
+        cx, (ids, code) = self.cx, self._clean_sweep
+        at, (src, dst), _ = _flow_graph(cx, ids, code, np.flatnonzero(code > 0))
+        step = np.array(self._step, dtype=np.int64)
+        q0, q1 = at[src], at[dst]
+        gap = ids[q0] + step[code[q0]] - ids[q1]
+        t = np.searchsorted(step[1:cx.d + 1], gap)
+        unstable = (gap > 0) & (t + 1 < np.minimum(code[q0], code[q1]))
+        return at.size, src, dst, unstable
 
     def provenance(self, cell: int) -> int | None:
         """1-based level at which the cell pairs; None if unmatched."""
@@ -473,51 +504,47 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
-def _faces_in(cx: CubicalComplex, ids: np.ndarray, cells: np.ndarray):
-    """The member faces of ``cells`` by the array face formula.
+def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np.ndarray):
+    """The flow graph of a sweep (``ids``, ``code``), walked breadth first
+    from the positions ``front``, ``ARRAY_CHUNK`` nodes at a time.
 
-    Faces are looked up in ``ids`` in its own dtype, since a ``searchsorted``
-    of int64 keys into int32 ids copies all of ``ids`` first.
-
-    Returns:
-        (owner, at, faces): per member face, the index of its cell in
-        ``cells``, its position in ``ids`` and its id, in
-        :meth:`CubicalComplex._face_arrays` order (owner ascending).
-    """
-    faces, owner, _ = cx._face_arrays(cells)
-    at = np.minimum(np.searchsorted(ids, faces.astype(ids.dtype)), ids.size - 1)
-    keep = ids[at] == faces
-    return owner[keep], at[keep], faces[keep]
-
-
-def _flow_edges(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray):
-    """Flow edges of a clean sweep, built ``ARRAY_CHUNK`` lower cells at a time.
-
-    An edge runs from lower cell q0, with partner k0, to each other lower
-    cell q1 among the faces of k0.  It is unstable when q1 = k0 - pows[t]
-    with t + 1 < min(code(q0), code(q1)): toggle t + 1 changes digit t
-    alone, so it sends q1 to k0 exactly then, at a level below both pairs.
+    A node at position i steps to the member faces, other than itself, of
+    ``ids[i] + step[code[i]]``: of its partner for a lower cell, of itself
+    for a fixed cell.  A lower face is a node, visited in a later frontier
+    if new; a fixed face ends the flow; an upper face has no flow.  Nodes
+    are numbered in visit order, ``front`` first.  Memory beyond the edges
+    is one int32 node index per member.
 
     Returns:
-        (n, src, dst, unstable): the number of lower cells, the edges as
-        indices of lower cells in id order (src ascending) and a flag per
-        edge.
+        (at, (src, dst), (fsrc, fat)): the position of each node; the edges
+        from nodes to the nodes of their lower faces; and the edges from
+        nodes to the positions of their fixed faces.  Both edge lists run
+        src ascending, faces in :meth:`CubicalComplex._boundary_raw` order.
     """
-    pows = np.array(cx.pows, dtype=np.int64)
-    lower = np.flatnonzero(code > 0)
-    rank = np.cumsum(code > 0) - 1  # index among the lower cells
-    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=bool),)]
-    for lo in range(0, lower.size, ARRAY_CHUNK):
-        at = lower[lo:lo + ARRAY_CHUNK]
-        partner = ids[at] + pows[code[at] - 1]
-        owner, hit, faces = _faces_in(cx, ids, partner)
-        keep = (code[hit] > 0) & (hit != at[owner])
-        owner, hit, gap = owner[keep], hit[keep], (partner[owner] - faces)[keep]
-        t = np.searchsorted(pows, gap)
-        unstable = (gap > 0) & (t + 1 < np.minimum(code[at][owner], code[hit]))
-        parts.append((lo + owner, rank[hit], unstable))
-    src, dst, unstable = (np.concatenate(p) for p in zip(*parts))
-    return lower.size, src, dst, unstable
+    step = np.array(_steps(cx), dtype=np.int64)
+    node = np.full(ids.size, -1, dtype=np.int32)  # position -> node
+    node[front] = np.arange(front.size)
+    visited, n, done = [front], front.size, 0
+    src, at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # edges to faces
+    while front.size:
+        first = len(at)
+        for lo in range(0, front.size, ARRAY_CHUNK):
+            chunk = front[lo:lo + ARRAY_CHUNK]
+            faces, owner, _ = cx._face_arrays(ids[chunk] + step[code[chunk]])
+            pos, hit = _lookup(ids, faces)
+            hit &= (pos != chunk[owner]) & (code[pos] >= 0)
+            src.append(done + owner[hit])
+            at.append(pos[hit])
+            done += chunk.size
+        reached = np.concatenate(at[first:])
+        reached = reached[code[reached] > 0]
+        front = np.unique(reached[node[reached] < 0])
+        node[front] = np.arange(n, n + front.size)
+        n += front.size
+        visited.append(front)
+    src, at = np.concatenate(src), np.concatenate(at)
+    low = code[at] > 0
+    return np.concatenate(visited), (src[low], node[at[low]]), (src[~low], at[~low])
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -548,6 +575,78 @@ def _peel(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     return sum(layer.size for layer in _layers(n, src, dst)) == n
 
 
+class _SweepMate(NamedTuple):
+    """The partner lookup of a :func:`template_sweep` result (``ids``,
+    ``code``): a lower cell (code > 0) maps to its partner, every other
+    member to itself.  :func:`cubemorse.morse.morse_boundary` counts its
+    flows in :func:`_sweep_flows`."""
+
+    cx: CubicalComplex
+    ids: np.ndarray
+    code: np.ndarray
+
+    def __call__(self, cell: int) -> int:
+        k = int(self.code[np.searchsorted(self.ids, cell)])
+        return cell + _steps(self.cx)[max(k, 0)]
+
+
+def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, ...]]:
+    """:func:`cubemorse.morse.morse_boundary` rows of the fixed cells
+    ``sources`` over a sweep, as array passes.
+
+    The :func:`_flow_graph` from the sources holds every lower cell their
+    flows reach.  The flow row of a node is its fixed faces plus the rows
+    of its lower faces, mod 2, so a Kahn peel from the sinks
+    (:func:`_layers`) fills the rows one layer at a time into a CSR in peel
+    order, the sources' rows among them; columns are positions in ``ids``.
+    A lower cell left unpeeled lies on a cycle or flows into one.
+    """
+    if not sources:
+        return {}
+    cx, ids, code = mate
+    at, (src, dst), (fsrc, fat) = _flow_graph(
+        cx, ids, code, np.searchsorted(ids, np.array(sources, dtype=ids.dtype))
+    )
+    n, ncol = at.size, ids.size
+    fix_start = np.searchsorted(fsrc, np.arange(n + 1))
+    succ_start = np.searchsorted(src, np.arange(n + 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)  # flow rows in peel order
+    slot = np.full(n, -1, dtype=np.int64)  # node -> its flow row
+    data = np.empty(max(n, 16), dtype=ids.dtype)
+    done = 0
+    order = np.argsort(dst)
+    for layer in _layers(n, dst[order], src[order]):  # sinks first
+        e, s = _rows(fix_start, layer), _rows(succ_start, layer)
+        v = slot[dst[s]]
+        keys = np.concatenate([
+            fsrc[e] * ncol + fat[e],
+            np.repeat(src[s], indptr[v + 1] - indptr[v]) * ncol + data[_rows(indptr, v)],
+        ])
+        keys, count = np.unique(keys, return_counts=True)
+        keys = keys[count % 2 == 1]
+        slot[layer] = np.arange(done, done + layer.size)
+        ends = indptr[done] + np.searchsorted(keys // ncol, layer, side="right")
+        indptr[done + 1:done + layer.size + 1] = ends
+        if ends[-1] > data.size:
+            data = np.concatenate([data, np.empty(ends[-1], dtype=data.dtype)])
+        data[indptr[done]:ends[-1]] = keys % ncol
+        done += layer.size
+    if done < n:
+        stuck = at[slot < 0]
+        stuck = ids[stuck[code[stuck] > 0].min()]
+        raise AcyclicityError(f"flow from lower cell {stuck} runs into a cycle: matching is cyclic")
+
+    rows = slot[:len(sources)]
+    cols = ids[data[_rows(indptr, rows)]].tolist()
+    out: dict[int, tuple[int, ...]] = {}
+    i = 0
+    for c, k in zip(sources, (indptr[rows + 1] - indptr[rows]).tolist()):
+        if k:
+            out[c] = tuple(cols[i:i + k])
+            i += k
+    return out
+
+
 def _lower_cells(cx, oracle):
     out = {}
     for c in cx.cells():
@@ -566,7 +665,7 @@ def verify_acyclic(
 
     The relation steps from a lower cell q to every other lower cell in the
     boundary of q's partner.  A clean :class:`TemplateMatching` is checked
-    by a Kahn peel over the flow-edge arrays; otherwise an iterative
+    by a Kahn peel over its flow graph; otherwise an iterative
     three-color depth-first search walks the cells.
     """
     _refuse_above("verify_acyclic", cx, max_cells)
@@ -619,7 +718,7 @@ def verify_stable(
 
     A clean ungraded :class:`TemplateMatching`, passed with its own
     :meth:`~TemplateMatching.entries` and provenance, is checked over the
-    flow-edge arrays (see :func:`_flow_edges`); any other input walks the
+    flow graph (see ``TemplateMatching._flows``); any other input walks the
     cells.
 
     Args:

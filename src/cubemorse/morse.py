@@ -8,12 +8,11 @@ could only join fixed cells of a dimension that has none.
 :func:`template_round` runs one reduction round of a cubical complex under
 the template matching, evaluated as an array sweep over the member ids
 (:func:`cubemorse.matching.template_sweep`); its flows are counted as
-array passes over the sweep: a breadth-first walk of the lower cells the
-flows reach, then a layered Kahn peel from the sinks that sums the rows
-mod 2.  Later rounds count flows by memoized depth-first propagation, and
-:func:`generic_round` produces their deterministic acyclic matching on an
-already-explicit complex.  Every round ends in the same collapse onto
-the fixed cells.  :func:`homology` and :func:`connection_matrix` share one
+array passes over the sweep's flow graph in :mod:`cubemorse.matching`, the
+one module that reads the sweep's encoding.  Later rounds count flows by
+memoized depth-first propagation, and :func:`generic_round` produces their
+deterministic acyclic matching on an already-explicit complex.  Every
+round ends in the same collapse onto the fixed cells.  :func:`homology` and :func:`connection_matrix` share one
 reduction loop: homology is the connection matrix over a one-element
 poset, so it runs the loop ungraded, while :func:`connection_matrix` runs
 it graded and stops once no boundary entry joins equal grades.
@@ -23,9 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
-
-import numpy as np
+from typing import Callable, Iterable
 
 from .core import (
     AcyclicityError,
@@ -33,7 +30,7 @@ from .core import (
     IntegrityError,
 )
 from .cubical import CubicalComplex
-from .matching import _faces_in, _layers, _rows, template_sweep
+from .matching import _SweepMate, _sweep_flows, template_sweep
 
 
 def morse_boundary(
@@ -47,9 +44,11 @@ def morse_boundary(
     A reduced boundary entry joins dimensions k and k - 1 only, so a fixed
     cell of dimension k is skipped when no fixed cell has dimension k - 1.
 
-    Given the :class:`_SweepMate` of :func:`template_round`, whose fixed
-    cells must be ``criticals``, the flows are counted in array passes
-    (:func:`_sweep_flows`).  Any other ``mate_of`` is walked cell by cell:
+    Given the :class:`~cubemorse.matching._SweepMate` of
+    :func:`template_round`, whose fixed cells must be ``criticals``, the
+    flows are counted in array passes
+    (:func:`cubemorse.matching._sweep_flows`).  Any other ``mate_of`` is
+    walked cell by cell:
     flow sets (the fixed cells reachable from a lower cell, counted mod 2)
     are memoized, and the traversal is an explicit stack so path length is
     not limited by the interpreter recursion depth.  Either way, a flow
@@ -134,109 +133,6 @@ def morse_boundary(
     return out
 
 
-class _SweepMate(NamedTuple):
-    """The partner lookup of a :func:`template_sweep` result (``ids``,
-    ``code``): a lower cell (code > 0) maps to ``cell + pows[code - 1]``,
-    every other member to itself."""
-
-    cx: CubicalComplex
-    ids: np.ndarray
-    code: np.ndarray
-
-    def __call__(self, cell: int) -> int:
-        k = int(self.code[np.searchsorted(self.ids, cell)])
-        return cell + self.cx.pows[k - 1] if k > 0 else cell
-
-
-def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, ...]]:
-    """:func:`morse_boundary` rows of ``sources`` over a sweep, as array passes.
-
-    A breadth-first walk from the lower faces of the sources records, one
-    frontier of lower cells at a time, the edges from each lower cell to
-    the lower and to the fixed faces of its partner (the fixed cells are
-    the columns, numbered by position).  The flow row of a lower cell is
-    its fixed faces plus the rows of its lower faces, mod 2, so a Kahn peel
-    from the sinks (:func:`cubemorse.matching._layers`) fills the rows one
-    layer at a time into a CSR in peel order; a lower cell left unpeeled
-    lies on a cycle or flows into one.  The sources' rows are summed from
-    their faces the same way.  Memory is one int32 node index per member
-    beyond the sweep.
-    """
-    if not sources:
-        return {}
-    cx, ids, code = mate
-    pows = np.array(cx.pows, dtype=np.int64)
-    fixed = np.flatnonzero(code == 0)
-    ncol = fixed.size
-
-    def classify(owner, at):
-        """Split faces into (owner, column) of the fixed ones and (owner,
-        position) of the lower ones; upper faces have no flow."""
-        c = code[at]
-        crit, low = c == 0, c > 0
-        return owner[crit], np.searchsorted(fixed, at[crit]), owner[low], at[low]
-
-    src_at = np.searchsorted(ids, np.array(sources, dtype=ids.dtype))
-    fix_a, fix_col, low_a, low_at = classify(*_faces_in(cx, ids, ids[src_at])[:2])
-
-    node = np.full(ids.size, -1, dtype=np.int32)  # lower cell position -> node
-    edges = [], [], [], []  # fixed (node, column), lower (node, position)
-    front, n = np.unique(low_at), 0
-    while front.size:
-        node[front] = np.arange(n, n + front.size)
-        partner = ids[front] + pows[code[front] - 1]
-        owner, at, _ = _faces_in(cx, ids, partner)
-        keep = at != front[owner]
-        found = classify(n + owner[keep], at[keep])
-        for acc, part in zip(edges, found):
-            acc.append(part)
-        n += front.size
-        front = np.unique(found[3][node[found[3]] < 0])
-    crit_u, crit_col, src, dst = (np.concatenate(e) if e else np.zeros(0, np.intp) for e in edges)
-    dst = node[dst]
-    crit_start = np.searchsorted(crit_u, np.arange(n + 1))
-    succ_start = np.searchsorted(src, np.arange(n + 1))
-
-    indptr = np.zeros(n + 1, dtype=np.int64)  # flow rows in peel order
-    slot = np.full(n, -1, dtype=np.int64)  # node -> its flow row
-    data = np.empty(max(n, 16), dtype=np.int64)
-
-    def xor_rows(u_crit, col, u_low, v):
-        """(owner, column) pairs, sorted, of the fixed entries plus the flow
-        rows of nodes ``v``, mod 2."""
-        count = indptr[slot[v] + 1] - indptr[slot[v]]
-        keys = np.concatenate([
-            u_crit * ncol + col,
-            np.repeat(u_low, count) * ncol + data[_rows(indptr, slot[v])],
-        ])
-        keys, count = np.unique(keys, return_counts=True)
-        keys = keys[count % 2 == 1]
-        return keys // ncol, keys % ncol
-
-    done = 0
-    order = np.argsort(dst)
-    for layer in _layers(n, dst[order], src[order]):  # sinks first
-        e, s = _rows(crit_start, layer), _rows(succ_start, layer)
-        u, col = xor_rows(crit_u[e], crit_col[e], src[s], dst[s])
-        slot[layer] = np.arange(done, done + layer.size)
-        ends = indptr[done] + np.searchsorted(u, layer, side="right")
-        indptr[done + 1:done + layer.size + 1] = ends
-        if ends[-1] > data.size:
-            data = np.concatenate([data, np.empty(ends[-1], dtype=data.dtype)])
-        data[indptr[done]:ends[-1]] = col
-        done += layer.size
-    if done < n:
-        at = np.flatnonzero(node >= 0)
-        stuck = ids[at[slot[node[at]] < 0][0]]
-        raise AcyclicityError(f"flow from lower cell {stuck} runs into a cycle: matching is cyclic")
-
-    a, col = xor_rows(fix_a, fix_col, low_a, node[low_at])
-    rows: dict[int, list[int]] = {}
-    for c, f in zip(ids[src_at[a]].tolist(), ids[fixed[col]].tolist()):
-        rows.setdefault(c, []).append(f)
-    return {c: tuple(fs) for c, fs in rows.items()}
-
-
 def morse_complex(
     cx,
     oracle: Callable[[int], int],
@@ -258,7 +154,7 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     :func:`cubemorse.matching.template_sweep` matches all member ids in one
     array pass per axis; the members it leaves fixed are the critical cells,
     and :func:`morse_boundary` counts the flows over the sweep's codes in
-    array passes (:class:`_SweepMate`).
+    array passes (:class:`~cubemorse.matching._SweepMate`).
     """
     ids, code = template_sweep(cx, grade_of)
     criticals = ids[code == 0].tolist()

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
 
@@ -31,6 +33,16 @@ def random_cubical_complex(rng: random.Random, d: int, m: int = 3) -> CubicalCom
     total = base**d
     seeds = rng.sample(range(total), rng.randint(1, min(15, total)))
     return CubicalComplex.from_cells(m, d, seeds)
+
+
+@st.composite
+def top_cube_complexes(draw):
+    """Face closures of up to 12 distinct top cubes in C(m; d), d <= 3, m <= 4."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    anchor = st.tuples(*[st.integers(0, m - 1)] * d)
+    anchors = draw(st.lists(anchor, min_size=1, max_size=12, unique=True))
+    return CubicalComplex.from_top_cells(m, d, anchors)
 
 
 def strip_zeros(betti: list[int]) -> list[int]:

@@ -269,8 +269,8 @@ def test_import_does_not_load_scipy():
     import cubemorse
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cubemorse.__file__)))
-    code = "import sys, cubemorse; print('scipy' in sys.modules)"
+    code = "import sys, cubemorse; print('scipy' in sys.modules, 'cubemorse.hypercube' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

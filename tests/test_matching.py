@@ -10,6 +10,7 @@ from cubemorse.hypercube import HypercubeComplex
 from cubemorse import matching
 from cubemorse.matching import (
     SequenceMatching,
+    _SweepMate,
     TemplateMatching,
     classify,
     fiber_mate,
@@ -20,7 +21,6 @@ from cubemorse.matching import (
     verify_matching,
     verify_stable,
 )
-from cubemorse.morse import _SweepMate
 from .helpers import random_cubical_complex, random_hypercube_members
 
 

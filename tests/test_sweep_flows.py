@@ -1,23 +1,24 @@
 """Round-1 flow counting over the template sweep against the per-cell walk.
 
 ``morse_boundary`` counts the flows of :func:`template_round` in array passes
-when it is given the sweep's own mate (``morse._SweepMate``).  Given a plain
+when it is given the sweep's own mate (``matching._SweepMate``).  Given a plain
 lower-only callable built from the same sweep codes, it walks the cells
 depth first.  Both must give the same boundary, or both raise
 :class:`AcyclicityError`.
 """
 import random
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid
 from cubemorse.core import AcyclicityError
 from cubemorse.cubical import CubicalComplex
-from cubemorse.matching import template_sweep
-from cubemorse.morse import _SweepMate, homology, morse_boundary, template_round
-from .helpers import random_cubical_complex
+from cubemorse.matching import _SweepMate, template_sweep
+from cubemorse.morse import homology, morse_boundary, template_round
+from .helpers import random_cubical_complex, top_cube_complexes
 
 
 def both_paths(cx, ids, code):
@@ -67,15 +68,6 @@ def test_grids():
         assert_paths_agree(CubicalComplex.full(m, d))
 
 
-@st.composite
-def top_cube_complexes(draw):
-    d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 4))
-    anchor = st.tuples(*[st.integers(0, m - 1)] * d)
-    anchors = draw(st.lists(anchor, min_size=1, max_size=12, unique=True))
-    return CubicalComplex.from_top_cells(m, d, anchors)
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(top_cube_complexes())
 def test_top_cube_files(cx):
@@ -95,6 +87,10 @@ def test_array_path_detects_cycles():
         code[q], code[q + cx.pows[axis - 1]] = axis, -axis
     assert code[cx.cell_id((1, 3, 2))] == 0
     assert both_paths(cx, ids, code) == [AcyclicityError, AcyclicityError]
+    # the array path names a lower cell on the cycle, never a fixed source
+    with pytest.raises(AcyclicityError) as err:
+        morse_boundary(ids[code == 0].tolist(), cx._boundary_raw, _SweepMate(cx, ids, code), cx.dim_of)
+    assert re.search(r"lower cell (\d+) ", str(err.value)).group(1) in {"67", "63", "87"}
 
 
 def test_flow_pruning_skips_spheres(monkeypatch):

@@ -11,13 +11,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cubemorse import matching
-from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
+from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import validate_complex
 from cubemorse.cubical import ARRAY_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
-from .helpers import random_cubical_complex
+from cubemorse.morse import template_round
+from .helpers import random_cubical_complex, top_cube_complexes
 
 
 class PerCell:
@@ -207,7 +209,7 @@ def random_template_codes(cx, rng):
 
 
 def flow_edges_by_cells(cx, w):
-    """The flow edges of :func:`matching._flow_edges`, from the per-cell
+    """The flow edges of ``TemplateMatching._flows``, from the per-cell
     oracle: lower cells in id order, faces of partners in boundary order,
     and an edge unstable when an earlier toggle sends q1 to k0."""
     lower = {}
@@ -226,13 +228,23 @@ def flow_edges_by_cells(cx, w):
     return len(lower), edges
 
 
-def assert_flow_edges_match(cx):
-    w = TemplateMatching(cx)
-    n, src, dst, unstable = matching._flow_edges(cx, *w._clean_sweep)
-    assert (n, list(zip(src.tolist(), dst.tolist(), unstable.tolist()))) == flow_edges_by_cells(cx, w)
+def assert_flow_edges_match(cx, grades=None):
+    """The flow edges of the array path equal the per-cell ones; a graded
+    matching is compared on the edges alone, since the reference flags
+    instability by the ungraded toggles."""
+    w = TemplateMatching(cx, grades)
+    n, src, dst, unstable = w._flows
+    edges = list(zip(src.tolist(), dst.tolist(), unstable.tolist()))
+    n_ref, edges_ref = flow_edges_by_cells(cx, w)
+    if grades is not None:
+        edges, edges_ref = [e[:2] for e in edges], [e[:2] for e in edges_ref]
+    assert (n, edges) == (n_ref, edges_ref)
 
 
 def test_flow_edges_match_the_per_cell_relation(monkeypatch):
+    for nfold in (1, 2):
+        bc = build_braid_complex(nfold_cover(reference_braid(), nfold))
+        assert_flow_edges_match(bc.cx, bc.grades)
     for cx in clean_inputs():
         assert_flow_edges_match(cx)
     rng = random.Random(5)
@@ -240,6 +252,12 @@ def test_flow_edges_match_the_per_cell_relation(monkeypatch):
         cx = CubicalComplex.sphere(2)
         patch_codes(monkeypatch, *random_template_codes(cx, rng))
         assert_flow_edges_match(cx)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(top_cube_complexes())
+def test_flow_edges_match_the_per_cell_relation_on_top_cube_files(cx):
+    assert_flow_edges_match(cx)
 
 
 @pytest.mark.parametrize("kind", ["cycle", "instability"])
@@ -262,7 +280,7 @@ def test_template_shaped_matchings(monkeypatch, kind):
 def test_each_fact_is_computed_once(monkeypatch):
     """validate_complex reads each member's row and dim once and expands
     the face formula once per chunk; the two flow checks share one build of
-    the flow edges."""
+    the flow graph per matching, and one round builds it at most once."""
     calls = {}
 
     def count(owner, name):
@@ -281,11 +299,18 @@ def test_each_fact_is_computed_once(monkeypatch):
     n = cx.cell_count
     assert calls == {"_face_arrays": -(-n // ARRAY_CHUNK), "_boundary_raw": n, "dim_of": n}
 
-    count(matching, "_flow_edges")
-    cx = CubicalComplex.sphere(3)
-    w = TemplateMatching(cx)
-    assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
-    assert calls["_flow_edges"] == 1
+    count(matching, "_flow_graph")
+    inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
+    for cx in inputs:
+        w = TemplateMatching(cx)
+        assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
+    assert calls["_flow_graph"] == len(inputs)
+    rounds = []
+    for cx in inputs:
+        calls["_flow_graph"] = 0
+        template_round(cx)
+        rounds.append(calls["_flow_graph"])
+    assert rounds[0] == 0 and rounds[1:] == [1, 1]  # the sphere's flows are all pruned
 
 
 def test_verify_matching_builds_member_ids_once(monkeypatch):
