@@ -427,49 +427,62 @@ def _pool_axis(cur: np.ndarray, ax: int, na: int) -> np.ndarray:
 def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True) -> np.ndarray:
     """Grade of every cell of C(m-1; d): least class among its star's tops.
 
-    Pooled axis by axis over the linear-extension ranks: the minimum rank in
-    a star is the least class whenever a least exists.  ``verify`` then
-    checks, for every vertex-interval coordinate, that each cell's grade is
-    below the grade of both cofaces along that axis; by transitivity this
-    certifies leastness for every cell and raises otherwise.
+    Pooled axis by axis over the linear-extension ranks, as int32: the
+    minimum rank in a star is the least class whenever a least exists.
+    ``verify`` then checks, for every vertex-interval coordinate, that each
+    cell's grade is below the grade of both cofaces along that axis; by
+    transitivity this certifies leastness for every cell and raises
+    otherwise (:func:`_verify_grading`).
     """
     na = sk.m - 1
     d = sk.d
-    cur = poset.rank[poset.labels].reshape((na,) * d, order="F")
+    cur = poset.rank.astype(np.int32)[poset.labels].reshape((na,) * d, order="F")
     for ax in range(d):
         cur = _pool_axis(cur, ax, na)
-    rank_flat = cur.ravel(order="F")
-    scc_by_rank = np.empty(poset.n, dtype=np.int64)
-    scc_by_rank[poset.rank] = np.arange(poset.n, dtype=np.int64)
-    grades = scc_by_rank[rank_flat].astype(np.int32)
+    scc_by_rank = np.empty(poset.n, dtype=np.int32)
+    scc_by_rank[poset.rank] = np.arange(poset.n, dtype=np.int32)
+    grades = scc_by_rank[cur.ravel(order="F")]
     if verify:
         _verify_grading(grades, 2 * na + 1, d, poset)
     return grades
 
 
 def _verify_grading(grades: np.ndarray, base: int, d: int, poset: CondensationPoset) -> None:
+    """Raise :class:`IntegrityError` unless every cell's grade is below the
+    grades of its cofaces.
+
+    Along each axis, the slice of odd digits 2l + 1 is compared with the
+    even slices 2l and 2l + 2 of the ``(base,) * d`` grid, and every pair
+    of unequal grades (face p, coface q) is marked in an n x n bool table,
+    n = ``poset.n``.  The table is filled in row blocks of at most
+    ``grades.nbytes`` bytes, and its pairs are checked in ascending (p, q)
+    order, so the error names the smallest pair with p not below q.
+    """
     grid = grades.reshape((base,) * d, order="F")
     n = poset.n
-    codes: set[int] = set()
 
     def digits(ax: int, start: int, stop: int) -> np.ndarray:
         ix: list = [slice(None)] * d
         ix[ax] = slice(start, stop, 2)
-        return grid[tuple(ix)]
+        return grid[tuple(ix)].ravel(order="F")  # contiguous: faster to mask
 
-    for ax in range(d):
-        # each odd digit 2l+1 against its even faces 2l (below) and 2l+2 (above)
-        odd = digits(ax, 1, base)
-        for even in (digits(ax, 0, base - 1), digits(ax, 2, base)):
-            ne = even != odd
-            pair = even[ne].astype(np.int64) * n + odd[ne]
-            codes.update(np.unique(pair).tolist())
-    for code in sorted(codes):
-        p, q = divmod(code, n)
-        if not poset.leq(p, q):
-            raise IntegrityError(
-                f"grade {p} is not below coface grade {q}: star has no least class"
-            )
+    rows = max(1, grades.nbytes // n)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        seen = np.zeros((hi - lo) * n, dtype=bool)  # (p - lo) * n + q
+        for ax in range(d):
+            odd = digits(ax, 1, base)
+            for even in (digits(ax, 0, base - 1), digits(ax, 2, base)):
+                pick = even != odd
+                if hi - lo < n:
+                    pick &= (even >= lo) & (even < hi)
+                seen[(even[pick] - lo).astype(np.int64) * n + odd[pick]] = True
+        for key in np.flatnonzero(seen).tolist():
+            p, q = divmod(key, n)
+            if not poset.leq(p + lo, q):
+                raise IntegrityError(
+                    f"grade {p + lo} is not below coface grade {q}: star has no least class"
+                )
 
 
 def grade_cell(

@@ -9,7 +9,10 @@ sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
 toggles, :func:`template_sweep` is the production evaluation, one array pass
 per axis, and :class:`TemplateMatching` wraps it, so ``verify`` checks the
-matching the reduction rounds use.  :func:`fiber_mate` evaluates it on one
+matching the reduction rounds use.  On a whole grid, where a cell's id is
+its position in the grid's digit array, a pass compares two strided digit
+slices of one axis; elsewhere it looks each partner up among the member
+ids.  :func:`fiber_mate` evaluates it on one
 anchor fiber in pure Python, as the tests' independent oracle and the
 benchmark's fiber replay.
 
@@ -20,7 +23,7 @@ acyclicity for aggregated matchings.
 
 This module alone reads the sweep's encoding (ids, code): a member's
 partner is ``ids + step[code]`` (:func:`_steps`), found in the member ids
-by ``cubemorse.cubical._lookup``.  Given a :class:`TemplateMatching`, the
+by ``cubemorse.cubical._lookup`` wherever a position is not its id.  Given a :class:`TemplateMatching`, the
 checks run as numpy passes over one whole sweep.  Each partner must be a
 member that maps back.  The pair checks compare the codes with the codec's
 digits, and the ``dim_of`` and ``_boundary_raw`` rows of the matched cells
@@ -190,6 +193,13 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
     unmatched odd neighbour (of equal grade, if graded) all at once
     reproduces the level construction of :func:`fiber_mate` exactly.
 
+    A whole grid (``members`` None, ``ids`` None) is swept by position: a
+    cell's id is its index in the ``(base,) * d`` Fortran-order array of
+    all ids, so level i compares the digit slices ``0:2m:2`` and
+    ``1:2m+1:2`` of axis i - 1, with the excluded centre marked taken
+    beforehand.  Any other sweep finds each partner among ``ids`` by
+    ``searchsorted``.
+
     Args:
         cx: the cubical complex.
         grade_of: optional per-cell grade (numpy array, callable or
@@ -203,6 +213,8 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
         ``id + pows[i-1]``, -i when it pairs downward with
         ``id - pows[i-1]``, 0 when it stays fixed.
     """
+    if ids is None and cx.members is None:
+        return _grid_sweep(cx, grade_of)
     ids = cx.member_ids() if ids is None else ids
     n = ids.size
     grade = None
@@ -226,6 +238,39 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
         free[src] = False
         free[dst] = False
     return ids, code
+
+
+def _grid_sweep(cx: CubicalComplex, grade_of) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`template_sweep` of a whole grid, as slice passes over the
+    grid's digit array.  A callable or list grade is evaluated once per
+    member."""
+    shape, excl = (cx.base,) * cx.d, cx._excluded
+    grade = None
+    if isinstance(grade_of, np.ndarray):
+        grade = grade_of.reshape(shape, order="F")
+    elif grade_of is not None:
+        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
+        grade = np.fromiter(map(gfun, cx.cells()), dtype=np.int64, count=cx.cell_count)
+        if excl is not None:
+            grade = np.insert(grade, excl, 0)  # never compared: the centre is taken
+        grade = grade.reshape(shape, order="F")
+    flat = np.zeros(cx.total_ids, dtype=np.int8)
+    taken = np.zeros(cx.total_ids, dtype=bool)
+    if excl is not None:
+        taken[excl] = True
+    code, taken = flat.reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
+    for level in range(1, cx.d + 1):
+        lo = (slice(None),) * (level - 1) + (slice(0, 2 * cx.m, 2),)
+        hi = (slice(None),) * (level - 1) + (slice(1, 2 * cx.m + 1, 2),)
+        ok = ~(taken[lo] | taken[hi])
+        if grade is not None:
+            ok &= grade[lo] == grade[hi]
+        np.copyto(code[lo], level, where=ok)
+        np.copyto(code[hi], -level, where=ok)
+        taken[lo] |= ok
+        taken[hi] |= ok
+    del taken, ok  # freed before the ids are built
+    return cx.member_ids(), flat if excl is None else np.delete(flat, excl)
 
 
 def _steps(cx: CubicalComplex) -> list[int]:
@@ -311,6 +356,7 @@ class TemplateMatching:
     def _clean_sweep(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(ids, code) of one whole :func:`template_sweep` when
         :func:`verify_matching` would find nothing wrong with it, else None.
+        The sweep is the one round one runs, over all members.
 
         Every partner ``ids + step[code]`` must be a member whose partner is
         the cell again, and every pair must toggle an even digit below 2m of
@@ -324,12 +370,11 @@ class TemplateMatching:
         cx = self.cx
         if cx.total_ids > np.iinfo(np.int64).max:
             return None
-        ids = cx.member_ids()
         try:
-            code = np.asarray(template_sweep(cx, self._grade_of, ids)[1])
+            ids, code = map(np.asarray, template_sweep(cx, self._grade_of))
         except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
             return None
-        if code.shape != ids.shape or code.dtype.kind not in "iu":
+        if ids.size != cx.cell_count or code.shape != ids.shape or code.dtype.kind not in "iu":
             return None
         if np.any(np.abs(code.astype(np.int64)) > cx.d):
             return None

@@ -58,11 +58,14 @@ def morse_boundary(
     ``mate_of`` must return the partner of every lower cell (one paired with
     a coface) and may map any other cell, upper cells included, to itself;
     ``dim_of`` is only asked about fixed cells and cells ``mate_of`` moves.
+    ``criticals`` may be a dict from each fixed cell to its dimension, which
+    is then read instead of asking ``dim_of`` about the fixed cells.
     """
+    if not isinstance(criticals, dict):
+        criticals = {c: dim_of(c) for c in criticals}
     order = sorted(criticals)
-    dims = list(map(dim_of, order))
-    have = set(dims)
-    sources = [a for a, k in zip(order, dims) if k - 1 in have]
+    have = set(criticals.values())
+    sources = [a for a in order if criticals[a] - 1 in have]
     if type(mate_of) is _SweepMate:
         return _sweep_flows(mate_of, sources)
     crit = set(order)
@@ -165,9 +168,10 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
 
 def _collapse(criticals, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
     """The tail of every round: the reduced complex on the fixed cells, with
-    dimensions, grades when ``grade_of`` is given, and d^2 = 0 checked."""
-    bdry = morse_boundary(criticals, boundary_of, mate_of, dim_of)
+    dimensions (asked once per cell), grades when ``grade_of`` is given, and
+    d^2 = 0 checked."""
     dims = {c: dim_of(c) for c in criticals}
+    bdry = morse_boundary(dims, boundary_of, mate_of, dim_of)
     grades = None if grade_of is None else {c: int(grade_of(c)) for c in criticals}
     out = ExplicitComplex(dims, bdry, grades)
     out.check_dd_zero()

@@ -261,18 +261,49 @@ def test_verify_grading_agrees_with_coface_scan():
     for _ in range(60):
         grades = bc.grades.copy()
         grades[rng.randrange(grades.size)] = rng.randrange(po.n)
-        bad = any(
-            not po.leq(int(grades[c]), int(grades[k]))
+        bad = sorted(
+            (int(grades[c]), int(grades[k]))
             for c in cx.cells()
             for k in cx.coboundary(c)
+            if not po.leq(int(grades[c]), int(grades[k]))
         )
-        outcomes.add(bad)
+        outcomes.add(bool(bad))
         if bad:
-            with pytest.raises(IntegrityError):
+            p, q = bad[0]
+            with pytest.raises(IntegrityError, match=rf"^grade {p} is not below coface grade {q}:"):
                 _verify_grading(grades, cx.base, cx.d, po)
         else:
             _verify_grading(grades, cx.base, cx.d, po)
     assert outcomes == {False, True}
+
+
+def test_verify_grading_fills_its_table_in_blocks(monkeypatch):
+    """A poset with n * n above ``grades.nbytes`` is checked in row blocks,
+    each table at most ``grades.nbytes``, and the violation in a later
+    block is the one a single table finds."""
+    cx = CubicalComplex.full(2, 2)
+    grades = np.array([[0, 2, 3][cx.dim_of(c)] for c in cx.cells()], dtype=np.int32)
+    grades[cx.cell_id((1, 2))] = 1
+    grades[cx.cell_id((0, 2))] = 2
+
+    class WideChain(ChainPoset):
+        n = 50  # 2,500 table bytes against 100 grade bytes: rows of 2 classes
+
+    tables = []
+    real_zeros = np.zeros
+
+    def zeros(*args, **kwargs):
+        out = real_zeros(*args, **kwargs)
+        if out.dtype == bool:
+            tables.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    for poset, blocks in ((ChainPoset(), [16]), (WideChain(), [100, 100])):
+        tables.clear()
+        with pytest.raises(IntegrityError, match="^grade 2 is not below coface grade 1:"):
+            _verify_grading(grades, cx.base, cx.d, poset)
+        assert tables == blocks  # grade 2 sits in the second block of rows 2..3
 
 
 def test_build_braid_complex_fields():

@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import SizeGuardError, TrichotomyError
@@ -363,3 +366,88 @@ def test_template_sweep_on_sparse_grid():
     assert ids.dtype == np.int64
     assert_sweep_matches_oracle(cx)
     assert int((code == 0).sum()) == 2  # two disjoint contractible closures
+
+
+@st.composite
+def graded_grids(draw):
+    """A whole grid, ``full(m, d)`` (m <= 3, d <= 4), ``sphere(d)`` or
+    ``top_sphere(d)``, with no grade or random grades given by id as an
+    ndarray, a list or a callable."""
+    kind = draw(st.sampled_from(["full", "sphere", "top_sphere"]))
+    if kind == "full":
+        cx = CubicalComplex.full(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    elif kind == "sphere":
+        cx = CubicalComplex.sphere(draw(st.integers(1, 5)))
+    else:
+        cx = CubicalComplex.top_sphere(draw(st.integers(1, 2)))
+    form = draw(st.sampled_from([None, "array", "list", "callable"]))
+    if form is None:
+        return cx, None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grades = rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
+    if form == "list":
+        return cx, grades.tolist()
+    if form == "callable":
+        return cx, lambda c: int(grades[c])
+    return cx, grades
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(graded_grids())
+def test_grid_sweep_equals_member_id_sweep(case):
+    """The slice passes of a whole grid give the member-id sweep's result."""
+    cx, grades = case
+    ids, code = template_sweep(cx, grades)
+    want_ids, want_code = template_sweep(cx, grades, ids=cx.member_ids())
+    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+    assert code.dtype == want_code.dtype and np.array_equal(code, want_code)
+    assert_sweep_matches_oracle(cx, grades)
+
+
+def test_grid_sweep_searches_nothing(monkeypatch):
+    """A whole-grid sweep finds partners by position: no member lookup and
+    no ``searchsorted``.  An explicit complex and a fiber still search."""
+    calls = {"lookup": 0, "searchsorted": 0}
+    real_lookup, real_search = matching._lookup, np.searchsorted
+
+    def lookup(ids, keys):
+        calls["lookup"] += 1
+        return real_lookup(ids, keys)
+
+    def searchsorted(*args, **kwargs):
+        calls["searchsorted"] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_lookup", lookup)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    bc = build_braid_complex(reference_braid())
+    for cx, grades in [
+        (CubicalComplex.full(3, 3), None),
+        (CubicalComplex.sphere(4), None),
+        (CubicalComplex.top_sphere(2), [c % 3 for c in range(7**3)]),
+        (bc.cx, bc.grades),
+    ]:
+        template_sweep(cx, grades)
+        assert calls == {"lookup": 0, "searchsorted": 0}
+    template_sweep(random_cubical_complex(random.Random(3), 3))
+    assert calls["lookup"] == 3 and calls["searchsorted"] == 3
+    cx = CubicalComplex.full(2, 2)
+    template_sweep(cx, ids=cx.member_ids())
+    assert calls["lookup"] == 5
+
+
+def test_grid_sweep_memory_is_a_few_bytes_per_cell():
+    """Peak memory of a graded full-grid sweep stays below 8 bytes per cell,
+    which one int64 array the size of the ids would fill alone: the int32
+    ids, int8 codes, a bool mask and the slice temporaries fit."""
+    cx = CubicalComplex.full(3, 6)
+    grades = (np.arange(cx.total_ids) % 5).astype(np.int32)
+    template_sweep(cx, grades)  # warm the numpy caches outside the trace
+    tracemalloc.start()
+    try:
+        ids, code = template_sweep(cx, grades)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids.dtype == np.int32 and code.dtype == np.int8
+    assert peak < 8 * cx.total_ids, peak / cx.total_ids

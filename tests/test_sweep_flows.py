@@ -113,3 +113,16 @@ def test_flow_pruning_skips_spheres(monkeypatch):
     template_round(CubicalComplex.sphere(1))
     assert calls
 
+
+
+
+def test_round_one_asks_dim_of_once_per_fixed_cell(monkeypatch):
+    """Flow pruning and the reduced complex share one ``dim_of`` call per
+    fixed cell of round one."""
+    cx = random_cubical_complex(random.Random(0), 3)
+    asked = []
+    real = cx.dim_of
+    monkeypatch.setattr(cx, "dim_of", lambda c: asked.append(c) or real(c))
+    E = template_round(cx)
+    assert E.nonzero_boundary()  # flows were counted
+    assert sorted(asked) == sorted(E.dims)

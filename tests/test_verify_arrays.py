@@ -314,7 +314,7 @@ def test_each_fact_is_computed_once(monkeypatch):
 
 
 def test_verify_matching_builds_member_ids_once(monkeypatch):
-    """The clean-sweep check hands the member ids it holds to the sweep, so
+    """The clean-sweep check reads the member ids the sweep returns, so
     verify_matching on an explicit complex builds them once."""
     calls = []
     real = CubicalComplex.member_ids
