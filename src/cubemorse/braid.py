@@ -234,20 +234,23 @@ def _top_flat(anchor: Sequence[int], na: int) -> int:
 
 def _relation_edge_arrays(
     sk: BraidSkeleton, cross_flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges of the crossing relation on flat top-cube indices.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Edges of the crossing relation on flat top-cube indices, split by kind.
 
-    Adjacent top cubes get an edge toward the one with the smaller or equal
-    crossing number (both ways on ties); around an improper vertex all
-    adjacent pairs of its star are linked both ways regardless of crossing
-    numbers.
+    Adjacent top cubes are related toward the one with the smaller crossing
+    number, and both ways when the numbers tie; around an improper vertex all
+    adjacent pairs of its star are related both ways regardless of crossing
+    numbers.  Returns ``((one_u, one_v), (two_a, two_b))``: the strict
+    one-way edges u -> v, and the two-way pairs, each listed once.
     """
     na = sk.m - 1
     d = sk.d
     T = cross_flat.size
     idx = np.arange(T, dtype=np.int64)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
+    one_u: list[np.ndarray] = []
+    one_v: list[np.ndarray] = []
+    two_a: list[np.ndarray] = []
+    two_b: list[np.ndarray] = []
     for ax in range(d):
         stride = na**ax
         k = (idx // stride) % na
@@ -255,27 +258,131 @@ def _relation_edge_arrays(
         nb = sel + stride
         cu = cross_flat[sel]
         cv = cross_flat[nb]
-        down = cv <= cu
-        up = cu <= cv
-        us.append(sel[down])
-        vs.append(nb[down])
-        us.append(nb[up])
-        vs.append(sel[up])
-    extra_u: list[int] = []
-    extra_v: list[int] = []
+        down = cv < cu
+        up = cu < cv
+        tie = cu == cv
+        one_u += [sel[down], nb[up]]
+        one_v += [nb[down], sel[up]]
+        two_a.append(sel[tie])
+        two_b.append(nb[tie])
+    star_a: list[int] = []
+    star_b: list[int] = []
     for vert in improper_vertices(sk):
         tops = set(_star_tops(vert, na))
         for t in tops:
             for ax in range(d):
                 t2 = t[:ax] + (t[ax] + 1,) + t[ax + 1 :]
                 if t2 in tops:
-                    f1, f2 = _top_flat(t, na), _top_flat(t2, na)
-                    extra_u.extend((f1, f2))
-                    extra_v.extend((f2, f1))
-    if extra_u:
-        us.append(np.asarray(extra_u, dtype=np.int64))
-        vs.append(np.asarray(extra_v, dtype=np.int64))
-    return np.concatenate(us), np.concatenate(vs)
+                    star_a.append(_top_flat(t, na))
+                    star_b.append(_top_flat(t2, na))
+    two_a.append(np.asarray(star_a, dtype=np.int64))
+    two_b.append(np.asarray(star_b, dtype=np.int64))
+    return (
+        (np.concatenate(one_u), np.concatenate(one_v)),
+        (np.concatenate(two_a), np.concatenate(two_b)),
+    )
+
+
+def _two_way_components(T: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected pairs (a, b) on nodes 0..T-1.
+
+    Returns, per node, the smallest node of its component.  Each pass hooks
+    the larger of the two labels of every pair still split onto the smaller
+    (``np.minimum.at``), then jumps pointers until every label is a root;
+    labels only ever point to smaller nodes, so the root of a component is
+    its smallest node.  Pairs whose labels agree stay joined and are dropped.
+    """
+    lab = np.arange(T, dtype=np.int64)
+    while True:
+        la, lb = lab[a], lab[b]
+        split = la != lb
+        if not split.any():
+            return lab
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+
+
+def _tarjan(n: int, indptr: list[int], succ: list[int]) -> list[int]:
+    """Strongly connected component id per node of a CSR digraph.
+
+    Iterative Tarjan: ``work`` holds (node, next successor offset) for the
+    depth-first path, ``stack`` the nodes not yet assigned a component.
+    Component ids come out in reverse topological order.
+    """
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, indptr[root])]
+        while work:
+            v, i = work[-1]
+            end = indptr[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    work[-1] = (v, i)
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, indptr[w]))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comp
+
+
+def _strong_components(
+    T: int, one: tuple[np.ndarray, np.ndarray], two: tuple[np.ndarray, np.ndarray]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Strongly connected components of a digraph on nodes 0..T-1.
+
+    ``one`` holds edges u -> v, ``two`` pairs joined both ways.  The two-way
+    pairs are contracted first (:func:`_two_way_components`); Tarjan then
+    runs on the contracted graph of the one-way edges, whose cycles merge
+    contracted nodes further.  Returns ``(n, labels, codes)``: components
+    are numbered by their smallest node, and ``codes`` lists the edges
+    between distinct components once each, as ``p * n + q``, ascending.
+    """
+    roots, node = np.unique(_two_way_components(T, *two), return_inverse=True)
+    k = roots.size
+    cu, cv = node[one[0]], node[one[1]]
+    keep = cu != cv
+    codes = np.unique(cu[keep] * np.int64(k) + cv[keep])
+    cu, cv = codes // k, codes % k
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cu, minlength=k))))
+    # contracted nodes are numbered by their smallest node, so numbering the
+    # components in order of first appearance numbers them by smallest node
+    renum: dict[int, int] = {}
+    scc = [renum.setdefault(c, len(renum)) for c in _tarjan(k, indptr.tolist(), cv.tolist())]
+    n = len(renum)
+    scc = np.asarray(scc, dtype=np.int64)
+    lu, lv = scc[cu], scc[cv]
+    keep = lu != lv
+    return n, scc[node], np.unique(lu[keep] * np.int64(n) + lv[keep])
 
 
 class CondensationPoset:
@@ -283,8 +390,10 @@ class CondensationPoset:
     reachability: p <= q when p can be reached from q.
 
     Classes are numbered by their smallest contained top-cube index, so runs
-    are reproducible.  ``rank`` is a linear extension (sinks get low ranks),
-    used both for least-element queries and the grade pooling.
+    are reproducible.  ``labels`` maps each top cube to its class; the DAG
+    edges ``dag_u[i] -> dag_v[i]`` join distinct classes, once each, in
+    ascending (u, v) order.  ``rank`` is a linear extension (sinks get low
+    ranks), used both for least-element queries and the grade pooling.
     """
 
     def __init__(
@@ -377,39 +486,30 @@ class CondensationPoset:
 
 
 def condensation(sk: BraidSkeleton, cross_flat: np.ndarray | None = None) -> CondensationPoset:
-    """Build the condensation poset of the crossing relation."""
-    # scipy.sparse takes most of the package's import time; only this needs it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Build the condensation poset of the crossing relation.
 
+    The strongly connected classes come from :func:`_strong_components`
+    over the edges of :func:`_relation_edge_arrays`; ``cross_flat`` is the
+    crossing table raveled in Fortran order, computed when not given.
+    """
     if cross_flat is None:
         cross_flat = crossing_table(sk).ravel(order="F")
-    T = cross_flat.size
-    u, v = _relation_edge_arrays(sk, cross_flat)
-    graph = csr_matrix(
-        (np.ones(len(u), dtype=np.int8), (u, v)), shape=(T, T)
+    n, labels, codes = _strong_components(
+        cross_flat.size, *_relation_edge_arrays(sk, cross_flat)
     )
-    ncomp, lab = connected_components(graph, directed=True, connection="strong")
-    first = np.full(ncomp, T, dtype=np.int64)
-    np.minimum.at(first, lab, np.arange(T, dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    renum = np.empty(ncomp, dtype=np.int64)
-    renum[order] = np.arange(ncomp, dtype=np.int64)
-    labels = renum[lab]
-    lu, lv = labels[u], labels[v]
-    keep = lu != lv
-    codes = np.unique(lu[keep] * np.int64(ncomp) + lv[keep])
-    dag_u = codes // ncomp
-    dag_v = codes % ncomp
-    return CondensationPoset(ncomp, labels, dag_u, dag_v, cross_flat)
+    return CondensationPoset(n, labels, codes // n, codes % n, cross_flat)
 
 
 def _pool_axis(cur: np.ndarray, ax: int, na: int) -> np.ndarray:
-    """Expand one top-grid axis to digit resolution, taking minima on vertices."""
+    """Expand one top-grid axis to digit resolution, taking minima on vertices.
+
+    The result is allocated in Fortran order, the order of cell ids, so the
+    fully pooled grid ravels into per-cell grades without a copy.
+    """
     side = 2 * na + 1
     shape = list(cur.shape)
     shape[ax] = side
-    out = np.empty(shape, dtype=cur.dtype)
+    out = np.empty(shape, dtype=cur.dtype, order="F")
 
     def sl(a: int, b: int, step: int | None = None) -> tuple:
         ix: list = [slice(None)] * cur.ndim
@@ -523,13 +623,20 @@ class BraidComplex:
         """Cell tally per (grade, dimension), for Euler bookkeeping."""
         base = self.cx.base
         d = self.cx.d
-        # a cell's dimension is its count of odd digits; the sum over all axes
-        # is symmetric, so the axis order of the grid does not matter
+        # a cell's dimension is its count of odd digits; the last axis is the
+        # slowest, so digit j of it owns one contiguous slab of the grades,
+        # whose dims are those of the other axes plus j & 1.  The sum over
+        # the other axes is symmetric, so their order does not matter.
         parity = (np.arange(base) & 1).astype(np.int8)
-        dims = np.zeros((1,) * d, dtype=np.int8)
-        for ax in range(d):
-            dims = dims + parity.reshape([base if a == ax else 1 for a in range(d)])
-        tally = np.bincount(self.grades * (d + 1) + dims.ravel(), minlength=self.poset.n * (d + 1))
+        dims = np.zeros((1,) * (d - 1), dtype=np.int8)
+        for ax in range(d - 1):
+            dims = dims + parity.reshape([base if a == ax else 1 for a in range(d - 1)])
+        dims = dims.ravel()
+        slab = dims.size
+        tally = np.zeros(self.poset.n * (d + 1), dtype=np.int64)
+        for j in range(base):
+            g = self.grades[j * slab : (j + 1) * slab]
+            tally += np.bincount(g * (d + 1) + (dims + (j & 1)), minlength=tally.size)
         return {
             (int(u) // (d + 1), int(u) % (d + 1)): int(tally[u])
             for u in np.flatnonzero(tally)

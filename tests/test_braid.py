@@ -1,8 +1,11 @@
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubemorse.braid import (
     BraidSkeleton,
@@ -21,6 +24,7 @@ from cubemorse.braid import (
     reference_braid,
     torus_knot,
     validate_skeleton,
+    _strong_components,
     _verify_grading,
 )
 from cubemorse.core import FormatError, IntegrityError
@@ -139,6 +143,95 @@ def test_condensation_reference_counts():
     assert po.n == 13
     assert int(po.top_counts.sum()) == 25
     assert sorted(po.top_counts.tolist()) == [1] * 9 + [4] * 4
+
+
+def mutual_reach_classes(n, edges):
+    """Brute-force strongly connected classes of a digraph on 0..n-1: a
+    boolean transitive closure, classes numbered by their smallest node.
+    Returns (labels, set of class edges (p, q) with p != q)."""
+    reach = np.eye(n, dtype=bool)
+    for u, v in edges:
+        reach[u, v] = True
+    for w in range(n):
+        reach |= reach[:, w : w + 1] & reach[w : w + 1, :]
+    smallest = (reach & reach.T).argmax(axis=1)  # first node reached both ways
+    _, labels = np.unique(smallest, return_inverse=True)
+    dag = {(int(labels[u]), int(labels[v])) for u, v in edges if labels[u] != labels[v]}
+    return labels, dag
+
+
+@st.composite
+def mixed_digraphs(draw):
+    """Nodes 0..n-1 with one-way edges (self-loops and duplicates allowed),
+    a closed walk of one-way edges, and two-way pairs."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    one = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    walk = draw(st.lists(node, max_size=n))
+    one += list(zip(walk, walk[1:] + walk[:1]))
+    one += draw(st.lists(st.sampled_from(one), max_size=3)) if one else []
+    two = draw(st.lists(st.tuples(node, node), max_size=n))
+    return n, one, two
+
+
+def _edge_arrays(pairs):
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mixed_digraphs())
+@example((5, [(0, 1), (1, 2), (2, 0), (3, 3), (3, 4), (3, 4)], [(4, 1)]))  # one-way cycle
+@example((4, [(3, 0), (0, 3)], [(1, 2), (2, 1), (2, 2)]))
+def test_strong_components_match_mutual_reachability(graph):
+    n, one, two = graph
+    labels, dag = mutual_reach_classes(n, one + two + [(b, a) for a, b in two])
+    got_n, got_labels, codes = _strong_components(n, _edge_arrays(one), _edge_arrays(two))
+    assert got_n == labels.max() + 1
+    assert got_labels.tolist() == labels.tolist()
+    assert codes.tolist() == sorted(p * got_n + q for p, q in dag)
+
+
+def crossing_relation_edges(sk):
+    """The crossing relation by loops over top cubes, as flat-index pairs:
+    adjacent tops point toward the smaller or equal crossing number, and
+    adjacent tops around an improper vertex point both ways."""
+    na, d = sk.m - 1, sk.d
+    tbl = crossing_table(sk)
+
+    def flat(t):
+        return sum(k * na**i for i, k in enumerate(t))
+
+    edges = []
+    for t in product(range(na), repeat=d):
+        for ax in range(d):
+            if t[ax] + 1 < na:
+                t2 = t[:ax] + (t[ax] + 1,) + t[ax + 1 :]
+                if tbl[t2] <= tbl[t]:
+                    edges.append((flat(t), flat(t2)))
+                if tbl[t] <= tbl[t2]:
+                    edges.append((flat(t2), flat(t)))
+    for vert in improper_vertices(sk):
+        star = set(product(*[[k for k in (v - 1, v) if 0 <= k < na] for v in vert]))
+        for t in star:
+            for ax in range(d):
+                t2 = t[:ax] + (t[ax] + 1,) + t[ax + 1 :]
+                if t2 in star:
+                    edges += [(flat(t), flat(t2)), (flat(t2), flat(t))]
+    return edges
+
+
+@pytest.mark.parametrize(
+    "sk",
+    [reference_braid(), nfold_cover(reference_braid(), 2), torus_knot(5)],
+    ids=["reference", "nfold2", "torus5"],
+)
+def test_condensation_matches_mutual_reachability(sk):
+    po = condensation(sk)
+    labels, dag = mutual_reach_classes((sk.m - 1) ** sk.d, crossing_relation_edges(sk))
+    assert po.n == labels.max() + 1
+    assert po.labels.tolist() == labels.tolist()  # numbered by smallest top
+    assert list(zip(po.dag_u.tolist(), po.dag_v.tolist())) == sorted(dag)
 
 
 def test_condensation_poset_order_properties():

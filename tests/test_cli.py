@@ -274,3 +274,66 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False"
+
+
+def _run_braid_nfold2(prelude: str) -> str:
+    """`braid --nfold 2 --json` in a fresh interpreter after ``prelude``,
+    with the ``timing_ms`` line removed."""
+    import os
+    import re
+    import subprocess
+    import sys
+
+    import cubemorse
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cubemorse.__file__)))
+    code = (
+        prelude
+        + "from cubemorse.cli import main\n"
+        + "raise SystemExit(main(['braid', '--nfold', '2', '--json']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == EXIT_OK, out.stderr
+    return re.sub(r'\n\s*"timing_ms": [^\n]*', "", out.stdout)
+
+
+def test_braid_runs_with_scipy_blocked():
+    block = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('the block let scipy in')\n"
+    )
+    blocked = _run_braid_nfold2(block)
+    assert '"timing_ms"' not in blocked
+    assert blocked == _run_braid_nfold2("")
+
+
+def test_package_depends_on_numpy_alone():
+    import ast
+    import re
+    from pathlib import Path
+
+    import cubemorse
+
+    tomllib = pytest.importorskip("tomllib")
+    for path in sorted(Path(cubemorse.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), f"{path.name}:{node.lineno}"
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
