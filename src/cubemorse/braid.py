@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import FormatError, IntegrityError
-from .cubical import CubicalComplex
+from .cubical import CubicalComplex, _row_starts
 
 
 class SkeletonError(ValueError):
@@ -373,7 +373,7 @@ def _strong_components(
     keep = cu != cv
     codes = np.unique(cu[keep] * np.int64(k) + cv[keep])
     cu, cv = codes // k, codes % k
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cu, minlength=k))))
+    indptr = _row_starts(k, cu)
     # contracted nodes are numbered by their smallest node, so numbering the
     # components in order of first appearance numbers them by smallest node
     renum: dict[int, int] = {}

@@ -10,7 +10,8 @@ A complex is one of two shapes.  A *grid* is the whole base**d id range,
 optionally minus one excluded cell (the all-odd centre, for the spheres);
 nothing is materialized, and membership, boundary and fiber queries are
 answered from the codec.  An *explicit* complex stores its member ids in
-``members``, a frozenset; a grid has ``members = None``.
+``members``, one sorted read-only array (:meth:`CubicalComplex.member_ids`);
+a grid has ``members = None``.
 
 The codec decodes a cell chunk by chunk rather than digit by digit.  The d
 digits are split into chunks of k digits, k as large as base**k <= 4096
@@ -54,6 +55,11 @@ def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids copies all of ``ids`` first; ``hit`` compares the uncast keys."""
     at = np.minimum(np.searchsorted(ids, keys.astype(ids.dtype, copy=False)), ids.size - 1)
     return at, ids[at] == keys
+
+
+def _row_starts(n: int, rows: np.ndarray) -> np.ndarray:
+    """CSR row pointers over rows 0..n-1 of the entries with ascending row indices ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
 class _ParityTable:
@@ -118,7 +124,9 @@ class CubicalComplex(CellComplexLike):
         self.base = 2 * m + 1
         self.pows = [self.base ** i for i in range(d)]
         self.total_ids = self.base ** d
-        self.members: frozenset[int] | None = None
+        fits = [t for t in (np.int32, np.int64) if self.total_ids <= np.iinfo(t).max]
+        self._id_dtype = np.dtype(fits[0] if fits else object)  # of id arrays; object holds Python ints
+        self.members: np.ndarray | None = None
         self._excluded: int | None = None
         self._offs: list[int] | None = None
         self._tabs: _DigitTables | None = None
@@ -160,8 +168,8 @@ class CubicalComplex(CellComplexLike):
     ) -> "CubicalComplex":
         """Closure of a list of top cubes given by their anchor vectors.
 
-        The closure is built as int64 id arrays, so a grid whose ids exceed
-        int64 is refused with :class:`SizeGuardError`.
+        The closure is built as id arrays in the dtype of ``members``, so a
+        grid whose ids exceed int64 is refused with :class:`SizeGuardError`.
         """
         estimate = len(anchors) * 3 ** d
         if estimate > CLOSURE_CELL_GUARD and not force:
@@ -175,16 +183,17 @@ class CubicalComplex(CellComplexLike):
                 raise FormatError(f"anchor {a} does not have {d} coordinates")
             if min(a) < 0 or max(a) > m - 1:
                 raise FormatError(f"anchor {a} out of range 0..{m - 1}")
-        if cx.total_ids > np.iinfo(np.int64).max:
+        if cx._id_dtype.kind == "O":
             raise SizeGuardError(f"cell ids of a {cx.base}^{d} grid exceed int64")
-        pows = np.array(cx.pows, dtype=np.int64)
-        corners = np.array(anchors, dtype=np.int64).reshape(-1, d) @ (2 * pows)
-        # every digit of a closure cell is 2a, 2a + 1 or 2a + 2
-        steps = np.zeros(1, dtype=np.int64)
-        for p in cx.pows:
-            steps = (steps + np.array([0, p, 2 * p])[:, None]).ravel()
+        pows = np.array(cx.pows, dtype=cx._id_dtype)
+        corners = np.array(anchors, dtype=pows.dtype).reshape(-1, d) @ (2 * pows)
+        # every digit of a closure cell is 2a, 2a + 1 or 2a + 2 <= 2m: no sum overflows
+        steps = np.zeros(1, dtype=pows.dtype)
+        for p in pows:
+            steps = (steps + np.array([0, p, 2 * p], dtype=pows.dtype)[:, None]).ravel()
         ids = np.sort((corners[:, None] + steps).ravel())
-        cx.members = frozenset(ids[np.diff(ids, prepend=-1) != 0].tolist())
+        cx.members = ids[np.diff(ids, prepend=-1) != 0]
+        cx.members.flags.writeable = False
         return cx
 
     @classmethod
@@ -201,7 +210,8 @@ class CubicalComplex(CellComplexLike):
                 raise NonMemberCellError(f"cell id {c} out of range for this grid")
             members.add(c)
             stack.extend(cx._boundary_raw(c))
-        cx.members = frozenset(members)
+        cx.members = np.array(sorted(members), dtype=cx._id_dtype)
+        cx.members.flags.writeable = False
         return cx
 
     # -- codec ----------------------------------------------------------
@@ -277,7 +287,7 @@ class CubicalComplex(CellComplexLike):
     @property
     def cell_count(self) -> int:
         if self.members is not None:
-            return len(self.members)
+            return self.members.size
         return self.total_ids - (self._excluded is not None)
 
     @property
@@ -311,32 +321,30 @@ class CubicalComplex(CellComplexLike):
 
     def cells(self) -> Iterator[int]:
         if self.members is not None:
-            return iter(sorted(self.members))
+            return iter(self.members.tolist())
         excl = self._excluded
         if excl is None:
             return iter(range(self.total_ids))
         return (c for c in range(self.total_ids) if c != excl)
 
     def member_ids(self) -> np.ndarray:
-        """All member cell ids, ascending, as int32 when every id fits, else int64."""
-        if self.total_ids > np.iinfo(np.int64).max:
+        """All member ids, ascending, int32 if every id fits, else int64; ``members`` if explicit."""
+        if self._id_dtype.kind == "O":
             raise SizeGuardError(f"cell ids of a {self.base}^{self.d} grid exceed int64")
-        dtype = np.int32 if self.total_ids <= np.iinfo(np.int32).max else np.int64
         if self.members is not None:
-            ids = np.fromiter(self.members, dtype=dtype, count=len(self.members))
-            ids.sort()
-            return ids
-        ids = np.arange(self.total_ids, dtype=dtype)
+            return self.members
+        ids = np.arange(self.total_ids - (self._excluded is not None), dtype=self._id_dtype)
         if self._excluded is not None:
-            ids = np.delete(ids, self._excluded)
+            ids[self._excluded:] += 1  # in place, so one array of ids exists at a time
         return ids
 
     def is_member(self, cell: int) -> bool:
         if not 0 <= cell < self.total_ids:
             return False
-        if self.members is not None:
-            return cell in self.members
-        return cell != self._excluded
+        if self.members is None:
+            return cell != self._excluded
+        at = self.members.searchsorted(self.members.dtype.type(cell))  # a key of another dtype casts all ids
+        return bool(at < self.members.size and self.members[at] == cell)
 
     def dim(self, cell: int) -> int:
         if not self.is_member(cell):
@@ -459,19 +467,16 @@ class CubicalComplex(CellComplexLike):
             return masks
         base = sum(2 * l * p for l, p in zip(anchor, self.pows))
         offs = self.offsets()
-        is_member = self.is_member
-        return [s for s in masks if is_member(base + offs[s])]
+        return [s for s in masks if self.is_member(base + offs[s])]
 
     def iter_fibers(self) -> Iterator[tuple[int, list[int]]]:
         """Yield (anchor vertex id, member extent masks) for every nonempty
         fiber, in ascending anchor id order."""
         if self.members is not None:
             groups: dict[int, list[int]] = {}
-            for c in self.members:
-                base, mask = self.anchor_and_mask(c)
+            for base, mask in map(self.anchor_and_mask, self.members.tolist()):
                 groups.setdefault(base, []).append(mask)
-            for base in sorted(groups):
-                yield base, sorted(groups[base])
+            yield from sorted(groups.items())  # ascending members give ascending masks
             return
         n_anchor = self.m + 1
         for aidx in range(n_anchor ** self.d):

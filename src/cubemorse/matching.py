@@ -62,7 +62,7 @@ from .core import (
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import ARRAY_CHUNK, CubicalComplex, _lookup, alpha, beta
+from .cubical import ARRAY_CHUNK, CubicalComplex, _lookup, _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
@@ -336,16 +336,14 @@ class TemplateMatching:
             cx = self.cx
             if not cx.is_member(cell):
                 raise NonMemberCellError(f"cell {cell} is not a member")
-            keys = None  # all members
+            ids = None  # all members
             if self._fibers_left:
                 self._fibers_left -= 1
                 anchor = cx.anchor(cell)
                 base, offs = cx.cell_id(tuple(2 * l for l in anchor)), cx.offsets()
-                keys = [base + offs[s] for s in cx.fiber_members(anchor)]
-            ids = None if keys is None else np.array(keys, dtype=np.int64)
-            codes = template_sweep(cx, self._grade_of, ids)[1]
-            # cells() lists the swept ids, reusing an explicit complex's member ints
-            self._codes.update(zip(cx.cells() if keys is None else keys, codes.tolist()))
+                ids = np.array([base + offs[s] for s in cx.fiber_members(anchor)], dtype=np.int64)
+            ids, codes = template_sweep(cx, self._grade_of, ids)
+            self._codes.update(zip(ids.tolist(), codes.tolist()))
             code = self._codes[cell]
         return code
 
@@ -368,9 +366,7 @@ class TemplateMatching:
         Computed once.
         """
         cx = self.cx
-        if cx.total_ids > np.iinfo(np.int64).max:
-            return None
-        try:
+        try:  # ids beyond int64 raise here too
             ids, code = map(np.asarray, template_sweep(cx, self._grade_of))
         except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
             return None
@@ -605,7 +601,7 @@ def _layers(n: int, src: np.ndarray, dst: np.ndarray):
     nodes whose in-edges all come from earlier layers.  Every node is
     yielded exactly when the graph has no directed cycle."""
     indeg = np.bincount(dst, minlength=n)
-    start = np.searchsorted(src, np.arange(n + 1))
+    start = _row_starts(n, src)
     frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
         yield frontier
@@ -653,8 +649,7 @@ def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, .
         cx, ids, code, np.searchsorted(ids, np.array(sources, dtype=ids.dtype))
     )
     n, ncol = at.size, ids.size
-    fix_start = np.searchsorted(fsrc, np.arange(n + 1))
-    succ_start = np.searchsorted(src, np.arange(n + 1))
+    fix_start, succ_start = _row_starts(n, fsrc), _row_starts(n, src)
     indptr = np.zeros(n + 1, dtype=np.int64)  # flow rows in peel order
     slot = np.full(n, -1, dtype=np.int64)  # node -> its flow row
     data = np.empty(max(n, 16), dtype=ids.dtype)

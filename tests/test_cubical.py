@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cubemorse.core import FormatError, NonMemberCellError, SizeGuardError, validate_complex
 from cubemorse.cubical import (
@@ -13,7 +16,7 @@ from cubemorse.cubical import (
 from cubemorse.hypercube import hboundary
 from cubemorse.matching import TemplateMatching
 from cubemorse.morse import _input_euler, homology, template_round
-from .helpers import random_cubical_complex
+from .helpers import random_cubical_complex, top_cube_complexes
 
 
 def test_digit_codec_round_trip():
@@ -144,14 +147,17 @@ def test_fibers_partition_the_complex():
         CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)]),
     ):
         seen: list[int] = []
+        bases = []
         for base, members in cx.iter_fibers():
             assert members, "fibers are nonempty"
             offs = cx.offsets()
             cells = [base + offs[msk] for msk in members]
             seen.extend(cells)
+            bases.append(base)
             anchors = {cx.anchor(c) for c in cells}
             assert len(anchors) == 1
         assert sorted(seen) == sorted(cx.cells())
+        assert bases == sorted(bases), "fibers come in ascending anchor id order"
 
 
 def test_fiber_members_matches_iteration():
@@ -344,7 +350,95 @@ def test_from_top_cells_equals_product_closure():
         for a in anchors:
             for digits in itertools.product(*[(2 * x, 2 * x + 1, 2 * x + 2) for x in a]):
                 want.add(sum(c * p for c, p in zip(digits, cx.pows)))
-        assert cx.members == frozenset(want)
+        assert set(cx.members.tolist()) == want
+
+
+def test_members_is_one_sorted_read_only_array():
+    rng = random.Random(13)
+    anchors = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(20)]
+    cases = [
+        CubicalComplex.from_top_cells(4, 3, anchors),
+        CubicalComplex.from_top_cells(3, 2, []),
+        random_cubical_complex(rng, 3),
+    ]
+    for cx in cases:
+        ids = cx.members
+        assert ids.dtype == np.int32
+        assert np.all(np.diff(ids) > 0)
+        assert not ids.flags.writeable
+        assert cx.member_ids() is ids
+        assert cx.cell_count == ids.size
+        assert list(cx.cells()) == ids.tolist()
+        with pytest.raises(ValueError):
+            ids[:1] = 0
+    assert CubicalComplex.sphere(3).members is None
+
+
+def test_from_top_cells_retains_a_few_bytes_per_cell():
+    """The finished complex holds its members as one int32 array, 4 bytes
+    per cell, where a frozenset of Python ints held about 78."""
+    rng = random.Random(5)
+    anchors = [a for a in itertools.product(range(20), repeat=3) if rng.random() < 0.5]
+    CubicalComplex.from_top_cells(20, 3, anchors[:10])  # warm the numpy caches outside the trace
+    tracemalloc.start()
+    try:
+        cx = CubicalComplex.from_top_cells(20, 3, anchors)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cx.cell_count > 50_000
+    assert held < 8 * cx.cell_count, held / cx.cell_count
+
+
+def test_sphere_member_ids_peak_near_4_bytes_per_cell():
+    """The ids of a centre-removed grid are built in one int32 array, with
+    no second array to delete the centre from."""
+    cx = CubicalComplex.sphere(11)
+    cx.member_ids()  # warm the numpy caches outside the trace
+    tracemalloc.start()
+    try:
+        ids = cx.member_ids()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids.dtype == np.int32 and ids.size == cx.cell_count
+    assert ids[0] == 0 and ids[-1] == cx.total_ids - 1 and cx._excluded not in ids
+    assert np.all(np.diff(ids) > 0)
+    assert peak < 4.5 * cx.cell_count, peak / cx.cell_count
+
+
+def _closure_of_tops(cx):
+    """Face closure, as a set, of the top cubes among the members, from
+    their digits alone."""
+    out = set()
+    for c in cx.members.tolist():
+        digits = cx.digits(c)
+        if all(x & 1 for x in digits):
+            for ds in itertools.product(*[(x - 1, x, x + 1) for x in digits]):
+                out.add(sum(x * p for x, p in zip(ds, cx.pows)))
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(top_cube_complexes())
+def test_is_member_agrees_with_the_closure_set(cx):
+    want = _closure_of_tops(cx)
+    assert set(cx.members.tolist()) == want
+    for c in range(-2, cx.total_ids + 2):
+        assert cx.is_member(c) is (c in want), c
+
+
+def test_is_member_beyond_int64():
+    top = 3 ** 45 - 1
+    cx = CubicalComplex.from_cells(1, 45, [top - 1])  # an edge and its two end vertices
+    assert cx.members.dtype == object and cx.members.tolist() == [top - 2, top - 1, top]
+    want = {top - 2, top - 1, top}
+    for c in [-1, 0, 1, top - 3, *want, top + 1, 2 ** 64]:
+        assert cx.is_member(c) is (c in want), c
+    with pytest.raises(SizeGuardError):
+        cx.member_ids()
+    assert TemplateMatching(cx)._clean_sweep is None  # the checks walk the cells
+    assert TemplateMatching(CubicalComplex.full(1, 45))._clean_sweep is None
 
 
 def test_counts_by_dim_match_brute_force():
