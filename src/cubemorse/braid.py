@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import FormatError, IntegrityError
-from .cubical import CubicalComplex, _row_starts
+from .cubical import CubicalComplex, _distinct, _row_starts
 
 
 class SkeletonError(ValueError):
@@ -371,7 +371,7 @@ def _strong_components(
     k = roots.size
     cu, cv = node[one[0]], node[one[1]]
     keep = cu != cv
-    codes = np.unique(cu[keep] * np.int64(k) + cv[keep])
+    codes = _distinct(cu[keep] * np.int64(k) + cv[keep])
     cu, cv = codes // k, codes % k
     indptr = _row_starts(k, cu)
     # contracted nodes are numbered by their smallest node, so numbering the
@@ -382,7 +382,7 @@ def _strong_components(
     scc = np.asarray(scc, dtype=np.int64)
     lu, lv = scc[cu], scc[cv]
     keep = lu != lv
-    return n, scc[node], np.unique(lu[keep] * np.int64(n) + lv[keep])
+    return n, scc[node], _distinct(lu[keep] * np.int64(n) + lv[keep])
 
 
 class CondensationPoset:

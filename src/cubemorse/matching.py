@@ -31,19 +31,20 @@ with the array face formula, once per cell, ``ARRAY_CHUNK`` cells at a
 time.
 
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
-breadth first, ``ARRAY_CHUNK`` nodes at a time, and two stages read it.
-``verify`` builds it once per matching from all lower cells
-(``TemplateMatching._flows``): acyclicity is a Kahn peel over it and
+breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
+two stages read it.  ``verify`` builds it once per matching from all lower
+cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over it and
 stability a test on the same edges.  Round one's flow counting
 (:func:`cubemorse.morse.morse_boundary` given a :class:`_SweepMate`)
-builds it from the fixed cells whose rows count and sums the flow rows mod
-2 in a layered peel from the sinks (:func:`_sweep_flows`).
+builds it from the fixed cells whose rows count, contracts its chains of
+one-successor nodes and sums the flow rows mod 2 in a layered peel from
+the sinks (:func:`_sweep_flows`, :func:`_flow_rows`).
 
 The ``verify`` passes only decide that all is clean.  On any anomaly, and
 for every other oracle, the checks walk the cells and query the oracle one
 cell at a time, which writes the exact report or raises the exact error.
 Memory beyond the sweep codes is bounded by the chunk size, except for the
-flow graph, whose complexes ``FLOW_CHECK_LIMIT`` bounds.
+flow graph, whose complexes ``FLOW_CHECK_LIMIT`` bounds in ``verify``.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ from .core import (
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import ARRAY_CHUNK, CubicalComplex, _lookup, _row_starts, alpha, beta
+from .cubical import ARRAY_CHUNK, CubicalComplex, _distinct, _lookup, _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
 FLOW_CHECK_LIMIT = 100_000  # default cell limit of verify_acyclic and verify_stable
+# frontier nodes per face-array call of the flow walk: a call has a fixed
+# cost of tens of microseconds, and the bound keeps a walk from all lower
+# cells (verify) from building every face at once
+_WALK_CHUNK = 16 * ARRAY_CHUNK
 
 
 def _refuse_above(name: str, cx: CellComplexLike, max_cells: int) -> None:
@@ -547,14 +552,18 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
 
 def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np.ndarray):
     """The flow graph of a sweep (``ids``, ``code``), walked breadth first
-    from the positions ``front``, ``ARRAY_CHUNK`` nodes at a time.
+    from the positions ``front``: one pass per frontier, each taking its
+    nodes ``_WALK_CHUNK`` at a time into one :meth:`CubicalComplex._face_arrays`
+    call, so the transient face arrays stay bounded however wide the
+    frontier grows.
 
     A node at position i steps to the member faces, other than itself, of
     ``ids[i] + step[code[i]]``: of its partner for a lower cell, of itself
-    for a fixed cell.  A lower face is a node, visited in a later frontier
+    for a fixed cell.  A lower face is a node, visited in the next frontier
     if new; a fixed face ends the flow; an upper face has no flow.  Nodes
-    are numbered in visit order, ``front`` first.  Memory beyond the edges
-    is one int32 node index per member.
+    are numbered in visit order, ``front`` first, each later frontier
+    ascending by position.  Memory beyond the edges is one int32 node index
+    per member.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -569,8 +578,8 @@ def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np
     src, at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # edges to faces
     while front.size:
         first = len(at)
-        for lo in range(0, front.size, ARRAY_CHUNK):
-            chunk = front[lo:lo + ARRAY_CHUNK]
+        for lo in range(0, front.size, _WALK_CHUNK):
+            chunk = front[lo:lo + _WALK_CHUNK]
             faces, owner, _ = cx._face_arrays(ids[chunk] + step[code[chunk]])
             pos, hit = _lookup(ids, faces)
             hit &= (pos != chunk[owner]) & (code[pos] >= 0)
@@ -579,7 +588,7 @@ def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np
             done += chunk.size
         reached = np.concatenate(at[first:])
         reached = reached[code[reached] > 0]
-        front = np.unique(reached[node[reached] < 0])
+        front = _distinct(reached[node[reached] < 0])
         node[front] = np.arange(n, n + front.size)
         n += front.size
         visited.append(front)
@@ -599,21 +608,92 @@ def _layers(n: int, src: np.ndarray, dst: np.ndarray):
     """Kahn's topological peel of the graph on nodes 0..n-1 with edges
     src -> dst, src ascending, one layer at a time: yields, ascending, the
     nodes whose in-edges all come from earlier layers.  Every node is
-    yielded exactly when the graph has no directed cycle."""
+    yielded exactly when the graph has no directed cycle.  Each layer sorts
+    the out-edges of the last one and subtracts each target's run length
+    from its in-degree."""
     indeg = np.bincount(dst, minlength=n)
     start = _row_starts(n, src)
     frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
         yield frontier
-        out = dst[_rows(start, frontier)]
-        np.subtract.at(indeg, out, 1)
-        out = np.unique(out)
+        out, count = _distinct(dst[_rows(start, frontier)], counts=True)
+        indeg[out] -= count
         frontier = out[indeg[out] == 0]
 
 
 def _peel(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     """True when the graph of :func:`_layers` has no directed cycle."""
     return sum(layer.size for layer in _layers(n, src, dst)) == n
+
+
+def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               fsrc: np.ndarray, fat: np.ndarray):
+    """The flow rows of the nodes ``sources`` of a flow graph on nodes
+    0..n-1 with edges ``src -> dst`` between nodes and ``fsrc -> fat`` from
+    nodes to columns, both src ascending: the row of a node is its columns
+    plus the rows of its successors, mod 2.
+
+    A *chain node*, one other than the sources with exactly one successor
+    and no column, has its successor's row.  Pointer jumping
+    (``end = end[end]``) sends every chain node to the end of its chain, and
+    the edges into chain nodes are redirected there, so the chains leave
+    the graph.  A chain node that reaches no end lies on, or leads into, a
+    cycle of chain nodes and stays.  A Kahn peel from the sinks of what is
+    left (:func:`_layers`) then fills the rows one layer at a time into a
+    CSR in peel order.
+
+    Returns:
+        (stuck, indptr, cols): the mask of the nodes that reach a cycle,
+        chain nodes through their chain end; and the rows of ``sources`` as
+        a CSR, columns ascending, the rows of stuck sources empty.
+    """
+    start = _row_starts(n, src)
+    chain = (np.diff(start) == 1) & (np.bincount(fsrc, minlength=n) == 0)
+    chain[sources] = False
+    end = np.arange(n)
+    live = np.flatnonzero(chain)
+    end[live] = dst[start[live]]
+    for _ in range(n.bit_length() + 1):  # chains are shorter than 2**that
+        live = live[chain[end[live]]]
+        if not live.size:
+            break
+        end[live] = end[end[live]]
+    chain[live] = False  # never ended: on or into a cycle of chain nodes, all kept
+    keep = ~chain
+    new = np.cumsum(keep) - 1  # node -> node of the contracted graph
+    m = int(keep.sum())
+    e = keep[src]
+    src, dst, fsrc = new[src[e]], new[end[dst[e]]], new[fsrc]
+
+    ncol = int(fat.max()) + 1 if fat.size else 1
+    fix_start, succ_start = _row_starts(m, fsrc), _row_starts(m, src)
+    indptr = np.zeros(m + 1, dtype=np.int64)  # flow rows in peel order
+    slot = np.full(m, -1, dtype=np.int64)  # node -> its flow row
+    data = np.empty(max(m, 16), dtype=fat.dtype)
+    done = 0
+    order = np.argsort(dst)
+    for layer in _layers(m, dst[order], src[order]):  # sinks first
+        e, s = _rows(fix_start, layer), _rows(succ_start, layer)
+        v = slot[dst[s]]
+        keys = np.concatenate([
+            fsrc[e] * ncol + fat[e],
+            np.repeat(src[s], indptr[v + 1] - indptr[v]) * ncol + data[_rows(indptr, v)],
+        ])
+        keys, count = _distinct(keys, counts=True)
+        keys = keys[count % 2 == 1]
+        slot[layer] = np.arange(done, done + layer.size)
+        ends = indptr[done] + np.searchsorted(keys // ncol, layer, side="right")
+        indptr[done + 1:done + layer.size + 1] = ends
+        if ends[-1] > data.size:
+            data = np.concatenate([data, np.empty(ends[-1], dtype=data.dtype)])
+        data[indptr[done]:ends[-1]] = keys % ncol
+        done += layer.size
+    stuck = slot < 0
+    slot[stuck] = done  # one empty row for every stuck node
+    indptr[done + 1:] = indptr[done]
+    rows = slot[new[sources]]
+    count = indptr[rows + 1] - indptr[rows]
+    return stuck[new[end]], np.concatenate(([0], np.cumsum(count))), data[_rows(indptr, rows)]
 
 
 class _SweepMate(NamedTuple):
@@ -636,11 +716,10 @@ def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, .
     ``sources`` over a sweep, as array passes.
 
     The :func:`_flow_graph` from the sources holds every lower cell their
-    flows reach.  The flow row of a node is its fixed faces plus the rows
-    of its lower faces, mod 2, so a Kahn peel from the sinks
-    (:func:`_layers`) fills the rows one layer at a time into a CSR in peel
-    order, the sources' rows among them; columns are positions in ``ids``.
-    A lower cell left unpeeled lies on a cycle or flows into one.
+    flows reach, and :func:`_flow_rows` sums its rows mod 2 over the graph
+    with its chains contracted, in a few array passes per peel layer;
+    columns are positions in ``ids``.  A lower cell that reaches a cycle
+    raises :class:`AcyclicityError`, naming the smallest such cell.
     """
     if not sources:
         return {}
@@ -648,42 +727,16 @@ def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, .
     at, (src, dst), (fsrc, fat) = _flow_graph(
         cx, ids, code, np.searchsorted(ids, np.array(sources, dtype=ids.dtype))
     )
-    n, ncol = at.size, ids.size
-    fix_start, succ_start = _row_starts(n, fsrc), _row_starts(n, src)
-    indptr = np.zeros(n + 1, dtype=np.int64)  # flow rows in peel order
-    slot = np.full(n, -1, dtype=np.int64)  # node -> its flow row
-    data = np.empty(max(n, 16), dtype=ids.dtype)
-    done = 0
-    order = np.argsort(dst)
-    for layer in _layers(n, dst[order], src[order]):  # sinks first
-        e, s = _rows(fix_start, layer), _rows(succ_start, layer)
-        v = slot[dst[s]]
-        keys = np.concatenate([
-            fsrc[e] * ncol + fat[e],
-            np.repeat(src[s], indptr[v + 1] - indptr[v]) * ncol + data[_rows(indptr, v)],
-        ])
-        keys, count = np.unique(keys, return_counts=True)
-        keys = keys[count % 2 == 1]
-        slot[layer] = np.arange(done, done + layer.size)
-        ends = indptr[done] + np.searchsorted(keys // ncol, layer, side="right")
-        indptr[done + 1:done + layer.size + 1] = ends
-        if ends[-1] > data.size:
-            data = np.concatenate([data, np.empty(ends[-1], dtype=data.dtype)])
-        data[indptr[done]:ends[-1]] = keys % ncol
-        done += layer.size
-    if done < n:
-        stuck = at[slot < 0]
+    stuck, indptr, cols = _flow_rows(at.size, np.arange(len(sources)), src, dst, fsrc, fat)
+    if stuck.any():
+        stuck = at[stuck]
         stuck = ids[stuck[code[stuck] > 0].min()]
         raise AcyclicityError(f"flow from lower cell {stuck} runs into a cycle: matching is cyclic")
-
-    rows = slot[:len(sources)]
-    cols = ids[data[_rows(indptr, rows)]].tolist()
+    cols = ids[cols].tolist()
     out: dict[int, tuple[int, ...]] = {}
-    i = 0
-    for c, k in zip(sources, (indptr[rows + 1] - indptr[rows]).tolist()):
-        if k:
-            out[c] = tuple(cols[i:i + k])
-            i += k
+    for c, lo, hi in zip(sources, indptr[:-1].tolist(), indptr[1:].tolist()):
+        if hi > lo:
+            out[c] = tuple(cols[lo:hi])
     return out
 
 

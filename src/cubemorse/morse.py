@@ -192,14 +192,16 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
         partner dict over all cells; fixed cells map to themselves.
     """
     grades = E.grades if graded else None
+    bdry = E._bdry  # every cell is a member: no per-cell check
     faces: dict[int, tuple[int, ...]] = {}
     counts: dict[int, int] = {}
     cofaces: dict[int, list[int]] = {}
     cells = sorted(E.dims)
     for c in cells:
-        fs = E.boundary(c)
+        fs = bdry.get(c, ())
         if grades is not None:
-            fs = tuple(f for f in fs if grades[f] == grades[c])
+            g = grades[c]
+            fs = tuple(f for f in fs if grades[f] == g)
         faces[c] = fs
         counts[c] = len(fs)
         for f in fs:
@@ -209,48 +211,46 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
     free_heap = [c for c in cells if counts[c] == 0]
     heapq.heapify(match_heap)
     heapq.heapify(free_heap)
-    removed: set[int] = set()
+    push, pop = heapq.heappush, heapq.heappop
     partner = {c: c for c in cells}
 
-    def on_removed(x: int) -> None:
-        for co in cofaces.get(x, ()):
-            if co in removed:
-                continue
-            counts[co] -= 1
-            if counts[co] == 1:
-                heapq.heappush(match_heap, co)
-            elif counts[co] == 0:
-                heapq.heappush(free_heap, co)
-
     remaining = len(cells)
-    while remaining:
+    while remaining:  # a removed cell's count is -1
         k = None
         while match_heap:
-            cand = heapq.heappop(match_heap)
-            if cand not in removed and counts[cand] == 1:
+            cand = pop(match_heap)
+            if counts[cand] == 1:
                 k = cand
                 break
         if k is not None:
-            q = next(f for f in faces[k] if f not in removed)
+            q = next(f for f in faces[k] if counts[f] >= 0)
             partner[q] = k
             partner[k] = q
-            removed.add(q)
-            removed.add(k)
+            counts[q] = counts[k] = -1
             remaining -= 2
-            on_removed(q)
-            on_removed(k)
-            continue
-        c0 = None
-        while free_heap:
-            cand = heapq.heappop(free_heap)
-            if cand not in removed and counts[cand] == 0:
-                c0 = cand
-                break
-        if c0 is None:
-            raise IntegrityError("coreduction stalled with cells remaining")
-        removed.add(c0)
-        remaining -= 1
-        on_removed(c0)
+            gone: tuple[int, ...] = (q, k)
+        else:
+            c0 = None
+            while free_heap:
+                cand = pop(free_heap)
+                if counts[cand] == 0:
+                    c0 = cand
+                    break
+            if c0 is None:
+                raise IntegrityError("coreduction stalled with cells remaining")
+            counts[c0] = -1
+            remaining -= 1
+            gone = (c0,)
+        for x in gone:
+            for co in cofaces.get(x, ()):
+                n = counts[co] - 1
+                if n < 0:
+                    continue  # removed
+                counts[co] = n
+                if n == 1:
+                    push(match_heap, co)
+                elif n == 0:
+                    push(free_heap, co)
     return partner
 
 

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorse.core import FormatError, NonMemberCellError, SizeGuardError, validate_complex
 from cubemorse.cubical import (
     CubicalComplex,
+    _distinct,
     alpha,
     beta,
     parse_top_cell_file,
@@ -510,3 +512,15 @@ def test_non_member_queries_raise(query, where):
     assert not cx.is_member(cell)
     with pytest.raises(NonMemberCellError):
         NON_MEMBER_QUERIES[query](cx, cell)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(-5, 40), max_size=60), st.sampled_from([np.int32, np.int64]))
+def test_distinct_is_unique_with_counts(values, dtype):
+    keys = np.array(values, dtype=dtype)
+    want, count = np.unique(keys, return_counts=True)
+    got = _distinct(keys)
+    assert got.dtype == keys.dtype and np.array_equal(got, want)
+    got, got_count = _distinct(keys, counts=True)
+    assert np.array_equal(got, want) and np.array_equal(got_count, count)
+

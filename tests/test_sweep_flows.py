@@ -4,19 +4,23 @@
 when it is given the sweep's own mate (``matching._SweepMate``).  Given a plain
 lower-only callable built from the same sweep codes, it walks the cells
 depth first.  Both must give the same boundary, or both raise
-:class:`AcyclicityError`.
+:class:`AcyclicityError`.  The row computation alone (``matching._flow_rows``)
+is checked on random digraphs against a memoized depth-first search.
 """
+import itertools
 import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid
 from cubemorse.core import AcyclicityError
 from cubemorse.cubical import CubicalComplex
-from cubemorse.matching import _SweepMate, template_sweep
+from cubemorse import matching
+from cubemorse.matching import _flow_rows, _SweepMate, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
 from .helpers import random_cubical_complex, top_cube_complexes
 
@@ -126,3 +130,144 @@ def test_round_one_asks_dim_of_once_per_fixed_cell(monkeypatch):
     E = template_round(cx)
     assert E.nonzero_boundary()  # flows were counted
     assert sorted(asked) == sorted(E.dims)
+
+
+def walk_passes(cx, ids, code):
+    """(passes, nodes) of the breadth-first flow walk of round one, walked
+    cell by cell: it starts from the fixed cells whose rows count and steps
+    from each node to the new lower faces of its partner, or of itself when
+    fixed."""
+    kind = dict(zip(ids.tolist(), code.tolist()))
+    dims = {c: cx.dim_of(c) for c, k in kind.items() if k == 0}
+    front = [c for c in sorted(dims) if dims[c] - 1 in set(dims.values())]
+    seen, passes, nodes = set(front), 0, 0
+    while front:
+        passes += 1
+        nodes += len(front)
+        nxt = []
+        for c in front:
+            k = kind[c]
+            for f in cx._boundary_raw(c + cx.pows[k - 1] if k > 0 else c):
+                if f != c and kind[f] > 0 and f not in seen:
+                    seen.add(f)
+                    nxt.append(f)
+        front = nxt
+    return passes, nodes
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_walk_takes_each_frontier_in_few_chunks(monkeypatch, chunk):
+    """The flow walk of one ``template_round`` calls ``_face_arrays`` at most
+    once per pass plus once per ``_WALK_CHUNK`` further frontier nodes, on
+    at most ``_WALK_CHUNK`` nodes each, and the chunk size does not change
+    the reduced boundary."""
+    rng = random.Random(5)
+    anchors = [a for a in itertools.product(range(12), repeat=3) if rng.random() < 0.5]
+    cx = CubicalComplex.from_top_cells(12, 3, anchors)
+    want = template_round(cx)._bdry
+    passes, nodes = walk_passes(cx, *template_sweep(cx))
+    if chunk is not None:
+        monkeypatch.setattr(matching, "_WALK_CHUNK", chunk)
+    size = matching._WALK_CHUNK
+    assert nodes > 4 * 256  # wide enough that chunks of 256 would exceed the bound
+    calls = []
+    real = CubicalComplex._face_arrays
+    monkeypatch.setattr(
+        CubicalComplex, "_face_arrays", lambda self, x: calls.append(len(x)) or real(self, x)
+    )
+    assert template_round(cx)._bdry == want
+    assert passes <= len(calls) <= passes + nodes // size
+    assert max(calls) <= size and sum(calls) == nodes
+
+
+def dfs_rows(n, edges, fixed):
+    """Flow rows by memoized depth-first search: (rows, stuck) where a
+    node's row is the set of its columns plus its successors' rows, mod 2,
+    and stuck holds the nodes that reach a cycle (their rows are None)."""
+    succ = [[] for _ in range(n)]
+    cols = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[u].append(v)
+    for u, c in fixed:
+        cols[u].append(c)
+    state, rows, stuck = [0] * n, [None] * n, set()
+
+    def visit(v):
+        state[v] = 1  # open
+        acc = set()
+        for c in cols[v]:
+            acc ^= {c}
+        for w in succ[v]:
+            if state[w] == 0:
+                visit(w)
+            if state[w] == 1 or w in stuck:
+                stuck.add(v)  # an open successor closes a cycle through v
+            else:
+                acc ^= rows[w]
+        state[v] = 2
+        if v not in stuck:
+            rows[v] = acc
+
+    for v in range(n):
+        if not state[v]:
+            visit(v)
+    return rows, stuck
+
+
+@st.composite
+def flow_graphs(draw):
+    """Random digraphs (n, sources, edges, fixed), edges and fixed ascending
+    by source.  Each node is a dead end, a chain node with one successor
+    (often the next node, so chains run long and, closed around the end,
+    form cycles of chain nodes), or a node with a few successors and
+    columns; repeats cancel mod 2."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    col = st.integers(0, 9)
+    edges, fixed = [], []
+    for v in range(n):
+        kind = draw(st.sampled_from(["end", "chain", "next", "any"]))
+        if kind == "end":
+            fixed += [(v, c) for c in draw(st.lists(col, max_size=2))]
+        elif kind == "chain":
+            edges.append((v, draw(node)))
+        elif kind == "next":
+            edges.append((v, (v + 1) % n))
+        else:
+            edges += [(v, w) for w in draw(st.lists(node, max_size=3))]
+            fixed += [(v, c) for c in draw(st.lists(col, max_size=3))]
+    sources = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    return n, sorted(sources), edges, fixed
+
+
+def chain_into(n, cycle_from, fixed=()):
+    """Nodes 0..n-1 each pointing at the next, the last back at ``cycle_from``
+    (None: the last is a dead end), with node 0 the source."""
+    edges = [(v, v + 1) for v in range(n - 1)]
+    if cycle_from is not None:
+        edges.append((n - 1, cycle_from))
+    return n, [0], edges, list(fixed)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(flow_graphs())
+@example(chain_into(30, None, [(29, 3), (29, 5)]))  # a long chain into a dead end
+@example(chain_into(30, 10))  # a chain into a cycle of chain nodes
+@example(chain_into(30, 0))  # a cycle through the source, whose chain contracts to a loop
+@example((4, [3], [(0, 1), (1, 2), (2, 0)], [(3, 1)]))  # a cycle of chain nodes alone
+@example((5, [0, 3], [(0, 1), (1, 2), (2, 1), (3, 4)], [(0, 7), (2, 7), (4, 1)]))
+@example((4, [0], [(0, 1), (0, 2), (1, 3), (2, 3)], [(3, 0), (3, 2)]))  # rows cancel
+def test_flow_rows_match_depth_first_search(graph):
+    """``_flow_rows`` gives the rows of a memoized depth-first search on any
+    digraph, and marks exactly the nodes that reach a cycle."""
+    n, sources, edges, fixed = graph
+    arr = lambda pairs, i: np.array([p[i] for p in pairs], dtype=np.intp)
+    stuck, indptr, cols = _flow_rows(
+        n, np.array(sources, dtype=np.intp), arr(edges, 0), arr(edges, 1), arr(fixed, 0), arr(fixed, 1)
+    )
+    rows, want_stuck = dfs_rows(n, edges, fixed)
+    assert set(np.flatnonzero(stuck).tolist()) == want_stuck
+    for i, s in enumerate(sources):
+        got = cols[indptr[i]:indptr[i + 1]].tolist()
+        assert got == ([] if s in want_stuck else sorted(rows[s]))
+
