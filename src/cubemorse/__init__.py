@@ -1,8 +1,8 @@
 """Memory-light homology and connection matrices for large cubical complexes.
 
-Cells are integer-coded and complexes answer queries from the code, decoded
-through small per-chunk digit tables, instead of materializing incidence
-data.  The first reduction round evaluates the template matching as one
+Cells are integer-coded and complexes answer queries from the code, whose
+digits give each cell's faces by one formula, instead of materializing
+incidence data.  The first reduction round evaluates the template matching as one
 array pass per axis over the member ids; flow counting and the later
 coreduction rounds work on the few cells it leaves fixed.
 """

@@ -257,13 +257,12 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
 
     A :class:`~cubemorse.cubical.CubicalComplex` is first checked by array
     passes in chunks of ``ARRAY_CHUNK`` cells, so memory stays bounded
-    whatever the complex size: one call of ``_boundary_raw`` and ``dim_of``
-    per member, compared with the array face formula, and closure of the
-    faces in the member ids.  Rows equal to the formula are ascending, one
-    dimension lower and square to zero, so these two checks settle the rest
-    (see ``CubicalComplex._validates_clean``).  Those passes only decide
-    that nothing is wrong; on any anomaly the cell-by-cell walk below runs
-    and writes the report.
+    whatever the complex size: its boundary is the face formula, whose rows
+    are ascending, one dimension lower and square to zero, so closure of the
+    formula's faces in the member ids settles the rest (see
+    ``CubicalComplex._validates_clean``).  Those passes only decide that
+    nothing is wrong; on any anomaly the cell-by-cell walk below runs and
+    writes the report.
     """
     from .cubical import CubicalComplex  # cubical imports this module
 

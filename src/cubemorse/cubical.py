@@ -13,14 +13,13 @@ answered from the codec.  An *explicit* complex stores its member ids in
 ``members``, one sorted read-only array (:meth:`CubicalComplex.member_ids`);
 a grid has ``members = None``.
 
-The codec decodes a cell chunk by chunk rather than digit by digit.  The d
-digits are split into chunks of k digits, k as large as base**k <= 4096
-allows, and each chunk has lookup tables indexed by its value: the number of
-odd digits, the extent bits, and the ascending powers of the odd digits
-(with their sum).  A query then costs one ``divmod`` per chunk below the top
-one, e.g. one for the 10-digit ids of ``sphere(9)``.  The tables are built
-on first use and never exceed 4096 entries per chunk, whatever m is; a base
-above 4096 gets one-digit chunks whose entries depend on parity alone.
+The codec is one face formula: the faces of a cell are ``id - pows[i]`` and
+``id + pows[i]`` for each odd digit i (its edge [l, l+1] replaced by [l, l]
+or [l+1, l+1]), and its dimension is the number of odd digits.  The scalar
+queries (:meth:`CubicalComplex.dim_of`, ``anchor_and_mask``, ``boundary``)
+loop over :meth:`CubicalComplex.digits`; the array passes
+(``CubicalComplex._dims``, ``CubicalComplex._face_arrays``) apply the same
+formula to id arrays.
 
 The *fiber* of a cell is the set of cells sharing its anchor (the vector of
 lower endpoints l).  Each fiber is a sub-hypercube spanned by the extent bits,
@@ -30,7 +29,6 @@ time (:func:`alpha`, :func:`beta`).
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 from typing import Callable, Iterator
 
@@ -44,7 +42,6 @@ from .core import (
 )
 
 CLOSURE_CELL_GUARD = 100_000_000
-TABLE_LIMIT = 4096  # most entries in one chunk table of the codec
 ARRAY_CHUNK = 256  # cells per chunk of the array checks, which bounds their memory
 
 
@@ -75,55 +72,6 @@ def _distinct(keys: np.ndarray, counts: bool = False):
     return keys[first], np.diff(first, append=keys.size)
 
 
-class _ParityTable:
-    """Chunk table of a one-digit chunk in a base too large to tabulate:
-    every entry depends only on the parity of the digit."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: list):
-        self.pair = pair
-
-    def __getitem__(self, r: int):
-        return self.pair[r & 1]
-
-
-class _DigitTables:
-    """The codec's chunk tables for one grid (see the module docstring).
-
-    ``mod`` is base**k.  Each of ``odd``, ``bits``, ``offs`` and ``pows`` is
-    a pair (tables of the chunks below the top one, ascending; table of the
-    top chunk): a cell id yields the lower chunk values by ``divmod`` with
-    ``mod`` and leaves the top chunk's value as the last quotient.
-    """
-
-    __slots__ = ("mod", "odd", "bits", "offs", "pows")
-
-    def __init__(self, base: int, pows: list[int]):
-        d = len(pows)
-        k = 1
-        while k < d and base ** (k + 1) <= TABLE_LIMIT:
-            k += 1
-        self.mod = base ** k
-        digits = range(base) if base <= TABLE_LIMIT else range(2)
-        chunks: list[tuple[list, list, list, list]] = []
-        for lo in range(0, d, k):
-            odd, bits, pw = [0], [0], [()]
-            for i in range(lo, min(d, lo + k)):
-                b, p = 1 << i, pows[i]
-                odd = [n + (c & 1) for c in digits for n in odd]
-                bits = [x | b if c & 1 else x for c in digits for x in bits]
-                pw = [ps + (p,) if c & 1 else ps for c in digits for ps in pw]
-            tabs = (odd, bits, [sum(ps) for ps in pw], pw)
-            if base > TABLE_LIMIT:
-                tabs = tuple(_ParityTable(t) for t in tabs)
-            chunks.append(tabs)
-        *low, top = chunks
-        self.odd, self.bits, self.offs, self.pows = (
-            ([c[f] for c in low], top[f]) for f in range(4)
-        )
-
-
 class CubicalComplex(CellComplexLike):
     """See module docstring.  ``CubicalComplex(m, d)`` is the full grid;
     :meth:`sphere` and :meth:`top_sphere` exclude its centre cell, and
@@ -142,7 +90,6 @@ class CubicalComplex(CellComplexLike):
         self.members: np.ndarray | None = None
         self._excluded: int | None = None
         self._offs: list[int] | None = None
-        self._tabs: _DigitTables | None = None
         self._counts_by_dim: list[int] | None = None
 
     # -- constructors ---------------------------------------------------
@@ -252,35 +199,21 @@ class CubicalComplex(CellComplexLike):
         )
 
     def dim_of(self, cell: int) -> int:
-        t = self._tabs or self._tables()
-        low, top = t.odd
-        mod = t.mod
-        n = 0
-        for odd in low:
-            cell, r = divmod(cell, mod)
-            n += odd[r]
-        return n + top[cell]
+        return sum(c & 1 for c in self.digits(cell))
 
     def anchor(self, cell: int) -> tuple[int, ...]:
         return tuple(c // 2 for c in self.digits(cell))
 
     def anchor_and_mask(self, cell: int) -> tuple[int, int]:
         """(id of the anchor vertex of the cell's fiber, extent mask of the
-        cell) in one table pass; bit i-1 of the mask is set when coordinate
-        i is an edge interval."""
-        t = self._tabs or self._tables()
-        (low_bits, top_bits), (low_offs, top_offs) = t.bits, t.offs
-        mod = t.mod
-        rem, mask, off = cell, 0, 0
-        for bits, offs in zip(low_bits, low_offs):
-            rem, r = divmod(rem, mod)
-            mask |= bits[r]
-            off += offs[r]
-        return cell - off - top_offs[rem], mask | top_bits[rem]
-
-    def _tables(self) -> _DigitTables:
-        self._tabs = _DigitTables(self.base, self.pows)
-        return self._tabs
+        cell); bit i-1 of the mask is set when coordinate i is an edge
+        interval."""
+        mask = off = 0
+        for i, (c, p) in enumerate(zip(self.digits(cell), self.pows)):
+            if c & 1:
+                mask |= 1 << i
+                off += p
+        return cell - off, mask
 
     def offsets(self) -> list[int]:
         """offsets()[mask] = id delta from a fiber's anchor vertex to the cell
@@ -310,17 +243,12 @@ class CubicalComplex(CellComplexLike):
     def counts_by_dim(self) -> list[int]:
         """Member cells per dimension 0..max_cell_dim.
 
-        Closed form for grids; an explicit complex counts its members in
-        one int8 digit-parity pass over :meth:`member_ids`.  Computed once
-        per complex.
+        Closed form for grids; an explicit complex counts the :meth:`_dims`
+        of :meth:`member_ids`.  Computed once per complex.
         """
         if self._counts_by_dim is None:
             if self.members is not None:
-                ids = self.member_ids()
-                dims = np.zeros(ids.size, dtype=np.int8)
-                for p in self.pows:
-                    dims += (ids // p % self.base & 1).astype(np.int8)
-                counts = np.bincount(dims, minlength=self.d + 1).tolist()
+                counts = np.bincount(self._dims(self.member_ids()), minlength=self.d + 1).tolist()
             else:
                 # an i-cell picks i edge and d - i vertex digits
                 m, d = self.m, self.d
@@ -365,76 +293,60 @@ class CubicalComplex(CellComplexLike):
         return self.dim_of(cell)
 
     def _boundary_raw(self, cell: int) -> list[int]:
-        t = self._tabs or self._tables()
-        low, top = t.pows
-        mod = t.mod
-        rem, ps = cell, ()
-        for pw in low:
-            rem, r = divmod(rem, mod)
-            ps += pw[r]
-        ps += top[rem]
+        """The faces of a cell by the face formula, ascending, in
+        :meth:`_face_arrays`' order; membership is not checked."""
+        ps = [p for c, p in zip(self.digits(cell), self.pows) if c & 1]
         return [cell - p for p in reversed(ps)] + [cell + p for p in ps]
 
+    def _odd_digits(self, ids: np.ndarray) -> np.ndarray:
+        """(len(ids), d) bool: whether digit i of each id is odd, i.e.
+        whether coordinate i + 1 of the cell is an edge.  Stored one digit
+        per row, so each digit is written, and summed, contiguously."""
+        odd = np.empty((self.d, ids.size), dtype=bool)
+        rem = ids
+        for i in range(self.d):
+            quo = rem // self.base
+            odd[i] = (rem - quo * self.base) & 1
+            rem = quo
+        return odd.T
+
+    def _dims(self, ids: np.ndarray) -> np.ndarray:
+        """The dimension of each cell of ``ids``, its odd-digit count, as int8."""
+        return self._odd_digits(ids).sum(axis=1, dtype=np.int8)
+
     def _face_arrays(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The faces of each cell by the array face formula, flattened in
+        """The faces of each cell by the face formula, flattened in
         :meth:`_boundary_raw`'s order: ``id - pows[i]`` for each odd digit i
         descending, then ``id + pows[i]`` ascending.
 
         Returns:
             (faces, owner, dims): faces as int64, owner[j] the index in
-            ``ids`` of the cell of faces[j], dims the odd-digit counts.
+            ``ids`` of the cell of faces[j], dims as :meth:`_dims`.
         """
         ids = ids.astype(np.int64)
-        odd = np.empty((ids.size, self.d), dtype=bool)
-        rem = ids
-        for i in range(self.d):
-            quo = rem // self.base
-            odd[:, i] = (rem - quo * self.base) & 1
-            rem = quo
+        odd = self._odd_digits(ids)
         pows = np.array(self.pows, dtype=np.int64)
         owner, col = np.nonzero(np.concatenate([odd[:, ::-1], odd], axis=1))
         faces = ids[owner] + np.concatenate([-pows[::-1], pows])[col]
-        return faces, owner, odd.sum(axis=1)
-
-    def _checked_faces(self, ids: np.ndarray, rows: bool = True):
-        """The faces of ``ids`` by :meth:`_face_arrays` when :meth:`dim_of`,
-        and :meth:`_boundary_raw` if ``rows``, called once per cell, return
-        the same dims and faces; None when they do not, or raise."""
-        faces, _, dims = self._face_arrays(ids)
-        cells = ids.tolist()
-        try:
-            if list(map(self.dim_of, cells)) != dims.tolist():
-                return None
-            if not rows:
-                return faces
-            got = list(map(self._boundary_raw, cells))
-            if list(map(len, got)) != (2 * dims).tolist():
-                return None
-            flat = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=faces.size)
-        except Exception:  # noqa: BLE001 - the per-cell walk raises or reports it
-            return None
-        return faces if np.array_equal(flat, faces) else None
+        return faces, owner, odd.sum(axis=1, dtype=np.int8)
 
     def _validates_clean(self) -> bool:
         """Whether :func:`cubemorse.core.validate_complex` finds no violation,
         decided by array passes over :meth:`member_ids` in chunks of
-        ``ARRAY_CHUNK`` cells.
+        ``ARRAY_CHUNK`` cells: every face of :meth:`_face_arrays` must be a
+        member (``searchsorted`` in the member ids).
 
-        Each member's :meth:`_boundary_raw` and :meth:`dim_of` are called
-        once and must equal :meth:`_face_arrays`, the face formula
-        (:meth:`_checked_faces`); every face must then be a member
-        (``searchsorted`` in the member ids).  That is all the per-cell walk
-        can find: closure makes every face a member, so every row and dim it
-        reads is the formula's, and the formula's rows are ascending, one
-        dimension lower and cancel in pairs (d∘d = 0).  False, for the
-        per-cell walk, also when the ids exceed int64.
+        That is all the per-cell walk can find.  It reads :meth:`boundary`
+        and :meth:`dim`, which are the face formula, and the formula's rows
+        are ascending, one dimension lower and cancel in pairs (d∘d = 0);
+        only closure depends on the members.  False, for the per-cell walk,
+        also when the ids exceed int64.
         """
         if self.total_ids > np.iinfo(np.int64).max:
             return False
         ids = self.member_ids()
         for lo in range(0, ids.size, ARRAY_CHUNK):
-            faces = self._checked_faces(ids[lo:lo + ARRAY_CHUNK])
-            if faces is None or not _lookup(ids, faces)[1].all():
+            if not _lookup(ids, self._face_arrays(ids[lo:lo + ARRAY_CHUNK])[0])[1].all():
                 return False
         return True
 

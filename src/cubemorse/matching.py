@@ -25,10 +25,9 @@ This module alone reads the sweep's encoding (ids, code): a member's
 partner is ``ids + step[code]`` (:func:`_steps`), found in the member ids
 by ``cubemorse.cubical._lookup`` wherever a position is not its id.  Given a :class:`TemplateMatching`, the
 checks run as numpy passes over one whole sweep.  Each partner must be a
-member that maps back.  The pair checks compare the codes with the codec's
-digits, and the ``dim_of`` and ``_boundary_raw`` rows of the matched cells
-with the array face formula, once per cell, ``ARRAY_CHUNK`` cells at a
-time.
+member that maps back, and the pair checks compare the codes with the
+codec's digits: a lower cell's toggled digit must be even and below 2m, so
+by the face formula its partner is a coface one dimension up.
 
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
 breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
@@ -363,12 +362,9 @@ class TemplateMatching:
 
         Every partner ``ids + step[code]`` must be a member whose partner is
         the cell again, and every pair must toggle an even digit below 2m of
-        its lower cell up to the odd digit of its upper cell, so the two are
-        face and coface one dimension apart.  ``dim_of`` of every matched
-        cell and ``_boundary_raw`` of every upper cell, which the per-cell
-        checks read, are compared with the codec formula in chunks of
-        ``ARRAY_CHUNK`` cells (``CubicalComplex._checked_faces``).
-        Computed once.
+        its lower cell up to the odd digit of its upper cell.  By the face
+        formula, which is the complex's ``dim`` and ``boundary``, the two
+        are then face and coface one dimension apart.  Computed once.
         """
         cx = self.cx
         try:  # ids beyond int64 raise here too
@@ -390,10 +386,6 @@ class TemplateMatching:
             and np.all(toggled < 2 * cx.m)
         ):
             return None
-        for cells, rows in ((ids[code > 0], False), (ids[code < 0], True)):
-            for lo in range(0, cells.size, ARRAY_CHUNK):
-                if cx._checked_faces(cells[lo:lo + ARRAY_CHUNK], rows) is None:
-                    return None
         return ids, code
 
     @cached_property
@@ -569,7 +561,7 @@ def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
         from nodes to the nodes of their lower faces; and the edges from
         nodes to the positions of their fixed faces.  Both edge lists run
-        src ascending, faces in :meth:`CubicalComplex._boundary_raw` order.
+        src ascending, faces in :meth:`CubicalComplex._face_arrays` order.
     """
     step = np.array(_steps(cx), dtype=np.int64)
     node = np.full(ids.size, -1, dtype=np.int32)  # position -> node

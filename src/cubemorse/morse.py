@@ -147,8 +147,8 @@ def morse_complex(
     cubical complexes prefer :func:`template_round`, which matches all cells
     in a few array passes instead of querying the oracle cell by cell.
     """
-    criticals = [c for c in cx.cells() if oracle(c) == c]
-    return _collapse(criticals, cx.boundary, oracle, cx.dim, grade_of)
+    dims = {c: cx.dim(c) for c in cx.cells() if oracle(c) == c}
+    return _collapse(dims, cx.boundary, oracle, cx.dim, grade_of)
 
 
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
@@ -156,23 +156,25 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
 
     :func:`cubemorse.matching.template_sweep` matches all member ids in one
     array pass per axis; the members it leaves fixed are the critical cells,
-    and :func:`morse_boundary` counts the flows over the sweep's codes in
-    array passes (:class:`~cubemorse.matching._SweepMate`).
+    their dimensions come from one array odd-digit count
+    (``CubicalComplex._dims``), and :func:`morse_boundary` counts the flows
+    over the sweep's codes in array passes
+    (:class:`~cubemorse.matching._SweepMate`).
     """
     ids, code = template_sweep(cx, grade_of)
-    criticals = ids[code == 0].tolist()
+    fixed = ids[code == 0]
+    dims = dict(zip(fixed.tolist(), cx._dims(fixed).tolist()))
     if grade_of is not None and not callable(grade_of):
         grade_of = grade_of.__getitem__
-    return _collapse(criticals, cx._boundary_raw, _SweepMate(cx, ids, code), cx.dim_of, grade_of)
+    return _collapse(dims, cx._boundary_raw, _SweepMate(cx, ids, code), cx.dim_of, grade_of)
 
 
-def _collapse(criticals, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
-    """The tail of every round: the reduced complex on the fixed cells, with
-    dimensions (asked once per cell), grades when ``grade_of`` is given, and
-    d^2 = 0 checked."""
-    dims = {c: dim_of(c) for c in criticals}
+def _collapse(dims, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
+    """The tail of every round: the reduced complex on the fixed cells, the
+    keys of ``dims`` (cell -> dimension), with grades when ``grade_of`` is
+    given, and d^2 = 0 checked."""
     bdry = morse_boundary(dims, boundary_of, mate_of, dim_of)
-    grades = None if grade_of is None else {c: int(grade_of(c)) for c in criticals}
+    grades = None if grade_of is None else {c: int(grade_of(c)) for c in dims}
     out = ExplicitComplex(dims, bdry, grades)
     out.check_dd_zero()
     return out
@@ -256,11 +258,9 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
 
 def reduce_round(E: ExplicitComplex, partner: dict[int, int]) -> ExplicitComplex:
     """Collapse an explicit complex along a matching given as a partner dict."""
-    criticals = [c for c in E.dims if partner[c] == c]
+    dims = {c: k for c, k in E.dims.items() if partner[c] == c}
     grade_of = None if E.grades is None else E.grades.__getitem__
-    return _collapse(
-        criticals, lambda c: E._bdry.get(c, ()), partner.__getitem__, E.dims.__getitem__, grade_of
-    )
+    return _collapse(dims, lambda c: E._bdry.get(c, ()), partner.__getitem__, E.dims.__getitem__, grade_of)
 
 
 @dataclass

@@ -295,52 +295,57 @@ def test_alpha_is_an_involution():
             assert alpha(i, once, cx) == cell
 
 
-def _digit_loop_codec(cx, cell):
-    """Reference decode, one digit at a time: (dim, extent mask, anchor
-    base, sorted raw boundary)."""
-    digits = cx.digits(cell)
-    odd = [i for i, c in enumerate(digits) if c & 1]
-    base = sum((c & ~1) * p for c, p in zip(digits, cx.pows))
-    faces = sorted(cell + s * cx.pows[i] for i in odd for s in (-1, 1))
-    return len(odd), sum(1 << i for i in odd), base, faces
+def _interval_codec(cx, cell):
+    """Reference decode from the intervals: (dim, extent mask, anchor id,
+    faces ascending).  A face replaces one edge [l, l+1] by the vertex
+    [l, l] or [l+1, l+1]; cells are encoded back by ``cell_id``."""
+    iv = cx.intervals(cell)
+    encode = lambda ivs: cx.cell_id(tuple(l + u for l, u in ivs))  # noqa: E731 - [l, u] has digit l + u
+    edges = [i for i, (l, u) in enumerate(iv) if u > l]
+    anchor = encode((l, l) for l, _ in iv)
+    faces = sorted(encode(iv[:i] + ((v, v),) + iv[i + 1:]) for i in edges for v in iv[i])
+    return len(edges), sum(1 << i for i in edges), anchor, faces
 
 
 @pytest.mark.parametrize(
     "cx",
     [
-        CubicalComplex.full(1, 5),  # base 3, one chunk
-        CubicalComplex.sphere(9),  # base 3, chunks of 7 + 3 digits
-        CubicalComplex.sphere(20),  # base 3, three chunks of 7
-        CubicalComplex.full(5, 7),  # base 11, chunks of 3 + 3 + 1 digits
-        CubicalComplex.full(30, 3),  # base 61, chunks of 2 + 1 digits
-        CubicalComplex.from_cells(1000, 3, [2001**3 - 2]),  # ids above 2^32
-        CubicalComplex.full(5000, 2),  # base 10001: one-digit parity chunks
+        CubicalComplex.full(1, 5),  # base 3
+        CubicalComplex.sphere(9),  # base 3, 10 digits
+        CubicalComplex.sphere(20),  # base 3, 21 digits, ids above 2^32
+        CubicalComplex.full(5, 7),  # base 11
+        CubicalComplex.full(30, 3),  # base 61
+        CubicalComplex.from_cells(1000, 3, [2001**3 - 2]),  # int64 ids
+        CubicalComplex.full(5000, 2),  # base 10001
     ],
     ids=["b3d5", "sphere9", "sphere20", "b11d7", "b61d3", "b2001-int64", "b10001"],
 )
 def test_table_codec_matches_digit_loop(cx):
+    """The codec's scalar queries and array passes against the decode from
+    the intervals."""
     rng = random.Random(cx.base * 31 + cx.d)
     cells = [0, cx.total_ids - 1] + [rng.randrange(cx.total_ids) for _ in range(3000)]
-    for cell in cells:
-        dim, mask, base, faces = _digit_loop_codec(cx, cell)
+    want = [_interval_codec(cx, cell) for cell in cells]
+    for cell, (dim, mask, anchor, faces) in zip(cells, want):
         assert cx.dim_of(cell) == dim
-        assert cx.anchor_and_mask(cell) == (base, mask)
+        assert cx.anchor_and_mask(cell) == (anchor, mask)
         assert cx._boundary_raw(cell) == faces
+    ids = np.array(cells, dtype=cx._id_dtype)  # as the member ids hold them
+    dims = [w[0] for w in want]
+    assert cx._dims(ids).tolist() == dims
+    faces, owner, got_dims = cx._face_arrays(ids)
+    assert faces.tolist() == [f for w in want for f in w[3]]
+    assert owner.tolist() == [i for i, w in enumerate(want) for _ in w[3]]
+    assert got_dims.tolist() == dims
 
 
-def test_codec_tables_do_not_grow_with_m():
+def test_codec_handles_any_m():
+    """The codec decodes ids of a grid with m = 10^6 intervals per axis."""
     m, d, anchors = parse_top_cell_file("3 1000000\n0 0 0\n999999 5 7\n")
     cx = CubicalComplex.from_top_cells(m, d, anchors)
     assert cx.cell_count == 54
     assert cx.dim_of(cx.cell_id((1, 1, 2 * m))) == 2
     assert homology(cx).betti == [2, 0, 0, 0]
-    for low, top in (cx._tabs.odd, cx._tabs.bits, cx._tabs.offs, cx._tabs.pows):
-        for tab in low + [top]:
-            assert not isinstance(tab, list) or len(tab) <= 4096
-    for cx in (CubicalComplex.full(30, 3), CubicalComplex.sphere(20)):
-        cx.dim_of(0)
-        for low, top in (cx._tabs.odd, cx._tabs.pows):
-            assert all(len(tab) <= 4096 for tab in low + [top])
 
 
 def test_from_top_cells_equals_product_closure():

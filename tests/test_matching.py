@@ -418,9 +418,9 @@ def test_grid_sweep_searches_nothing(monkeypatch):
         calls["searchsorted"] += 1
         return real_search(*args, **kwargs)
 
+    bc = build_braid_complex(reference_braid())  # before patching: only the sweeps count
     monkeypatch.setattr(matching, "_lookup", lookup)
     monkeypatch.setattr(np, "searchsorted", searchsorted)
-    bc = build_braid_complex(reference_braid())
     for cx, grades in [
         (CubicalComplex.full(3, 3), None),
         (CubicalComplex.sphere(4), None),

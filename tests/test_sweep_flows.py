@@ -118,18 +118,18 @@ def test_flow_pruning_skips_spheres(monkeypatch):
     assert calls
 
 
-
-
-def test_round_one_asks_dim_of_once_per_fixed_cell(monkeypatch):
-    """Flow pruning and the reduced complex share one ``dim_of`` call per
-    fixed cell of round one."""
+def test_round_one_takes_fixed_dims_in_one_array_pass(monkeypatch):
+    """Flow pruning and the reduced complex share one ``_dims`` pass over
+    the fixed cells of round one and ask ``dim_of`` nothing."""
     cx = random_cubical_complex(random.Random(0), 3)
-    asked = []
-    real = cx.dim_of
-    monkeypatch.setattr(cx, "dim_of", lambda c: asked.append(c) or real(c))
+    asked, passes = [], []
+    real_dim_of, real_dims = cx.dim_of, cx._dims
+    monkeypatch.setattr(cx, "dim_of", lambda c: asked.append(c) or real_dim_of(c))
+    monkeypatch.setattr(cx, "_dims", lambda ids: passes.append(ids.tolist()) or real_dims(ids))
     E = template_round(cx)
     assert E.nonzero_boundary()  # flows were counted
-    assert sorted(asked) == sorted(E.dims)
+    assert asked == [] and passes == [sorted(E.dims)]
+    assert E.dims == {c: real_dim_of(c) for c in E.dims}
 
 
 def walk_passes(cx, ids, code):
