@@ -256,10 +256,10 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
     (capped at 200) rather than raised.
 
     A :class:`~cubemorse.cubical.CubicalComplex` is first checked by array
-    passes in chunks of ``ARRAY_CHUNK`` cells, so memory stays bounded
+    passes in chunks of ``_WALK_CHUNK`` cells, so memory stays bounded
     whatever the complex size: its boundary is the face formula, whose rows
     are ascending, one dimension lower and square to zero, so closure of the
-    formula's faces in the member ids settles the rest (see
+    formula's faces among the members settles the rest (see
     ``CubicalComplex._validates_clean``).  Those passes only decide that
     nothing is wrong; on any anomaly the cell-by-cell walk below runs and
     writes the report.

@@ -13,6 +13,13 @@ answered from the codec.  An *explicit* complex stores its member ids in
 ``members``, one sorted read-only array (:meth:`CubicalComplex.member_ids`);
 a grid has ``members = None``.
 
+Array passes address members by *position*, their index in ascending id
+order.  One codec maps ids to positions and back
+(:meth:`CubicalComplex._locate`, :meth:`CubicalComplex._ids_at`): on a grid
+it is arithmetic, a position being the id shifted down by one past the
+excluded centre, so no id array is built and nothing is searched; an
+explicit complex searches ``members``.
+
 The codec is one face formula: the faces of a cell are ``id - pows[i]`` and
 ``id + pows[i]`` for each odd digit i (its edge [l, l+1] replaced by [l, l]
 or [l+1, l+1]), and its dimension is the number of odd digits.  The scalar
@@ -42,7 +49,10 @@ from .core import (
 )
 
 CLOSURE_CELL_GUARD = 100_000_000
-ARRAY_CHUNK = 256  # cells per chunk of the array checks, which bounds their memory
+# cells per face-array call of the array walks: a call has a fixed cost of
+# tens of microseconds, and the bound keeps a walk over all members from
+# building every face at once
+_WALK_CHUNK = 4096
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +289,40 @@ class CubicalComplex(CellComplexLike):
             ids[self._excluded:] += 1  # in place, so one array of ids exists at a time
         return ids
 
-    def is_member(self, cell: int) -> bool:
+    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, hit): the position of each id of ``keys`` among the members
+        and whether it is a member; a missed key gets some valid position.
+        Arithmetic on a grid, ``searchsorted`` in ``members`` otherwise."""
+        if self.members is not None:
+            return _lookup(self.members, keys)
+        hit = (keys >= 0) & (keys < self.total_ids)
+        pos = keys
+        if self._excluded is not None:
+            hit &= keys != self._excluded
+            pos = keys - (keys > self._excluded)
+        return np.where(hit, pos, 0), hit
+
+    def _ids_at(self, pos: np.ndarray) -> np.ndarray:
+        """The member ids at the positions ``pos``: the inverse of :meth:`_locate`."""
+        if self.members is not None:
+            return self.members[pos]
+        if self._excluded is None:
+            return pos
+        return pos + (pos >= self._excluded)
+
+    def _position(self, cell: int) -> int | None:
+        """:meth:`_locate` of one id: its position, or None for a non-member."""
         if not 0 <= cell < self.total_ids:
-            return False
+            return None
         if self.members is None:
-            return cell != self._excluded
-        at = self.members.searchsorted(self.members.dtype.type(cell))  # a key of another dtype casts all ids
-        return bool(at < self.members.size and self.members[at] == cell)
+            if cell == self._excluded:
+                return None
+            return cell - (self._excluded is not None and cell > self._excluded)
+        at = int(self.members.searchsorted(self.members.dtype.type(cell)))  # a key of another dtype casts all ids
+        return at if at < self.members.size and self.members[at] == cell else None
+
+    def is_member(self, cell: int) -> bool:
+        return self._position(cell) is not None
 
     def dim(self, cell: int) -> int:
         if not self.is_member(cell):
@@ -332,9 +369,10 @@ class CubicalComplex(CellComplexLike):
 
     def _validates_clean(self) -> bool:
         """Whether :func:`cubemorse.core.validate_complex` finds no violation,
-        decided by array passes over :meth:`member_ids` in chunks of
-        ``ARRAY_CHUNK`` cells: every face of :meth:`_face_arrays` must be a
-        member (``searchsorted`` in the member ids).
+        decided by array passes over the members by position, ``_WALK_CHUNK``
+        cells per :meth:`_face_arrays` call: every face must be a member
+        (:meth:`_locate`, which on a grid checks the id range and the
+        excluded centre).
 
         That is all the per-cell walk can find.  It reads :meth:`boundary`
         and :meth:`dim`, which are the face formula, and the formula's rows
@@ -344,9 +382,10 @@ class CubicalComplex(CellComplexLike):
         """
         if self.total_ids > np.iinfo(np.int64).max:
             return False
-        ids = self.member_ids()
-        for lo in range(0, ids.size, ARRAY_CHUNK):
-            if not _lookup(ids, self._face_arrays(ids[lo:lo + ARRAY_CHUNK])[0])[1].all():
+        n = self.cell_count
+        for lo in range(0, n, _WALK_CHUNK):
+            faces = self._face_arrays(self._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))))[0]
+            if not self._locate(faces)[1].all():
                 return False
         return True
 

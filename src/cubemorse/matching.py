@@ -10,24 +10,27 @@ cross-check.  On cubical complexes, where entries are single-bit extent
 toggles, :func:`template_sweep` is the production evaluation, one array pass
 per axis, and :class:`TemplateMatching` wraps it, so ``verify`` checks the
 matching the reduction rounds use.  On a whole grid, where a cell's id is
-its position in the grid's digit array, a pass compares two strided digit
+its index in the grid's digit array, a pass compares two strided digit
 slices of one axis; elsewhere it looks each partner up among the member
-ids.  :func:`fiber_mate` evaluates it on one
-anchor fiber in pure Python, as the tests' independent oracle and the
-benchmark's fiber replay.
+ids.  :func:`fiber_mate` evaluates it on one anchor fiber in pure Python,
+as the tests' independent oracle and the benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
 induced flow relation, and the pair-stability property that guarantees
 acyclicity for aggregated matchings.
 
-This module alone reads the sweep's encoding (ids, code): a member's
-partner is ``ids + step[code]`` (:func:`_steps`), found in the member ids
-by ``cubemorse.cubical._lookup`` wherever a position is not its id.  Given a :class:`TemplateMatching`, the
-checks run as numpy passes over one whole sweep.  Each partner must be a
-member that maps back, and the pair checks compare the codes with the
-codec's digits: a lower cell's toggled digit must be even and below 2m, so
-by the face formula its partner is a coface one dimension up.
+This module alone reads the sweep's encoding, one code per member
+position (ascending id order): the member at position i has id
+``cx._ids_at(i)`` and partner ``id + step[code[i]]`` (:func:`_steps`), and
+``cx._locate`` maps ids back to positions, by arithmetic on a grid and by
+``searchsorted`` among ``members`` on an explicit complex.  The passes take
+ids only for the positions they touch, one chunk at a time, so a grid gets
+no id array.  Given a :class:`TemplateMatching`, the checks run as numpy
+passes over one whole sweep.  Each partner must be a member that maps back,
+and the pair checks compare the codes with the codec's digits: a lower
+cell's toggled digit must be even and below 2m, so by the face formula its
+partner is a coface one dimension up.
 
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
 breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
@@ -62,15 +65,11 @@ from .core import (
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import ARRAY_CHUNK, CubicalComplex, _distinct, _lookup, _row_starts, alpha, beta
+from .cubical import _WALK_CHUNK, CubicalComplex, _distinct, _lookup, _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
 FLOW_CHECK_LIMIT = 100_000  # default cell limit of verify_acyclic and verify_stable
-# frontier nodes per face-array call of the flow walk: a call has a fixed
-# cost of tens of microseconds, and the bound keeps a walk from all lower
-# cells (verify) from building every face at once
-_WALK_CHUNK = 16 * ARRAY_CHUNK
 
 
 def _refuse_above(name: str, cx: CellComplexLike, max_cells: int) -> None:
@@ -187,7 +186,7 @@ def fiber_mate(
     return state, level
 
 
-def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndarray, np.ndarray]:
+def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     """The template matching of a cubical complex, one array pass per axis.
 
     Level i toggles the extent of coordinate i, which moves a cell id by
@@ -201,8 +200,8 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
     cell's id is its index in the ``(base,) * d`` Fortran-order array of
     all ids, so level i compares the digit slices ``0:2m:2`` and
     ``1:2m+1:2`` of axis i - 1, with the excluded centre marked taken
-    beforehand.  Any other sweep finds each partner among ``ids`` by
-    ``searchsorted``.
+    beforehand; no id array is built.  Any other sweep finds each partner
+    among ``ids`` by ``searchsorted``.
 
     Args:
         cx: the cubical complex.
@@ -212,9 +211,9 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
             anchor fiber; all members when None.
 
     Returns:
-        (ids, code): the ascending member ids and, per member, the signed
-        level of its pair as int8: +i when it pairs upward with
-        ``id + pows[i-1]``, -i when it pairs downward with
+        code: per member position (per entry of ``ids`` when given), the
+        signed level of the member's pair as int8: +i when it pairs upward
+        with ``id + pows[i-1]``, -i when it pairs downward with
         ``id - pows[i-1]``, 0 when it stays fixed.
     """
     if ids is None and cx.members is None:
@@ -241,10 +240,10 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> tuple[np.ndar
         code[dst] = -level
         free[src] = False
         free[dst] = False
-    return ids, code
+    return code
 
 
-def _grid_sweep(cx: CubicalComplex, grade_of) -> tuple[np.ndarray, np.ndarray]:
+def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid, as slice passes over the
     grid's digit array.  A callable or list grade is evaluated once per
     member."""
@@ -266,15 +265,16 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> tuple[np.ndarray, np.ndarray]:
     for level in range(1, cx.d + 1):
         lo = (slice(None),) * (level - 1) + (slice(0, 2 * cx.m, 2),)
         hi = (slice(None),) * (level - 1) + (slice(1, 2 * cx.m + 1, 2),)
-        ok = ~(taken[lo] | taken[hi])
+        ok = taken[lo] | taken[hi]
+        np.logical_not(ok, out=ok)
         if grade is not None:
             ok &= grade[lo] == grade[hi]
         np.copyto(code[lo], level, where=ok)
         np.copyto(code[hi], -level, where=ok)
         taken[lo] |= ok
         taken[hi] |= ok
-    del taken, ok  # freed before the ids are built
-    return cx.member_ids(), flat if excl is None else np.delete(flat, excl)
+    del taken, ok  # freed before the centre is cut out
+    return flat if excl is None else np.delete(flat, excl)
 
 
 def _steps(cx: CubicalComplex) -> list[int]:
@@ -314,7 +314,8 @@ class TemplateMatching:
     its fibers, and whole once 1/16 of them are swept: by then the small
     sweeps, about 0.1 ms each, cost about one whole sweep.  An explicit
     complex, whose fibers are often a few cells each, is swept whole on the
-    first query.
+    first query, and so is any complex whose whole sweep the array checks
+    have found clean; queries then read the whole sweep's codes by position.
     Pairs never leave a fiber, so the codes are the whole sweep's.  Code k
     maps a cell to ``cell + pows[k-1]`` when k > 0, to ``cell - pows[-k-1]``
     when k < 0 and to itself when k = 0; the pair forms at level |k|.
@@ -330,87 +331,99 @@ class TemplateMatching:
     def __init__(self, cx: CubicalComplex, grade_of=None):
         self.cx = cx
         self._grade_of = grade_of
-        self._codes: dict[int, int] = {}  # member id -> sweep code, for swept members
+        self._codes: dict[int, int] = {}  # member id -> sweep code, for the members of swept fibers
         self._step = _steps(cx)
         self._fibers_left = 0 if cx.members is not None else (cx.m + 1) ** cx.d // 16
 
+    @cached_property
+    def _whole(self) -> np.ndarray:
+        """The codes of the whole :func:`template_sweep`, by position."""
+        return template_sweep(self.cx, self._grade_of)
+
     def _code(self, cell: int) -> int:
         code = self._codes.get(cell)
-        if code is None:
-            cx = self.cx
-            if not cx.is_member(cell):
-                raise NonMemberCellError(f"cell {cell} is not a member")
-            ids = None  # all members
-            if self._fibers_left:
-                self._fibers_left -= 1
-                anchor = cx.anchor(cell)
-                base, offs = cx.cell_id(tuple(2 * l for l in anchor)), cx.offsets()
-                ids = np.array([base + offs[s] for s in cx.fiber_members(anchor)], dtype=np.int64)
-            ids, codes = template_sweep(cx, self._grade_of, ids)
-            self._codes.update(zip(ids.tolist(), codes.tolist()))
-            code = self._codes[cell]
-        return code
+        if code is not None:
+            return code
+        cx = self.cx
+        pos = cx._position(cell)
+        if pos is None:
+            raise NonMemberCellError(f"cell {cell} is not a member")
+        if not self._fibers_left:
+            return int(self._whole[pos])
+        self._fibers_left -= 1
+        anchor = cx.anchor(cell)
+        base, offs = cx.cell_id(tuple(2 * l for l in anchor)), cx.offsets()
+        ids = np.array([base + offs[s] for s in cx.fiber_members(anchor)], dtype=np.int64)
+        self._codes.update(zip(ids.tolist(), template_sweep(cx, self._grade_of, ids).tolist()))
+        return self._codes[cell]
 
     def __call__(self, cell: int) -> int:
         return cell + self._step[self._code(cell)]
 
     @cached_property
-    def _clean_sweep(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(ids, code) of one whole :func:`template_sweep` when
-        :func:`verify_matching` would find nothing wrong with it, else None.
-        The sweep is the one round one runs, over all members.
+    def _clean_sweep(self) -> np.ndarray | None:
+        """The codes of the whole :func:`template_sweep`, by position, when
+        :func:`verify_matching` would find nothing wrong with them, else
+        None.  The sweep is the one round one runs, over all members.
 
-        Every partner ``ids + step[code]`` must be a member whose partner is
+        Every partner ``id + step[code]`` must be a member whose partner is
         the cell again, and every pair must toggle an even digit below 2m of
         its lower cell up to the odd digit of its upper cell.  By the face
         formula, which is the complex's ``dim`` and ``boundary``, the two
-        are then face and coface one dimension apart.  Computed once.
+        are then face and coface one dimension apart.  The members are
+        checked ``_WALK_CHUNK`` positions at a time.  Computed once; when
+        clean, per-cell queries read these codes too.
         """
         cx = self.cx
         try:  # ids beyond int64 raise here too
-            ids, code = map(np.asarray, template_sweep(cx, self._grade_of))
+            code = np.asarray(self._whole)
         except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
             return None
-        if ids.size != cx.cell_count or code.shape != ids.shape or code.dtype.kind not in "iu":
+        n = cx.cell_count
+        if code.shape != (n,) or code.dtype.kind not in "iu":
             return None
-        if np.any(np.abs(code.astype(np.int64)) > cx.d):
+        if n and not -cx.d <= code.min() <= code.max() <= cx.d:
             return None
         step = np.array(self._step, dtype=np.int64)
-        at, hit = _lookup(ids, ids + step[code])
-        up = code > 0
-        toggled = ids[up] // step[code[up]] % cx.base
-        if not (
-            hit.all()
-            and np.array_equal(code[at], -code)
-            and np.all(toggled % 2 == 0)
-            and np.all(toggled < 2 * cx.m)
-        ):
-            return None
-        return ids, code
+        for lo in range(0, n, _WALK_CHUNK):
+            ids, k = cx._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))), code[lo:lo + _WALK_CHUNK]
+            at, hit = cx._locate(ids + step[k])
+            up = k > 0
+            toggled = ids[up] // step[k[up]] % cx.base
+            if not (
+                hit.all()
+                and np.array_equal(code[at], -k)
+                and np.all(toggled % 2 == 0)
+                and np.all(toggled < 2 * cx.m)
+            ):
+                return None
+        self._fibers_left = 0
+        return code
 
     @cached_property
     def _flows(self):
         """The flow edges of the clean sweep, built once for both
         :func:`verify_acyclic` and :func:`verify_stable`: the
-        :func:`_flow_graph` of all lower cells, so nodes are numbered by id.
+        :func:`_flow_graph` of all lower cells, so nodes are numbered by
+        position.
 
         An edge runs from lower cell q0, with partner k0, to each other
         lower cell q1 among the faces of k0.  It is unstable when the gap
         k0 - q1 is pows[t] with t + 1 < min(code(q0), code(q1)): toggle t + 1
         changes digit t alone, so it sends q1 to k0 exactly then, at a level
-        below both pairs.
+        below both pairs.  The gap of a face is ± a power, so that is
+        0 < gap < pows[min(code(q0), code(q1)) - 1].
 
         Returns:
             (n, src, dst, unstable): the number of lower cells, the edges
             (src ascending, faces in boundary order) and a flag per edge.
         """
-        cx, (ids, code) = self.cx, self._clean_sweep
-        at, (src, dst), _ = _flow_graph(cx, ids, code, np.flatnonzero(code > 0))
+        cx, code = self.cx, self._clean_sweep
+        at, (src, dst), _ = _flow_graph(cx, code, np.flatnonzero(code > 0))
         step = np.array(self._step, dtype=np.int64)
         q0, q1 = at[src], at[dst]
-        gap = ids[q0] + step[code[q0]] - ids[q1]
-        t = np.searchsorted(step[1:cx.d + 1], gap)
-        unstable = (gap > 0) & (t + 1 < np.minimum(code[q0], code[q1]))
+        gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
+        unstable = (gap > 0) & (gap < step[np.minimum(code[q0], code[q1])])
         return at.size, src, dst, unstable
 
     def provenance(self, cell: int) -> int | None:
@@ -493,7 +506,7 @@ def verify_matching(
     _refuse_above("verify_matching", cx, max_cells)
     view = _array_view(cx, oracle)
     if view is not None:
-        code = view._clean_sweep[1]
+        code = view._clean_sweep
         n_lower = int(np.count_nonzero(code > 0))
         return MatchingReport(code.size, code.size - 2 * n_lower, n_lower, n_lower)
     rep = MatchingReport(checked_cells=0)
@@ -542,20 +555,21 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
-def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np.ndarray):
-    """The flow graph of a sweep (``ids``, ``code``), walked breadth first
+def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
+    """The flow graph of a sweep's codes ``code``, walked breadth first
     from the positions ``front``: one pass per frontier, each taking its
     nodes ``_WALK_CHUNK`` at a time into one :meth:`CubicalComplex._face_arrays`
     call, so the transient face arrays stay bounded however wide the
-    frontier grows.
+    frontier grows.  Ids are taken for those nodes alone, and the faces
+    are located by ``cx._locate``.
 
-    A node at position i steps to the member faces, other than itself, of
-    ``ids[i] + step[code[i]]``: of its partner for a lower cell, of itself
-    for a fixed cell.  A lower face is a node, visited in the next frontier
-    if new; a fixed face ends the flow; an upper face has no flow.  Nodes
-    are numbered in visit order, ``front`` first, each later frontier
-    ascending by position.  Memory beyond the edges is one int32 node index
-    per member.
+    A node at position i, of id ``cx._ids_at(i)``, steps to the member
+    faces, other than itself, of ``id + step[code[i]]``: of its partner for
+    a lower cell, of itself for a fixed cell.  A lower face is a node,
+    visited in the next frontier if new; a fixed face ends the flow; an
+    upper face has no flow.  Nodes are numbered in visit order, ``front``
+    first, each later frontier ascending by position.  Memory beyond the
+    edges is one int32 node index per member.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -564,7 +578,7 @@ def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np
         src ascending, faces in :meth:`CubicalComplex._face_arrays` order.
     """
     step = np.array(_steps(cx), dtype=np.int64)
-    node = np.full(ids.size, -1, dtype=np.int32)  # position -> node
+    node = np.full(code.size, -1, dtype=np.int32)  # position -> node
     node[front] = np.arange(front.size)
     visited, n, done = [front], front.size, 0
     src, at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # edges to faces
@@ -572,8 +586,8 @@ def _flow_graph(cx: CubicalComplex, ids: np.ndarray, code: np.ndarray, front: np
         first = len(at)
         for lo in range(0, front.size, _WALK_CHUNK):
             chunk = front[lo:lo + _WALK_CHUNK]
-            faces, owner, _ = cx._face_arrays(ids[chunk] + step[code[chunk]])
-            pos, hit = _lookup(ids, faces)
+            faces, owner, _ = cx._face_arrays(cx._ids_at(chunk) + step[code[chunk]])
+            pos, hit = cx._locate(faces)
             hit &= (pos != chunk[owner]) & (code[pos] >= 0)
             src.append(done + owner[hit])
             at.append(pos[hit])
@@ -674,7 +688,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
         keys, count = _distinct(keys, counts=True)
         keys = keys[count % 2 == 1]
         slot[layer] = np.arange(done, done + layer.size)
-        ends = indptr[done] + np.searchsorted(keys // ncol, layer, side="right")
+        ends = indptr[done] + _row_starts(layer.size, slot[keys // ncol] - done)[1:]
         indptr[done + 1:done + layer.size + 1] = ends
         if ends[-1] > data.size:
             data = np.concatenate([data, np.empty(ends[-1], dtype=data.dtype)])
@@ -689,18 +703,20 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
 
 class _SweepMate(NamedTuple):
-    """The partner lookup of a :func:`template_sweep` result (``ids``,
-    ``code``): a lower cell (code > 0) maps to its partner, every other
-    member to itself.  :func:`cubemorse.morse.morse_boundary` counts its
-    flows in :func:`_sweep_flows`."""
+    """The partner lookup of the codes ``code`` of a whole
+    :func:`template_sweep`: a lower cell (code > 0) maps to its partner,
+    every other member to itself, and a non-member raises
+    :class:`NonMemberCellError`.  :func:`cubemorse.morse.morse_boundary`
+    counts its flows in :func:`_sweep_flows`."""
 
     cx: CubicalComplex
-    ids: np.ndarray
     code: np.ndarray
 
     def __call__(self, cell: int) -> int:
-        k = int(self.code[np.searchsorted(self.ids, cell)])
-        return cell + _steps(self.cx)[max(k, 0)]
+        pos = self.cx._position(cell)
+        if pos is None:
+            raise NonMemberCellError(f"cell {cell} is not a member")
+        return cell + _steps(self.cx)[max(int(self.code[pos]), 0)]
 
 
 def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, ...]]:
@@ -710,21 +726,19 @@ def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, .
     The :func:`_flow_graph` from the sources holds every lower cell their
     flows reach, and :func:`_flow_rows` sums its rows mod 2 over the graph
     with its chains contracted, in a few array passes per peel layer;
-    columns are positions in ``ids``.  A lower cell that reaches a cycle
+    columns are member positions.  A lower cell that reaches a cycle
     raises :class:`AcyclicityError`, naming the smallest such cell.
     """
     if not sources:
         return {}
-    cx, ids, code = mate
-    at, (src, dst), (fsrc, fat) = _flow_graph(
-        cx, ids, code, np.searchsorted(ids, np.array(sources, dtype=ids.dtype))
-    )
+    cx, code = mate
+    at, (src, dst), (fsrc, fat) = _flow_graph(cx, code, cx._locate(np.array(sources))[0])
     stuck, indptr, cols = _flow_rows(at.size, np.arange(len(sources)), src, dst, fsrc, fat)
     if stuck.any():
         stuck = at[stuck]
-        stuck = ids[stuck[code[stuck] > 0].min()]
+        stuck = cx._ids_at(stuck[code[stuck] > 0].min())
         raise AcyclicityError(f"flow from lower cell {stuck} runs into a cycle: matching is cyclic")
-    cols = ids[cols].tolist()
+    cols = cx._ids_at(cols).tolist()
     out: dict[int, tuple[int, ...]] = {}
     for c, lo, hi in zip(sources, indptr[:-1].tolist(), indptr[1:].tolist()):
         if hi > lo:

@@ -6,8 +6,8 @@ steps from a face of a cell into the partner of a lower cell and onward.
 :func:`morse_boundary` performs the count, skipping cells whose entries
 could only join fixed cells of a dimension that has none.
 :func:`template_round` runs one reduction round of a cubical complex under
-the template matching, evaluated as an array sweep over the member ids
-(:func:`cubemorse.matching.template_sweep`); its flows are counted as
+the template matching, evaluated as an array sweep over the members by
+position (:func:`cubemorse.matching.template_sweep`); its flows are counted as
 array passes over the sweep's flow graph in :mod:`cubemorse.matching`, the
 one module that reads the sweep's encoding.  Later rounds count flows by
 memoized depth-first propagation, and :func:`generic_round` produces their
@@ -154,19 +154,21 @@ def morse_complex(
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
-    :func:`cubemorse.matching.template_sweep` matches all member ids in one
-    array pass per axis; the members it leaves fixed are the critical cells,
-    their dimensions come from one array odd-digit count
-    (``CubicalComplex._dims``), and :func:`morse_boundary` counts the flows
-    over the sweep's codes in array passes
+    :func:`cubemorse.matching.template_sweep` matches all members in one
+    array pass per axis and returns a code per member position; the members
+    it leaves fixed are the critical cells, whose ids are taken from their
+    positions alone (``CubicalComplex._ids_at``, arithmetic on a grid, so no
+    id array of all members is built) and whose dimensions come from one
+    array odd-digit count (``CubicalComplex._dims``).  :func:`morse_boundary`
+    counts the flows over the sweep's codes in array passes
     (:class:`~cubemorse.matching._SweepMate`).
     """
-    ids, code = template_sweep(cx, grade_of)
-    fixed = ids[code == 0]
+    code = template_sweep(cx, grade_of)
+    fixed = cx._ids_at((code == 0).nonzero()[0])
     dims = dict(zip(fixed.tolist(), cx._dims(fixed).tolist()))
     if grade_of is not None and not callable(grade_of):
         grade_of = grade_of.__getitem__
-    return _collapse(dims, cx._boundary_raw, _SweepMate(cx, ids, code), cx.dim_of, grade_of)
+    return _collapse(dims, cx._boundary_raw, _SweepMate(cx, code), cx.dim_of, grade_of)
 
 
 def _collapse(dims, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:

@@ -187,9 +187,8 @@ def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corru
     real_sweep = matching.template_sweep
 
     def broken_sweep(cx, grade_of=None, ids=None):
-        ids, code = real_sweep(cx, grade_of, ids)
-        code = code.copy()
-        at = {c: i for i, c in enumerate(ids.tolist())}
+        code = real_sweep(cx, grade_of, ids).copy()
+        at = {c: i for i, c in enumerate((cx.member_ids() if ids is None else ids).tolist())}
         if corruption == "flip-sign":
             wrong = {0: -1}  # cell 0 now pairs with the id -1
         else:
@@ -197,7 +196,7 @@ def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corru
         for c, k in wrong.items():
             if c in at:
                 code[at[c]] = k
-        return ids, code
+        return code
 
     monkeypatch.setattr(matching, "template_sweep", broken_sweep)
     assert main(["verify", *given, "--acyclic", "--stable"]) == EXIT_VALIDATION

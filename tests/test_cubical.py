@@ -435,6 +435,43 @@ def test_is_member_agrees_with_the_closure_set(cx):
         assert cx.is_member(c) is (c in want), c
 
 
+@st.composite
+def located_complexes(draw):
+    """A grid, ``full(m, d)``, ``sphere(d)`` or ``top_sphere(d)``, or the
+    closure of random top cubes."""
+    kind = draw(st.sampled_from(["full", "sphere", "top_sphere", "explicit"]))
+    if kind == "full":
+        return CubicalComplex.full(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    if kind == "sphere":
+        return CubicalComplex.sphere(draw(st.integers(1, 5)))
+    if kind == "top_sphere":
+        return CubicalComplex.top_sphere(draw(st.integers(1, 2)))
+    return draw(top_cube_complexes())
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(located_complexes(), st.lists(st.integers(-3, 3 ** 6), max_size=40))
+def test_locate_agrees_with_the_members(cx, extra):
+    """``_locate`` gives each member key its index in ``member_ids()`` and
+    misses exactly the non-members, whatever the key dtype; ``_position``
+    is its scalar form and ``_ids_at`` its inverse.  The keys span -1, the centre, total_ids and int64 keys
+    beyond the int32 range, next to every member."""
+    ids = cx.member_ids()
+    keys = np.array(
+        [-1, cx.total_ids // 2, cx.total_ids - 1, cx.total_ids, 2 ** 31, 2 ** 40 + 5, *extra, *ids.tolist()],
+        dtype=np.int64,
+    )
+    pos, hit = cx._locate(keys)
+    assert hit.tolist() == [cx.is_member(k) for k in keys.tolist()]
+    assert [cx._position(k) for k in keys.tolist()] == [p if h else None for p, h in zip(pos.tolist(), hit.tolist())]
+    assert np.all((0 <= pos) & (pos < ids.size))  # a missed key still indexes
+    assert np.array_equal(pos[hit], ids.searchsorted(keys[hit]))
+    assert np.array_equal(cx._ids_at(pos[hit]), keys[hit])
+    assert np.array_equal(cx._ids_at(np.arange(ids.size)), ids)
+    narrow = ids.astype(np.int32)  # keys of the members' own dtype locate alike
+    assert np.array_equal(cx._locate(narrow)[0], np.arange(ids.size)) and cx._locate(narrow)[1].all()
+
+
 def test_is_member_beyond_int64():
     top = 3 ** 45 - 1
     cx = CubicalComplex.from_cells(1, 45, [top - 1])  # an edge and its two end vertices

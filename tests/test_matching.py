@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
-from cubemorse.core import SizeGuardError, TrichotomyError
+from cubemorse.core import NonMemberCellError, SizeGuardError, TrichotomyError, validate_complex
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
 from cubemorse import matching
+from cubemorse.morse import homology, template_round
 from cubemorse.matching import (
     SequenceMatching,
     _SweepMate,
@@ -281,12 +282,13 @@ def assert_sweep_matches_oracle(cx, grades=None):
     """The array sweep, and the TemplateMatching view of it, pair every
     member exactly as the per-fiber oracle does, and flow counting's mate
     moves exactly the lower cells to their partners."""
-    ids, code = template_sweep(cx, grades)
+    code = template_sweep(cx, grades)
+    ids = cx.member_ids()
     assert ids.tolist() == list(cx.cells())
-    assert code.dtype == np.int8
+    assert code.dtype == np.int8 and code.shape == ids.shape
     partner, level = fiber_oracle(cx, grades)
     w = TemplateMatching(cx, grades)
-    mate = _SweepMate(cx, ids, code)
+    mate = _SweepMate(cx, code)
     for c, k in zip(ids.tolist(), code.tolist()):
         step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
         assert c + step == partner[c] == w(c), c
@@ -335,8 +337,8 @@ def test_template_matching_sweeps_fibers_then_whole(monkeypatch):
     grids = [CubicalComplex.sphere(3), CubicalComplex.full(2, 3), CubicalComplex.full(3, 3)]
     for cx in grids + [random_cubical_complex(rng, 3) for _ in range(5)]:
         n_fibers = sum(1 for _ in cx.iter_fibers())
-        ids, code = real_sweep(cx)
-        whole = dict(zip(ids.tolist(), code.tolist()))
+        ids = cx.member_ids()
+        whole = dict(zip(ids.tolist(), real_sweep(cx).tolist()))
         anchors = []
         fiber_members = cx.fiber_members
 
@@ -362,8 +364,8 @@ def test_template_sweep_on_sparse_grid():
     # ids beyond int32 on a grid far too large for a bitmap over all ids
     cx = CubicalComplex.from_cells(1000, 3, [1_234_567_891, 7_999_999_999])
     assert cx.total_ids > 2**32
-    ids, code = template_sweep(cx)
-    assert ids.dtype == np.int64
+    code = template_sweep(cx)
+    assert cx.member_ids().dtype == np.int64
     assert_sweep_matches_oracle(cx)
     assert int((code == 0).sum()) == 2  # two disjoint contractible closures
 
@@ -397,10 +399,9 @@ def graded_grids(draw):
 def test_grid_sweep_equals_member_id_sweep(case):
     """The slice passes of a whole grid give the member-id sweep's result."""
     cx, grades = case
-    ids, code = template_sweep(cx, grades)
-    want_ids, want_code = template_sweep(cx, grades, ids=cx.member_ids())
-    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
-    assert code.dtype == want_code.dtype and np.array_equal(code, want_code)
+    code = template_sweep(cx, grades)
+    want = template_sweep(cx, grades, ids=cx.member_ids())
+    assert code.dtype == want.dtype and np.array_equal(code, want)
     assert_sweep_matches_oracle(cx, grades)
 
 
@@ -436,18 +437,98 @@ def test_grid_sweep_searches_nothing(monkeypatch):
     assert calls["lookup"] == 5
 
 
-def test_grid_sweep_memory_is_a_few_bytes_per_cell():
-    """Peak memory of a graded full-grid sweep stays below 8 bytes per cell,
-    which one int64 array the size of the ids would fill alone: the int32
-    ids, int8 codes, a bool mask and the slice temporaries fit."""
-    cx = CubicalComplex.full(3, 6)
-    grades = (np.arange(cx.total_ids) % 5).astype(np.int32)
-    template_sweep(cx, grades)  # warm the numpy caches outside the trace
+def test_grid_round_one_and_verify_search_nothing(monkeypatch):
+    """Round one and the array checks of ``verify`` address a grid's members
+    by position arithmetic: no member id array and no ``searchsorted``, the
+    graded braid's per-cell stability walk included.  An explicit complex
+    still searches its members."""
+    calls = {"member_ids": 0, "searchsorted": 0}
+    real_ids, real_search = CubicalComplex.member_ids, np.searchsorted
+
+    def member_ids(self):
+        calls["member_ids"] += 1
+        return real_ids(self)
+
+    def searchsorted(*args, **kwargs):
+        calls["searchsorted"] += 1
+        return real_search(*args, **kwargs)
+
+    def run(cx, grades=None):
+        E = template_round(cx, grades)
+        assert validate_complex(cx).ok
+        w = TemplateMatching(cx, grades)
+        assert verify_matching(cx, w).ok and verify_acyclic(cx, w)
+        verify_stable(cx, w, w.entries(), w.provenance)
+        return E
+
+    bc = build_braid_complex(reference_braid())  # before patching: only the checks count
+    monkeypatch.setattr(CubicalComplex, "member_ids", member_ids)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    for cx, grades in [
+        (CubicalComplex.full(3, 3), None),
+        (CubicalComplex.sphere(4), None),
+        (bc.cx, bc.grades),
+    ]:
+        assert cx.members is None
+        E = run(cx, grades)
+        assert calls == {"member_ids": 0, "searchsorted": 0}
+    assert E.nonzero_boundary()  # the braid's round-one flows were counted
+    run(random_cubical_complex(random.Random(3), 3))
+    assert calls["searchsorted"] > 0
+
+
+def test_sweep_mate_rejects_non_members():
+    """The round-one mate raises on a cell outside the complex: the centre,
+    -1 and total_ids of a sphere, and a gap between two members of an
+    explicit complex."""
+    cx = CubicalComplex.sphere(2)
+    mate = _SweepMate(cx, template_sweep(cx))
+    for c in (cx._excluded, -1, cx.total_ids):
+        with pytest.raises(NonMemberCellError):
+            mate(c)
+    assert [mate(c) for c in (0, cx.total_ids - 1)] == [1, cx.total_ids - 1]
+    explicit = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
+    gap = explicit.cell_id((3, 0))
+    assert explicit.members[0] < gap < explicit.members[-1] and not explicit.is_member(gap)
+    mate = _SweepMate(explicit, template_sweep(explicit))
+    with pytest.raises(NonMemberCellError):
+        mate(gap)
+    for c in explicit.cells():
+        assert explicit.is_member(mate(c))
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes of ``fn()``, run once before the trace to warm the
+    numpy caches."""
+    fn()
     tracemalloc.start()
     try:
-        ids, code = template_sweep(cx, grades)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ids.dtype == np.int32 and code.dtype == np.int8
-    assert peak < 8 * cx.total_ids, peak / cx.total_ids
+
+
+def test_grid_sweep_memory_is_a_few_bytes_per_cell():
+    """Peak memory of a graded full-grid sweep stays below 3.5 bytes per
+    cell (3.43 measured): int8 codes, a bool mask and the slice
+    temporaries, with no id array."""
+    cx = CubicalComplex.full(3, 6)
+    grades = (np.arange(cx.total_ids) % 5).astype(np.int32)
+    assert template_sweep(cx, grades).dtype == np.int8
+    peak = traced_peak(lambda: template_sweep(cx, grades))
+    assert peak < 3.5 * cx.total_ids, peak / cx.total_ids
+
+
+@pytest.mark.parametrize(
+    "cx, betti",
+    [(CubicalComplex.sphere(11), [1] + [0] * 10 + [1]), (CubicalComplex.full(20, 4), [1, 0, 0, 0, 0])],
+    ids=["sphere11", "full20x4"],
+)
+def test_grid_homology_memory_is_a_few_bytes_per_cell(cx, betti):
+    """The peak of ``homology`` on a grid is its round-one sweep, 2.71 and
+    2.98 bytes per cell measured: below the 4 bytes an int32 id array
+    would take alone."""
+    assert homology(cx).betti == betti
+    peak = traced_peak(lambda: homology(cx))
+    assert peak < 3.1 * cx.cell_count, peak / cx.cell_count

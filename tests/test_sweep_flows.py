@@ -25,13 +25,15 @@ from cubemorse.morse import homology, morse_boundary, template_round
 from .helpers import random_cubical_complex, top_cube_complexes
 
 
-def both_paths(cx, ids, code):
+def both_paths(cx, code):
     """(array, per-cell) outcomes of ``morse_boundary`` on the fixed cells of
-    one sweep: the boundary, or :class:`AcyclicityError` when it raises that."""
+    one sweep's codes: the boundary, or :class:`AcyclicityError` when it
+    raises that."""
+    ids = cx.member_ids()
     criticals = ids[code == 0].tolist()
     lower = {c: c + cx.pows[k - 1] for c, k in zip(ids.tolist(), code.tolist()) if k > 0}
     out = []
-    for mate in (_SweepMate(cx, ids, code), lambda c: lower.get(c, c)):
+    for mate in (_SweepMate(cx, code), lambda c: lower.get(c, c)):
         try:
             out.append(morse_boundary(criticals, cx._boundary_raw, mate, cx.dim_of))
         except AcyclicityError:
@@ -40,7 +42,7 @@ def both_paths(cx, ids, code):
 
 
 def assert_paths_agree(cx, grades=None):
-    arrays, cells = both_paths(cx, *template_sweep(cx, grades))
+    arrays, cells = both_paths(cx, template_sweep(cx, grades))
     assert arrays == cells
     return arrays
 
@@ -90,10 +92,10 @@ def test_array_path_detects_cycles():
         q = cx.cell_id(edge)
         code[q], code[q + cx.pows[axis - 1]] = axis, -axis
     assert code[cx.cell_id((1, 3, 2))] == 0
-    assert both_paths(cx, ids, code) == [AcyclicityError, AcyclicityError]
+    assert both_paths(cx, code) == [AcyclicityError, AcyclicityError]
     # the array path names a lower cell on the cycle, never a fixed source
     with pytest.raises(AcyclicityError) as err:
-        morse_boundary(ids[code == 0].tolist(), cx._boundary_raw, _SweepMate(cx, ids, code), cx.dim_of)
+        morse_boundary(ids[code == 0].tolist(), cx._boundary_raw, _SweepMate(cx, code), cx.dim_of)
     assert re.search(r"lower cell (\d+) ", str(err.value)).group(1) in {"67", "63", "87"}
 
 
@@ -110,7 +112,7 @@ def test_flow_pruning_skips_spheres(monkeypatch):
         cx = CubicalComplex.sphere(d)
         E = template_round(cx)
         assert sorted(E.dims.values()) == [0, d] and not E.nonzero_boundary()
-        assert both_paths(cx, *template_sweep(cx)) == [{}, {}]
+        assert both_paths(cx, template_sweep(cx)) == [{}, {}]
         assert calls == []
     assert homology(CubicalComplex.sphere(6)).betti == [1, 0, 0, 0, 0, 0, 1]
     # a circle keeps adjacent dimensions, so its flows are counted
@@ -132,12 +134,12 @@ def test_round_one_takes_fixed_dims_in_one_array_pass(monkeypatch):
     assert E.dims == {c: real_dim_of(c) for c in E.dims}
 
 
-def walk_passes(cx, ids, code):
+def walk_passes(cx, code):
     """(passes, nodes) of the breadth-first flow walk of round one, walked
     cell by cell: it starts from the fixed cells whose rows count and steps
     from each node to the new lower faces of its partner, or of itself when
     fixed."""
-    kind = dict(zip(ids.tolist(), code.tolist()))
+    kind = dict(zip(cx.member_ids().tolist(), code.tolist()))
     dims = {c: cx.dim_of(c) for c, k in kind.items() if k == 0}
     front = [c for c in sorted(dims) if dims[c] - 1 in set(dims.values())]
     seen, passes, nodes = set(front), 0, 0
@@ -165,7 +167,7 @@ def test_walk_takes_each_frontier_in_few_chunks(monkeypatch, chunk):
     anchors = [a for a in itertools.product(range(12), repeat=3) if rng.random() < 0.5]
     cx = CubicalComplex.from_top_cells(12, 3, anchors)
     want = template_round(cx)._bdry
-    passes, nodes = walk_passes(cx, *template_sweep(cx))
+    passes, nodes = walk_passes(cx, template_sweep(cx))
     if chunk is not None:
         monkeypatch.setattr(matching, "_WALK_CHUNK", chunk)
     size = matching._WALK_CHUNK

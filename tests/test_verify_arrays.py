@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from cubemorse import matching
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import validate_complex
-from cubemorse.cubical import ARRAY_CHUNK, CubicalComplex, alpha
+from cubemorse.cubical import _WALK_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from cubemorse.morse import template_round
 from .helpers import random_cubical_complex, top_cube_complexes
@@ -146,6 +146,32 @@ def test_corrupted_boundary_rows(monkeypatch, check, kind, change):
     assert kind in kinds(cells[check])
 
 
+@pytest.mark.parametrize("where", ["below", "above", "centre"])
+def test_grid_face_out_of_range_or_centre(monkeypatch, where):
+    """A grid's closure check is arithmetic, and still catches a face below
+    0, at total_ids or at the excluded centre: the array pass reads
+    ``_face_arrays`` and the per-cell walk ``_boundary_raw``, both
+    corrupted alike, and the walk reports the face."""
+    cx = CubicalComplex.sphere(2)
+    bad = {"below": -1, "above": cx.total_ids, "centre": cx._excluded}[where]
+    square = 1 + 3  # digits (1, 1, 0): a 2-cell
+    real = cx._face_arrays
+
+    def face_arrays(ids):
+        faces, owner, dims = real(ids)
+        at = np.flatnonzero(ids == square)
+        if at.size:
+            faces, owner = np.append(faces, bad), np.append(owner, at[0])
+        return faces, owner, dims
+
+    monkeypatch.setattr(cx, "_face_arrays", face_arrays)
+    patch_row(monkeypatch, cx, square, lambda row: sorted([*row, bad]))
+    assert not cx._validates_clean()
+    report = validate_complex(cx)
+    assert report == validate_complex(PerCell(cx))
+    assert ("closure", square, f"face {bad} not a member") in [(v.kind, v.cell, v.detail) for v in report.violations]
+
+
 def test_closure_violation_from_members(monkeypatch):
     cx = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
     monkeypatch.setattr(cx, "members", cx.members[cx.members != cx.cell_id((2, 2))])
@@ -163,8 +189,8 @@ def patch_codes(monkeypatch, ids, code):
 
     def sweep(cx, grade_of=None, subset=None):
         if subset is None:
-            return ids, code.copy()
-        return subset, code[np.searchsorted(ids, subset)]
+            return code.copy()
+        return code[np.searchsorted(ids, subset)]
 
     monkeypatch.setattr(matching, "template_sweep", sweep)
 
@@ -182,8 +208,7 @@ def patch_codes(monkeypatch, ids, code):
 )
 def test_corrupted_pairs(monkeypatch, kind, wrong):
     cx = CubicalComplex.sphere(2)
-    ids, code = matching.template_sweep(cx)
-    code = code.copy()
+    ids, code = cx.member_ids(), matching.template_sweep(cx)
     for c, k in wrong.items():
         code[np.searchsorted(ids, c)] = k
     patch_codes(monkeypatch, ids, code)
@@ -297,10 +322,10 @@ def test_each_fact_is_computed_once(monkeypatch):
 
     for name in ("_face_arrays", "_boundary_raw", "dim_of"):
         count(CubicalComplex, name)
-    cx = CubicalComplex.sphere(5)
+    cx = CubicalComplex.sphere(8)
     assert validate_complex(cx).ok
     n = cx.cell_count
-    assert calls == {"_face_arrays": -(-n // ARRAY_CHUNK)}
+    assert n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
 
     count(matching, "_flow_graph")
     inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
