@@ -303,18 +303,22 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
 
 
 def gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are given as int bitmasks."""
-    rank = 0
-    pivots: list[int] = []
+    """Rank of a GF(2) matrix whose rows are given as int bitmasks.
+
+    Each pivot is keyed by its lowest set bit.  Adding the pivot keyed by a
+    row's lowest bit clears that bit and changes only higher ones, so every
+    row ends as zero or as the pivot of a new key.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+        while row:
+            low = row & -row
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = row
+                break
+            row ^= p
+    return len(pivots)
 
 
 def betti_oracle(cx: CellComplexLike, max_cells: int = 100_000) -> list[int]:

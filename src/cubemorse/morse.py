@@ -11,11 +11,14 @@ position (:func:`cubemorse.matching.template_sweep`); its flows are counted as
 array passes over the sweep's flow graph in :mod:`cubemorse.matching`, the
 one module that reads the sweep's encoding.  Later rounds count flows by
 memoized depth-first propagation, and :func:`generic_round` produces their
-deterministic acyclic matching on an already-explicit complex.  Every
-round ends in the same collapse onto the fixed cells.  :func:`homology` and :func:`connection_matrix` share one
-reduction loop: homology is the connection matrix over a one-element
-poset, so it runs the loop ungraded, while :func:`connection_matrix` runs
-it graded and stops once no boundary entry joins equal grades.
+deterministic acyclic matching on an already-explicit complex from
+coreductions and, when none is left, free-face collapses, so a round does
+not fill the next complex's boundary in.  Every round ends in the same
+collapse onto the fixed cells.  :func:`homology` and
+:func:`connection_matrix` share one reduction loop: homology is the
+connection matrix over a one-element poset, so it runs the loop ungraded
+and stops at a zero boundary, while :func:`connection_matrix` runs it
+graded and stops once no boundary entry joins equal grades.
 """
 
 from __future__ import annotations
@@ -183,79 +186,112 @@ def _collapse(dims, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
 
 
 def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
-    """Deterministic acyclic matching on an explicit complex by coreduction.
+    """Deterministic acyclic matching on an explicit complex by coreductions
+    and collapses.
 
-    A cell whose remaining (same-grade, if graded) faces number exactly one
-    is matched with that face; when no such cell exists, the smallest cell
-    with no remaining faces is set aside as fixed.  Smallest id wins every
-    choice, so the matching is reproducible.  Removal order makes the flow
-    relation acyclic: a step can only move to a pair removed strictly
-    earlier.
+    Faces and cofaces count only the remaining cells (of the same grade, if
+    graded).  Each step removes, in this order of preference:
+
+    - a *coreduction pair*: the smallest cell k with exactly one face q,
+      matched with q;
+    - a *collapse pair*: the smallest cell q with exactly one coface k,
+      matched with k;
+    - the smallest cell with no faces, set aside as fixed.
+
+    Smallest id wins every choice, so the matching is reproducible.
+    Collapses keep the next round from filling in: a coreduction (q, k) adds
+    k's row to every other coface of q, while a free face q adds nothing.
+
+    The matching is acyclic.  Take a V-path cycle and its earliest removed
+    pair (q0, k0).  It was not a coreduction, since k0 still had the cycle's
+    next lower face; nor a collapse, since q0 was still a face of the
+    previous pair's upper cell.
+
+    The bookkeeping is lists over positions in the sorted cells, which sort
+    as the ids do; a removed cell's face count is -1.
 
     Returns:
         partner dict over all cells; fixed cells map to themselves.
     """
     grades = E.grades if graded else None
     bdry = E._bdry  # every cell is a member: no per-cell check
-    faces: dict[int, tuple[int, ...]] = {}
-    counts: dict[int, int] = {}
-    cofaces: dict[int, list[int]] = {}
     cells = sorted(E.dims)
-    for c in cells:
-        fs = bdry.get(c, ())
+    n = len(cells)
+    at = {c: i for i, c in enumerate(cells)}.__getitem__
+    faces: list[tuple[int, ...]] = [()] * n
+    cofaces: list = [()] * n  # a list once a cell has a coface
+    for c, fs in bdry.items():
         if grades is not None:
             g = grades[c]
-            fs = tuple(f for f in fs if grades[f] == g)
-        faces[c] = fs
-        counts[c] = len(fs)
-        for f in fs:
-            cofaces.setdefault(f, []).append(c)
+            fs = [f for f in fs if grades[f] == g]
+        i = at(c)
+        row = faces[i] = tuple(map(at, fs))
+        for f in row:
+            if cofaces[f]:
+                cofaces[f].append(i)
+            else:
+                cofaces[f] = [i]
+    del at
+    nf = [len(r) for r in faces]
+    nc = [len(r) for r in cofaces]
 
-    match_heap = [c for c in cells if counts[c] == 1]
-    free_heap = [c for c in cells if counts[c] == 0]
-    heapq.heapify(match_heap)
-    heapq.heapify(free_heap)
+    # ascending lists are already heaps; a cell with neither faces nor
+    # cofaces touches nothing, so it stays fixed without a step of its own
+    core_heap = [i for i, x in enumerate(nf) if x == 1]
+    coll_heap = [i for i, x in enumerate(nc) if x == 1]
+    free_heap = [i for i, x in enumerate(nf) if x == 0 and nc[i]]
     push, pop = heapq.heappush, heapq.heappop
-    partner = {c: c for c in cells}
+    partner = list(range(n))
 
-    remaining = len(cells)
-    while remaining:  # a removed cell's count is -1
-        k = None
-        while match_heap:
-            cand = pop(match_heap)
-            if counts[cand] == 1:
+    remaining = sum(1 for a, b in zip(nf, nc) if a or b)
+    while remaining:
+        k = q = -1
+        while core_heap:
+            cand = pop(core_heap)
+            if nf[cand] == 1:
                 k = cand
+                q = next(f for f in faces[k] if nf[f] >= 0)
                 break
-        if k is not None:
-            q = next(f for f in faces[k] if counts[f] >= 0)
+        else:
+            while coll_heap:
+                cand = pop(coll_heap)
+                if nc[cand] == 1 and nf[cand] >= 0:
+                    q = cand
+                    k = next(c for c in cofaces[q] if nf[c] >= 0)
+                    break
+        if k >= 0:
             partner[q] = k
             partner[k] = q
-            counts[q] = counts[k] = -1
+            nf[q] = nf[k] = -1
             remaining -= 2
             gone: tuple[int, ...] = (q, k)
         else:
-            c0 = None
             while free_heap:
                 cand = pop(free_heap)
-                if counts[cand] == 0:
-                    c0 = cand
+                if nf[cand] == 0:
+                    q = cand
                     break
-            if c0 is None:
+            if q < 0:
                 raise IntegrityError("coreduction stalled with cells remaining")
-            counts[c0] = -1
+            nf[q] = -1
             remaining -= 1
-            gone = (c0,)
+            gone = (q,)
         for x in gone:
-            for co in cofaces.get(x, ()):
-                n = counts[co] - 1
-                if n < 0:
+            for co in cofaces[x]:
+                m = nf[co] - 1
+                if m < 0:
                     continue  # removed
-                counts[co] = n
-                if n == 1:
-                    push(match_heap, co)
-                elif n == 0:
+                nf[co] = m
+                if m == 1:
+                    push(core_heap, co)
+                elif m == 0:
                     push(free_heap, co)
-    return partner
+            for f in faces[x]:
+                if nf[f] >= 0:
+                    nc[f] -= 1
+                    if nc[f] == 1:
+                        push(coll_heap, f)
+    return dict(zip(cells, [cells[p] for p in partner]))
 
 
 def reduce_round(E: ExplicitComplex, partner: dict[int, int]) -> ExplicitComplex:
@@ -299,8 +335,13 @@ def _reduce(
     E = template_round(cx, grade_of)
     check(E)
     sizes = [E.cell_count]
-    while any(E.grades is None or E.grades[f] == E.grades[c] for f, c in E.boundary_entries()):
-        nxt = reduce_round(E, generic_round(E, graded=E.grades is not None))
+    graded = E.grades is not None
+    while (
+        any(E.grades[f] == E.grades[c] for f, c in E.boundary_entries())
+        if graded
+        else E.nonzero_boundary()
+    ):
+        nxt = reduce_round(E, generic_round(E, graded=graded))
         if nxt.cell_count >= E.cell_count:
             raise IntegrityError("reduction round made no progress")
         check(nxt)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cubemorse.cubical import CubicalComplex
@@ -43,6 +44,22 @@ def top_cube_complexes(draw):
     anchor = st.tuples(*[st.integers(0, m - 1)] * d)
     anchors = draw(st.lists(anchor, min_size=1, max_size=12, unique=True))
     return CubicalComplex.from_top_cells(m, d, anchors)
+
+
+@st.composite
+def lower_star_graded(draw):
+    """A top-cube complex whose cells take the maximum of a vertex function
+    over their vertices."""
+    cx = draw(top_cube_complexes())
+    cells = sorted(cx.cells(), key=cx.dim)
+    verts = [c for c in cells if cx.dim(c) == 0]
+    values = draw(st.lists(st.integers(0, 3), min_size=len(verts), max_size=len(verts)))
+    grades = np.zeros(cx.total_ids, dtype=np.int64)
+    grades[verts] = values
+    for c in cells:
+        if cx.dim(c):
+            grades[c] = max(grades[f] for f in cx.boundary(c))
+    return cx, grades
 
 
 def strip_zeros(betti: list[int]) -> list[int]:

@@ -231,6 +231,21 @@ def test_gf2_rank_random_invariants():
         assert gf2_rank(shuffled) == r
 
 
+def test_gf2_rank_equals_elimination_by_leading_bit():
+    rng = random.Random(8)
+    for _ in range(200):
+        width = rng.randint(1, 12)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 14))]
+        basis: list[int] = []  # distinct leading bits, descending
+        for row in rows:
+            for b in basis:
+                row = min(row, row ^ b)
+            if row:
+                basis.append(row)
+                basis.sort(reverse=True)
+        assert gf2_rank(rows) == len(basis)
+
+
 def test_betti_oracle_known_spaces():
     assert betti_oracle(interval_complex()) == [1, 0]
     assert betti_oracle(circle_complex()) == [1, 1]

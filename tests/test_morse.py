@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubemorse import morse
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
 from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
-from cubemorse.matching import SequenceMatching, TemplateMatching
+from cubemorse.matching import SequenceMatching, TemplateMatching, verify_acyclic
 from cubemorse.morse import (
     connection_matrix,
     generic_round,
@@ -17,7 +21,13 @@ from cubemorse.morse import (
     reduce_round,
     template_round,
 )
-from .helpers import random_cubical_complex, random_hypercube_complex, strip_zeros
+from .helpers import (
+    lower_star_graded,
+    random_cubical_complex,
+    random_hypercube_complex,
+    strip_zeros,
+    top_cube_complexes,
+)
 
 
 def test_morse_boundary_counts_flowlines_mod_2():
@@ -259,3 +269,78 @@ def test_homology_is_the_one_grade_connection_matrix():
         assert list(h.complex.boundary_entries()) == list(c.complex.boundary_entries())
         assert h.round_sizes == c.round_sizes
         assert h.rounds == c.tower == len(h.round_sizes)
+
+
+@st.composite
+def round_one_complexes(draw):
+    """(cx, round-1 complex, graded): ungraded top-cube complexes, or
+    lower-star graded ones so that the round-1 boundary descends."""
+    if draw(st.booleans()):
+        cx, grades = draw(lower_star_graded())
+        return cx, template_round(cx, grades), True
+    cx = draw(top_cube_complexes())
+    return cx, template_round(cx), False
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(round_one_complexes())
+def test_generic_round_is_an_acyclic_matching(case):
+    cx, E, graded = case
+    partner = generic_round(E, graded=graded)
+    assert sorted(partner) == sorted(E.dims)
+    for c, k in partner.items():
+        assert partner[k] == c
+        if E.dims[k] == E.dims[c] + 1:
+            assert c in E.boundary(k)
+            if graded:
+                assert E.grades[c] == E.grades[k]
+        else:
+            assert k == c or E.dims[c] == E.dims[k] + 1
+    assert verify_acyclic(E, partner.__getitem__)
+    assert strip_zeros(betti_oracle(reduce_round(E, partner))) == strip_zeros(betti_oracle(cx))
+    assert strip_zeros(homology(cx).betti) == strip_zeros(betti_oracle(cx))
+
+
+def test_generic_round_prefers_a_collapse_to_a_fixed_cell():
+    # a path of two edges: no edge has one face, but vertex 0 has the one
+    # coface 10, so the collapse (0, 10) comes before any fixed cell
+    E = ExplicitComplex({0: 0, 1: 0, 2: 0, 10: 1, 11: 1}, {10: (0, 1), 11: (1, 2)})
+    partner = generic_round(E)
+    assert partner[0] == 10 and partner[10] == 0
+    assert partner[1] == 11 and partner[11] == 1
+    assert partner[2] == 2
+
+
+def boundary_entries_by_round(monkeypatch, m: int) -> list[int]:
+    """Boundary entries of round 1 and of every later round of ``homology``
+    on the closure of random top cubes in C(m; 3), drawn as the benchmark's
+    cubical-rand draws them: lexicographic anchors, each kept with
+    probability 0.5 under ``random.Random(1)``."""
+    rng = random.Random(1)
+    anchors = [a for a in itertools.product(range(m), repeat=3) if rng.random() < 0.5]
+    cx = CubicalComplex.from_top_cells(m, 3, anchors)
+    entries: list[int] = []
+    real_round = morse.reduce_round
+
+    def counted(E, partner):
+        if not entries:
+            entries.append(sum(1 for _ in E.boundary_entries()))
+        out = real_round(E, partner)
+        entries.append(sum(1 for _ in out.boundary_entries()))
+        return out
+
+    monkeypatch.setattr(morse, "reduce_round", counted)
+    homology(cx)
+    return entries
+
+
+def test_later_rounds_do_not_fill_in(monkeypatch):
+    entries = boundary_entries_by_round(monkeypatch, 36)
+    assert len(entries) >= 2 and entries[-1] == 0
+    assert all(b <= a for a, b in zip(entries, entries[1:])), entries
+
+
+@pytest.mark.slow
+def test_later_rounds_do_not_fill_in_at_m60(monkeypatch):
+    entries = boundary_entries_by_round(monkeypatch, 60)
+    assert all(b <= a for a, b in zip(entries, entries[1:])), entries
