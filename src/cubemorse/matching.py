@@ -35,12 +35,14 @@ partner is a coface one dimension up.
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
 breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
 two stages read it.  ``verify`` builds it once per matching from all lower
-cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over it and
-stability a test on the same edges.  Round one's flow counting
-(:func:`cubemorse.morse.morse_boundary` given a :class:`_SweepMate`)
-builds it from the fixed cells whose rows count, contracts its chains of
-one-successor nodes and sums the flow rows mod 2 in a layered peel from
-the sinks (:func:`_sweep_flows`, :func:`_flow_rows`).
+cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over it
+(:func:`_peel`) and stability a test on the same edges.  Round one's flow
+counting (:func:`cubemorse.morse.morse_boundary` given a
+:class:`_SweepMate`) builds it from the fixed cells whose rows count
+(:func:`_sweep_graph`).  The flow graphs of other oracles are walked cell
+by cell, and the same two algorithms read them: :func:`_flow_rows`
+contracts the chains of one-successor nodes and sums the flow rows mod 2
+in a layered peel from the sinks, and :func:`_peel` decides acyclicity.
 
 The ``verify`` passes only decide that all is clean.  On any anomaly, and
 for every other oracle, the checks walk the cells and query the oracle one
@@ -707,7 +709,7 @@ class _SweepMate(NamedTuple):
     :func:`template_sweep`: a lower cell (code > 0) maps to its partner,
     every other member to itself, and a non-member raises
     :class:`NonMemberCellError`.  :func:`cubemorse.morse.morse_boundary`
-    counts its flows in :func:`_sweep_flows`."""
+    walks its flows in array passes (:func:`_sweep_graph`)."""
 
     cx: CubicalComplex
     code: np.ndarray
@@ -719,31 +721,20 @@ class _SweepMate(NamedTuple):
         return cell + _steps(self.cx)[max(int(self.code[pos]), 0)]
 
 
-def _sweep_flows(mate: _SweepMate, sources: list[int]) -> dict[int, tuple[int, ...]]:
-    """:func:`cubemorse.morse.morse_boundary` rows of the fixed cells
-    ``sources`` over a sweep, as array passes.
+def _sweep_graph(mate: _SweepMate, sources: list[int]):
+    """The :func:`_flow_graph` of a sweep from the fixed cells ``sources``,
+    for :func:`cubemorse.morse.morse_boundary`: node ids for positions, and
+    the fixed faces reached numbered by rank.
 
-    The :func:`_flow_graph` from the sources holds every lower cell their
-    flows reach, and :func:`_flow_rows` sums its rows mod 2 over the graph
-    with its chains contracted, in a few array passes per peel layer;
-    columns are member positions.  A lower cell that reaches a cycle
-    raises :class:`AcyclicityError`, naming the smallest such cell.
+    Returns:
+        (nodes, (src, dst), (fsrc, fcol), cols): the node ids; the node
+        edges; the edges from nodes to the columns of their fixed faces; and
+        the id of each column, ascending.
     """
-    if not sources:
-        return {}
     cx, code = mate
-    at, (src, dst), (fsrc, fat) = _flow_graph(cx, code, cx._locate(np.array(sources))[0])
-    stuck, indptr, cols = _flow_rows(at.size, np.arange(len(sources)), src, dst, fsrc, fat)
-    if stuck.any():
-        stuck = at[stuck]
-        stuck = cx._ids_at(stuck[code[stuck] > 0].min())
-        raise AcyclicityError(f"flow from lower cell {stuck} runs into a cycle: matching is cyclic")
-    cols = cx._ids_at(cols).tolist()
-    out: dict[int, tuple[int, ...]] = {}
-    for c, lo, hi in zip(sources, indptr[:-1].tolist(), indptr[1:].tolist()):
-        if hi > lo:
-            out[c] = tuple(cols[lo:hi])
-    return out
+    at, edges, (fsrc, fat) = _flow_graph(cx, code, cx._locate(np.array(sources))[0])
+    fat, fcol = np.unique(fat, return_inverse=True)
+    return cx._ids_at(at), edges, (fsrc, fcol), cx._ids_at(fat).tolist()
 
 
 def _lower_cells(cx, oracle):
@@ -763,42 +754,24 @@ def verify_acyclic(
     """True when the flow relation on lower cells has no directed cycle.
 
     The relation steps from a lower cell q to every other lower cell in the
-    boundary of q's partner.  A clean :class:`TemplateMatching` is checked
-    by a Kahn peel over its flow graph; otherwise an iterative
-    three-color depth-first search walks the cells.
+    boundary of q's partner.  Both paths decide it by a Kahn peel
+    (:func:`_peel`): a clean :class:`TemplateMatching` over the flow graph of
+    its sweep, any other oracle over the edges found by walking the cells.
     """
     _refuse_above("verify_acyclic", cx, max_cells)
     view = _array_view(cx, oracle)
     if view is not None:
         return _peel(*view._flows[:3])
     lower = _lower_cells(cx, oracle)
-    color: dict[int, int] = {}  # 1 open, 2 done
-    for start in sorted(lower):
-        if color.get(start):
-            continue
-        stack: list[tuple[int, object]] = [(start, None)]
-        color[start] = 1
-        while stack:
-            q, it = stack[-1]
-            if it is None:
-                it = iter(
-                    f for f in cx.boundary(lower[q]) if f != q and f in lower
-                )
-                stack[-1] = (q, it)
-            advanced = False
-            for nxt in it:  # type: ignore[union-attr]
-                cc = color.get(nxt, 0)
-                if cc == 1:
-                    return False
-                if cc == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, None))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = 2
-                stack.pop()
-    return True
+    node = {q: i for i, q in enumerate(lower)}
+    src, dst = [], []
+    for i, (q, k) in enumerate(lower.items()):
+        for f in cx.boundary(k):
+            j = node.get(f)
+            if j is not None and j != i:
+                src.append(i)
+                dst.append(j)
+    return _peel(len(node), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
 
 
 def verify_stable(

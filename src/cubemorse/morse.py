@@ -7,14 +7,15 @@ steps from a face of a cell into the partner of a lower cell and onward.
 could only join fixed cells of a dimension that has none.
 :func:`template_round` runs one reduction round of a cubical complex under
 the template matching, evaluated as an array sweep over the members by
-position (:func:`cubemorse.matching.template_sweep`); its flows are counted as
-array passes over the sweep's flow graph in :mod:`cubemorse.matching`, the
-one module that reads the sweep's encoding.  Later rounds count flows by
-memoized depth-first propagation, and :func:`generic_round` produces their
-deterministic acyclic matching on an already-explicit complex from
-coreductions and, when none is left, free-face collapses, so a round does
-not fill the next complex's boundary in.  Every round ends in the same
-collapse onto the fixed cells.  :func:`homology` and
+position (:func:`cubemorse.matching.template_sweep`); its flow graph is
+built in array passes in :mod:`cubemorse.matching`, the one module that
+reads the sweep's encoding.  Later rounds walk their flow graph cell by
+cell, and every round sums the flow rows over its graph with one algorithm
+(:func:`cubemorse.matching._flow_rows`).  :func:`generic_round` produces
+the later rounds' deterministic acyclic matching on an already-explicit
+complex from coreductions and, when none is left, free-face collapses, so
+a round does not fill the next complex's boundary in.  Every round ends in
+the same collapse onto the fixed cells.  :func:`homology` and
 :func:`connection_matrix` share one reduction loop: homology is the
 connection matrix over a one-element poset, so it runs the loop ungraded
 and stops at a zero boundary, while :func:`connection_matrix` runs it
@@ -27,13 +28,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .core import (
     AcyclicityError,
     ExplicitComplex,
     IntegrityError,
 )
 from .cubical import CubicalComplex
-from .matching import _SweepMate, _sweep_flows, template_sweep
+from .matching import _SweepMate, _flow_rows, _sweep_graph, template_sweep
 
 
 def morse_boundary(
@@ -47,16 +50,15 @@ def morse_boundary(
     A reduced boundary entry joins dimensions k and k - 1 only, so a fixed
     cell of dimension k is skipped when no fixed cell has dimension k - 1.
 
-    Given the :class:`~cubemorse.matching._SweepMate` of
+    The flows are counted over a flow graph from the fixed cells whose rows
+    count.  Given the :class:`~cubemorse.matching._SweepMate` of
     :func:`template_round`, whose fixed cells must be ``criticals``, the
-    flows are counted in array passes
-    (:func:`cubemorse.matching._sweep_flows`).  Any other ``mate_of`` is
-    walked cell by cell:
-    flow sets (the fixed cells reachable from a lower cell, counted mod 2)
-    are memoized, and the traversal is an explicit stack so path length is
-    not limited by the interpreter recursion depth.  Either way, a flow
-    that returns to a lower cell means the matching is cyclic
-    (:class:`AcyclicityError`).
+    graph is built in array passes (:func:`cubemorse.matching._sweep_graph`);
+    any other ``mate_of`` is walked cell by cell (:func:`_cell_graph`).
+    Either way :func:`cubemorse.matching._flow_rows` sums the rows mod 2,
+    and a flow that reaches a cycle means the matching is cyclic
+    (:class:`AcyclicityError`, naming the smallest lower cell that reaches
+    one).
 
     ``mate_of`` must return the partner of every lower cell (one paired with
     a coface) and may map any other cell, upper cells included, to itself;
@@ -69,74 +71,74 @@ def morse_boundary(
     order = sorted(criticals)
     have = set(criticals.values())
     sources = [a for a in order if criticals[a] - 1 in have]
+    if not sources:
+        return {}
     if type(mate_of) is _SweepMate:
-        return _sweep_flows(mate_of, sources)
-    crit = set(order)
-    memo: dict[int, frozenset[int]] = {}
-
-    def partner_up(c: int) -> int | None:
-        m = mate_of(c)
-        if m != c and dim_of(m) == dim_of(c) + 1:
-            return m
-        return None
-
-    def flow(q0: int, k0: int) -> None:
-        stack: list[tuple[int, object, set[int]]] = [(q0, iter(boundary_of(k0)), set())]
-        open_cells = {q0}
-        while stack:
-            q, faces, acc = stack[-1]
-            advanced = False
-            for f in faces:  # type: ignore[union-attr]
-                if f == q:
-                    continue
-                if f in crit:
-                    if f in acc:
-                        acc.discard(f)
-                    else:
-                        acc.add(f)
-                    continue
-                got = memo.get(f)
-                if got is not None:
-                    acc.symmetric_difference_update(got)
-                    continue
-                k = partner_up(f)
-                if k is None:
-                    continue  # upper cell: no outgoing flow
-                if f in open_cells:
-                    raise AcyclicityError(
-                        f"flow from cell {q0} revisits open cell {f}: matching is cyclic"
-                    )
-                open_cells.add(f)
-                stack.append((f, iter(boundary_of(k)), set()))
-                advanced = True
-                break
-            if advanced:
-                continue
-            memo[q] = frozenset(acc)
-            open_cells.discard(q)
-            stack.pop()
-            if stack:
-                stack[-1][2].symmetric_difference_update(acc)
-
+        nodes, edges, fixed, ids = _sweep_graph(mate_of, sources)
+    else:
+        nodes, edges, fixed, ids = _cell_graph(order, sources, boundary_of, mate_of, dim_of)
+    s = len(sources)
+    stuck, indptr, cols = _flow_rows(len(nodes), np.arange(s), *edges, *fixed)
+    if stuck.any():  # sources have no in-edges, so a cycle holds lower cells only
+        lower = min(int(nodes[i]) for i in np.flatnonzero(stuck[s:]) + s)
+        raise AcyclicityError(f"flow from lower cell {lower} runs into a cycle: matching is cyclic")
+    cols = [ids[j] for j in cols.tolist()]
     out: dict[int, tuple[int, ...]] = {}
-    for a in sources:
-        acc: set[int] = set()
-        for f in boundary_of(a):
-            if f in crit:
-                if f in acc:
-                    acc.discard(f)
-                else:
-                    acc.add(f)
-                continue
-            k = partner_up(f)
-            if k is None:
-                continue
-            if f not in memo:
-                flow(f, k)
-            acc.symmetric_difference_update(memo[f])
-        if acc:
-            out[a] = tuple(sorted(acc))
+    for c, lo, hi in zip(sources, indptr[:-1].tolist(), indptr[1:].tolist()):
+        if hi > lo:
+            out[c] = tuple(cols[lo:hi])
     return out
+
+
+_NEW = object()  # not yet reached by :func:`_cell_graph`
+
+
+def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
+    """The flow graph of :func:`morse_boundary` walked cell by cell,
+    breadth first from ``sources``, in the shape of
+    :func:`cubemorse.matching._flow_graph`.
+
+    A node steps to the faces, other than itself, of its partner for a
+    lower cell, of itself for a source.  A fixed face ends the flow, as the
+    column of its rank in the ascending ``order``; a face ``mate_of`` pairs
+    with a coface one dimension up is a lower cell, a node; any other face
+    has no flow.  Each reached cell costs one ``mate_of`` and two ``dim_of``
+    calls (for it and its partner), each node one ``boundary_of`` call, and
+    each face one dict lookup.
+
+    Returns:
+        (nodes, (src, dst), (fsrc, fcol), order): the node cells in visit
+        order, sources first; the edges from nodes to the nodes of their
+        lower faces; the edges from nodes to the columns of their fixed
+        faces, both src ascending; and the id of each column.
+    """
+    # a fixed cell -> ~its column, a node -> its index, a cell with no flow -> None
+    look = dict(zip(order, range(-1, -len(order) - 1, -1)))
+    get = look.get
+    nodes, ups = list(sources), list(sources)  # node cells; the cells whose faces they step to
+    src, dst, fsrc, fcol = [], [], [], []
+    for i, k in enumerate(ups):  # ups grows as the walk reaches new lower cells
+        for f in boundary_of(k):
+            got = get(f, _NEW)
+            if got is _NEW:
+                m = mate_of(f)
+                if m != f and dim_of(m) == dim_of(f) + 1:
+                    got = look[f] = len(nodes)
+                    nodes.append(f)
+                    ups.append(m)
+                else:
+                    look[f] = None
+                    continue
+            elif got is None or got == i:  # no flow, or the node itself
+                continue
+            if got >= 0:
+                src.append(i)
+                dst.append(got)
+            else:
+                fsrc.append(i)
+                fcol.append(~got)
+    src, dst, fsrc, fcol = (np.array(x, dtype=np.intp) for x in (src, dst, fsrc, fcol))
+    return nodes, (src, dst), (fsrc, fcol), order
 
 
 def morse_complex(

@@ -37,13 +37,17 @@ def random_cubical_complex(rng: random.Random, d: int, m: int = 3) -> CubicalCom
 
 
 @st.composite
-def top_cube_complexes(draw):
-    """Face closures of up to 12 distinct top cubes in C(m; d), d <= 3, m <= 4."""
+def top_cubes(draw):
+    """(m, d, anchors): up to 12 distinct top cubes in C(m; d), d <= 3, m <= 4."""
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     anchor = st.tuples(*[st.integers(0, m - 1)] * d)
-    anchors = draw(st.lists(anchor, min_size=1, max_size=12, unique=True))
-    return CubicalComplex.from_top_cells(m, d, anchors)
+    return m, d, draw(st.lists(anchor, min_size=1, max_size=12, unique=True))
+
+
+def top_cube_complexes():
+    """Face closures of :func:`top_cubes`."""
+    return top_cubes().map(lambda t: CubicalComplex.from_top_cells(*t))
 
 
 @st.composite

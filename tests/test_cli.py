@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorse.cli import (
     EXIT_GUARD,
@@ -12,6 +19,7 @@ from cubemorse.cli import (
 )
 from cubemorse import matching
 from cubemorse.core import ExplicitComplex, FormatError
+from .helpers import top_cubes
 
 REFERENCE_TEXT = "6 2\n0 0 0\n1 3 1\n2 1 2\n3 4 3\n4 2 4\n5 5 5\n"
 
@@ -336,3 +344,62 @@ def test_package_depends_on_numpy_alone():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+# -- properties -------------------------------------------------------------
+
+@st.composite
+def _number_files(draw):
+    """A header ``a b`` of two small numbers over lines of a or b + 1 small
+    numbers: top-cube and strand files, valid or nearly so, so that the
+    checks past the parsers run too.  The complexes they make are tiny."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    line = st.sampled_from([a, b + 1]).flatmap(
+        lambda k: st.lists(st.integers(-1, 4).map(str), min_size=k, max_size=k)
+    )
+    lines = draw(st.lists(line, max_size=4))
+    return "\n".join(" ".join(x) for x in [[str(a), str(b)], *lines]).encode()
+
+
+_garbage = st.one_of(
+    st.binary(max_size=200),  # any bytes, non-UTF-8 included
+    st.text(max_size=200).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    _number_files(),
+)
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["cubical"], ["braid", "--file"], ["verify"]], ids=lambda a: a[0])
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=_garbage)
+def test_garbage_files_end_in_an_exit_code(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, _, err = _run_in_process([*argv, path])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_GUARD)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(top_cubes())
+def test_cubical_json_is_stable_across_reruns(tops):
+    """Two runs on one top-cube file print the same record, timing aside."""
+    m, d, anchors = tops
+    text = f"{d} {m}\n" + "".join(" ".join(map(str, a)) + "\n" for a in anchors)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tops.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        runs = [_run_in_process(["cubical", path, "--json"]) for _ in range(2)]
+    assert runs[0][0] == runs[1][0] == EXIT_OK
+    first, second = (re.subn(r'"timing_ms": [^,}]+', "", out) for _, out, _ in runs)
+    assert first == second and first[1] == 1 and '"betti"' in first[0]

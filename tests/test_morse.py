@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorse import morse
-from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
+from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
@@ -46,8 +46,53 @@ def test_morse_boundary_detects_cycles():
     dims = {1: 1, 2: 1, 3: 1, 11: 2, 12: 2, 13: 2}
     E = ExplicitComplex(dims, {11: (1, 2), 12: (1, 2), 13: (1, 2, 3)})
     w = {1: 11, 11: 1, 2: 12, 12: 2, 3: 3, 13: 13}
-    with pytest.raises(AcyclicityError):
+    with pytest.raises(AcyclicityError, match="lower cell 1 "):
         morse_boundary([3, 13], E.boundary, w.__getitem__, E.dim)
+
+
+def vpath_boundary(fixed, boundary_of, mate_of, dim_of):
+    """The reduced boundary by brute force, the independent oracle of
+    ``morse_boundary``: every alternating path from a fixed cell a is
+    enumerated, without memoization.  A path steps to a face f of its
+    current cell other than the lower cell it came from; a fixed f ends it
+    and counts once, a lower f (paired with a coface one dimension up)
+    continues from that coface, and any other f ends it uncounted.  Counts
+    are taken mod 2."""
+    fixed = set(fixed)
+    out = {}
+    for a in fixed:
+        count = {}
+        stack = [(a, None)]
+        while stack:
+            cell, came = stack.pop()
+            for f in boundary_of(cell):
+                if f == came:
+                    continue
+                if f in fixed:
+                    count[f] = count.get(f, 0) ^ 1
+                    continue
+                k = mate_of(f)
+                if k != f and dim_of(k) == dim_of(f) + 1:
+                    stack.append((k, f))
+        row = tuple(sorted(f for f, odd in count.items() if odd))
+        if row:
+            out[a] = row
+    return out
+
+
+def test_morse_boundary_matches_vpaths_on_hypercube_subcomplexes():
+    rng = random.Random(77)
+    rows = 0
+    for _ in range(60):
+        cx = random_hypercube_complex(rng, rng.randint(1, 5))
+        entries = cx.template_entries()  # some of the toggles, in any order
+        w = SequenceMatching(cx, rng.sample(entries, rng.randint(1, len(entries))))
+        assert verify_acyclic(cx, w)
+        fixed = [c for c in cx.cells() if w(c) == c]
+        got = morse_boundary(fixed, cx.boundary, w, cx.dim)
+        assert got == vpath_boundary(fixed, cx.boundary, w, cx.dim)
+        rows += len(got)
+    assert rows  # some subcomplexes keep a nonzero reduced boundary
 
 
 def test_morse_complex_full_cube_collapses_to_nothing():
@@ -299,6 +344,37 @@ def test_generic_round_is_an_acyclic_matching(case):
     assert verify_acyclic(E, partner.__getitem__)
     assert strip_zeros(betti_oracle(reduce_round(E, partner))) == strip_zeros(betti_oracle(cx))
     assert strip_zeros(homology(cx).betti) == strip_zeros(betti_oracle(cx))
+
+
+def assert_later_round_matches_vpaths(E, graded):
+    """``reduce_round``'s flow count, the per-cell walk of ``morse_boundary``
+    along ``generic_round`` partners, equals the brute-force V-path count."""
+    partner = generic_round(E, graded=graded)
+    fixed = [c for c in E.dims if partner[c] == c]
+    args = (E.boundary, partner.__getitem__, E.dim)
+    want = vpath_boundary(fixed, *args)
+    assert morse_boundary(fixed, *args) == want
+    assert reduce_round(E, partner)._bdry == want
+    return want
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(round_one_complexes())
+def test_later_round_boundary_matches_vpaths(case):
+    _, E, graded = case
+    assert_later_round_matches_vpaths(E, graded)
+
+
+def test_later_round_boundary_matches_vpaths_on_braids():
+    # round one of the graded braid covers leaves cells up to dimension 4,
+    # so paths pass upper cells whose partners have fixed faces
+    rows = 0
+    for nfold in (1, 2):
+        bc = build_braid_complex(nfold_cover(reference_braid(), nfold))
+        E = template_round(bc.cx, bc.grades)
+        for graded in (True, False):
+            rows += len(assert_later_round_matches_vpaths(E, graded))
+    assert rows
 
 
 def test_generic_round_prefers_a_collapse_to_a_fixed_cell():

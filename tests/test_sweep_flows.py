@@ -1,11 +1,13 @@
 """Round-1 flow counting over the template sweep against the per-cell walk.
 
-``morse_boundary`` counts the flows of :func:`template_round` in array passes
-when it is given the sweep's own mate (``matching._SweepMate``).  Given a plain
-lower-only callable built from the same sweep codes, it walks the cells
-depth first.  Both must give the same boundary, or both raise
-:class:`AcyclicityError`.  The row computation alone (``matching._flow_rows``)
-is checked on random digraphs against a memoized depth-first search.
+``morse_boundary`` builds the flow graph of :func:`template_round` in array
+passes when it is given the sweep's own mate (``matching._SweepMate``).
+Given a plain lower-only callable built from the same sweep codes, it walks
+the cells breadth first.  Both must give the same boundary, or both raise
+:class:`AcyclicityError` naming the same lower cell.  The row sums
+(``matching._flow_rows``) and the cycle test (``matching._peel``) that both
+paths share are checked on random digraphs against a memoized depth-first
+search.
 """
 import itertools
 import random
@@ -20,15 +22,15 @@ from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid
 from cubemorse.core import AcyclicityError
 from cubemorse.cubical import CubicalComplex
 from cubemorse import matching
-from cubemorse.matching import _flow_rows, _SweepMate, template_sweep
+from cubemorse.matching import _flow_rows, _peel, _SweepMate, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
 from .helpers import random_cubical_complex, top_cube_complexes
 
 
 def both_paths(cx, code):
     """(array, per-cell) outcomes of ``morse_boundary`` on the fixed cells of
-    one sweep's codes: the boundary, or :class:`AcyclicityError` when it
-    raises that."""
+    one sweep's codes: the boundary, or, when it raises
+    :class:`AcyclicityError`, that class and the lower cell it names."""
     ids = cx.member_ids()
     criticals = ids[code == 0].tolist()
     lower = {c: c + cx.pows[k - 1] for c, k in zip(ids.tolist(), code.tolist()) if k > 0}
@@ -36,8 +38,8 @@ def both_paths(cx, code):
     for mate in (_SweepMate(cx, code), lambda c: lower.get(c, c)):
         try:
             out.append(morse_boundary(criticals, cx._boundary_raw, mate, cx.dim_of))
-        except AcyclicityError:
-            out.append(AcyclicityError)
+        except AcyclicityError as err:
+            out.append((AcyclicityError, int(re.search(r"lower cell (\d+) ", str(err)).group(1))))
     return out
 
 
@@ -92,11 +94,9 @@ def test_array_path_detects_cycles():
         q = cx.cell_id(edge)
         code[q], code[q + cx.pows[axis - 1]] = axis, -axis
     assert code[cx.cell_id((1, 3, 2))] == 0
-    assert both_paths(cx, code) == [AcyclicityError, AcyclicityError]
-    # the array path names a lower cell on the cycle, never a fixed source
-    with pytest.raises(AcyclicityError) as err:
-        morse_boundary(ids[code == 0].tolist(), cx._boundary_raw, _SweepMate(cx, code), cx.dim_of)
-    assert re.search(r"lower cell (\d+) ", str(err.value)).group(1) in {"67", "63", "87"}
+    # both paths name the smallest lower cell on the cycle, never a fixed source
+    assert sorted(map(cx.cell_id, [(2, 3, 2), (3, 2, 2), (2, 2, 3)])) == [63, 67, 87]
+    assert both_paths(cx, code) == [(AcyclicityError, 63)] * 2
 
 
 def test_flow_pruning_skips_spheres(monkeypatch):
@@ -261,13 +261,14 @@ def chain_into(n, cycle_from, fixed=()):
 @example((4, [0], [(0, 1), (0, 2), (1, 3), (2, 3)], [(3, 0), (3, 2)]))  # rows cancel
 def test_flow_rows_match_depth_first_search(graph):
     """``_flow_rows`` gives the rows of a memoized depth-first search on any
-    digraph, and marks exactly the nodes that reach a cycle."""
+    digraph, and marks exactly the nodes that reach a cycle; ``_peel`` finds
+    a cycle exactly when some node reaches one."""
     n, sources, edges, fixed = graph
     arr = lambda pairs, i: np.array([p[i] for p in pairs], dtype=np.intp)
-    stuck, indptr, cols = _flow_rows(
-        n, np.array(sources, dtype=np.intp), arr(edges, 0), arr(edges, 1), arr(fixed, 0), arr(fixed, 1)
-    )
+    src, dst = arr(edges, 0), arr(edges, 1)
+    stuck, indptr, cols = _flow_rows(n, np.array(sources, dtype=np.intp), src, dst, arr(fixed, 0), arr(fixed, 1))
     rows, want_stuck = dfs_rows(n, edges, fixed)
+    assert _peel(n, src, dst) == (not want_stuck)
     assert set(np.flatnonzero(stuck).tolist()) == want_stuck
     for i, s in enumerate(sources):
         got = cols[indptr[i]:indptr[i + 1]].tolist()
