@@ -11,14 +11,21 @@ optionally minus one excluded cell (the all-odd centre, for the spheres);
 nothing is materialized, and membership, boundary and fiber queries are
 answered from the codec.  An *explicit* complex stores its member ids in
 ``members``, one sorted read-only array (:meth:`CubicalComplex.member_ids`);
-a grid has ``members = None``.
+a grid has ``members = None``.  An explicit complex is *dense* when its id
+range is at most ``_DENSE_SPAN`` times its member count, as the closures of
+random top cubes are: it then also keeps a rank table over the whole id
+range (``CubicalComplex._rank``, each member's position, -1 elsewhere),
+built on first use, and is treated as a grid with a member mask.  A
+*sparse* explicit complex, such as a few cubes of a grid with 10^6
+intervals per axis, keeps ``members`` alone.
 
 Array passes address members by *position*, their index in ascending id
 order.  One codec maps ids to positions and back
 (:meth:`CubicalComplex._locate`, :meth:`CubicalComplex._ids_at`): on a grid
 it is arithmetic, a position being the id shifted down by one past the
-excluded centre, so no id array is built and nothing is searched; an
-explicit complex searches ``members``.
+excluded centre, so no id array is built and nothing is searched; a dense
+explicit complex reads its rank table and ``members``, and a sparse one
+searches ``members``.
 
 The codec is one face formula: the faces of a cell are ``id - pows[i]`` and
 ``id + pows[i]`` for each odd digit i (its edge [l, l+1] replaced by [l, l]
@@ -36,6 +43,7 @@ time (:func:`alpha`, :func:`beta`).
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterator
 
@@ -49,6 +57,10 @@ from .core import (
 )
 
 CLOSURE_CELL_GUARD = 100_000_000
+# an explicit complex whose id range is at most this many times its member
+# count is dense: positions by a rank table over the ids, closure by
+# dilation of a member mask and the grid's slice sweep
+_DENSE_SPAN = 4
 # cells per face-array call of the array walks: a call has a fixed cost of
 # tens of microseconds, and the bound keeps a walk over all members from
 # building every face at once
@@ -138,8 +150,14 @@ class CubicalComplex(CellComplexLike):
     ) -> "CubicalComplex":
         """Closure of a list of top cubes given by their anchor vectors.
 
-        The closure is built as id arrays in the dtype of ``members``, so a
-        grid whose ids exceed int64 is refused with :class:`SizeGuardError`.
+        When the grid's ids span at most ``_DENSE_SPAN`` times the closure
+        estimate, the closure is a dilation: the top cubes are marked in a
+        bool mask over all ids, and then, one axis at a time, each odd digit
+        slice is ORed into its two even neighbours, so the marked set gains
+        the faces that lower or raise that coordinate.  Otherwise every top
+        cube's 3^d faces are listed as ids and sorted.  The closure is built
+        as id arrays in the dtype of ``members``, so a grid whose ids exceed
+        int64 is refused with :class:`SizeGuardError`.
         """
         estimate = len(anchors) * 3 ** d
         if estimate > CLOSURE_CELL_GUARD and not force:
@@ -148,21 +166,39 @@ class CubicalComplex(CellComplexLike):
                 "pass force to override"
             )
         cx = cls(m, d)
-        for a in anchors:
-            if len(a) != d:
-                raise FormatError(f"anchor {a} does not have {d} coordinates")
-            if min(a) < 0 or max(a) > m - 1:
-                raise FormatError(f"anchor {a} out of range 0..{m - 1}")
+        try:  # checked as one array; any fault is named by the loop below
+            tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
+            valid = len(tops) == len(anchors) and not ((tops < 0) | (tops > m - 1)).any()
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
+            for a in anchors:
+                if len(a) != d:
+                    raise FormatError(f"anchor {a} does not have {d} coordinates")
+                if min(a) < 0 or max(a) > m - 1:
+                    raise FormatError(f"anchor {a} out of range 0..{m - 1}")
+            tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
         if cx._id_dtype.kind == "O":
             raise SizeGuardError(f"cell ids of a {cx.base}^{d} grid exceed int64")
         pows = np.array(cx.pows, dtype=cx._id_dtype)
-        corners = np.array(anchors, dtype=pows.dtype).reshape(-1, d) @ (2 * pows)
-        # every digit of a closure cell is 2a, 2a + 1 or 2a + 2 <= 2m: no sum overflows
-        steps = np.zeros(1, dtype=pows.dtype)
-        for p in pows:
-            steps = (steps + np.array([0, p, 2 * p], dtype=pows.dtype)[:, None]).ravel()
-        ids = np.sort((corners[:, None] + steps).ravel())
-        cx.members = ids[np.diff(ids, prepend=-1) != 0]
+        corners = tops.astype(pows.dtype) @ (2 * pows)
+        if cx.total_ids <= _DENSE_SPAN * estimate:
+            mask = np.zeros(cx.total_ids, dtype=bool)
+            mask[corners + pows.sum()] = True  # the top cubes: every digit odd
+            grid = mask.reshape((cx.base,) * d, order="F")  # a view
+            for axis in range(d):
+                at = (slice(None),) * axis
+                odd = grid[at + (slice(1, 2 * m, 2),)]
+                grid[at + (slice(0, 2 * m - 1, 2),)] |= odd
+                grid[at + (slice(2, 2 * m + 1, 2),)] |= odd
+            cx.members = np.flatnonzero(mask).astype(cx._id_dtype)
+        else:
+            # every digit of a closure cell is 2a, 2a + 1 or 2a + 2 <= 2m: no sum overflows
+            steps = np.zeros(1, dtype=pows.dtype)
+            for p in pows:
+                steps = (steps + np.array([0, p, 2 * p], dtype=pows.dtype)[:, None]).ravel()
+            ids = np.sort((corners[:, None] + steps).ravel())
+            cx.members = ids[np.diff(ids, prepend=-1) != 0]
         cx.members.flags.writeable = False
         return cx
 
@@ -254,11 +290,16 @@ class CubicalComplex(CellComplexLike):
         """Member cells per dimension 0..max_cell_dim.
 
         Closed form for grids; an explicit complex counts the :meth:`_dims`
-        of :meth:`member_ids`.  Computed once per complex.
+        of :meth:`member_ids`, 16 walk chunks at a time, so the digit
+        temporaries stay small.  Computed once per complex.
         """
         if self._counts_by_dim is None:
             if self.members is not None:
-                counts = np.bincount(self._dims(self.member_ids()), minlength=self.d + 1).tolist()
+                ids, step = self.member_ids(), 16 * _WALK_CHUNK
+                total = np.zeros(self.d + 1, dtype=np.int64)
+                for lo in range(0, ids.size, step):
+                    total += np.bincount(self._dims(ids[lo:lo + step]), minlength=self.d + 1)
+                counts = total.tolist()
             else:
                 # an i-cell picks i edge and d - i vertex digits
                 m, d = self.m, self.d
@@ -289,17 +330,35 @@ class CubicalComplex(CellComplexLike):
             ids[self._excluded:] += 1  # in place, so one array of ids exists at a time
         return ids
 
+    @cached_property
+    def _rank(self) -> np.ndarray | None:
+        """Of a dense explicit complex, the position of every id of the
+        grid, -1 for a non-member, in the dtype of the ids; None for a grid
+        or a sparse explicit complex.  Built from ``members`` on first use."""
+        ids = self.members
+        if ids is None or self.total_ids > _DENSE_SPAN * ids.size:
+            return None
+        rank = np.full(self.total_ids, -1, dtype=self._id_dtype)
+        rank[ids] = np.arange(ids.size, dtype=rank.dtype)
+        return rank
+
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(pos, hit): the position of each id of ``keys`` among the members
         and whether it is a member; a missed key gets some valid position.
-        Arithmetic on a grid, ``searchsorted`` in ``members`` otherwise."""
-        if self.members is not None:
+        Arithmetic on a grid, a gather from :attr:`_rank` on a dense
+        explicit complex, ``searchsorted`` in ``members`` on a sparse one."""
+        rank = self._rank
+        if rank is None and self.members is not None:
             return _lookup(self.members, keys)
         hit = (keys >= 0) & (keys < self.total_ids)
-        pos = keys
-        if self._excluded is not None:
-            hit &= keys != self._excluded
-            pos = keys - (keys > self._excluded)
+        if rank is not None:
+            pos = rank[np.where(hit, keys, 0)]
+            hit &= pos >= 0
+        else:
+            pos = keys
+            if self._excluded is not None:
+                hit &= keys != self._excluded
+                pos = keys - (keys > self._excluded)
         return np.where(hit, pos, 0), hit
 
     def _ids_at(self, pos: np.ndarray) -> np.ndarray:
@@ -318,6 +377,9 @@ class CubicalComplex(CellComplexLike):
             if cell == self._excluded:
                 return None
             return cell - (self._excluded is not None and cell > self._excluded)
+        if self._rank is not None:
+            at = int(self._rank[cell])
+            return at if at >= 0 else None
         at = int(self.members.searchsorted(self.members.dtype.type(cell)))  # a key of another dtype casts all ids
         return at if at < self.members.size and self.members[at] == cell else None
 

@@ -9,11 +9,12 @@ sweeping the whole complex level by level and exists as an independent
 cross-check.  On cubical complexes, where entries are single-bit extent
 toggles, :func:`template_sweep` is the production evaluation, one array pass
 per axis, and :class:`TemplateMatching` wraps it, so ``verify`` checks the
-matching the reduction rounds use.  On a whole grid, where a cell's id is
-its index in the grid's digit array, a pass compares two strided digit
-slices of one axis; elsewhere it looks each partner up among the member
-ids.  :func:`fiber_mate` evaluates it on one anchor fiber in pure Python,
-as the tests' independent oracle and the benchmark's fiber replay.
+matching the reduction rounds use.  On a whole grid or a dense explicit
+complex, where a cell's id is its index in the grid's digit array, a pass
+compares two strided digit slices of one axis; elsewhere it looks each
+partner up among the member ids.  :func:`fiber_mate` evaluates it on one
+anchor fiber in pure Python, as the tests' independent oracle and the
+benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -23,14 +24,15 @@ acyclicity for aggregated matchings.
 This module alone reads the sweep's encoding, one code per member
 position (ascending id order): the member at position i has id
 ``cx._ids_at(i)`` and partner ``id + step[code[i]]`` (:func:`_steps`), and
-``cx._locate`` maps ids back to positions, by arithmetic on a grid and by
-``searchsorted`` among ``members`` on an explicit complex.  The passes take
-ids only for the positions they touch, one chunk at a time, so a grid gets
-no id array.  Given a :class:`TemplateMatching`, the checks run as numpy
-passes over one whole sweep.  Each partner must be a member that maps back,
-and the pair checks compare the codes with the codec's digits: a lower
-cell's toggled digit must be even and below 2m, so by the face formula its
-partner is a coface one dimension up.
+``cx._locate`` maps ids back to positions, by arithmetic on a grid, by the
+rank table of a dense explicit complex and by ``searchsorted`` among the
+``members`` of a sparse one.  The passes take ids only for the positions
+they touch, one chunk at a time, so a grid gets no id array.  Given a
+:class:`TemplateMatching`, the checks run as numpy passes over one whole
+sweep.  Each partner must be a member that maps back, and the pair checks
+compare the codes with the codec's digits: a lower cell's toggled digit
+must be even and below 2m, so by the face formula its partner is a coface
+one dimension up.
 
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
 breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
@@ -198,12 +200,12 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     unmatched odd neighbour (of equal grade, if graded) all at once
     reproduces the level construction of :func:`fiber_mate` exactly.
 
-    A whole grid (``members`` None, ``ids`` None) is swept by position: a
-    cell's id is its index in the ``(base,) * d`` Fortran-order array of
-    all ids, so level i compares the digit slices ``0:2m:2`` and
-    ``1:2m+1:2`` of axis i - 1, with the excluded centre marked taken
-    beforehand; no id array is built.  Any other sweep finds each partner
-    among ``ids`` by ``searchsorted``.
+    A whole grid or dense explicit complex (``ids`` None) is swept by
+    position: a cell's id is its index in the ``(base,) * d`` Fortran-order
+    array of all ids, so level i compares the digit slices ``0:2m:2`` and
+    ``1:2m+1:2`` of axis i - 1, with the excluded centre or the non-members
+    marked taken beforehand; no id is searched.  Any other sweep finds each
+    partner among ``ids`` by ``searchsorted``.
 
     Args:
         cx: the cubical complex.
@@ -218,7 +220,7 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
         with ``id + pows[i-1]``, -i when it pairs downward with
         ``id - pows[i-1]``, 0 when it stays fixed.
     """
-    if ids is None and cx.members is None:
+    if ids is None and (cx.members is None or cx._rank is not None):
         return _grid_sweep(cx, grade_of)
     ids = cx.member_ids() if ids is None else ids
     n = ids.size
@@ -246,23 +248,30 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 
 
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
-    """:func:`template_sweep` of a whole grid, as slice passes over the
-    grid's digit array.  A callable or list grade is evaluated once per
-    member."""
-    shape, excl = (cx.base,) * cx.d, cx._excluded
+    """:func:`template_sweep` of a whole grid or dense explicit complex, as
+    slice passes over the grid's digit array in which the non-members start
+    taken.  A grade array over all ids is read in place; any other grade is
+    evaluated once per member and laid out over the ids."""
+    shape, excl, rank = (cx.base,) * cx.d, cx._excluded, cx._rank
+    if rank is None:
+        taken = np.zeros(cx.total_ids, dtype=bool)
+        if excl is not None:
+            taken[excl] = True
+    else:
+        taken = rank < 0
     grade = None
-    if isinstance(grade_of, np.ndarray):
+    if isinstance(grade_of, np.ndarray) and grade_of.size == cx.total_ids:
         grade = grade_of.reshape(shape, order="F")
     elif grade_of is not None:
-        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
-        grade = np.fromiter(map(gfun, cx.cells()), dtype=np.int64, count=cx.cell_count)
-        if excl is not None:
-            grade = np.insert(grade, excl, 0)  # never compared: the centre is taken
+        if isinstance(grade_of, np.ndarray):
+            member = grade_of[cx.member_ids()]
+        else:
+            gfun = grade_of if callable(grade_of) else grade_of.__getitem__
+            member = np.fromiter(map(gfun, cx.cells()), dtype=np.int64, count=cx.cell_count)
+        grade = np.zeros(cx.total_ids, dtype=member.dtype)  # never compared off the members
+        grade[~taken] = member
         grade = grade.reshape(shape, order="F")
     flat = np.zeros(cx.total_ids, dtype=np.int8)
-    taken = np.zeros(cx.total_ids, dtype=bool)
-    if excl is not None:
-        taken[excl] = True
     code, taken = flat.reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
     for level in range(1, cx.d + 1):
         lo = (slice(None),) * (level - 1) + (slice(0, 2 * cx.m, 2),)
@@ -275,7 +284,9 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
         np.copyto(code[hi], -level, where=ok)
         taken[lo] |= ok
         taken[hi] |= ok
-    del taken, ok  # freed before the centre is cut out
+    del taken, ok, grade  # freed before the members' codes are cut out
+    if rank is not None:
+        return flat[cx.members]
     return flat if excl is None else np.delete(flat, excl)
 
 
@@ -570,8 +581,9 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     a lower cell, of itself for a fixed cell.  A lower face is a node,
     visited in the next frontier if new; a fixed face ends the flow; an
     upper face has no flow.  Nodes are numbered in visit order, ``front``
-    first, each later frontier ascending by position.  Memory beyond the
-    edges is one int32 node index per member.
+    first, each later frontier ascending by position.  Positions, nodes
+    and edges are int32; memory beyond the edges is one int32 node index
+    per member.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -583,7 +595,7 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     node = np.full(code.size, -1, dtype=np.int32)  # position -> node
     node[front] = np.arange(front.size)
     visited, n, done = [front], front.size, 0
-    src, at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # edges to faces
+    src, at = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]  # edges to faces
     while front.size:
         first = len(at)
         for lo in range(0, front.size, _WALK_CHUNK):
@@ -591,8 +603,8 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
             faces, owner, _ = cx._face_arrays(cx._ids_at(chunk) + step[code[chunk]])
             pos, hit = cx._locate(faces)
             hit &= (pos != chunk[owner]) & (code[pos] >= 0)
-            src.append(done + owner[hit])
-            at.append(pos[hit])
+            src.append((owner[hit] + done).astype(np.int32))
+            at.append(pos[hit].astype(np.int32, copy=False))
             done += chunk.size
         reached = np.concatenate(at[first:])
         reached = reached[code[reached] > 0]
@@ -658,7 +670,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     start = _row_starts(n, src)
     chain = (np.diff(start) == 1) & (np.bincount(fsrc, minlength=n) == 0)
     chain[sources] = False
-    end = np.arange(n)
+    end = np.arange(n, dtype=np.int32)
     live = np.flatnonzero(chain)
     end[live] = dst[start[live]]
     for _ in range(n.bit_length() + 1):  # chains are shorter than 2**that
@@ -668,24 +680,28 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
         end[live] = end[end[live]]
     chain[live] = False  # never ended: on or into a cycle of chain nodes, all kept
     keep = ~chain
-    new = np.cumsum(keep) - 1  # node -> node of the contracted graph
+    new = np.cumsum(keep, dtype=np.int32)  # node -> node of the contracted graph, after -1
+    new -= 1
     m = int(keep.sum())
     e = keep[src]
     src, dst, fsrc = new[src[e]], new[end[dst[e]]], new[fsrc]
+    del start, chain, keep, e  # freed before the peel, the peak of round one
 
     ncol = int(fat.max()) + 1 if fat.size else 1
     fix_start, succ_start = _row_starts(m, fsrc), _row_starts(m, src)
     indptr = np.zeros(m + 1, dtype=np.int64)  # flow rows in peel order
     slot = np.full(m, -1, dtype=np.int64)  # node -> its flow row
-    data = np.empty(max(m, 16), dtype=fat.dtype)
+    data = np.empty(max(m, 16), dtype=np.int32)  # columns
     done = 0
     order = np.argsort(dst)
-    for layer in _layers(m, dst[order], src[order]):  # sinks first
+    layers = _layers(m, dst[order], src[order])  # sinks first
+    del order  # the peel holds the sorted copies
+    for layer in layers:
         e, s = _rows(fix_start, layer), _rows(succ_start, layer)
         v = slot[dst[s]]
         keys = np.concatenate([
-            fsrc[e] * ncol + fat[e],
-            np.repeat(src[s], indptr[v + 1] - indptr[v]) * ncol + data[_rows(indptr, v)],
+            fsrc[e].astype(np.int64) * ncol + fat[e],
+            np.repeat(src[s].astype(np.int64), indptr[v + 1] - indptr[v]) * ncol + data[_rows(indptr, v)],
         ])
         keys, count = _distinct(keys, counts=True)
         keys = keys[count % 2 == 1]

@@ -1,6 +1,7 @@
 """Random complex generators shared by the unit and acceptance suites."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -51,6 +52,30 @@ def top_cube_complexes():
 
 
 @st.composite
+def dense_top_cube_complexes(draw):
+    """The face closure of all top cubes of C(m; d), d <= 4, m <= 3, but at
+    most a quarter of them: a dense explicit complex, with a rank table."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    every = list(itertools.product(range(m), repeat=d))
+    drop = draw(st.sets(st.sampled_from(every), max_size=len(every) // 4))
+    cx = CubicalComplex.from_top_cells(m, d, [a for a in every if a not in drop])
+    assert cx._rank is not None
+    return cx
+
+
+@st.composite
+def sparse_cubical_complexes(draw):
+    """The face closure of one to three cells of C(m; d), 3 <= m, d <= 4,
+    whose ids outnumber its members more than four times: a sparse explicit
+    complex, with no rank table."""
+    m, d = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    seeds = draw(st.lists(st.integers(0, (2 * m + 1) ** d - 1), min_size=1, max_size=3))
+    cx = CubicalComplex.from_cells(m, d, seeds)
+    assert cx._rank is None
+    return cx
+
+
+@st.composite
 def lower_star_graded(draw):
     """A top-cube complex whose cells take the maximum of a vertex function
     over their vertices."""
@@ -64,6 +89,20 @@ def lower_star_graded(draw):
         if cx.dim(c):
             grades[c] = max(grades[f] for f in cx.boundary(c))
     return cx, grades
+
+
+def dd_nonzero(E) -> dict[int, list[int]]:
+    """The cells of an explicit complex whose boundary of boundary is
+    nonzero, each with its faces of faces of odd count, ascending: a set
+    loop over the boundary rows, the oracle of ``check_dd_zero``."""
+    out = {}
+    for c, faces in E._bdry.items():
+        acc: set[int] = set()
+        for f in faces:
+            acc.symmetric_difference_update(E._bdry.get(f, ()))
+        if acc:
+            out[c] = sorted(acc)
+    return out
 
 
 def strip_zeros(betti: list[int]) -> list[int]:

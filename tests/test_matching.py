@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -25,7 +26,7 @@ from cubemorse.matching import (
     verify_matching,
     verify_stable,
 )
-from .helpers import random_cubical_complex, random_hypercube_members
+from .helpers import dense_top_cube_complexes, random_cubical_complex, random_hypercube_members
 
 
 def arrow_complex() -> HypercubeComplex:
@@ -405,9 +406,36 @@ def test_grid_sweep_equals_member_id_sweep(case):
     assert_sweep_matches_oracle(cx, grades)
 
 
+class CountingIds(np.ndarray):
+    """A member-id array that counts its ``searchsorted`` calls, the method's
+    and ``np.searchsorted``'s, which calls it."""
+
+    calls = 0
+
+    def searchsorted(self, *args, **kwargs):
+        CountingIds.calls += 1
+        return np.asarray(self).searchsorted(*args, **kwargs)
+
+
+def counting_members(cx):
+    """``cx`` with its members viewed as :class:`CountingIds`."""
+    cx.members = cx.members.view(CountingIds)
+    return cx
+
+
+def dense_explicit():
+    """The closure of three quarters of the top cubes of C(3; 3), by a
+    fixed draw: a dense explicit complex."""
+    rng = random.Random(8)
+    cx = CubicalComplex.from_top_cells(3, 3, [a for a in itertools.product(range(3), repeat=3) if rng.random() < 0.75])
+    assert cx._rank is not None
+    return cx
+
+
 def test_grid_sweep_searches_nothing(monkeypatch):
-    """A whole-grid sweep finds partners by position: no member lookup and
-    no ``searchsorted``.  An explicit complex and a fiber still search."""
+    """A whole-grid or dense explicit sweep finds partners by position: no
+    member lookup and no ``searchsorted``.  A sparse explicit complex and a
+    fiber still search."""
     calls = {"lookup": 0, "searchsorted": 0}
     real_lookup, real_search = matching._lookup, np.searchsorted
 
@@ -420,6 +448,8 @@ def test_grid_sweep_searches_nothing(monkeypatch):
         return real_search(*args, **kwargs)
 
     bc = build_braid_complex(reference_braid())  # before patching: only the sweeps count
+    dense = counting_members(dense_explicit())
+    CountingIds.calls = 0
     monkeypatch.setattr(matching, "_lookup", lookup)
     monkeypatch.setattr(np, "searchsorted", searchsorted)
     for cx, grades in [
@@ -427,10 +457,15 @@ def test_grid_sweep_searches_nothing(monkeypatch):
         (CubicalComplex.sphere(4), None),
         (CubicalComplex.top_sphere(2), [c % 3 for c in range(7**3)]),
         (bc.cx, bc.grades),
+        (dense, None),
+        (dense, np.arange(dense.total_ids) % 3),
+        (dense, lambda c: c % 2),
     ]:
         template_sweep(cx, grades)
-        assert calls == {"lookup": 0, "searchsorted": 0}
-    template_sweep(random_cubical_complex(random.Random(3), 3))
+        assert calls == {"lookup": 0, "searchsorted": 0} and CountingIds.calls == 0
+    sparse = random_cubical_complex(random.Random(3), 3)
+    assert sparse._rank is None
+    template_sweep(sparse)
     assert calls["lookup"] == 3 and calls["searchsorted"] == 3
     cx = CubicalComplex.full(2, 2)
     template_sweep(cx, ids=cx.member_ids())
@@ -438,10 +473,12 @@ def test_grid_sweep_searches_nothing(monkeypatch):
 
 
 def test_grid_round_one_and_verify_search_nothing(monkeypatch):
-    """Round one and the array checks of ``verify`` address a grid's members
-    by position arithmetic: no member id array and no ``searchsorted``, the
-    graded braid's per-cell stability walk included.  An explicit complex
-    still searches its members."""
+    """Round one and the array checks of ``verify`` address the members of a
+    grid by position arithmetic, with no member id array and no
+    ``searchsorted``, the graded braid's per-cell stability walk included;
+    those of a dense explicit complex by its rank table, with no
+    ``searchsorted`` either, per-cell matching queries included.  A sparse
+    explicit complex still searches its members."""
     calls = {"member_ids": 0, "searchsorted": 0}
     real_ids, real_search = CubicalComplex.member_ids, np.searchsorted
 
@@ -459,9 +496,14 @@ def test_grid_round_one_and_verify_search_nothing(monkeypatch):
         w = TemplateMatching(cx, grades)
         assert verify_matching(cx, w).ok and verify_acyclic(cx, w)
         verify_stable(cx, w, w.entries(), w.provenance)
+        assert all(w(w(c)) == c for c in cx.cells())
         return E
 
     bc = build_braid_complex(reference_braid())  # before patching: only the checks count
+    dense = counting_members(dense_explicit())
+    sparse = counting_members(random_cubical_complex(random.Random(3), 3))
+    assert sparse._rank is None
+    CountingIds.calls = 0
     monkeypatch.setattr(CubicalComplex, "member_ids", member_ids)
     monkeypatch.setattr(np, "searchsorted", searchsorted)
     for cx, grades in [
@@ -473,8 +515,42 @@ def test_grid_round_one_and_verify_search_nothing(monkeypatch):
         E = run(cx, grades)
         assert calls == {"member_ids": 0, "searchsorted": 0}
     assert E.nonzero_boundary()  # the braid's round-one flows were counted
-    run(random_cubical_complex(random.Random(3), 3))
-    assert calls["searchsorted"] > 0
+    assert run(dense).nonzero_boundary()
+    assert calls["searchsorted"] == 0 and CountingIds.calls == 0
+    run(sparse)
+    assert calls["searchsorted"] > 0 and CountingIds.calls > calls["searchsorted"]
+
+
+@st.composite
+def graded_dense_explicit(draw):
+    """A dense explicit complex with no grade or random grades given by id
+    as an ndarray over all ids, an ndarray up to the largest member, a list
+    or a callable."""
+    cx = draw(dense_top_cube_complexes())
+    form = draw(st.sampled_from([None, "array", "short", "list", "callable"]))
+    if form is None:
+        return cx, None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grades = rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
+    if form == "short":
+        return cx, grades[:cx.members[-1] + 1]
+    if form == "list":
+        return cx, grades.tolist()
+    if form == "callable":
+        return cx, lambda c: int(grades[c])
+    return cx, grades
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(graded_dense_explicit())
+def test_dense_explicit_sweep_equals_member_id_sweep(case):
+    """The masked slice passes of a dense explicit complex give the
+    member-id sweep's codes and the per-fiber oracle's pairs."""
+    cx, grades = case
+    code = template_sweep(cx, grades)
+    want = template_sweep(cx, grades, ids=cx.member_ids())
+    assert code.dtype == want.dtype and np.array_equal(code, want)
+    assert_sweep_matches_oracle(cx, grades)
 
 
 def test_sweep_mate_rejects_non_members():
