@@ -11,10 +11,7 @@ without materializing cells (see :mod:`cubemorse.cubical`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Protocol, runtime_checkable
-
-import numpy as np
 
 
 class NonMemberCellError(ValueError):
@@ -190,40 +187,15 @@ class ExplicitComplex:
         return bool(self._bdry)
 
     def check_dd_zero(self) -> None:
-        """Assert the boundary squares to zero; raises IntegrityError otherwise.
-
-        The ids of the cells with a boundary and of their faces are ranked
-        together, which finds each face's own boundary row.  Every (cell,
-        face of a face) pair becomes one int64 key, the cell's row times the
-        id count plus the rank of the face of a face, and the keys are
-        sorted once: the boundary squares to zero exactly when every key
-        occurs an even number of times.  The error names the smallest
-        offending cell and its first four faces of faces.
-        """
-        if not self._bdry:
-            return
-        cells = sorted(self._bdry)
-        rows = [self._bdry[c] for c in cells]
-        size = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        n = len(cells)
-        label, rank = np.unique(np.fromiter(chain(cells, *rows), dtype=np.int64), return_inverse=True)
-        row_of = np.full(label.size, -1)
-        row_of[rank[:n]] = np.arange(n)
-        row = row_of[rank[n:]]  # each face's own boundary row, -1 for none
-        has = row >= 0
-        owner, row = np.repeat(np.arange(n), size)[has], row[has]
-        count = size[row]
-        ends = np.cumsum(count)
-        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(np.cumsum(size)[row] - ends, count)
-        keys = np.sort(np.repeat(owner, count) * label.size + rank[n + at])
-        run = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))  # where each run of equal keys starts
-        odd = keys[run[:-1][np.diff(run) % 2 == 1]]
-        if odd.size:
-            cell = odd[0] // label.size
-            acc = label[odd[odd // label.size == cell][:4] % label.size]
-            raise IntegrityError(
-                f"boundary of boundary of cell {cells[cell]} is nonzero at {acc.tolist()}"
-            )
+        """Assert the boundary squares to zero; raises IntegrityError otherwise."""
+        for c, faces in self._bdry.items():
+            acc: set[int] = set()
+            for f in faces:
+                acc.symmetric_difference_update(self._bdry.get(f, ()))
+            if acc:
+                raise IntegrityError(
+                    f"boundary of boundary of cell {c} is nonzero at {sorted(acc)[:4]}"
+                )
 
     def canonical_form(self) -> tuple:
         """Relabel cells 0..n-1 in ascending id order; grades are not included."""

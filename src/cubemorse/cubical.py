@@ -59,8 +59,13 @@ from .core import (
 CLOSURE_CELL_GUARD = 100_000_000
 # an explicit complex whose id range is at most this many times its member
 # count is dense: positions by a rank table over the ids, closure by
-# dilation of a member mask and the grid's slice sweep
-_DENSE_SPAN = 4
+# dilation of a member mask and the grid's slice sweep.  Three is where the
+# two paths cross on random top cubes (d = 3, 5, 8, from 10^5 to 2.5 * 10^6
+# cells): up to three ids per member, homology runs 10-35% faster dense and
+# peaks at most 14% above the sparse path, below it for d >= 5; at about
+# four the rank table's 4 bytes per id raise the peak 20-40% for a gain of
+# 0-20%, and at six or more dense is no faster
+_DENSE_SPAN = 3
 # cells per face-array call of the array walks: a call has a fixed cost of
 # tens of microseconds, and the bound keeps a walk over all members from
 # building every face at once
@@ -74,6 +79,12 @@ def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids copies all of ``ids`` first; ``hit`` compares the uncast keys."""
     at = np.minimum(np.searchsorted(ids, keys.astype(ids.dtype, copy=False)), ids.size - 1)
     return at, ids[at] == keys
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """int32 for indices into an array of n entries when they all fit, else
+    intp: a cast to int32 past 2^31 wraps and indexes from the end."""
+    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.intp)
 
 
 def _row_starts(n: int, rows: np.ndarray) -> np.ndarray:
@@ -333,12 +344,13 @@ class CubicalComplex(CellComplexLike):
     @cached_property
     def _rank(self) -> np.ndarray | None:
         """Of a dense explicit complex, the position of every id of the
-        grid, -1 for a non-member, in the dtype of the ids; None for a grid
-        or a sparse explicit complex.  Built from ``members`` on first use."""
+        grid, -1 for a non-member, int32 when the positions fit; None for a
+        grid or a sparse explicit complex.  Built from ``members`` on first
+        use."""
         ids = self.members
         if ids is None or self.total_ids > _DENSE_SPAN * ids.size:
             return None
-        rank = np.full(self.total_ids, -1, dtype=self._id_dtype)
+        rank = np.full(self.total_ids, -1, dtype=_index_dtype(ids.size))
         rank[ids] = np.arange(ids.size, dtype=rank.dtype)
         return rank
 

@@ -69,7 +69,7 @@ from .core import (
     SizeGuardError,
     TrichotomyError,
 )
-from .cubical import _WALK_CHUNK, CubicalComplex, _distinct, _lookup, _row_starts, alpha, beta
+from .cubical import _WALK_CHUNK, CubicalComplex, _distinct, _index_dtype, _lookup, _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
@@ -582,8 +582,8 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     visited in the next frontier if new; a fixed face ends the flow; an
     upper face has no flow.  Nodes are numbered in visit order, ``front``
     first, each later frontier ascending by position.  Positions, nodes
-    and edges are int32; memory beyond the edges is one int32 node index
-    per member.
+    and edges are int32 while the members fit (:func:`_index_dtype`);
+    memory beyond the edges is one such node index per member.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -592,10 +592,11 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
         src ascending, faces in :meth:`CubicalComplex._face_arrays` order.
     """
     step = np.array(_steps(cx), dtype=np.int64)
-    node = np.full(code.size, -1, dtype=np.int32)  # position -> node
+    idx = _index_dtype(code.size)
+    node = np.full(code.size, -1, dtype=idx)  # position -> node
     node[front] = np.arange(front.size)
     visited, n, done = [front], front.size, 0
-    src, at = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]  # edges to faces
+    src, at = [np.zeros(0, dtype=idx)], [np.zeros(0, dtype=idx)]  # edges to faces
     while front.size:
         first = len(at)
         for lo in range(0, front.size, _WALK_CHUNK):
@@ -603,8 +604,8 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
             faces, owner, _ = cx._face_arrays(cx._ids_at(chunk) + step[code[chunk]])
             pos, hit = cx._locate(faces)
             hit &= (pos != chunk[owner]) & (code[pos] >= 0)
-            src.append((owner[hit] + done).astype(np.int32))
-            at.append(pos[hit].astype(np.int32, copy=False))
+            src.append((owner[hit] + done).astype(idx))
+            at.append(pos[hit].astype(idx, copy=False))
             done += chunk.size
         reached = np.concatenate(at[first:])
         reached = reached[code[reached] > 0]
@@ -670,7 +671,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     start = _row_starts(n, src)
     chain = (np.diff(start) == 1) & (np.bincount(fsrc, minlength=n) == 0)
     chain[sources] = False
-    end = np.arange(n, dtype=np.int32)
+    end = np.arange(n, dtype=_index_dtype(n))
     live = np.flatnonzero(chain)
     end[live] = dst[start[live]]
     for _ in range(n.bit_length() + 1):  # chains are shorter than 2**that
@@ -680,7 +681,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
         end[live] = end[end[live]]
     chain[live] = False  # never ended: on or into a cycle of chain nodes, all kept
     keep = ~chain
-    new = np.cumsum(keep, dtype=np.int32)  # node -> node of the contracted graph, after -1
+    new = np.cumsum(keep, dtype=end.dtype)  # node -> node of the contracted graph, after -1
     new -= 1
     m = int(keep.sum())
     e = keep[src]
@@ -691,7 +692,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     fix_start, succ_start = _row_starts(m, fsrc), _row_starts(m, src)
     indptr = np.zeros(m + 1, dtype=np.int64)  # flow rows in peel order
     slot = np.full(m, -1, dtype=np.int64)  # node -> its flow row
-    data = np.empty(max(m, 16), dtype=np.int32)  # columns
+    data = np.empty(max(m, 16), dtype=_index_dtype(ncol))  # columns
     done = 0
     order = np.argsort(dst)
     layers = _layers(m, dst[order], src[order])  # sinks first

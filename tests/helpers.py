@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -66,7 +67,7 @@ def dense_top_cube_complexes(draw):
 @st.composite
 def sparse_cubical_complexes(draw):
     """The face closure of one to three cells of C(m; d), 3 <= m, d <= 4,
-    whose ids outnumber its members more than four times: a sparse explicit
+    whose ids outnumber its members more than three times: a sparse explicit
     complex, with no rank table."""
     m, d = draw(st.integers(3, 4)), draw(st.integers(3, 4))
     seeds = draw(st.lists(st.integers(0, (2 * m + 1) ** d - 1), min_size=1, max_size=3))
@@ -93,15 +94,14 @@ def lower_star_graded(draw):
 
 def dd_nonzero(E) -> dict[int, list[int]]:
     """The cells of an explicit complex whose boundary of boundary is
-    nonzero, each with its faces of faces of odd count, ascending: a set
-    loop over the boundary rows, the oracle of ``check_dd_zero``."""
+    nonzero, each with its faces of faces of odd count, ascending, counted
+    by a ``Counter`` per cell: the oracle of ``check_dd_zero``."""
     out = {}
     for c, faces in E._bdry.items():
-        acc: set[int] = set()
-        for f in faces:
-            acc.symmetric_difference_update(E._bdry.get(f, ()))
-        if acc:
-            out[c] = sorted(acc)
+        count = Counter(g for f in faces for g in E._bdry.get(f, ()))
+        odd = sorted(g for g, k in count.items() if k % 2)
+        if odd:
+            out[c] = odd
     return out
 
 

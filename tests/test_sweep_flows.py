@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid
 from cubemorse.core import AcyclicityError
-from cubemorse.cubical import CubicalComplex
+from cubemorse import cubical
+from cubemorse.cubical import CubicalComplex, _index_dtype
 from cubemorse import matching
 from cubemorse.matching import _flow_rows, _peel, _SweepMate, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
@@ -97,6 +98,30 @@ def test_array_path_detects_cycles():
     # both paths name the smallest lower cell on the cycle, never a fixed source
     assert sorted(map(cx.cell_id, [(2, 3, 2), (3, 2, 2), (2, 2, 3)])) == [63, 67, 87]
     assert both_paths(cx, code) == [(AcyclicityError, 63)] * 2
+
+
+def test_indices_widen_past_int32(monkeypatch):
+    """Positions, nodes, flow columns and the rank table are int32 only
+    while they index fewer than 2^31 entries, since a cast past that wraps
+    and indexes from the end; beyond it they are intp, and round one and
+    homology are the same in intp."""
+    assert _index_dtype(2**31 - 1) == np.int32 and _index_dtype(2**31) == np.intp
+    rng = random.Random(3)
+    anchors = [a for a in itertools.product(range(6), repeat=3) if rng.random() < 0.5]
+    cx = CubicalComplex.from_top_cells(6, 3, anchors)
+    assert cx._rank.dtype == np.int32
+    want, betti = assert_paths_agree(cx), homology(cx).betti
+    seen = []
+    wide = lambda n: seen.append(n) or np.dtype(np.intp)
+    monkeypatch.setattr(cubical, "_index_dtype", wide)
+    monkeypatch.setattr(matching, "_index_dtype", wide)
+    cx = CubicalComplex.from_top_cells(6, 3, anchors)
+    assert cx._rank.dtype == np.intp
+    code = template_sweep(cx)
+    at, (src, dst), (fsrc, fat) = matching._flow_graph(cx, code, np.flatnonzero(code == 0))
+    assert {x.dtype for x in (at, src, dst, fsrc, fat)} == {np.dtype(np.intp)}
+    assert want and assert_paths_agree(cx) == want and homology(cx).betti == betti
+    assert cx.cell_count in seen  # the rank table and the flow graph asked by member count
 
 
 def test_flow_pruning_skips_spheres(monkeypatch):
