@@ -60,11 +60,11 @@ CLOSURE_CELL_GUARD = 100_000_000
 # an explicit complex whose id range is at most this many times its member
 # count is dense: positions by a rank table over the ids, closure by
 # dilation of a member mask and the grid's slice sweep.  Three is where the
-# two paths cross on random top cubes (d = 3, 5, 8, from 10^5 to 2.5 * 10^6
-# cells): up to three ids per member, homology runs 10-35% faster dense and
+# two paths cross on random top cubes (d = 3, 5, 8; 5 * 10^4 to 2.5 * 10^6
+# cells): up to three ids per member, homology runs 10-40% faster dense and
 # peaks at most 14% above the sparse path, below it for d >= 5; at about
-# four the rank table's 4 bytes per id raise the peak 20-40% for a gain of
-# 0-20%, and at six or more dense is no faster
+# four the rank table's 4 bytes per id raise the peak 20-45% for a gain of
+# 0-25%, and at six or more dense is no faster
 _DENSE_SPAN = 3
 # cells per face-array call of the array walks: a call has a fixed cost of
 # tens of microseconds, and the bound keeps a walk over all members from
