@@ -500,11 +500,16 @@ def condensation(sk: BraidSkeleton, cross_flat: np.ndarray | None = None) -> Con
     return CondensationPoset(n, labels, codes // n, codes % n, cross_flat)
 
 
-def _pool_axis(cur: np.ndarray, ax: int, na: int) -> np.ndarray:
+def _pool_axis(
+    cur: np.ndarray, ax: int, na: int, seen: np.ndarray | None = None, r0: int = 0
+) -> np.ndarray:
     """Expand one top-grid axis to digit resolution, taking minima on vertices.
 
     The result is allocated in Fortran order, the order of cell ids, so the
-    fully pooled grid ravels into per-cell grades without a copy.
+    fully pooled grid ravels into per-cell grades without a copy.  Given a
+    bool table ``seen`` of n columns, each vertex's two neighbouring ranks
+    ``lo <= hi`` are marked at ``seen[lo - r0, hi]`` if ``lo`` has a row,
+    one vertex slice at a time.
     """
     side = 2 * na + 1
     shape = list(cur.shape)
@@ -512,77 +517,65 @@ def _pool_axis(cur: np.ndarray, ax: int, na: int) -> np.ndarray:
     out = np.empty(shape, dtype=cur.dtype, order="F")
 
     def sl(a: int, b: int, step: int | None = None) -> tuple:
-        ix: list = [slice(None)] * cur.ndim
-        ix[ax] = slice(a, b, step)
-        return tuple(ix)
+        return (slice(None),) * ax + (slice(a, b, step),)
 
     out[sl(1, side, 2)] = cur
     out[sl(0, 1)] = cur[sl(0, 1)]
     out[sl(side - 1, side)] = cur[sl(na - 1, na)]
-    if na > 1:
-        out[sl(2, side - 1, 2)] = np.minimum(cur[sl(0, na - 1)], cur[sl(1, na)])
+    for k in range(na - 1):
+        a, b, lo = cur[sl(k, k + 1)], cur[sl(k + 1, k + 2)], out[sl(2 * k + 2, 2 * k + 3)]
+        np.minimum(a, b, out=lo)
+        if seen is not None:
+            rows, n = seen.shape
+            key = lo * (np.int32 if n * n < 2**31 else np.int64)(n - 1)
+            key += a  # key = lo * n + hi, as hi = a + b - lo
+            key += b
+            if rows < n:
+                key = key[(lo >= r0) & (lo < r0 + rows)] - r0 * n
+            seen.reshape(-1)[key] = True
     return out
 
 
 def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True) -> np.ndarray:
     """Grade of every cell of C(m-1; d): least class among its star's tops.
 
-    Pooled axis by axis over the linear-extension ranks, as int32: the
-    minimum rank in a star is the least class whenever a least exists.
-    ``verify`` then checks, for every vertex-interval coordinate, that each
-    cell's grade is below the grade of both cofaces along that axis; by
-    transitivity this certifies leastness for every cell and raises
-    otherwise (:func:`_verify_grading`).
+    Pools the tops' linear-extension ranks, as int32, axis by axis
+    (:func:`_pool_axis`).  At stage k a cell with an even digit on axis k
+    and odd digits on every later axis takes the smaller rank of its two
+    cofaces along axis k.  Its star is the union of theirs, whose least
+    classes those ranks are by induction, so it has a least class exactly
+    when the smaller rank's class is below the larger's.  ``verify`` checks
+    every such unequal pair against the poset in ascending class order and
+    raises :class:`IntegrityError` naming the smallest failing (face grade,
+    coface grade) pair; passing certifies every cell's grade.  The pairs are
+    marked in a rank x rank bool table no larger than the grade array,
+    pooling once per block of its rows when the whole table is larger.
     """
-    na = sk.m - 1
-    d = sk.d
-    cur = poset.rank.astype(np.int32)[poset.labels].reshape((na,) * d, order="F")
-    for ax in range(d):
-        cur = _pool_axis(cur, ax, na)
-    scc_by_rank = np.empty(poset.n, dtype=np.int32)
-    scc_by_rank[poset.rank] = np.arange(poset.n, dtype=np.int32)
-    grades = scc_by_rank[cur.ravel(order="F")]
-    if verify:
-        _verify_grading(grades, 2 * na + 1, d, poset)
-    return grades
-
-
-def _verify_grading(grades: np.ndarray, base: int, d: int, poset: CondensationPoset) -> None:
-    """Raise :class:`IntegrityError` unless every cell's grade is below the
-    grades of its cofaces.
-
-    Along each axis, the slice of odd digits 2l + 1 is compared with the
-    even slices 2l and 2l + 2 of the ``(base,) * d`` grid, and every pair
-    of unequal grades (face p, coface q) is marked in an n x n bool table,
-    n = ``poset.n``.  The table is filled in row blocks of at most
-    ``grades.nbytes`` bytes, and its pairs are checked in ascending (p, q)
-    order, so the error names the smallest pair with p not below q.
-    """
-    grid = grades.reshape((base,) * d, order="F")
-    n = poset.n
-
-    def digits(ax: int, start: int, stop: int) -> np.ndarray:
-        ix: list = [slice(None)] * d
-        ix[ax] = slice(start, stop, 2)
-        return grid[tuple(ix)].ravel(order="F")  # contiguous: faster to mask
-
-    rows = max(1, grades.nbytes // n)
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        seen = np.zeros((hi - lo) * n, dtype=bool)  # (p - lo) * n + q
+    na, d, n = sk.m - 1, sk.d, poset.n
+    top = poset.rank.astype(np.int32)[poset.labels].reshape((na,) * d, order="F")
+    scc_by_rank = np.argsort(poset.rank).astype(np.int32)
+    rows = max(1, 4 * (2 * na + 1) ** d // n) if verify else n
+    keys = []
+    for r0 in range(0, n, rows):
+        seen = np.zeros((min(rows, n - r0), n), dtype=bool) if verify else None
+        cur = top
         for ax in range(d):
-            odd = digits(ax, 1, base)
-            for even in (digits(ax, 0, base - 1), digits(ax, 2, base)):
-                pick = even != odd
-                if hi - lo < n:
-                    pick &= (even >= lo) & (even < hi)
-                seen[(even[pick] - lo).astype(np.int64) * n + odd[pick]] = True
-        for key in np.flatnonzero(seen).tolist():
+            cur = _pool_axis(cur, ax, na, seen, r0)
+        if verify:
+            keys.append(np.flatnonzero(seen) + r0 * n)
+    if verify:
+        key = np.concatenate(keys)
+        p, q = scc_by_rank[key // n], scc_by_rank[key % n]
+        for key in np.sort((p * np.int64(n) + q)[p != q]).tolist():
             p, q = divmod(key, n)
-            if not poset.leq(p + lo, q):
+            if not poset.leq(p, q):
                 raise IntegrityError(
-                    f"grade {p + lo} is not below coface grade {q}: star has no least class"
+                    f"grade {p} is not below coface grade {q}: star has no least class"
                 )
+    grades = cur.reshape(-1, order="F")  # a view: ranks become classes in place
+    for s in range(0, grades.size, 1 << 20):
+        grades[s : s + (1 << 20)] = scc_by_rank[grades[s : s + (1 << 20)]]
+    return grades
 
 
 def grade_cell(

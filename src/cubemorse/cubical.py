@@ -156,10 +156,10 @@ class CubicalComplex(CellComplexLike):
         cls,
         m: int,
         d: int,
-        anchors: list[tuple[int, ...]],
+        anchors: np.ndarray | list[tuple[int, ...]],
         force: bool = False,
     ) -> "CubicalComplex":
-        """Closure of a list of top cubes given by their anchor vectors.
+        """Closure of top cubes given by their anchors, (n, d) ints or tuples.
 
         When the grid's ids span at most ``_DENSE_SPAN`` times the closure
         estimate, the closure is a dilation: the top cubes are marked in a
@@ -178,17 +178,18 @@ class CubicalComplex(CellComplexLike):
             )
         cx = cls(m, d)
         try:  # checked as one array; any fault is named by the loop below
-            tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
+            tops = np.asarray(anchors, dtype=np.int64).reshape(-1, d)
             valid = len(tops) == len(anchors) and not ((tops < 0) | (tops > m - 1)).any()
         except (ValueError, OverflowError):
             valid = False
         if not valid:
-            for a in anchors:
+            for a in map(tuple, anchors.tolist()) if isinstance(anchors, np.ndarray) else anchors:
                 if len(a) != d:
                     raise FormatError(f"anchor {a} does not have {d} coordinates")
                 if min(a) < 0 or max(a) > m - 1:
                     raise FormatError(f"anchor {a} out of range 0..{m - 1}")
-            tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
+            if cx._id_dtype.kind != "O":  # else coordinates may exceed int64 too
+                tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
         if cx._id_dtype.kind == "O":
             raise SizeGuardError(f"cell ids of a {cx.base}^{d} grid exceed int64")
         pows = np.array(cx.pows, dtype=cx._id_dtype)
@@ -556,18 +557,16 @@ def beta(i: int, cell: int, cx: CubicalComplex, grade_of: Callable[[int], int]) 
     return cand
 
 
-def parse_top_cell_file(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
+def parse_top_cell_file(text: str) -> tuple[int, int, np.ndarray | list[tuple[int, ...]]]:
     """Parse the top-cube list format.
 
     Line 1 holds ``d m``; every following non-comment line holds the d anchor
     coordinates of one top cube.  ``#`` starts a comment, blank lines are
-    skipped.  Returns (m, d, anchors).
+    skipped.  Returns (m, d, anchors), the anchors as an (n, d) int64 array,
+    or as a list of tuples when a coordinate does not fit int64 (then
+    :meth:`CubicalComplex.from_top_cells` refuses the grid).
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
     if not lines:
         raise FormatError("empty top-cube file")
     head = lines[0].split()
@@ -579,6 +578,13 @@ def parse_top_cell_file(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
         raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
     if d < 1 or m < 1:
         raise FormatError(f"need d >= 1 and m >= 1, got d={d} m={m}")
+    if len(lines) > 1:
+        try:
+            tops = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2)
+            if tops.shape[1] == d:
+                return m, d, tops
+        except ValueError:
+            pass  # the lines below name the first bad one or keep ints past int64
     anchors = []
     for line in lines[1:]:
         parts = line.split()

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from cubemorse.braid import (
     torus_knot,
     validate_skeleton,
     _strong_components,
-    _verify_grading,
 )
 from cubemorse.core import FormatError, IntegrityError
 from cubemorse.cubical import CubicalComplex, alpha, beta
@@ -323,64 +324,100 @@ def test_input_counts_equal_brute_force_tally():
 
 
 class ChainPoset:
-    """Classes 0 < 1 < ... < n-1."""
+    """Classes 0 < 1 < ... < n-1, ranked by class, over a top grid whose
+    classes are ``labels[x0][x1]``; ``leq`` drops the relations in ``drop``."""
 
-    n = 4
+    def __init__(self, labels, n=4, drop=()):
+        self.n = n
+        self.labels = np.asarray(labels).ravel(order="F")  # flat top index x0 + na * x1
+        self.rank = np.arange(n)
+        self.drop = set(drop)
 
     def leq(self, p, q):
-        return p <= q
+        return p <= q and (p, q) not in self.drop
 
 
-@pytest.mark.parametrize("vertex, coface", [((0, 2), (1, 2)), ((4, 2), (3, 2))])
-def test_verify_grading_catches_each_direction(vertex, coface):
-    # C(2; 2), digits 0..4: vertices 0, edges 2, squares 3, except that one
-    # edge next to the vertex has grade 1.  Raising the vertex to grade 2 then
-    # breaks only the pair with that edge: at digit 0 through the +1
-    # neighbour, at digit 2m = 4 through the -1 neighbour.
+class DroppedRelations:
+    """A condensation poset whose ``leq`` drops the relations in ``drop``
+    and records every pair it is asked about."""
+
+    def __init__(self, poset, drop=()):
+        self.poset = poset
+        self.n, self.rank, self.labels = poset.n, poset.rank, poset.labels
+        self.drop = set(drop)
+        self.asked = []
+
+    def leq(self, p, q):
+        self.asked.append((p, q))
+        return (p, q) not in self.drop and self.poset.leq(p, q)
+
+
+def coface_scan_pairs(grades, base, d):
+    """Distinct unequal (face grade, coface grade) pairs over a (base,)^d grid."""
+    grid = grades.reshape((base,) * d, order="F")
+    pairs = set()
+    for ax in range(d):
+        odd = np.take(grid, range(1, base, 2), axis=ax)
+        for even in (np.take(grid, range(0, base - 1, 2), axis=ax), np.take(grid, range(2, base, 2), axis=ax)):
+            pick = even != odd
+            pairs |= set(zip(even[pick].tolist(), odd[pick].tolist()))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[[1, 1], [2, 2]], [[2, 2], [1, 1]], [[1, 2], [1, 2]], [[2, 1], [2, 1]]],
+    ids=["axis0-lower", "axis0-upper", "axis1-lower", "axis1-upper"],
+)
+def test_verify_grading_catches_each_direction(labels):
+    # C(2; 2) over two top cubes of class 1 and two of class 2, split across
+    # one axis: the cells between them pool to grade 1 from the lower or the
+    # upper side, along the first axis pooled or the second.  Dropping 1 <= 2
+    # leaves those stars without a least class.
+    sk = SimpleNamespace(m=3, d=2)
     cx = CubicalComplex.full(2, 2)
-    grades = np.array([[0, 2, 3][cx.dim_of(c)] for c in cx.cells()], dtype=np.int32)
-    grades[cx.cell_id(coface)] = 1
-    _verify_grading(grades, cx.base, cx.d, ChainPoset())
-    grades[cx.cell_id(vertex)] = 2
-    with pytest.raises(IntegrityError, match="grade 2 is not below coface grade 1"):
-        _verify_grading(grades, cx.base, cx.d, ChainPoset())
+    grades = grade_cells(sk, ChainPoset(labels))
+    assert grades.tolist().count(1) == 15 and grades.tolist().count(2) == 10
+    assert grades[cx.cell_id((2, 2))] == 1  # the centre vertex, in all four stars
+    with pytest.raises(IntegrityError, match="^grade 1 is not below coface grade 2: star has no least class$"):
+        grade_cells(sk, ChainPoset(labels, drop={(1, 2)}))
 
 
 def test_verify_grading_agrees_with_coface_scan():
+    """For an order with one or two relations dropped, ``grade_cells`` raises
+    exactly when a brute coface scan finds a face grade not below a coface
+    grade, and names the smallest such pair."""
     bc = build_braid_complex(reference_braid())
     cx, po = bc.cx, bc.poset
+    relations = po.relation_pairs(range(po.n))
     rng = random.Random(8)
     outcomes = set()
     for _ in range(60):
-        grades = bc.grades.copy()
-        grades[rng.randrange(grades.size)] = rng.randrange(po.n)
+        poset = DroppedRelations(po, rng.sample(relations, rng.randint(1, 2)))
         bad = sorted(
-            (int(grades[c]), int(grades[k]))
+            (bc.grade_of(c), bc.grade_of(k))
             for c in cx.cells()
             for k in cx.coboundary(c)
-            if not po.leq(int(grades[c]), int(grades[k]))
+            if not poset.leq(bc.grade_of(c), bc.grade_of(k))
         )
         outcomes.add(bool(bad))
         if bad:
             p, q = bad[0]
             with pytest.raises(IntegrityError, match=rf"^grade {p} is not below coface grade {q}:"):
-                _verify_grading(grades, cx.base, cx.d, po)
+                grade_cells(bc.skeleton, poset)
         else:
-            _verify_grading(grades, cx.base, cx.d, po)
+            assert np.array_equal(grade_cells(bc.skeleton, poset), bc.grades)
     assert outcomes == {False, True}
 
 
 def test_verify_grading_fills_its_table_in_blocks(monkeypatch):
-    """A poset with n * n above ``grades.nbytes`` is checked in row blocks,
-    each table at most ``grades.nbytes``, and the violation in a later
-    block is the one a single table finds."""
-    cx = CubicalComplex.full(2, 2)
-    grades = np.array([[0, 2, 3][cx.dim_of(c)] for c in cx.cells()], dtype=np.int32)
-    grades[cx.cell_id((1, 2))] = 1
-    grades[cx.cell_id((0, 2))] = 2
-
-    class WideChain(ChainPoset):
-        n = 50  # 2,500 table bytes against 100 grade bytes: rows of 2 classes
+    """A poset with n * n above the grade array's bytes is checked in blocks
+    of table rows, pooling once per block, each table at most those bytes;
+    a violation in a later block is found, and the smallest failing pair over
+    all blocks is the one a single table names."""
+    sk = SimpleNamespace(m=3, d=2)  # 25 cells, 100 grade bytes
+    # checked pairs: (0, 1) and (2, 3) along the first axis, then (0, 2) and (1, 3)
+    labels = [[0, 2], [1, 3]]
 
     tables = []
     real_zeros = np.zeros
@@ -392,11 +429,85 @@ def test_verify_grading_fills_its_table_in_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "zeros", zeros)
-    for poset, blocks in ((ChainPoset(), [16]), (WideChain(), [100, 100])):
-        tables.clear()
-        with pytest.raises(IntegrityError, match="^grade 2 is not below coface grade 1:"):
-            _verify_grading(grades, cx.base, cx.d, poset)
-        assert tables == blocks  # grade 2 sits in the second block of rows 2..3
+    for drop, p in (({(2, 3)}, 2), ({(2, 3), (1, 3)}, 1)):
+        for n, blocks in ((4, [16]), (50, [100] * 25)):  # rows of 2 classes: (2, 3) sits in the second
+            tables.clear()
+            with pytest.raises(IntegrityError, match=f"^grade {p} is not below coface grade 3:"):
+                grade_cells(sk, ChainPoset(labels, n=n, drop=drop))
+            assert tables == blocks
+
+
+@pytest.mark.parametrize(
+    "sk",
+    [nfold_cover(reference_braid(), 1), nfold_cover(reference_braid(), 2)]
+    + [torus_knot(m) for m in range(3, 9)],
+    ids=["v1", "v2"] + [f"torus{m}" for m in range(3, 9)],
+)
+def test_verify_grading_asks_the_coface_pairs(sk):
+    """The pairs ``grade_cells`` hands to ``leq`` are the distinct unequal
+    (face grade, coface grade) pairs of a coface scan, each asked once."""
+    po = DroppedRelations(condensation(sk))
+    grades = grade_cells(sk, po)
+    assert sorted(po.asked) == sorted(coface_scan_pairs(grades, 2 * sk.m - 1, sk.d))
+
+
+@st.composite
+def graded_top_grids(draw):
+    """A small top grid (d <= 3, at most 4 intervals per axis) with random
+    classes, ordered by a random DAG on them."""
+    d = draw(st.integers(1, 3))
+    na = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    edges = sorted(
+        (order[j], order[i])  # u -> v: v below u, so the DAG follows ``order``
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    )
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=na**d, max_size=na**d)))
+    dag_u = np.array([u for u, _ in edges], dtype=np.int64)
+    dag_v = np.array([v for _, v in edges], dtype=np.int64)
+    poset = CondensationPoset(n, labels, dag_u, dag_v, np.zeros(labels.size, dtype=np.int64))
+    return SimpleNamespace(m=na + 1, d=d), poset
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_top_grids())
+def test_grade_cells_equals_grade_cell(case):
+    """``grade_cells`` raises exactly when some cell's star has no least
+    class, and otherwise grades every cell as ``grade_cell`` does."""
+    sk, poset = case
+    cx = CubicalComplex.full(sk.m - 1, sk.d)
+    want = []
+    for cell in cx.cells():
+        try:
+            want.append(grade_cell(sk, poset, cx, cell))
+        except IntegrityError:
+            with pytest.raises(IntegrityError, match="^grade [0-9]+ is not below coface grade [0-9]+:"):
+                grade_cells(sk, poset)
+            return
+    assert grade_cells(sk, poset).tolist() == want
+
+
+def test_verify_grading_adds_under_a_byte_per_cell():
+    """On braid-v3 the check marks its pairs slice by slice in a table no
+    larger than the classes squared: it peaks within 1 byte per cell of the
+    pooling alone (about 0.6 above it, where contiguous copies of the digit
+    slices took 8)."""
+    sk = nfold_cover(reference_braid(), 3)
+    po = condensation(sk)
+    grade_cells(sk, po)  # the order's bitsets and numpy's caches, outside the trace
+    peaks = {}
+    for verify in (False, True):
+        tracemalloc.start()
+        try:
+            grades = grade_cells(sk, po, verify=verify)
+            peaks[verify] = tracemalloc.get_traced_memory()[1] / grades.size
+        finally:
+            tracemalloc.stop()
+    assert grades.size == 11**6
+    assert peaks[True] < peaks[False] + 1, peaks
 
 
 def test_build_braid_complex_fields():

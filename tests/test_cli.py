@@ -87,6 +87,14 @@ def test_cubical_bad_file(tmp_path, capsys):
     assert main(["cubical", str(tmp_path / "missing.txt")]) == EXIT_USAGE
 
 
+def test_cubical_file_beyond_int64(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    for anchor in ("0 0", f"0 {10**19}"):
+        f.write_text(f"2 {10**20}\n{anchor}\n")
+        assert main(["cubical", str(f)]) == EXIT_GUARD
+        assert "exceed int64" in capsys.readouterr().err
+
+
 def test_braid_nfold_json(capsys):
     assert main(["braid", "--nfold", "1", "--json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

@@ -226,7 +226,19 @@ def test_parse_top_cell_file():
     """
     m, d, anchors = parse_top_cell_file(text)
     assert (m, d) == (2, 2)
-    assert anchors == [(0, 0), (1, 1)]
+    assert anchors.dtype == np.int64 and anchors.tolist() == [[0, 0], [1, 1]]
+
+
+def test_parse_top_cell_file_keeps_coordinates_beyond_int64():
+    """Lines that only Python's ``int`` reads, or coordinates past int64,
+    come back as tuples; a grid that large is then refused by size."""
+    assert parse_top_cell_file("2 3\n1_0 2\n")[2] == [(10, 2)]
+    m, d, anchors = parse_top_cell_file(f"2 {10**20}\n0 {10**19}\n")
+    assert anchors == [(0, 10**19)]
+    with pytest.raises(SizeGuardError, match="exceed int64"):
+        CubicalComplex.from_top_cells(m, d, anchors)
+    with pytest.raises(FormatError, match=r"^anchor \(0, 5\) out of range 0..1$"):
+        CubicalComplex.from_top_cells(*parse_top_cell_file("2 2\n0 0\n0 5\n"))
 
 
 @pytest.mark.parametrize(
