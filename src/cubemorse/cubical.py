@@ -188,7 +188,7 @@ class CubicalComplex(CellComplexLike):
                     raise FormatError(f"anchor {a} does not have {d} coordinates")
                 if min(a) < 0 or max(a) > m - 1:
                     raise FormatError(f"anchor {a} out of range 0..{m - 1}")
-            if cx._id_dtype.kind != "O":  # else coordinates may exceed int64 too
+            if cx._id_dtype.kind != "O":  # refused below; its anchors may not fit int64
                 tops = np.array(anchors, dtype=np.int64).reshape(-1, d)
         if cx._id_dtype.kind == "O":
             raise SizeGuardError(f"cell ids of a {cx.base}^{d} grid exceed int64")
@@ -563,8 +563,9 @@ def parse_top_cell_file(text: str) -> tuple[int, int, np.ndarray | list[tuple[in
     Line 1 holds ``d m``; every following non-comment line holds the d anchor
     coordinates of one top cube.  ``#`` starts a comment, blank lines are
     skipped.  Returns (m, d, anchors), the anchors as an (n, d) int64 array,
-    or as a list of tuples when a coordinate does not fit int64 (then
-    :meth:`CubicalComplex.from_top_cells` refuses the grid).
+    or as a list of tuples when only Python's ``int`` reads them, as with a
+    coordinate past int64 (:meth:`CubicalComplex.from_top_cells` refuses
+    such a grid by size).
     """
     lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
     if not lines:

@@ -491,10 +491,9 @@ def test_grade_cells_equals_grade_cell(case):
 
 
 def test_verify_grading_adds_under_a_byte_per_cell():
-    """On braid-v3 the check marks its pairs slice by slice in a table no
-    larger than the classes squared: it peaks within 1 byte per cell of the
-    pooling alone (about 0.6 above it, where contiguous copies of the digit
-    slices took 8)."""
+    """On braid-v3 the check marks its pairs slice by slice in a classes x
+    classes table: it peaks within 1 byte per cell of the pooling alone
+    (about 0.6 above it, where contiguous copies of the digit slices took 8)."""
     sk = nfold_cover(reference_braid(), 3)
     po = condensation(sk)
     grade_cells(sk, po)  # the order's bitsets and numpy's caches, outside the trace
