@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import FormatError, IntegrityError
-from .cubical import CubicalComplex, _distinct, _row_starts
+from .cubical import CubicalComplex, _distinct, _read_header, _read_rows, _row_starts
 
 
 class SkeletonError(ValueError):
@@ -662,38 +662,15 @@ def condensation_dot(poset: CondensationPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_braid_file(text: str) -> list[tuple[int, ...]]:
+def parse_braid_file(text: str) -> np.ndarray | list[tuple[int, ...]]:
     """Parse the strand-list format.
 
     Line 1 holds ``m d``; each of the following m non-comment lines holds
-    the d+1 integer heights of one strand.  ``#`` starts a comment.
+    the d+1 integer heights of one strand.  ``#`` starts a comment.  The
+    rows come back as an (m, d+1) int64 array, or as a list of tuples when
+    only Python's ``int`` reads them.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty braid file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'm d', got {lines[0]!r}")
-    try:
-        m, d = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
-    if m < 1 or d < 1:
-        raise FormatError(f"need m >= 1 and d >= 1, got m={m} d={d}")
-    body = lines[1:]
+    m, d, body = _read_header(text, "braid", "m d")
     if len(body) != m:
         raise FormatError(f"expected {m} strand lines, found {len(body)}")
-    rows = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise FormatError(f"expected {d + 1} heights per strand, got {line!r}")
-        try:
-            rows.append(tuple(int(x) for x in parts))
-        except ValueError as exc:
-            raise FormatError(f"non-integer height in {line!r}") from exc
-    return rows
+    return _read_rows(body, d + 1, "heights per strand", "height")

@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 validation or input-format failure,
 3 size-guard refusal (override with --force).  Results print as a short
 human summary by default; --json and --csv emit the same RunResult record,
 byte-identical across reruns except for the timing field.
+
+``sphere``, ``cubical`` and ``braid`` check their arguments, read their
+input and run the size guard before they build anything large.  ``bench``
+repeats one of them and prints its timings alone, so the command after it
+takes none of --json, --csv, --dot and --matrix.
 """
 
 from __future__ import annotations
@@ -16,15 +21,15 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import (
     AcyclicityError,
-    ExplicitComplex,
     FormatError,
     IntegrityError,
     NonMemberCellError,
     SizeGuardError,
+    _guard_size,
     validate_complex,
 )
 from .cubical import CubicalComplex, parse_top_cell_file
@@ -74,21 +79,11 @@ class RunResult:
     rounds: int | None = None
     conley: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "cell_count": self.cell_count,
-            "timing_ms": self.timing_ms,
-            "betti": self.betti,
-            "rounds": self.rounds,
-            "conley": self.conley,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        data = self.to_dict()
+        data = asdict(self)
         keys = sorted(data)
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -118,12 +113,12 @@ def build_parser() -> _Parser:
                     help="s: boundary sphere; stop: thickened sphere")
     ps.add_argument("--dim", type=int, required=True)
     _output_flags(ps)
-    ps.set_defaults(func=cmd_sphere)
+    ps.set_defaults(func=cmd_run, runner=_sphere_runner)
 
     pc = sub.add_parser("cubical", help="homology of a top-cube list file")
     pc.add_argument("file")
     _output_flags(pc)
-    pc.set_defaults(func=cmd_cubical)
+    pc.set_defaults(func=cmd_run, runner=_cubical_runner)
 
     pb = sub.add_parser("braid", help="connection matrix of a braid diagram")
     src = pb.add_mutually_exclusive_group(required=True)
@@ -133,7 +128,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--dot", help="write the condensation poset as DOT to this path")
     pb.add_argument("--matrix", help="write the graded boundary as JSON to this path")
     _output_flags(pb)
-    pb.set_defaults(func=cmd_braid)
+    pb.set_defaults(func=cmd_run, runner=_braid_runner)
 
     pv = sub.add_parser("verify", help="validate a complex and its template matching")
     pv.add_argument("file", nargs="?", help="top-cube list file")
@@ -157,119 +152,71 @@ def _output_flags(sp: argparse.ArgumentParser) -> None:
     grp.add_argument("--csv", action="store_true", help="print the RunResult as CSV")
 
 
-def _guard(estimate: int, force: bool, what: str) -> None:
-    if estimate > CELL_GUARD and not force:
-        raise SizeGuardError(
-            f"{what} would hold about {estimate} cells "
-            f"(guard {CELL_GUARD}); pass --force to run anyway"
-        )
+# -- runners ----------------------------------------------------------------
+# A runner does a command's set-up and returns the function that does its
+# timed work and returns (RunResult, artifacts): cmd_run calls that function
+# once, bench calls it --repeat times.
 
 
-def _emit(args, result: RunResult, human: str) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(result.to_json())
-    elif getattr(args, "csv", False):
-        sys.stdout.write(result.to_csv())
-    else:
-        print(human)
+def _homology(command: dict, build):
+    """The timed work of ``sphere`` and ``cubical``: build the complex, then
+    time :func:`homology` alone."""
 
+    def run() -> tuple[RunResult, None]:
+        cx = build()
+        t0 = time.perf_counter()
+        res = homology(cx)
+        ms = (time.perf_counter() - t0) * 1000.0
+        return RunResult(command, cx.cell_count, round(ms, 3), res.betti, res.rounds), None
 
-# -- sphere / cubical ---------------------------------------------------
+    return run
 
 
 def _sphere_runner(args):
     if args.dim < 1:
         raise CliUsageError("--dim must be >= 1")
     per_axis = 3 if args.kind == "s" else 7
-    _guard(per_axis ** (args.dim + 1), args.force, "this sphere complex")
-
-    def run() -> RunResult:
-        cx = (
-            CubicalComplex.sphere(args.dim)
-            if args.kind == "s"
-            else CubicalComplex.top_sphere(args.dim)
-        )
-        t0 = time.perf_counter()
-        res = homology(cx)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return RunResult(
-            command={"cmd": "sphere", "kind": args.kind, "dim": args.dim},
-            cell_count=cx.cell_count,
-            timing_ms=round(ms, 3),
-            betti=res.betti,
-            rounds=res.rounds,
-        )
-
-    return run
+    _guard_size("this sphere complex", 1, per_axis, args.dim + 1, CELL_GUARD, args.force)
+    build = CubicalComplex.sphere if args.kind == "s" else CubicalComplex.top_sphere
+    command = {"cmd": "sphere", "kind": args.kind, "dim": args.dim}
+    return _homology(command, lambda: build(args.dim))
 
 
-def cmd_sphere(args) -> int:
-    result = _sphere_runner(args)()
-    _emit(
-        args,
-        result,
-        f"sphere kind={args.kind} dim={args.dim}: {result.cell_count} cells, "
-        f"betti {result.betti}, {result.rounds} round(s), {result.timing_ms} ms",
-    )
-    return EXIT_OK
+def _top_cells(args):
+    """Read ``args.file``; return the builder of its closure."""
+    with open(args.file) as fh:
+        m, d, anchors = parse_top_cell_file(fh.read())
+    return lambda: CubicalComplex.from_top_cells(m, d, anchors, force=args.force)
 
 
 def _cubical_runner(args):
-    with open(args.file) as fh:
-        m, d, anchors = parse_top_cell_file(fh.read())
-
-    def run() -> RunResult:
-        cx = CubicalComplex.from_top_cells(m, d, anchors, force=args.force)
-        t0 = time.perf_counter()
-        res = homology(cx)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return RunResult(
-            command={"cmd": "cubical", "file": os.path.basename(args.file)},
-            cell_count=cx.cell_count,
-            timing_ms=round(ms, 3),
-            betti=res.betti,
-            rounds=res.rounds,
-        )
-
-    return run
-
-
-def cmd_cubical(args) -> int:
-    result = _cubical_runner(args)()
-    _emit(
-        args,
-        result,
-        f"cubical {args.file}: {result.cell_count} cells, betti {result.betti}, "
-        f"{result.rounds} round(s), {result.timing_ms} ms",
-    )
-    return EXIT_OK
-
-
-# -- braid ---------------------------------------------------------------
-
-
-def _braid_skeleton(args):
-    if args.file is not None:
-        with open(args.file) as fh:
-            rows = parse_braid_file(fh.read())
-        return validate_skeleton(rows), {"cmd": "braid", "file": os.path.basename(args.file)}
-    if args.nfold is not None:
-        if args.nfold < 1:
-            raise CliUsageError("--nfold must be >= 1")
-        return nfold_cover(reference_braid(), args.nfold), {
-            "cmd": "braid",
-            "nfold": args.nfold,
-        }
-    if args.torus < 3:
-        raise CliUsageError("--torus must be >= 3")
-    return torus_knot(args.torus), {"cmd": "braid", "torus": args.torus}
+    command = {"cmd": "cubical", "file": os.path.basename(args.file)}
+    return _homology(command, _top_cells(args))
 
 
 def _braid_runner(args):
-    sk, command = _braid_skeleton(args)
-    _guard((2 * sk.m - 1) ** sk.d, args.force, "this braid complex")
+    """The guard needs only m strands and period d: (2m - 1)^d cells.  It
+    runs before the skeleton is built or validated."""
+    if args.file is not None:
+        with open(args.file) as fh:
+            rows = parse_braid_file(fh.read())
+        m, d, make = len(rows), len(rows[0]) - 1, lambda: validate_skeleton(rows)
+        command = {"cmd": "braid", "file": os.path.basename(args.file)}
+    elif args.nfold is not None:
+        if args.nfold < 1:
+            raise CliUsageError("--nfold must be >= 1")
+        ref = reference_braid()
+        m, d, make = ref.m, args.nfold * ref.d, lambda: nfold_cover(ref, args.nfold)
+        command = {"cmd": "braid", "nfold": args.nfold}
+    else:
+        if args.torus < 3:
+            raise CliUsageError("--torus must be >= 3")
+        m, d, make = args.torus, 4, lambda: torus_knot(args.torus)
+        command = {"cmd": "braid", "torus": args.torus}
+    _guard_size("this braid complex", 1, 2 * m - 1, d, CELL_GUARD, args.force)
+    sk = make()
 
-    def run() -> tuple[RunResult, "ExplicitComplex", object]:
+    def run() -> tuple[RunResult, tuple]:
         t0 = time.perf_counter()
         bc = build_braid_complex(sk)
         res = connection_matrix(
@@ -289,38 +236,39 @@ def _braid_runner(args):
                 [f, c, 1] for f, c in res.complex.boundary_entries()
             ],
         }
-        result = RunResult(
-            command=command,
-            cell_count=bc.cx.cell_count,
-            timing_ms=round(ms, 3),
-            conley=conley,
-        )
-        return result, res.complex, bc.poset
+        result = RunResult(command, bc.cx.cell_count, round(ms, 3), conley=conley)
+        return result, (res.complex, bc.poset)
 
     return run
 
 
-def cmd_braid(args) -> int:
-    result, final, poset = _braid_runner(args)()
-    if args.dot:
+def cmd_run(args) -> int:
+    r, artifacts = args.runner(args)()
+    final, poset = artifacts or (None, None)
+    if getattr(args, "dot", None):
         with open(args.dot, "w") as fh:
             fh.write(condensation_dot(poset))
-    if args.matrix:
-        present = sorted(set(final.grades.values()))  # type: ignore[union-attr]
+    if getattr(args, "matrix", None):
+        present = sorted(set(final.grades.values()))
         payload = final.to_json_dict(poset_pairs=poset.relation_pairs(present))
         with open(args.matrix, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    c = result.conley or {}
-    label = " ".join(f"{k}={v}" for k, v in result.command.items() if k != "cmd")
-    _emit(
-        args,
-        result,
-        f"braid {label}: {result.cell_count} cells, "
-        f"{c.get('scc_count')} classes, first round {c.get('first_round_cells')} cells, "
-        f"connection matrix {c.get('conley_cells')} cells, tower {c.get('tower_height')}, "
-        f"{result.timing_ms} ms",
+    if args.json or args.csv:
+        sys.stdout.write(r.to_json() if args.json else r.to_csv())
+        return EXIT_OK
+    label = args.file if args.cmd == "cubical" else " ".join(
+        f"{k}={v}" for k, v in r.command.items() if k != "cmd"
     )
+    if r.conley is None:
+        body = f"betti {r.betti}, {r.rounds} round(s)"
+    else:
+        c = r.conley
+        body = (
+            f"{c['scc_count']} classes, first round {c['first_round_cells']} cells, "
+            f"connection matrix {c['conley_cells']} cells, tower {c['tower_height']}"
+        )
+    print(f"{args.cmd} {label}: {r.cell_count} cells, {body}, {r.timing_ms} ms")
     return EXIT_OK
 
 
@@ -345,12 +293,7 @@ def _gen_complex(spec: str) -> CubicalComplex:
 def cmd_verify(args) -> int:
     if (args.file is None) == (args.gen is None):
         raise CliUsageError("verify needs exactly one of FILE or --gen")
-    if args.gen is not None:
-        cx = _gen_complex(args.gen)
-    else:
-        with open(args.file) as fh:
-            m, d, anchors = parse_top_cell_file(fh.read())
-        cx = CubicalComplex.from_top_cells(m, d, anchors, force=args.force)
+    cx = _gen_complex(args.gen) if args.gen is not None else _top_cells(args)()
     # refuse an oversized flow check before the first pass prints
     if args.acyclic:
         _refuse_above("verify_acyclic", cx, FLOW_CHECK_LIMIT)
@@ -387,18 +330,13 @@ def cmd_bench(args) -> int:
     if not rest:
         raise CliUsageError("bench needs a command to run, e.g. bench sphere --kind s --dim 5")
     sub = build_parser().parse_args(rest)
-    if sub.cmd == "sphere":
-        runner = _sphere_runner(sub)
-    elif sub.cmd == "cubical":
-        runner = _cubical_runner(sub)
-    elif sub.cmd == "braid":
-        base = _braid_runner(sub)
-        runner = lambda: base()[0]  # noqa: E731 - drop artifacts, keep timing
-    else:
+    if not hasattr(sub, "runner"):
         raise CliUsageError(f"cannot bench {sub.cmd!r}")
-    times = []
-    for _ in range(args.repeat):
-        times.append(runner().timing_ms)
+    for flag in ("json", "csv", "dot", "matrix"):
+        if getattr(sub, flag, None):
+            raise CliUsageError(f"bench takes no --{flag} after the command it times")
+    run = sub.runner(sub)
+    times = [run()[0].timing_ms for _ in range(args.repeat)]
     mean = statistics.fmean(times)
     std = statistics.stdev(times) if len(times) > 1 else 0.0
     if args.json:
@@ -413,31 +351,23 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help and friends
         return EXIT_OK if not exc.code else EXIT_USAGE
-    try:
-        return args.func(args)
-    except CliUsageError as exc:
+    except (CliUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (FormatError, SkeletonError, NonMemberCellError, UnicodeDecodeError) as exc:
+    except (
+        FormatError, SkeletonError, NonMemberCellError, UnicodeDecodeError,
+        IntegrityError, AcyclicityError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrityError, AcyclicityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

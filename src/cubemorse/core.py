@@ -11,6 +11,7 @@ without materializing cells (see :mod:`cubemorse.cubical`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log2
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 
@@ -20,6 +21,23 @@ class NonMemberCellError(ValueError):
 
 class SizeGuardError(RuntimeError):
     """A guarded operation refused to run on an input above its size threshold."""
+
+
+def _guard_size(what: str, count: int, base: int, exp: int, limit: int, force: bool) -> None:
+    """Raise :class:`SizeGuardError` when ``count * base**exp`` cells exceed
+    ``limit``, unless ``force``.  The product is formed only when it fits in
+    64 bits; a larger one is refused, and named, as a power."""
+    if force:
+        return
+    if exp * log2(base) + log2(max(count, 1)) <= 64:
+        size = count * base**exp
+        if size <= limit:
+            return
+    else:
+        size = f"{base}^{exp}" if count == 1 else f"{count} x {base}^{exp}"
+    raise SizeGuardError(
+        f"{what} would hold about {size} cells (guard {limit}); pass --force to run anyway"
+    )
 
 
 class AcyclicityError(RuntimeError):

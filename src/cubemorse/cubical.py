@@ -54,6 +54,7 @@ from .core import (
     FormatError,
     NonMemberCellError,
     SizeGuardError,
+    _guard_size,
 )
 
 CLOSURE_CELL_GUARD = 100_000_000
@@ -170,12 +171,8 @@ class CubicalComplex(CellComplexLike):
         as id arrays in the dtype of ``members``, so a grid whose ids exceed
         int64 is refused with :class:`SizeGuardError`.
         """
+        _guard_size("this closure", len(anchors), 3, d, CLOSURE_CELL_GUARD, force)
         estimate = len(anchors) * 3 ** d
-        if estimate > CLOSURE_CELL_GUARD and not force:
-            raise SizeGuardError(
-                f"closure estimate {estimate} cells exceeds {CLOSURE_CELL_GUARD}; "
-                "pass force to override"
-            )
         cx = cls(m, d)
         try:  # checked as one array; any fault is named by the loop below
             tops = np.asarray(anchors, dtype=np.int64).reshape(-1, d)
@@ -557,6 +554,48 @@ def beta(i: int, cell: int, cx: CubicalComplex, grade_of: Callable[[int], int]) 
     return cand
 
 
+def _read_header(text: str, kind: str, names: str) -> tuple[int, int, list[str]]:
+    """The two positive integers named ``names`` on the first line of a
+    ``kind`` file, and its other lines.  ``#`` starts a comment, blank lines
+    are skipped."""
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be '{names}', got {lines[0]!r}")
+    try:
+        a, b = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
+    if a < 1 or b < 1:
+        na, nb = names.split()
+        raise FormatError(f"need {na} >= 1 and {nb} >= 1, got {na}={a} {nb}={b}")
+    return a, b, lines[1:]
+
+
+def _read_rows(lines: list[str], width: int, per: str, value: str) -> np.ndarray | list[tuple[int, ...]]:
+    """``width`` integers on each of the (nonempty) ``lines``, as an (n, width)
+    int64 array, or as a list of tuples when only Python's ``int`` reads
+    them, as with a value past int64."""
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2)
+        if rows.shape[1] == width:
+            return rows
+    except ValueError:
+        pass  # the lines below name the first bad one or keep ints past int64
+    out = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) != width:
+            raise FormatError(f"expected {width} {per}, got {line!r}")
+        try:
+            out.append(tuple(int(x) for x in parts))
+        except ValueError as exc:
+            raise FormatError(f"non-integer {value} in {line!r}") from exc
+    return out
+
+
 def parse_top_cell_file(text: str) -> tuple[int, int, np.ndarray | list[tuple[int, ...]]]:
     """Parse the top-cube list format.
 
@@ -567,35 +606,7 @@ def parse_top_cell_file(text: str) -> tuple[int, int, np.ndarray | list[tuple[in
     coordinate past int64 (:meth:`CubicalComplex.from_top_cells` refuses
     such a grid by size).
     """
-    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
-    if not lines:
-        raise FormatError("empty top-cube file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'd m', got {lines[0]!r}")
-    try:
-        d, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
-    if d < 1 or m < 1:
-        raise FormatError(f"need d >= 1 and m >= 1, got d={d} m={m}")
-    if len(lines) > 1:
-        try:
-            tops = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2)
-            if tops.shape[1] == d:
-                return m, d, tops
-        except ValueError:
-            pass  # the lines below name the first bad one or keep ints past int64
-    anchors = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != d:
-            raise FormatError(f"expected {d} coordinates per line, got {line!r}")
-        try:
-            anchor = tuple(int(x) for x in parts)
-        except ValueError as exc:
-            raise FormatError(f"non-integer coordinate in {line!r}") from exc
-        anchors.append(anchor)
-    if not anchors:
+    d, m, body = _read_header(text, "top-cube", "d m")
+    if not body:
         raise FormatError("no top cubes listed")
-    return m, d, anchors
+    return m, d, _read_rows(body, d, "coordinates per line", "coordinate")

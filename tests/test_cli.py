@@ -17,7 +17,7 @@ from cubemorse.cli import (
     RunResult,
     main,
 )
-from cubemorse import matching
+from cubemorse import cli, matching
 from cubemorse.core import ExplicitComplex, FormatError
 from .helpers import top_cubes
 
@@ -85,6 +85,41 @@ def test_cubical_bad_file(tmp_path, capsys):
     f.write_text("2 2\n0\n")
     assert main(["cubical", str(f)]) == EXIT_VALIDATION
     assert main(["cubical", str(tmp_path / "missing.txt")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, power",
+    [
+        (["sphere", "--kind", "s", "--dim", "400000"], "3^400001"),
+        (["braid", "--nfold", "20000"], "11^40000"),
+        (["cubical", "BIG"], "3^10000"),
+        (["verify", "BIG"], "3^10000"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_size_guard_names_huge_estimates_as_powers(tmp_path, capsys, argv, power):
+    """An estimate past 64 bits is refused as a power, never written out in
+    decimal (which Python refuses past 4,300 digits)."""
+    big = tmp_path / "big.txt"
+    big.write_text("10000 1\n" + " ".join(["0"] * 10000) + "\n")
+    assert main([str(big) if a == "BIG" else a for a in argv]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"about {power} cells (guard " in captured.err and "pass --force" in captured.err
+
+
+def test_braid_guard_runs_before_the_skeleton_is_built(tmp_path, monkeypatch, capsys):
+    def built(*args, **kwargs):
+        raise AssertionError("the skeleton was built before the size guard ran")
+
+    for name in ("torus_knot", "nfold_cover", "validate_skeleton"):
+        monkeypatch.setattr(cli, name, built)
+    wide = tmp_path / "wide.braid"
+    wide.write_text("100 5\n" + "0 0 0 0 0 0\n" * 100)  # 199^5 cells, and no permutation
+    for argv in (["--torus", "20000"], ["--nfold", "20"], ["--file", str(wide)]):
+        assert main(["braid", *argv]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: this braid complex would hold about ") and err.count("\n") == 1
 
 
 def test_cubical_file_beyond_int64(tmp_path, capsys):
@@ -266,10 +301,18 @@ def test_bench_json(capsys):
     assert data["mean_ms"] >= 0
 
 
-def test_bench_usage(capsys):
+def test_bench_usage(tmp_path, monkeypatch, capsys):
     assert main(["bench"]) == EXIT_USAGE
     assert main(["bench", "--repeat", "0", "sphere", "--kind", "s", "--dim", "1"]) == EXIT_USAGE
     assert main(["bench", "verify", "--gen", "sphere:1"]) == EXIT_USAGE
+    # bench prints timings only: the inner command's record and file flags are refused
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for flags in (["--json", "--matrix", "x.json"], ["--csv"], ["--dot", "p.dot"], ["--matrix", "x.json"]):
+        assert main(["bench", "--repeat", "1", "braid", "--nfold", "1", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: bench takes no {flags[0]} after the command it times\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_csv_flags_conflict(capsys):
