@@ -24,19 +24,20 @@ import time
 from dataclasses import asdict, dataclass
 
 from .core import (
+    VALIDATE_LIMIT,
     AcyclicityError,
     FormatError,
     IntegrityError,
     NonMemberCellError,
     SizeGuardError,
     _guard_size,
+    _refuse_above,
     validate_complex,
 )
 from .cubical import CubicalComplex, parse_top_cell_file
 from .matching import (
     FLOW_CHECK_LIMIT,
     TemplateMatching,
-    _refuse_above,
     verify_acyclic,
     verify_matching,
     verify_stable,
@@ -276,15 +277,20 @@ def cmd_run(args) -> int:
 
 
 def _gen_complex(spec: str) -> CubicalComplex:
+    """The ``--gen`` complex, refused before it is built when it would hold
+    more cells than :func:`validate_complex` checks, --force or not."""
     kind, _, rest = spec.partition(":")
     try:
-        if kind == "sphere":
-            return CubicalComplex.sphere(int(rest))
-        if kind == "stop":
-            return CubicalComplex.top_sphere(int(rest))
+        if kind in ("sphere", "stop"):
+            d = int(rest)
+            _guard_size("this complex", 1, 3 if kind == "sphere" else 7, d + 1, VALIDATE_LIMIT, None)
+            return (CubicalComplex.sphere if kind == "sphere" else CubicalComplex.top_sphere)(d)
         if kind == "full":
-            m_s, d_s = rest.split(",")
-            return CubicalComplex.full(int(m_s), int(d_s))
+            m, d = map(int, rest.split(","))
+            if m < 1:  # before the guard takes log2(2m + 1)
+                raise ValueError("need m >= 1")
+            _guard_size("this complex", 1, 2 * m + 1, d, VALIDATE_LIMIT, None)
+            return CubicalComplex.full(m, d)
     except (ValueError, TypeError) as exc:
         raise CliUsageError(f"bad --gen spec {spec!r}: {exc}") from exc
     raise CliUsageError(f"unknown --gen kind {kind!r} (use sphere:, stop:, full:)")

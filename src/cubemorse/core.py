@@ -23,10 +23,11 @@ class SizeGuardError(RuntimeError):
     """A guarded operation refused to run on an input above its size threshold."""
 
 
-def _guard_size(what: str, count: int, base: int, exp: int, limit: int, force: bool) -> None:
+def _guard_size(what: str, count: int, base: int, exp: int, limit: int, force: bool | None) -> None:
     """Raise :class:`SizeGuardError` when ``count * base**exp`` cells exceed
     ``limit``, unless ``force``.  The product is formed only when it fits in
-    64 bits; a larger one is refused, and named, as a power."""
+    64 bits; a larger one is refused, and named, as a power.  ``force`` None
+    means no override exists, so the message offers none."""
     if force:
         return
     if exp * log2(base) + log2(max(count, 1)) <= 64:
@@ -35,9 +36,20 @@ def _guard_size(what: str, count: int, base: int, exp: int, limit: int, force: b
             return
     else:
         size = f"{base}^{exp}" if count == 1 else f"{count} x {base}^{exp}"
-    raise SizeGuardError(
-        f"{what} would hold about {size} cells (guard {limit}); pass --force to run anyway"
-    )
+    hint = "" if force is None else "; pass --force to run anyway"
+    raise SizeGuardError(f"{what} would hold about {size} cells (guard {limit}){hint}")
+
+
+VALIDATE_LIMIT = 1_000_000  # cells: validate_complex, from_complex and verify_matching
+
+
+def _refuse_above(what: str, cx: CellComplexLike, limit: int) -> None:
+    """Raise :class:`SizeGuardError` when ``cx`` has more than ``limit``
+    cells; a count past 64 bits is named as a power of two."""
+    n = cx.cell_count
+    if n > limit:
+        size = n if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
+        raise SizeGuardError(f"{what} refuses {size} cells (limit {limit})")
 
 
 class AcyclicityError(RuntimeError):
@@ -250,12 +262,9 @@ class ExplicitComplex:
         return cls(dims, {c: tuple(fs) for c, fs in bdry.items()}, grades)
 
     @classmethod
-    def from_complex(cls, cx: CellComplexLike, max_cells: int = 1_000_000) -> "ExplicitComplex":
-        """Materialize any complex handle; guarded against oversized inputs."""
-        if cx.cell_count > max_cells:
-            raise SizeGuardError(
-                f"refusing to materialize {cx.cell_count} cells (limit {max_cells})"
-            )
+    def from_complex(cls, cx: CellComplexLike) -> "ExplicitComplex":
+        """Materialize any complex handle of at most ``VALIDATE_LIMIT`` cells."""
+        _refuse_above("ExplicitComplex.from_complex", cx, VALIDATE_LIMIT)
         dims = {}
         bdry = {}
         for c in cx.cells():
@@ -266,8 +275,9 @@ class ExplicitComplex:
         return cls(dims, bdry)
 
 
-def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> ValidationReport:
-    """Check closure, dimension steps, and that the boundary squares to zero.
+def validate_complex(cx: CellComplexLike) -> ValidationReport:
+    """Check closure, dimension steps, and that the boundary squares to zero,
+    on at most ``VALIDATE_LIMIT`` cells.
 
     Every face of a member cell must be a member of dimension one less, and
     the GF(2) sum of faces-of-faces must vanish.  Violations are collected
@@ -284,10 +294,7 @@ def validate_complex(cx: CellComplexLike, max_cells: int = 1_000_000) -> Validat
     """
     from .cubical import CubicalComplex  # cubical imports this module
 
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"refusing to validate {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("validate_complex", cx, VALIDATE_LIMIT)
     if isinstance(cx, CubicalComplex) and cx._validates_clean():
         return ValidationReport(checked_cells=cx.cell_count)
     report = ValidationReport(checked_cells=0)
@@ -339,20 +346,18 @@ def gf2_rank(rows: list[int]) -> int:
     return len(pivots)
 
 
-def betti_oracle(cx: CellComplexLike, max_cells: int = 100_000) -> list[int]:
+def betti_oracle(cx: CellComplexLike) -> list[int]:
     """Betti numbers over GF(2) by straight Gaussian elimination.
 
     Independent of the Morse machinery: builds each boundary matrix and uses
-    rank-nullity.  Intended as a test oracle, so it is guarded to modest sizes.
+    rank-nullity.  Intended as a test oracle, so it refuses more than
+    100,000 cells.
 
     Returns:
         List ``b`` with ``b[k]`` the k-th GF(2) Betti number, for k in
         0..max_cell_dim of the complex.
     """
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(
-            f"betti_oracle refuses {cx.cell_count} cells (limit {max_cells})"
-        )
+    _refuse_above("betti_oracle", cx, 100_000)
     by_dim: dict[int, list[int]] = {}
     for c in cx.cells():
         by_dim.setdefault(cx.dim(c), []).append(c)

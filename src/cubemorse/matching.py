@@ -36,15 +36,16 @@ one dimension up.
 
 One function builds the flow graph of a sweep (:func:`_flow_graph`),
 breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
-two stages read it.  ``verify`` builds it once per matching from all lower
-cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over it
-(:func:`_peel`) and stability a test on the same edges.  Round one's flow
-counting (:func:`cubemorse.morse.morse_boundary` given a
-:class:`_SweepMate`) builds it from the fixed cells whose rows count
-(:func:`_sweep_graph`).  The flow graphs of other oracles are walked cell
-by cell, and the same two algorithms read them: :func:`_flow_rows`
-contracts the chains of one-successor nodes and sums the flow rows mod 2
-in a layered peel from the sinks, and :func:`_peel` decides acyclicity.
+two stages read it, both from the cached whole sweep of one
+:class:`TemplateMatching`.  ``verify`` builds it once per matching from all
+lower cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over
+it (:func:`_peel`) and stability a test on the same edges.  Round one's
+flow counting (:func:`cubemorse.morse.morse_boundary` given the matching)
+builds it from the fixed cells whose rows count (:func:`_sweep_graph`).
+The flow graphs of other oracles are walked cell by cell, and the same two
+algorithms read them: :func:`_flow_rows` contracts the chains of
+one-successor nodes and sums the flow rows mod 2 in a layered peel from the
+sinks, and :func:`_peel` decides acyclicity.
 
 The ``verify`` passes only decide that all is clean.  On any anomaly, and
 for every other oracle, the checks walk the cells and query the oracle one
@@ -57,29 +58,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    VALIDATE_LIMIT,
     AcyclicityError,
     CellComplexLike,
     IntegrityError,
     NonMemberCellError,
-    SizeGuardError,
     TrichotomyError,
+    _refuse_above,
 )
 from .cubical import _WALK_CHUNK, CubicalComplex, _distinct, _index_dtype, _lookup, _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
-FLOW_CHECK_LIMIT = 100_000  # default cell limit of verify_acyclic and verify_stable
-
-
-def _refuse_above(name: str, cx: CellComplexLike, max_cells: int) -> None:
-    """Raise :class:`SizeGuardError` when ``cx`` has more than ``max_cells`` cells."""
-    if cx.cell_count > max_cells:
-        raise SizeGuardError(f"{name} refuses {cx.cell_count} cells (limit {max_cells})")
+FLOW_CHECK_LIMIT = 100_000  # cell limit of verify_acyclic and verify_stable
 
 
 def _mate_helper(x: int, i: int, entries: Sequence[Entry], memo: dict) -> int:
@@ -115,22 +111,19 @@ def mate(cell: int, entries: Sequence[Entry], memo: dict | None = None) -> int:
     return _mate_helper(cell, len(entries), entries, memo)
 
 
-def mate_table(
-    cx: CellComplexLike,
-    entries: Sequence[Entry],
-    max_cells: int = 10_000,
-) -> tuple[dict[int, int], dict[int, int]]:
+def mate_table(cx: CellComplexLike, entries: Sequence[Entry]) -> tuple[dict[int, int], dict[int, int]]:
     """Materialize the aggregated matching over a whole complex.
 
     Runs the level-by-level construction directly: at level i every pair
     (x, w_i(x)) with both sides still unclaimed after the previous levels is
-    matched.  Serves as the independent oracle for :func:`mate`.
+    matched.  Serves as the independent oracle for :func:`mate`, on at most
+    10,000 cells.
 
     Returns:
         (partner, level): partner[c] is c's match (c itself when unmatched),
         level[c] the 1-based entry index at which the pair formed.
     """
-    _refuse_above("mate_table", cx, max_cells)
+    _refuse_above("mate_table", cx, 10_000)
     partner = {c: c for c in cx.cells()}
     level: dict[int, int] = {}
     avail = set(partner)
@@ -209,8 +202,8 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 
     Args:
         cx: the cubical complex.
-        grade_of: optional per-cell grade (numpy array, callable or
-            indexable by id); pairs must not cross grades.
+        grade_of: None, or an int array of ``cx.total_ids`` grades indexed
+            by id; pairs must not cross grades.
         ids: ascending member ids closed under the toggles, such as one
             anchor fiber; all members when None.
 
@@ -223,15 +216,9 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     if ids is None and (cx.members is None or cx._rank is not None):
         return _grid_sweep(cx, grade_of)
     ids = cx.member_ids() if ids is None else ids
-    n = ids.size
-    grade = None
-    if isinstance(grade_of, np.ndarray):
-        grade = grade_of[ids]
-    elif grade_of is not None:
-        gfun = grade_of if callable(grade_of) else grade_of.__getitem__
-        grade = np.fromiter(map(gfun, ids.tolist()), dtype=np.int64, count=n)
-    code = np.zeros(n, dtype=np.int8)
-    free = np.ones(n, dtype=bool)
+    grade = None if grade_of is None else grade_of[ids]
+    code = np.zeros(ids.size, dtype=np.int8)
+    free = np.ones(ids.size, dtype=bool)
     for level, p in enumerate(cx.pows, start=1):
         digit = ids // p % cx.base
         src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
@@ -250,8 +237,7 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid or dense explicit complex, as
     slice passes over the grid's digit array in which the non-members start
-    taken.  A grade array over all ids is read in place; any other grade is
-    evaluated once per member and laid out over the ids."""
+    taken.  The grade array over all ids is read in place."""
     shape, excl, rank = (cx.base,) * cx.d, cx._excluded, cx._rank
     if rank is None:
         taken = np.zeros(cx.total_ids, dtype=bool)
@@ -259,18 +245,7 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
             taken[excl] = True
     else:
         taken = rank < 0
-    grade = None
-    if isinstance(grade_of, np.ndarray) and grade_of.size == cx.total_ids:
-        grade = grade_of.reshape(shape, order="F")
-    elif grade_of is not None:
-        if isinstance(grade_of, np.ndarray):
-            member = grade_of[cx.member_ids()]
-        else:
-            gfun = grade_of if callable(grade_of) else grade_of.__getitem__
-            member = np.fromiter(map(gfun, cx.cells()), dtype=np.int64, count=cx.cell_count)
-        grade = np.zeros(cx.total_ids, dtype=member.dtype)  # never compared off the members
-        grade[~taken] = member
-        grade = grade.reshape(shape, order="F")
+    grade = None if grade_of is None else grade_of.reshape(shape, order="F")
     flat = np.zeros(cx.total_ids, dtype=np.int8)
     code, taken = flat.reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
     for level in range(1, cx.d + 1):
@@ -334,11 +309,14 @@ class TemplateMatching:
     when k < 0 and to itself when k = 0; the pair forms at level |k|.
     Non-members raise :class:`NonMemberCellError`.
 
+    Round one (:func:`cubemorse.morse.template_round`) reads the whole
+    sweep's codes (``_whole``), and :func:`cubemorse.morse.morse_boundary`
+    counts its flows over them in array passes (:func:`_sweep_graph`).
+
     Args:
         cx: the cubical complex.
-        grade_of: optional per-cell grade (numpy array, callable or
-            indexable by id); when given, pairs are restricted to one
-            grade class.
+        grade_of: None, or an int array of ``cx.total_ids`` grades indexed
+            by id; when given, pairs are restricted to one grade class.
     """
 
     def __init__(self, cx: CubicalComplex, grade_of=None):
@@ -448,8 +426,7 @@ class TemplateMatching:
         cx = self.cx
         if self._grade_of is None:
             return [partial(alpha, i, cx=cx) for i in range(1, cx.d + 1)]
-        gf = self._grade_of if callable(self._grade_of) else self._grade_of.__getitem__
-        return [partial(beta, i, cx=cx, grade_of=gf) for i in range(1, cx.d + 1)]
+        return [partial(beta, i, cx=cx, grade_of=self._grade_of.__getitem__) for i in range(1, cx.d + 1)]
 
     def _own_toggles(self, entries: Sequence[Entry]) -> bool:
         """Whether ``entries`` are exactly what :meth:`entries` returns on an
@@ -506,17 +483,14 @@ class MatchingReport:
         return f"{len(self.violations)} violation(s); " + base
 
 
-def verify_matching(
-    cx: CellComplexLike,
-    oracle: Callable[[int], int],
-    max_cells: int = 1_000_000,
-) -> MatchingReport:
+def verify_matching(cx: CellComplexLike, oracle: Callable[[int], int]) -> MatchingReport:
     """Check that the oracle is an involution pairing incident cells.
 
     Each cell must be fixed or matched to an incident cell one dimension
-    away, with the partner pointing back.
+    away, with the partner pointing back.  Refuses more than
+    ``VALIDATE_LIMIT`` cells.
     """
-    _refuse_above("verify_matching", cx, max_cells)
+    _refuse_above("verify_matching", cx, VALIDATE_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None:
         code = view._clean_sweep
@@ -721,35 +695,18 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return stuck[new[end]], np.concatenate(([0], np.cumsum(count))), data[_rows(indptr, rows)]
 
 
-class _SweepMate(NamedTuple):
-    """The partner lookup of the codes ``code`` of a whole
-    :func:`template_sweep`: a lower cell (code > 0) maps to its partner,
-    every other member to itself, and a non-member raises
-    :class:`NonMemberCellError`.  :func:`cubemorse.morse.morse_boundary`
-    walks its flows in array passes (:func:`_sweep_graph`)."""
-
-    cx: CubicalComplex
-    code: np.ndarray
-
-    def __call__(self, cell: int) -> int:
-        pos = self.cx._position(cell)
-        if pos is None:
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        return cell + _steps(self.cx)[max(int(self.code[pos]), 0)]
-
-
-def _sweep_graph(mate: _SweepMate, sources: list[int]):
-    """The :func:`_flow_graph` of a sweep from the fixed cells ``sources``,
-    for :func:`cubemorse.morse.morse_boundary`: node ids for positions, and
-    the fixed faces reached numbered by rank.
+def _sweep_graph(mate: TemplateMatching, sources: list[int]):
+    """The :func:`_flow_graph` of a matching's whole sweep from the fixed
+    cells ``sources``, for :func:`cubemorse.morse.morse_boundary`: node ids
+    for positions, and the fixed faces reached numbered by rank.
 
     Returns:
         (nodes, (src, dst), (fsrc, fcol), cols): the node ids; the node
         edges; the edges from nodes to the columns of their fixed faces; and
         the id of each column, ascending.
     """
-    cx, code = mate
-    at, edges, (fsrc, fat) = _flow_graph(cx, code, cx._locate(np.array(sources))[0])
+    cx = mate.cx
+    at, edges, (fsrc, fat) = _flow_graph(cx, mate._whole, cx._locate(np.array(sources))[0])
     fat, fcol = np.unique(fat, return_inverse=True)
     return cx._ids_at(at), edges, (fsrc, fcol), cx._ids_at(fat).tolist()
 
@@ -763,19 +720,16 @@ def _lower_cells(cx, oracle):
     return out
 
 
-def verify_acyclic(
-    cx: CellComplexLike,
-    oracle: Callable[[int], int],
-    max_cells: int = FLOW_CHECK_LIMIT,
-) -> bool:
+def verify_acyclic(cx: CellComplexLike, oracle: Callable[[int], int]) -> bool:
     """True when the flow relation on lower cells has no directed cycle.
 
     The relation steps from a lower cell q to every other lower cell in the
     boundary of q's partner.  Both paths decide it by a Kahn peel
     (:func:`_peel`): a clean :class:`TemplateMatching` over the flow graph of
     its sweep, any other oracle over the edges found by walking the cells.
+    Refuses more than ``FLOW_CHECK_LIMIT`` cells.
     """
-    _refuse_above("verify_acyclic", cx, max_cells)
+    _refuse_above("verify_acyclic", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None:
         return _peel(*view._flows[:3])
@@ -796,7 +750,6 @@ def verify_stable(
     oracle: Callable[[int], int],
     entries: Sequence[Entry],
     provenance: Callable[[int], int | None] | None = None,
-    max_cells: int = FLOW_CHECK_LIMIT,
 ) -> bool:
     """Check pair stability of a matching built from the given entries.
 
@@ -808,13 +761,13 @@ def verify_stable(
     A clean ungraded :class:`TemplateMatching`, passed with its own
     :meth:`~TemplateMatching.entries` and provenance, is checked over the
     flow graph (see ``TemplateMatching._flows``); any other input walks the
-    cells.
+    cells.  Refuses more than ``FLOW_CHECK_LIMIT`` cells.
 
     Args:
         provenance: level lookup for matched cells; defaults to
             ``oracle.provenance``.
     """
-    _refuse_above("verify_stable", cx, max_cells)
+    _refuse_above("verify_stable", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None and provenance in (None, view.provenance) and view._own_toggles(entries):
         return not view._flows[3].any()

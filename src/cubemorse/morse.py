@@ -36,7 +36,7 @@ from .core import (
     IntegrityError,
 )
 from .cubical import CubicalComplex
-from .matching import _SweepMate, _flow_rows, _sweep_graph, template_sweep
+from .matching import TemplateMatching, _flow_rows, _sweep_graph
 
 
 def morse_boundary(
@@ -51,9 +51,9 @@ def morse_boundary(
     cell of dimension k is skipped when no fixed cell has dimension k - 1.
 
     The flows are counted over a flow graph from the fixed cells whose rows
-    count.  Given the :class:`~cubemorse.matching._SweepMate` of
-    :func:`template_round`, whose fixed cells must be ``criticals``, the
-    graph is built in array passes (:func:`cubemorse.matching._sweep_graph`);
+    count.  Given a :class:`~cubemorse.matching.TemplateMatching`, whose
+    fixed cells must be ``criticals``, the graph is built in array passes
+    over its whole sweep (:func:`cubemorse.matching._sweep_graph`);
     any other ``mate_of`` is walked cell by cell (:func:`_cell_graph`).
     Either way :func:`cubemorse.matching._flow_rows` sums the rows mod 2,
     and a flow that reaches a cycle means the matching is cyclic
@@ -73,7 +73,7 @@ def morse_boundary(
     sources = [a for a in order if criticals[a] - 1 in have]
     if not sources:
         return {}
-    if type(mate_of) is _SweepMate:
+    if type(mate_of) is TemplateMatching:
         nodes, edges, fixed, ids = _sweep_graph(mate_of, sources)
     else:
         nodes, edges, fixed, ids = _cell_graph(order, sources, boundary_of, mate_of, dim_of)
@@ -159,21 +159,21 @@ def morse_complex(
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
-    :func:`cubemorse.matching.template_sweep` matches all members in one
-    array pass per axis and returns a code per member position; the members
+    The whole :func:`cubemorse.matching.template_sweep` of a
+    :class:`~cubemorse.matching.TemplateMatching` matches all members in one
+    array pass per axis and gives a code per member position; the members
     it leaves fixed are the critical cells, whose ids are taken from their
     positions alone (``CubicalComplex._ids_at``, arithmetic on a grid, so no
     id array of all members is built) and whose dimensions come from one
     array odd-digit count (``CubicalComplex._dims``).  :func:`morse_boundary`
-    counts the flows over the sweep's codes in array passes
-    (:class:`~cubemorse.matching._SweepMate`).
+    counts the flows over the same codes in array passes.  ``grade_of`` is
+    None or an int array of ``cx.total_ids`` grades indexed by id.
     """
-    code = template_sweep(cx, grade_of)
-    fixed = cx._ids_at((code == 0).nonzero()[0])
+    mate = TemplateMatching(cx, grade_of)
+    fixed = cx._ids_at((mate._whole == 0).nonzero()[0])
     dims = dict(zip(fixed.tolist(), cx._dims(fixed).tolist()))
-    if grade_of is not None and not callable(grade_of):
-        grade_of = grade_of.__getitem__
-    return _collapse(dims, cx._boundary_raw, _SweepMate(cx, code), cx.dim_of, grade_of)
+    grade = None if grade_of is None else grade_of.__getitem__
+    return _collapse(dims, cx._boundary_raw, mate, cx.dim_of, grade)
 
 
 def _collapse(dims, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
@@ -396,9 +396,10 @@ def connection_matrix(
     """Graded Morse reduction until no boundary entry joins equal grades.
 
     Runs the reduction loop graded: round one restricts the template
-    matching to grade classes, later rounds use the graded coreduction
-    matching.  After every round the boundary must descend the grading
-    (checked against ``poset`` when given) and the per-grade Euler
+    matching to the grade classes of ``grade_of``, an int array of
+    ``cx.total_ids`` grades indexed by id; later rounds use the graded
+    coreduction matching.  After every round the boundary must descend the
+    grading (checked against ``poset`` when given) and the per-grade Euler
     characteristics must match ``input_counts`` when given.  The tower
     height is the number of rounds executed.
     """

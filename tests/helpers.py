@@ -6,8 +6,10 @@ import random
 from collections import Counter
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from cubemorse.braid import SkeletonError, validate_skeleton
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
 
@@ -90,6 +92,19 @@ def lower_star_graded(draw):
         if cx.dim(c):
             grades[c] = max(grades[f] for f in cx.boundary(c))
     return cx, grades
+
+
+@st.composite
+def braid_skeletons(draw, max_m: int = 5, max_d: int = 3):
+    """A braid skeleton whose d + 1 cross-sections are random permutations
+    of its m strands' heights (2 <= m <= max_m, 1 <= d <= max_d), kept
+    when :func:`validate_skeleton` accepts it."""
+    m, d = draw(st.integers(2, max_m)), draw(st.integers(1, max_d))
+    columns = [draw(st.permutations(range(m))) for _ in range(d + 1)]
+    try:
+        return validate_skeleton([[col[a] for col in columns] for a in range(m)])
+    except SkeletonError:
+        assume(False)
 
 
 def dd_nonzero(E) -> dict[int, list[int]]:

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubemorse.cli import (
@@ -225,6 +226,22 @@ def test_verify_usage(capsys):
     assert main(["verify", "--gen", "sphere:x"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec, power", [("sphere:10000", "3^10001"), ("sphere:400000", "3^400001")])
+def test_verify_gen_guard_runs_before_the_complex_is_built(monkeypatch, capsys, spec, power):
+    """``--gen`` refuses a complex above validate_complex's limit before it
+    is built, with or without --force, in one line."""
+    def built(*args):
+        raise AssertionError("the complex was built before the size guard ran")
+
+    for name in ("full", "sphere", "top_sphere"):
+        monkeypatch.setattr(cli.CubicalComplex, name, built)
+    for force in ([], ["--force"]):
+        assert main([*force, "verify", "--gen", spec]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: this complex would hold about {power} cells (guard 1000000)\n"
+
+
 @pytest.mark.parametrize("source", ["grid", "explicit"])
 @pytest.mark.parametrize("corruption", ["flip-sign", "non-incident"])
 def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corruption, source):
@@ -436,6 +453,36 @@ def test_garbage_files_end_in_an_exit_code(argv, data):
         with open(path, "wb") as fh:
             fh.write(data)
         code, _, err = _run_in_process([*argv, path])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_GUARD)
+    assert "Traceback" not in err
+
+
+@st.composite
+def _gen_specs(draw):
+    """``verify --gen`` arguments, valid or not: a kind and up to three
+    numbers, or any short text.  A valid spec builds under 10^5 cells or is
+    refused by the 10^6 guard, so no example builds a large complex."""
+    flags = draw(st.sampled_from([[], ["--acyclic"], ["--stable"]]))
+    if draw(st.integers(0, 3)) == 0:
+        return [*flags, draw(st.text(max_size=12))]
+    kind = draw(st.sampled_from(["sphere", "stop", "full", "cube"]))
+    num = st.one_of(st.integers(-2, 12), st.integers(13, 10**6))
+    size = 2 if kind == "full" else 1
+    nums = draw(st.one_of(st.lists(num, min_size=size, max_size=size), st.lists(num, max_size=3)))
+    digits = 0.0  # log10 of the cells a valid spec builds
+    if kind in ("sphere", "stop") and len(nums) == 1 and nums[0] >= 1:
+        digits = (nums[0] + 1) * math.log10(3 if kind == "sphere" else 7)
+    elif kind == "full" and len(nums) == 2 and min(nums) >= 1:
+        digits = nums[1] * math.log10(2 * nums[0] + 1)
+    assume(digits < 5 or digits > 6)
+    return [*flags, f"{kind}:{','.join(map(str, nums))}"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_gen_specs())
+def test_gen_specs_end_in_an_exit_code(args):
+    *flags, spec = args
+    code, _, err = _run_in_process(["verify", *flags, "--gen", spec])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_GUARD)
     assert "Traceback" not in err
 

@@ -9,10 +9,10 @@ complex must keep the input's Betti numbers.
 import pytest
 from hypothesis import given, settings
 
-from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
-from cubemorse.core import ExplicitComplex, betti_oracle
+from cubemorse.braid import build_braid_complex, grade_cell, nfold_cover, reference_braid, torus_knot
+from cubemorse.core import ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.morse import connection_matrix
-from .helpers import lower_star_graded, strip_zeros
+from .helpers import braid_skeletons, lower_star_graded, strip_zeros
 
 
 def conley_index_mismatches(cx, grades, counts) -> list[tuple[int, int, int, int]]:
@@ -46,6 +46,21 @@ def check_braid(sk) -> None:
     "sk", [reference_braid(), nfold_cover(reference_braid(), 2)], ids=["v1", "v2"]
 )
 def test_braid_conley_complex_matches_index_oracle(sk):
+    check_braid(sk)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(braid_skeletons())
+def test_generated_braid_conley_complexes_match_index_oracle(sk):
+    """Every generated skeleton either grades, with each cell's pooled grade
+    its star's least class, and passes the index oracle, or is refused by
+    the documented grading error."""
+    try:
+        bc = build_braid_complex(sk)
+    except IntegrityError as err:
+        assert "star has no least class" in str(err)
+        return
+    assert bc.grades.tolist() == [grade_cell(sk, bc.poset, bc.cx, c) for c in bc.cx.cells()]
     check_braid(sk)
 
 

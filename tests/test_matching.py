@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, reference_braid, torus_knot
-from cubemorse.core import NonMemberCellError, SizeGuardError, TrichotomyError, validate_complex
+from cubemorse.core import (
+    ExplicitComplex,
+    NonMemberCellError,
+    SizeGuardError,
+    TrichotomyError,
+    betti_oracle,
+    validate_complex,
+)
 from cubemorse.cubical import CubicalComplex
 from cubemorse.hypercube import HypercubeComplex
 from cubemorse import matching
 from cubemorse.morse import homology, template_round
 from cubemorse.matching import (
     SequenceMatching,
-    _SweepMate,
     TemplateMatching,
     classify,
     fiber_mate,
@@ -72,10 +78,36 @@ def test_mate_equals_mate_table_random():
             assert mate(c, entries, memo) == partner[c]
 
 
-def test_mate_table_size_guard():
-    cx = HypercubeComplex(4)
-    with pytest.raises(SizeGuardError):
-        mate_table(cx, cx.template_entries(), max_cells=3)
+def _stable(cx):
+    w = TemplateMatching(cx)
+    return verify_stable(cx, w, w.entries(), w.provenance)
+
+
+GUARDED = [
+    ("validate_complex", 10**6, CubicalComplex.full(1, 13), validate_complex),
+    ("ExplicitComplex.from_complex", 10**6, CubicalComplex.full(1, 13), ExplicitComplex.from_complex),
+    ("verify_matching", 10**6, CubicalComplex.full(1, 13), lambda cx: verify_matching(cx, TemplateMatching(cx))),
+    ("betti_oracle", 10**5, CubicalComplex.sphere(10), betti_oracle),
+    ("verify_acyclic", 10**5, CubicalComplex.sphere(10), lambda cx: verify_acyclic(cx, TemplateMatching(cx))),
+    ("verify_stable", 10**5, CubicalComplex.sphere(10), _stable),
+    ("mate_table", 10**4, HypercubeComplex(14), lambda cx: mate_table(cx, cx.template_entries())),
+]
+
+
+@pytest.mark.parametrize("what, limit, cx, call", GUARDED, ids=[g[0] for g in GUARDED])
+def test_guarded_entry_points_refuse_above_fixed_limits(what, limit, cx, call):
+    """Each guarded entry point refuses a complex just above its fixed
+    limit (1,594,323, 177,146 and 16,384 cells), in one wording."""
+    assert limit < cx.cell_count < 2 * limit
+    with pytest.raises(SizeGuardError) as err:
+        call(cx)
+    assert str(err.value) == f"{what} refuses {cx.cell_count} cells (limit {limit})"
+
+
+def test_refusals_name_counts_past_64_bits_as_powers():
+    cx = CubicalComplex.full(1, 45)  # 3^45 cells
+    with pytest.raises(SizeGuardError, match=r"^validate_complex refuses over 2\^71 cells \(limit 1000000\)$"):
+        validate_complex(cx)
 
 
 def test_fiber_mate_matches_mate_table():
@@ -164,10 +196,10 @@ def test_template_matching_equals_sequence_over_alpha():
 
 def test_graded_template_matching_stays_in_grade():
     cx = CubicalComplex.full(2, 2)
-    grade = lambda c: 0 if c < 13 else 1  # noqa: E731 - arbitrary split
+    grade = (np.arange(cx.total_ids) >= 13).astype(np.int64)  # arbitrary split
     w = TemplateMatching(cx, grade)
     for c in cx.cells():
-        assert grade(w(c)) == grade(c)
+        assert grade[w(c)] == grade[c]
     rep = verify_matching(cx, w)
     assert rep.ok, rep.summary()
 
@@ -267,11 +299,10 @@ def test_template_matching_is_clean_on_spheres():
 def fiber_oracle(cx, grades=None):
     """(partner, level) of every member, from :func:`fiber_mate` run on each
     fiber of ``cx.iter_fibers()`` independently of the array sweep."""
-    gfun = grades if grades is None or callable(grades) else grades.__getitem__
     offs = cx.offsets()
     partner, level = {}, {}
     for base, members in cx.iter_fibers():
-        grade = None if gfun is None else {msk: gfun(base + offs[msk]) for msk in members}
+        grade = None if grades is None else {msk: grades[base + offs[msk]] for msk in members}
         fp, fl = fiber_mate(members, cx.d, grade)
         for msk in members:
             partner[base + offs[msk]] = base + offs[fp[msk]]
@@ -280,21 +311,20 @@ def fiber_oracle(cx, grades=None):
 
 
 def assert_sweep_matches_oracle(cx, grades=None):
-    """The array sweep, and the TemplateMatching view of it, pair every
-    member exactly as the per-fiber oracle does, and flow counting's mate
-    moves exactly the lower cells to their partners."""
+    """The array sweep, and the TemplateMatching view of it, per cell and
+    as the whole-sweep codes round one reads, pair every member exactly as
+    the per-fiber oracle does."""
     code = template_sweep(cx, grades)
     ids = cx.member_ids()
     assert ids.tolist() == list(cx.cells())
     assert code.dtype == np.int8 and code.shape == ids.shape
     partner, level = fiber_oracle(cx, grades)
     w = TemplateMatching(cx, grades)
-    mate = _SweepMate(cx, code)
     for c, k in zip(ids.tolist(), code.tolist()):
         step = 0 if k == 0 else (cx.pows[k - 1] if k > 0 else -cx.pows[-k - 1])
         assert c + step == partner[c] == w(c), c
         assert (abs(k) if k else None) == level[c] == w.provenance(c), c
-        assert mate(c) == (partner[c] if k > 0 else c), c
+    assert np.array_equal(TemplateMatching(cx, grades)._whole, code)
 
 
 def test_template_sweep_matches_oracle_on_random_complexes():
@@ -302,8 +332,7 @@ def test_template_sweep_matches_oracle_on_random_complexes():
     for _ in range(40):
         cx = random_cubical_complex(rng, rng.randint(1, 4), rng.randint(1, 3))
         assert_sweep_matches_oracle(cx)
-        # a list is indexable by id but neither an array nor callable
-        assert_sweep_matches_oracle(cx, [rng.randrange(3) for _ in range(cx.total_ids)])
+        assert_sweep_matches_oracle(cx, np.array([rng.randrange(3) for _ in range(cx.total_ids)]))
 
 
 def test_template_sweep_matches_oracle_around_excluded_cell():
@@ -318,7 +347,6 @@ def test_template_sweep_matches_oracle_on_braid_gradings():
     for sk in (reference_braid(), torus_knot(5)):
         bc = build_braid_complex(sk)
         assert_sweep_matches_oracle(bc.cx, bc.grades)
-        assert_sweep_matches_oracle(bc.cx, bc.grade_of)
 
 
 def test_template_matching_sweeps_fibers_then_whole(monkeypatch):
@@ -374,8 +402,7 @@ def test_template_sweep_on_sparse_grid():
 @st.composite
 def graded_grids(draw):
     """A whole grid, ``full(m, d)`` (m <= 3, d <= 4), ``sphere(d)`` or
-    ``top_sphere(d)``, with no grade or random grades given by id as an
-    ndarray, a list or a callable."""
+    ``top_sphere(d)``, with no grade or random grades over all ids."""
     kind = draw(st.sampled_from(["full", "sphere", "top_sphere"]))
     if kind == "full":
         cx = CubicalComplex.full(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
@@ -383,16 +410,10 @@ def graded_grids(draw):
         cx = CubicalComplex.sphere(draw(st.integers(1, 5)))
     else:
         cx = CubicalComplex.top_sphere(draw(st.integers(1, 2)))
-    form = draw(st.sampled_from([None, "array", "list", "callable"]))
-    if form is None:
+    if draw(st.booleans()):
         return cx, None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grades = rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
-    if form == "list":
-        return cx, grades.tolist()
-    if form == "callable":
-        return cx, lambda c: int(grades[c])
-    return cx, grades
+    return cx, rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -455,11 +476,10 @@ def test_grid_sweep_searches_nothing(monkeypatch):
     for cx, grades in [
         (CubicalComplex.full(3, 3), None),
         (CubicalComplex.sphere(4), None),
-        (CubicalComplex.top_sphere(2), [c % 3 for c in range(7**3)]),
+        (CubicalComplex.top_sphere(2), np.arange(7**3) % 3),
         (bc.cx, bc.grades),
         (dense, None),
         (dense, np.arange(dense.total_ids) % 3),
-        (dense, lambda c: c % 2),
     ]:
         template_sweep(cx, grades)
         assert calls == {"lookup": 0, "searchsorted": 0} and CountingIds.calls == 0
@@ -523,22 +543,13 @@ def test_grid_round_one_and_verify_search_nothing(monkeypatch):
 
 @st.composite
 def graded_dense_explicit(draw):
-    """A dense explicit complex with no grade or random grades given by id
-    as an ndarray over all ids, an ndarray up to the largest member, a list
-    or a callable."""
+    """A dense explicit complex with no grade or random grades over all
+    ids."""
     cx = draw(dense_top_cube_complexes())
-    form = draw(st.sampled_from([None, "array", "short", "list", "callable"]))
-    if form is None:
+    if draw(st.booleans()):
         return cx, None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grades = rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
-    if form == "short":
-        return cx, grades[:cx.members[-1] + 1]
-    if form == "list":
-        return cx, grades.tolist()
-    if form == "callable":
-        return cx, lambda c: int(grades[c])
-    return cx, grades
+    return cx, rng.integers(0, draw(st.integers(1, 3)), cx.total_ids).astype(np.int32)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -553,20 +564,22 @@ def test_dense_explicit_sweep_equals_member_id_sweep(case):
     assert_sweep_matches_oracle(cx, grades)
 
 
-def test_sweep_mate_rejects_non_members():
-    """The round-one mate raises on a cell outside the complex: the centre,
-    -1 and total_ids of a sphere, and a gap between two members of an
-    explicit complex."""
+def test_template_matching_rejects_non_members():
+    """The matching round one reads raises on a cell outside the complex:
+    the centre, -1 and total_ids of a sphere, and a gap between two members
+    of an explicit complex, also once its whole sweep is cached."""
     cx = CubicalComplex.sphere(2)
-    mate = _SweepMate(cx, template_sweep(cx))
+    mate = TemplateMatching(cx)
+    mate._whole
     for c in (cx._excluded, -1, cx.total_ids):
         with pytest.raises(NonMemberCellError):
             mate(c)
-    assert [mate(c) for c in (0, cx.total_ids - 1)] == [1, cx.total_ids - 1]
+    assert [mate(c) for c in (0, 1, cx.total_ids - 1)] == [1, 0, cx.total_ids - 1]
     explicit = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
     gap = explicit.cell_id((3, 0))
     assert explicit.members[0] < gap < explicit.members[-1] and not explicit.is_member(gap)
-    mate = _SweepMate(explicit, template_sweep(explicit))
+    mate = TemplateMatching(explicit)
+    mate._whole
     with pytest.raises(NonMemberCellError):
         mate(gap)
     for c in explicit.cells():

@@ -118,7 +118,7 @@ def test_template_round_matches_morse_complex():
         cx = random_cubical_complex(rng, rng.randint(1, 3))
         w = TemplateMatching(cx)
         a = template_round(cx)
-        b = morse_complex(cx, w)
+        b = morse_complex(cx, w.__call__)  # a bound method: the per-cell flow walk
         assert a.dims == b.dims
         assert {c: a.boundary(c) for c in a.cells()} == {
             c: b.boundary(c) for c in b.cells()
@@ -129,7 +129,7 @@ def test_graded_template_round_matches_morse_complex():
     for sk in (reference_braid(), torus_knot(5)):
         bc = build_braid_complex(sk)
         a = template_round(bc.cx, bc.grades)
-        b = morse_complex(bc.cx, TemplateMatching(bc.cx, bc.grades), bc.grade_of)
+        b = morse_complex(bc.cx, TemplateMatching(bc.cx, bc.grades).__call__, bc.grade_of)
         assert a.dims == b.dims
         assert a.grades == b.grades
         assert sorted(a.boundary_entries()) == sorted(b.boundary_entries())

@@ -1,7 +1,7 @@
 """Round-1 flow counting over the template sweep against the per-cell walk.
 
 ``morse_boundary`` builds the flow graph of :func:`template_round` in array
-passes when it is given the sweep's own mate (``matching._SweepMate``).
+passes when it is given a ``TemplateMatching``, over its whole sweep.
 Given a plain lower-only callable built from the same sweep codes, it walks
 the cells breadth first.  Both must give the same boundary, or both raise
 :class:`AcyclicityError` naming the same lower cell.  The row sums
@@ -23,20 +23,23 @@ from cubemorse.core import AcyclicityError
 from cubemorse import cubical
 from cubemorse.cubical import CubicalComplex, _index_dtype
 from cubemorse import matching
-from cubemorse.matching import _flow_rows, _peel, _SweepMate, template_sweep
+from cubemorse.matching import TemplateMatching, _flow_rows, _peel, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
 from .helpers import random_cubical_complex, top_cube_complexes
 
 
 def both_paths(cx, code):
     """(array, per-cell) outcomes of ``morse_boundary`` on the fixed cells of
-    one sweep's codes: the boundary, or, when it raises
-    :class:`AcyclicityError`, that class and the lower cell it names."""
+    one sweep's codes, given as the whole sweep of a ``TemplateMatching``:
+    the boundary, or, when it raises :class:`AcyclicityError`, that class
+    and the lower cell it names."""
     ids = cx.member_ids()
     criticals = ids[code == 0].tolist()
     lower = {c: c + cx.pows[k - 1] for c, k in zip(ids.tolist(), code.tolist()) if k > 0}
+    sweep = TemplateMatching(cx)
+    sweep._whole = code
     out = []
-    for mate in (_SweepMate(cx, code), lambda c: lower.get(c, c)):
+    for mate in (sweep, lambda c: lower.get(c, c)):
         try:
             out.append(morse_boundary(criticals, cx._boundary_raw, mate, cx.dim_of))
         except AcyclicityError as err:
