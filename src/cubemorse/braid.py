@@ -541,6 +541,9 @@ def _pool_axis(
     return out
 
 
+_TABLE_FLOOR = 1 << 24  # bytes the grading check's table may take however few cells the grid has
+
+
 def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True) -> np.ndarray:
     """Grade of every cell of C(m-1; d): least class among its star's tops.
 
@@ -553,13 +556,13 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
     every such unequal pair against the poset in ascending class order and
     raises :class:`IntegrityError` naming the smallest failing (face grade,
     coface grade) pair; passing certifies every cell's grade.  The pairs are
-    marked in a rank x rank bool table no larger than the grade array,
-    pooling once per block of its rows when the whole table is larger.
+    marked in a rank x rank bool table of at most 4 bytes per cell or
+    ``_TABLE_FLOOR``, pooling once per block of its rows beyond that.
     """
     na, d, n = sk.m - 1, sk.d, poset.n
     top = poset.rank.astype(np.int32)[poset.labels].reshape((na,) * d, order="F")
     scc_by_rank = np.argsort(poset.rank).astype(np.int32)
-    rows = max(1, 4 * (2 * na + 1) ** d // n) if verify else n
+    rows = max(1, max(4 * (2 * na + 1) ** d, _TABLE_FLOOR) // n) if verify else n
     keys = []
     for r0 in range(0, n, rows):
         seen = np.zeros((min(rows, n - r0), n), dtype=bool) if verify else None
@@ -676,6 +679,5 @@ def parse_braid_file(text: str) -> np.ndarray | list[tuple[int, ...]]:
     only Python's ``int`` reads them.
     """
     m, d, body = _read_header(text, "braid", "m d")
-    if len(body) != m:
-        raise FormatError(f"expected {m} strand lines, found {len(body)}")
-    return _read_rows(body, d + 1, "heights per strand", "height")
+    miscount = lambda n: None if n == m else f"expected {m} strand lines, found {n}"
+    return _read_rows(body, d + 1, "heights per strand", "height", miscount)

@@ -284,13 +284,13 @@ def validate_complex(cx: CellComplexLike) -> ValidationReport:
     (capped at 200) rather than raised.
 
     A :class:`~cubemorse.cubical.CubicalComplex` is first checked by array
-    passes in chunks of ``_WALK_CHUNK`` cells, so memory stays bounded
-    whatever the complex size: its boundary is the face formula, whose rows
-    are ascending, one dimension lower and square to zero, so closure of the
-    formula's faces among the members settles the rest (see
-    ``CubicalComplex._validates_clean``).  Those passes only decide that
-    nothing is wrong; on any anomaly the cell-by-cell walk below runs and
-    writes the report.
+    passes: digit slices over the member mask of a grid or dense explicit
+    complex, faces of ``_WALK_CHUNK`` members at a time of a sparse one.
+    Its boundary is the face formula, whose rows are ascending, one
+    dimension lower and square to zero, so closure of the formula's faces
+    among the members settles the rest (``CubicalComplex._validates_clean``).
+    Those passes only decide that nothing is wrong; on any anomaly the
+    cell-by-cell walk below runs and writes the report.
     """
     from .cubical import CubicalComplex  # cubical imports this module
 

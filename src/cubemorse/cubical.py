@@ -33,7 +33,10 @@ or [l+1, l+1]), and its dimension is the number of odd digits.  The scalar
 queries (:meth:`CubicalComplex.dim_of`, ``anchor_and_mask``, ``boundary``)
 loop over :meth:`CubicalComplex.digits`; the array passes
 (``CubicalComplex._dims``, ``CubicalComplex._face_arrays``) apply the same
-formula to id arrays.
+formula to id arrays, ``_WALK_CHUNK`` cells per call, for the flow walks
+and a sparse explicit complex's closure check.  The sweep, the closure by
+dilation and the closure check of a grid or dense explicit complex read
+its ids as one digit array instead, by slices (:func:`_digit_slices`).
 
 The *fiber* of a cell is the set of cells sharing its anchor (the vector of
 lower endpoints l).  Each fiber is a sub-hypercube spanned by the extent bits,
@@ -71,6 +74,13 @@ _DENSE_SPAN = 3
 # tens of microseconds, and the bound keeps a walk over all members from
 # building every face at once
 _WALK_CHUNK = 4096
+
+
+def _digit_slices(m: int, d: int) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """Per axis of a grid's Fortran-order id array, the indices of digits 2l + 1, 2l and 2l + 2."""
+    for axis in range(d):
+        at = (slice(None),) * axis
+        yield at + (slice(1, 2 * m, 2),), at + (slice(0, 2 * m - 1, 2),), at + (slice(2, 2 * m + 1, 2),)
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,11 +205,9 @@ class CubicalComplex(CellComplexLike):
             mask = np.zeros(cx.total_ids, dtype=bool)
             mask[corners + pows.sum()] = True  # the top cubes: every digit odd
             grid = mask.reshape((cx.base,) * d, order="F")  # a view
-            for axis in range(d):
-                at = (slice(None),) * axis
-                odd = grid[at + (slice(1, 2 * m, 2),)]
-                grid[at + (slice(0, 2 * m - 1, 2),)] |= odd
-                grid[at + (slice(2, 2 * m + 1, 2),)] |= odd
+            for odd, lo, hi in _digit_slices(m, d):
+                grid[lo] |= grid[odd]
+                grid[hi] |= grid[odd]
             cx.members = np.flatnonzero(mask).astype(cx._id_dtype)
         else:
             # every digit of a closure cell is 2a, 2a + 1 or 2a + 2 <= 2m: no sum overflows
@@ -409,14 +417,15 @@ class CubicalComplex(CellComplexLike):
 
     def _odd_digits(self, ids: np.ndarray) -> np.ndarray:
         """(len(ids), d) bool: whether digit i of each id is odd, i.e.
-        whether coordinate i + 1 of the cell is an edge.  Stored one digit
-        per row, so each digit is written, and summed, contiguously."""
+        whether coordinate i + 1 of the cell is an edge: as the base is odd,
+        iff ``q_i ^ q_{i+1}`` is, with ``q_i = id // base**i``.  Stored one
+        digit per row, so each digit is written, and summed, contiguously."""
         odd = np.empty((self.d, ids.size), dtype=bool)
-        rem = ids
+        q = ids
         for i in range(self.d):
-            quo = rem // self.base
-            odd[i] = (rem - quo * self.base) & 1
-            rem = quo
+            nxt = q // self.base
+            odd[i] = (q ^ nxt) & 1
+            q = nxt
         return odd.T
 
     def _dims(self, ids: np.ndarray) -> np.ndarray:
@@ -426,40 +435,43 @@ class CubicalComplex(CellComplexLike):
     def _face_arrays(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The faces of each cell by the face formula, flattened in
         :meth:`_boundary_raw`'s order: ``id - pows[i]`` for each odd digit i
-        descending, then ``id + pows[i]`` ascending.
+        descending, then ``id + pows[i]`` ascending; read by the flow walks
+        and by the closure check of a sparse explicit complex.
 
-        Returns:
-            (faces, owner, dims): faces as int64, owner[j] the index in
-            ``ids`` of the cell of faces[j], dims as :meth:`_dims`.
+        Returns (faces, owner, dims): faces as int64, owner[j] the index in
+        ``ids`` of the cell of faces[j], dims as :meth:`_dims`.
         """
         ids = ids.astype(np.int64)
         odd = self._odd_digits(ids)
         pows = np.array(self.pows, dtype=np.int64)
-        owner, col = np.nonzero(np.concatenate([odd[:, ::-1], odd], axis=1))
+        owner, col = np.divmod(np.flatnonzero(np.concatenate([odd[:, ::-1], odd], axis=1)), 2 * self.d)
         faces = ids[owner] + np.concatenate([-pows[::-1], pows])[col]
         return faces, owner, odd.sum(axis=1, dtype=np.int8)
 
     def _validates_clean(self) -> bool:
-        """Whether :func:`cubemorse.core.validate_complex` finds no violation,
-        decided by array passes over the members by position, ``_WALK_CHUNK``
-        cells per :meth:`_face_arrays` call: every face must be a member
-        (:meth:`_locate`, which on a grid checks the id range and the
-        excluded centre).
+        """Whether :func:`cubemorse.core.validate_complex` finds no violation:
+        whether every face of every member is a member.  A grid or dense
+        explicit complex checks its member mask (all ids but the excluded
+        one, or ``_rank >= 0``) by digit slices, a member at an odd digit
+        2l + 1 needing members at 2l and 2l + 2 (:func:`_digit_slices`); a
+        sparse one searches the faces of each ``_WALK_CHUNK`` members.
 
-        That is all the per-cell walk can find.  It reads :meth:`boundary`
-        and :meth:`dim`, which are the face formula, and the formula's rows
-        are ascending, one dimension lower and cancel in pairs (d∘d = 0);
-        only closure depends on the members.  False, for the per-cell walk,
-        also when the ids exceed int64.
+        That is all the per-cell walk can find: it reads :meth:`boundary`
+        and :meth:`dim`, the face formula, whose rows are ascending, one
+        dimension lower and cancel in pairs (d∘d = 0).  False, for the
+        per-cell walk, also when the ids exceed int64.
         """
         if self.total_ids > np.iinfo(np.int64).max:
             return False
+        if self.members is None or self._rank is not None:
+            member = np.ones(self.total_ids, dtype=bool) if self.members is None else self._rank >= 0
+            if self._excluded is not None:
+                member[self._excluded] = False
+            grid, slices = member.reshape((self.base,) * self.d, order="F"), _digit_slices(self.m, self.d)
+            return not any((grid[odd] & ~(grid[lo] & grid[hi])).any() for odd, lo, hi in slices)
         n = self.cell_count
-        for lo in range(0, n, _WALK_CHUNK):
-            faces = self._face_arrays(self._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))))[0]
-            if not self._locate(faces)[1].all():
-                return False
-        return True
+        chunks = (self._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))) for lo in range(0, n, _WALK_CHUNK))
+        return all(self._locate(self._face_arrays(ids)[0])[1].all() for ids in chunks)
 
     def boundary(self, cell: int) -> tuple[int, ...]:
         if not self.is_member(cell):
@@ -556,34 +568,41 @@ def beta(i: int, cell: int, cx: CubicalComplex, grade_of: Callable[[int], int]) 
 
 def _read_header(text: str, kind: str, names: str) -> tuple[int, int, list[str]]:
     """The two positive integers named ``names`` on the first line of a
-    ``kind`` file, and its other lines.  ``#`` starts a comment, blank lines
-    are skipped."""
-    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
-    if not lines:
+    ``kind`` file that holds more than a comment, and the raw lines after
+    it.  ``#`` starts a comment, blank lines are skipped."""
+    lines = text.splitlines()
+    data = ((i, s) for i, raw in enumerate(lines) if (s := raw.split("#", 1)[0].strip()))
+    at, line = next(data, (0, ""))
+    if not line:
         raise FormatError(f"empty {kind} file")
-    head = lines[0].split()
+    head = line.split()
     if len(head) != 2:
-        raise FormatError(f"header must be '{names}', got {lines[0]!r}")
+        raise FormatError(f"header must be '{names}', got {line!r}")
     try:
         a, b = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
+        raise FormatError(f"header must be two integers, got {line!r}") from exc
     if a < 1 or b < 1:
         na, nb = names.split()
         raise FormatError(f"need {na} >= 1 and {nb} >= 1, got {na}={a} {nb}={b}")
-    return a, b, lines[1:]
+    return a, b, lines[at + 1:]
 
 
-def _read_rows(lines: list[str], width: int, per: str, value: str) -> np.ndarray | list[tuple[int, ...]]:
-    """``width`` integers on each of the (nonempty) ``lines``, as an (n, width)
-    int64 array, or as a list of tuples when only Python's ``int`` reads
-    them, as with a value past int64."""
-    try:
-        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2)
-        if rows.shape[1] == width:
-            return rows
-    except ValueError:
-        pass  # the lines below name the first bad one or keep ints past int64
+def _read_rows(raw: list[str], width: int, per: str, value: str, miscount: Callable) -> np.ndarray | list:
+    """``width`` integers on each line of ``raw`` that holds more than a
+    comment, as an (n, width) int64 array by ``np.loadtxt``, or as a list
+    of tuples, as with a value past int64, by a loop that strips comments
+    itself.  ``miscount(n)``, the error for n such lines or None, comes first."""
+    if any(line.split("#", 1)[0].strip() for line in raw):  # loadtxt warns on no data
+        try:
+            rows = np.loadtxt(raw, dtype=np.int64, comments="#", ndmin=2)
+            if rows.shape[1] == width and miscount(len(rows)) is None:
+                return rows
+        except ValueError:
+            pass  # the lines below name the first bad one or keep ints past int64
+    lines = [line for r in raw if (line := r.split("#", 1)[0].strip())]
+    if (error := miscount(len(lines))) is not None:
+        raise FormatError(error)
     out = []
     for line in lines:
         parts = line.split()
@@ -607,6 +626,5 @@ def parse_top_cell_file(text: str) -> tuple[int, int, np.ndarray | list[tuple[in
     such a grid by size).
     """
     d, m, body = _read_header(text, "top-cube", "d m")
-    if not body:
-        raise FormatError("no top cubes listed")
-    return m, d, _read_rows(body, d, "coordinates per line", "coordinate")
+    miscount = lambda n: None if n else "no top cubes listed"
+    return m, d, _read_rows(body, d, "coordinates per line", "coordinate", miscount)

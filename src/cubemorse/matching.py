@@ -71,7 +71,8 @@ from .core import (
     TrichotomyError,
     _refuse_above,
 )
-from .cubical import _WALK_CHUNK, CubicalComplex, _distinct, _index_dtype, _lookup, _row_starts, alpha, beta
+from .cubical import _WALK_CHUNK, CubicalComplex, _digit_slices, _distinct, _index_dtype, _lookup
+from .cubical import _row_starts, alpha, beta
 
 Entry = Callable[[int], int]
 
@@ -195,10 +196,10 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 
     A whole grid or dense explicit complex (``ids`` None) is swept by
     position: a cell's id is its index in the ``(base,) * d`` Fortran-order
-    array of all ids, so level i compares the digit slices ``0:2m:2`` and
-    ``1:2m+1:2`` of axis i - 1, with the excluded centre or the non-members
-    marked taken beforehand; no id is searched.  Any other sweep finds each
-    partner among ``ids`` by ``searchsorted``.
+    array of all ids, so level i compares the digit slices ``0:2m-1:2`` and
+    ``1:2m:2`` of axis i - 1 (``_digit_slices``), with the excluded centre
+    or the non-members marked taken beforehand; no id is searched.  Any
+    other sweep finds each partner among ``ids`` by ``searchsorted``.
 
     Args:
         cx: the cubical complex.
@@ -248,9 +249,7 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     grade = None if grade_of is None else grade_of.reshape(shape, order="F")
     flat = np.zeros(cx.total_ids, dtype=np.int8)
     code, taken = flat.reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
-    for level in range(1, cx.d + 1):
-        lo = (slice(None),) * (level - 1) + (slice(0, 2 * cx.m, 2),)
-        hi = (slice(None),) * (level - 1) + (slice(1, 2 * cx.m + 1, 2),)
+    for level, (hi, lo, _) in enumerate(_digit_slices(cx.m, cx.d), start=1):
         ok = taken[lo] | taken[hi]
         np.logical_not(ok, out=ok)
         if grade is not None:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubemorse.core import FormatError, NonMemberCellError, SizeGuardError, validate_complex
@@ -259,6 +259,89 @@ def test_parse_top_cell_file_rejects(text):
         parse_top_cell_file(text)
 
 
+def line_by_line_parse(text):
+    """The top-cube parse that strips every line's comment in Python first,
+    then reads the stripped lines with ``np.loadtxt``, or with ``int`` when
+    it refuses them: the reference for the parse that lets ``np.loadtxt``
+    strip the comments."""
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise FormatError("empty top-cube file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'd m', got {lines[0]!r}")
+    try:
+        d, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"header must be two integers, got {lines[0]!r}") from exc
+    if d < 1 or m < 1:
+        raise FormatError(f"need d >= 1 and m >= 1, got d={d} m={m}")
+    if not lines[1:]:
+        raise FormatError("no top cubes listed")
+    try:
+        rows = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2)
+        if rows.shape[1] == d:
+            return m, d, rows
+    except ValueError:
+        pass
+    out = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != d:
+            raise FormatError(f"expected {d} coordinates per line, got {line!r}")
+        try:
+            out.append(tuple(int(x) for x in parts))
+        except ValueError as exc:
+            raise FormatError(f"non-integer coordinate in {line!r}") from exc
+    return m, d, out
+
+
+def parsed(parse, text):
+    """What ``parse(text)`` returns, arrays as (dtype, rows), or the type
+    and text of what it raises."""
+    try:
+        m, d, rows = parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return m, d, (rows.dtype, rows.tolist()) if isinstance(rows, np.ndarray) else rows
+
+
+SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", ""])
+ODD_TOKEN = st.sampled_from([str(2**63), str(-(2**63) - 1), "+2", "1_0", "1.5", "x", "0x1", "٣", ""])
+COMMENT = st.text(st.sampled_from("ab #\t1"), max_size=6).map(lambda t: "#" + t)
+
+
+@st.composite
+def top_cube_texts(draw):
+    """Top-cube files: a header among comment and blank lines, then lines
+    of mostly d small ints, with blanks, inline or whole-line comments, and
+    now and then a token or a count that ``np.loadtxt`` refuses."""
+    d = draw(st.integers(1, 3))
+
+    def line():
+        words = [
+            draw(ODD_TOKEN) if draw(st.integers(0, 11)) == 0 else str(draw(st.integers(-1, 9)))
+            for _ in range(d if draw(st.integers(0, 5)) else draw(st.integers(0, 4)))
+        ]
+        gaps = [draw(SPACE) for _ in range(len(words) + 1)]
+        body = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
+        return body + (draw(COMMENT) if draw(st.booleans()) else "")
+
+    good, bad = [f"{d} 3", f" {d} 2 # d m", f"{d}\t9"], ["0 2", f"{d}", "x 2", f"{d} 2 7"]
+    head = draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+    before = [draw(st.sampled_from(["", "  ", "\t"])) + draw(COMMENT) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 5)) == 0:
+        before.append(line())  # a data line before the header
+    body = [line() if draw(st.integers(0, 3)) else draw(COMMENT) for _ in range(draw(st.integers(0, 6)))]
+    return draw(st.sampled_from(["\n", "\r\n"])).join([*before, head, *body])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(top_cube_texts())
+def test_parse_equals_the_line_by_line_strip(text):
+    assert parsed(parse_top_cell_file, text) == parsed(line_by_line_parse, text)
+
+
 def test_random_complexes_validate():
     rng = random.Random(20260815)
     for _ in range(30):
@@ -355,6 +438,43 @@ def test_table_codec_matches_digit_loop(cx):
     assert faces.tolist() == [f for w in want for f in w[3]]
     assert owner.tolist() == [i for i, w in enumerate(want) for _ in w[3]]
     assert got_dims.tolist() == dims
+
+
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def face_reference(cx, ids):
+    """The face-array triple of ``ids`` from the scalar ``_boundary_raw`` and ``dim_of``."""
+    rows = [cx._boundary_raw(c) for c in ids]
+    return [[f for r in rows for f in r], [i for i, r in enumerate(rows) for _ in r], [cx.dim_of(c) for c in ids]]
+
+
+@st.composite
+def grid_ids(draw):
+    """(grid, ids): d in 1..20 and base 3..61 whose ids fit int64, and up to
+    40 random ids of it."""
+    m = draw(st.integers(1, 30))
+    base = 2 * m + 1
+    d = draw(st.integers(1, max(k for k in range(1, 21) if base**k <= INT64_MAX)))
+    cx = CubicalComplex(m, d)
+    return cx, draw(st.lists(st.integers(0, cx.total_ids - 1), min_size=1, max_size=40))
+
+
+TOP = CubicalComplex(1, 39)  # base 3 in 39 digits: the largest grid whose ids fit int64
+assert TOP.total_ids <= INT64_MAX < 3 * TOP.total_ids
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grid_ids())
+@example((TOP, [TOP.total_ids - k for k in range(1, 200)]))  # the largest digits and faces
+def test_face_arrays_and_dims_equal_the_scalar_rows(case):
+    """The array face formula, by the parity of ``q_i ^ q_{i+1}`` and one
+    ``flatnonzero``, against the per-cell digit loop."""
+    cx, cells = case
+    ids = np.array(cells, dtype=cx._id_dtype)
+    faces, owner, dims = cx._face_arrays(ids)
+    assert [faces.tolist(), owner.tolist(), dims.tolist()] == face_reference(cx, cells)
+    assert cx._dims(ids).tolist() == dims.tolist()
 
 
 def test_codec_handles_any_m():

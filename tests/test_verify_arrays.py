@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubemorse import matching
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
@@ -21,7 +22,7 @@ from cubemorse.core import validate_complex
 from cubemorse.cubical import _WALK_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from cubemorse.morse import template_round
-from .helpers import random_cubical_complex, top_cube_complexes
+from .helpers import dense_top_cube_complexes, random_cubical_complex, top_cube_complexes
 
 
 class PerCell:
@@ -148,13 +149,14 @@ def test_corrupted_boundary_rows(monkeypatch, check, kind, change):
 
 @pytest.mark.parametrize("where", ["below", "above", "centre"])
 def test_grid_face_out_of_range_or_centre(monkeypatch, where):
-    """A grid's closure check is arithmetic, and still catches a face below
-    0, at total_ids or at the excluded centre: the array pass reads
-    ``_face_arrays`` and the per-cell walk ``_boundary_raw``, both
-    corrupted alike, and the walk reports the face."""
-    cx = CubicalComplex.sphere(2)
-    bad = {"below": -1, "above": cx.total_ids, "centre": cx._excluded}[where]
-    square = 1 + 3  # digits (1, 1, 0): a 2-cell
+    """The chunked closure check of a sparse explicit complex catches a
+    face below 0, at total_ids or at the grid's centre, which is no member:
+    the array pass reads ``_face_arrays`` and the per-cell walk
+    ``_boundary_raw``, both corrupted alike, and the walk reports the face."""
+    cx = CubicalComplex.from_top_cells(3, 2, [(0, 0)])  # one square: 9 members of 49 ids
+    assert cx._rank is None
+    bad = {"below": -1, "above": cx.total_ids, "centre": cx.total_ids // 2}[where]
+    square = cx.cell_id((1, 1))
     real = cx._face_arrays
 
     def face_arrays(ids):
@@ -170,6 +172,54 @@ def test_grid_face_out_of_range_or_centre(monkeypatch, where):
     report = validate_complex(cx)
     assert report == validate_complex(PerCell(cx))
     assert ("closure", square, f"face {bad} not a member") in [(v.kind, v.cell, v.detail) for v in report.violations]
+
+
+@pytest.mark.parametrize("digits", [(0, 0, 0), (1, 0, 2), (1, 1, 0)])
+def test_grid_excluding_a_face(digits):
+    """A grid whose excluded cell is no top cell is a face of members: the
+    digit-slice closure check refuses it and the walk names the closure."""
+    cx = CubicalComplex.sphere(2)
+    cx._excluded = cx.cell_id(digits)
+    assert not cx._validates_clean()
+    report = validate_complex(cx)
+    assert report == validate_complex(PerCell(cx))
+    assert "closure" in kinds(report)
+
+
+@st.composite
+def closure_inputs(draw):
+    """A grid of up to 7^4 ids excluding any cell, a top cell or not, or a
+    top-cube closure, dense or sparse, with up to three members removed."""
+    kind = draw(st.sampled_from(["grid", "dense", "sparse"]))
+    if kind == "grid":
+        m, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        cx = CubicalComplex(m, d)
+        top = draw(st.booleans())
+        digit = st.integers(0, m - 1).map(lambda l: 2 * l + 1) if top else st.integers(0, 2 * m)
+        cx._excluded = cx.cell_id(tuple(draw(st.lists(digit, min_size=d, max_size=d))))
+        return cx
+    if kind == "dense":
+        made = draw(dense_top_cube_complexes())
+    else:  # one or two cubes of a grid with 4 to 6 intervals per axis
+        m, d = draw(st.integers(4, 6)), draw(st.integers(2, 3))
+        anchor = st.tuples(*[st.integers(0, m - 1)] * d)
+        made = CubicalComplex.from_top_cells(m, d, draw(st.lists(anchor, min_size=1, max_size=2)))
+        assert made._rank is None
+    drop = draw(st.sets(st.sampled_from(made.members.tolist()), max_size=3))
+    cx = CubicalComplex(made.m, made.d)
+    cx.members = np.setdiff1d(made.members, list(drop)).astype(made.members.dtype)
+    cx.members.flags.writeable = False
+    return cx
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(closure_inputs())
+def test_closure_check_equals_every_face_a_member(cx):
+    """The digit-slice check of a grid or dense complex, and the chunked one
+    of a sparse complex, against "every face of every member is a member"."""
+    closed = all(cx.is_member(f) for c in cx.cells() for f in cx._boundary_raw(c))
+    assert cx._validates_clean() is closed
+    assert validate_complex(cx) == validate_complex(PerCell(cx))
 
 
 def test_closure_violation_from_members(monkeypatch):
@@ -306,8 +356,9 @@ def test_template_shaped_matchings(monkeypatch, kind):
 
 
 def test_each_fact_is_computed_once(monkeypatch):
-    """validate_complex expands the face formula once per chunk and reads
-    no scalar row or dim; the two flow checks share one build of the flow
+    """validate_complex checks a grid by digit slices alone, and expands the
+    face formula of a sparse explicit complex once per chunk; neither reads
+    a scalar row or dim.  The two flow checks share one build of the flow
     graph per matching, and one round builds it at most once."""
     calls = {}
 
@@ -322,10 +373,14 @@ def test_each_fact_is_computed_once(monkeypatch):
 
     for name in ("_face_arrays", "_boundary_raw", "dim_of"):
         count(CubicalComplex, name)
-    cx = CubicalComplex.sphere(8)
+    assert validate_complex(CubicalComplex.sphere(8)).ok
+    assert calls == {}
+    # 729 disjoint cubes of 27 cells, spread over a grid of 201^3 ids
+    spread = [(4 * i, 4 * j, 4 * k) for i in range(9) for j in range(9) for k in range(9)]
+    cx = CubicalComplex.from_top_cells(100, 3, spread)
     assert validate_complex(cx).ok
     n = cx.cell_count
-    assert n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
+    assert cx._rank is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
 
     count(matching, "_flow_graph")
     inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
