@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import FormatError, IntegrityError
 from .cubical import CubicalComplex, _distinct, _read_header, _read_rows, _row_starts
+from .matching import _layers
 
 
 class SkeletonError(ValueError):
@@ -58,8 +59,9 @@ def validate_skeleton(rows: Sequence[Sequence[int]]) -> BraidSkeleton:
     Checks, in order: at least two strands of rectangular integer data with
     values in range, every cross-section a permutation of 0..m-1, a
     well-defined wrap-around permutation, and transversality (strands
-    meeting at a point must cross, with cyclic indexing at the seam).  All
-    violations are collected into one :class:`SkeletonError`.
+    meeting at a point must cross), checked only where a cross-section is
+    not a permutation.  All violations are collected into one
+    :class:`SkeletonError`.
     """
     bad: list[tuple[str, str]] = []
     m = len(rows)
@@ -76,35 +78,25 @@ def validate_skeleton(rows: Sequence[Sequence[int]]) -> BraidSkeleton:
         for x in s:
             if not 0 <= x <= m - 1:
                 bad.append(("range", f"strand {a} value {x} outside 0..{m - 1}"))
-    perm_ok = True
+    clash = []  # positions where two strands may share a height
     for j in range(d + 1):
         col = sorted(s[j] for s in strands)
         if col != list(range(m)):
-            perm_ok = False
+            clash.append(j)
             bad.append(
                 ("cross-section", f"position {j + 1} is not a permutation: {col}")
             )
-    tau: tuple[int, ...] | None = None
-    if perm_ok:
-        by_start = {s[0]: a for a, s in enumerate(strands)}
-        tau = tuple(by_start[s[d]] for s in strands)
-    inv_tau = None
-    if tau is not None:
-        inv_tau = [0] * m
-        for a, b in enumerate(tau):
-            inv_tau[b] = a
-    for j in range(d):
+    # Two strands share a height only where a cross-section failed, which
+    # leaves tau undefined, so a meeting at the seam (position 1) cannot be
+    # resolved and is not checked.
+    for j in clash:
+        if not 0 < j < d:
+            continue
         for a in range(m):
             for b in range(a + 1, m):
                 if strands[a][j] != strands[b][j]:
                     continue
-                if j == 0:
-                    if inv_tau is None:
-                        continue  # cannot resolve the seam without tau
-                    pa = strands[inv_tau[a]][d - 1]
-                    pb = strands[inv_tau[b]][d - 1]
-                else:
-                    pa, pb = strands[a][j - 1], strands[b][j - 1]
+                pa, pb = strands[a][j - 1], strands[b][j - 1]
                 na_, nb_ = strands[a][j + 1], strands[b][j + 1]
                 if (pa - pb) * (na_ - nb_) >= 0:
                     bad.append(
@@ -116,7 +108,8 @@ def validate_skeleton(rows: Sequence[Sequence[int]]) -> BraidSkeleton:
                     )
     if bad:
         raise SkeletonError(bad)
-    assert tau is not None
+    by_start = {s[0]: a for a, s in enumerate(strands)}
+    tau = tuple(by_start[s[d]] for s in strands)
     return BraidSkeleton(m=m, d=d, strands=strands, tau=tau)
 
 
@@ -397,8 +390,10 @@ class CondensationPoset:
     Classes are numbered by their smallest contained top-cube index, so runs
     are reproducible.  ``labels`` maps each top cube to its class; the DAG
     edges ``dag_u[i] -> dag_v[i]`` join distinct classes, once each, in
-    ascending (u, v) order.  ``rank`` is a linear extension (sinks get low
-    ranks), used both for least-element queries and the grade pooling.
+    ascending (u, v) order.  ``rank`` is the order of the Kahn peel
+    (:func:`~cubemorse.matching._layers`) of the reversed DAG, sinks first,
+    so a linear extension: it serves the least-element queries and the
+    grade pooling.
     """
 
     def __init__(
@@ -418,32 +413,13 @@ class CondensationPoset:
         self.cross_max = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         np.minimum.at(self.cross_min, labels, cross_flat)
         np.maximum.at(self.cross_max, labels, cross_flat)
-        self.rank = self._linear_extension()
-        self._desc: list[int] | None = None
-
-    def _linear_extension(self) -> np.ndarray:
-        import heapq
-
-        n = self.n
-        outdeg = np.bincount(self.dag_u, minlength=n).astype(np.int64)
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(self.dag_u.tolist(), self.dag_v.tolist()):
-            in_adj[v].append(u)
-        heap = [p for p in range(n) if outdeg[p] == 0]
-        heapq.heapify(heap)
-        rank = np.full(n, -1, dtype=np.int64)
-        r = 0
-        while heap:
-            v = heapq.heappop(heap)
-            rank[v] = r
-            r += 1
-            for u in in_adj[v]:
-                outdeg[u] -= 1
-                if outdeg[u] == 0:
-                    heapq.heappush(heap, u)
-        if r != n:
+        order = np.argsort(dag_v, kind="stable")
+        peel = np.concatenate([np.empty(0, np.int64), *_layers(n, dag_v[order], dag_u[order])])
+        if peel.size != n:
             raise IntegrityError("condensation is not acyclic")
-        return rank
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[peel] = np.arange(n)
+        self._desc: list[int] | None = None
 
     @property
     def desc(self) -> list[int]:

@@ -10,8 +10,32 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from cubemorse.braid import SkeletonError, validate_skeleton
+from cubemorse.core import ExplicitComplex
 from cubemorse.cubical import CubicalComplex
-from cubemorse.hypercube import HypercubeComplex
+
+
+class HypercubeComplex(ExplicitComplex):
+    """The cells of the n-cube as n-bit vectors, all of them or a face-closed
+    set ``members``: the dimension is the popcount, and the faces clear one
+    set bit each.  A face outside ``members`` raises NonMemberCellError."""
+
+    def __init__(self, n: int, members=None):
+        self.n = n
+        cells = range(1 << n) if members is None else members
+        bits = [1 << p for p in range(n)]
+        super().__init__(
+            {x: x.bit_count() for x in cells},
+            {x: tuple(x ^ b for b in bits if x & b) for x in cells},
+        )
+
+    def template_entries(self):
+        """Entry i flips bit i, counted from the left (the most significant
+        of the n), when the result is a member, and fixes the cell otherwise."""
+
+        def entry(b):
+            return lambda x: x ^ b if x ^ b in self.dims else x
+
+        return [entry(1 << (self.n - i)) for i in range(1, self.n + 1)]
 
 
 def random_hypercube_members(rng: random.Random, n: int) -> frozenset[int]:

@@ -22,7 +22,6 @@ from cubemorse.braid import (
 from cubemorse.cli import main
 from cubemorse.core import betti_oracle, validate_complex
 from cubemorse.cubical import CubicalComplex
-from cubemorse.hypercube import HypercubeComplex
 from cubemorse.matching import (
     SequenceMatching,
     TemplateMatching,
@@ -40,7 +39,7 @@ from cubemorse.morse import (
     reduce_round,
     template_round,
 )
-from .helpers import random_cubical_complex, random_hypercube_complex, strip_zeros
+from .helpers import HypercubeComplex, random_cubical_complex, random_hypercube_complex, strip_zeros
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -337,6 +337,9 @@ def test_json_csv_flags_conflict(capsys):
 
 
 def test_import_does_not_load_scipy():
+    """``import cubemorse`` loads its five library modules, no other module
+    of the package (test fixtures stay in ``tests/``), and not scipy."""
+    import json
     import os
     import subprocess
     import sys
@@ -344,11 +347,16 @@ def test_import_does_not_load_scipy():
     import cubemorse
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cubemorse.__file__)))
-    code = "import sys, cubemorse; print('scipy' in sys.modules, 'cubemorse.hypercube' in sys.modules)"
+    code = (
+        "import json, sys, cubemorse; print(json.dumps(['scipy' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('cubemorse.'))]))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    scipy, modules = json.loads(out.stdout)
+    assert not scipy
+    assert modules == [f"cubemorse.{m}" for m in ("braid", "core", "cubical", "matching", "morse")]
 
 
 def _run_braid_nfold2(prelude: str) -> str:

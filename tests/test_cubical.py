@@ -16,10 +16,10 @@ from cubemorse.cubical import (
     beta,
     parse_top_cell_file,
 )
-from cubemorse.hypercube import hboundary
 from cubemorse.matching import TemplateMatching
 from cubemorse.morse import _input_euler, homology, template_round
 from .helpers import (
+    HypercubeComplex,
     dense_top_cube_complexes,
     random_cubical_complex,
     sparse_cubical_complexes,
@@ -375,10 +375,11 @@ def test_extent_masks_preserve_incidence_within_a_fiber():
     assert len(masks) == 4
     offs = cx.offsets()
     cells = [base + offs[m] for m in masks]
+    cube = HypercubeComplex(2)
     assert all(cx.anchor_and_mask(c) == (base, m) for c, m in zip(cells, masks))
     for a, ma in zip(cells, masks):
         for b, mb in zip(cells, masks):
-            assert (a in cx.boundary(b)) == (ma in hboundary(mb))
+            assert (a in cx.boundary(b)) == (ma in cube.boundary(mb))
 
 
 def test_alpha_is_an_involution():

@@ -1,69 +1,54 @@
+"""The ``HypercubeComplex`` fixture of ``tests/helpers.py``: the matching,
+Morse and oracle tests take it as an input complex, so it must be one."""
 import random
 
 import pytest
 
 from cubemorse.core import NonMemberCellError, validate_complex
-from cubemorse.hypercube import (
-    HypercubeComplex,
-    from_string,
-    hboundary,
-    hcoboundary,
-    hdim,
-    template,
-    to_string,
-)
-from .helpers import random_hypercube_members
+from .helpers import HypercubeComplex, random_hypercube_members
 
 
 def test_dim_is_popcount():
-    assert hdim(0b000) == 0
-    assert hdim(0b101) == 2
-    assert hdim(0b1111111) == 7
+    cx = HypercubeComplex(7)
+    assert cx.dim(0b000) == 0
+    assert cx.dim(0b101) == 2
+    assert cx.dim(0b1111111) == 7
 
 
 def test_boundary_clears_one_bit_each():
-    assert hboundary(0b110) == (0b010, 0b100)
-    assert hboundary(0b000) == ()
-    faces = hboundary(0b1011)
+    cx = HypercubeComplex(4)
+    assert cx.boundary(0b110) == (0b010, 0b100)
+    assert cx.boundary(0b000) == ()
+    faces = cx.boundary(0b1011)
     assert faces == (0b0011, 0b1001, 0b1010)
-    assert all(hdim(f) == hdim(0b1011) - 1 for f in faces)
+    assert all(cx.dim(f) == cx.dim(0b1011) - 1 for f in faces)
 
 
 def test_coboundary_sets_one_bit_each():
-    assert hcoboundary(0b010, 3) == (0b011, 0b110)
-    assert hcoboundary(0b111, 3) == ()
+    cx = HypercubeComplex(3)
+    assert cx.coboundary(0b010) == (0b011, 0b110)
+    assert cx.coboundary(0b111) == ()
     for x in range(8):
-        for y in hcoboundary(x, 3):
-            assert x in hboundary(y)
+        for y in cx.coboundary(x):
+            assert x in cx.boundary(y)
 
 
 def test_dd_zero_full_cube():
     # over GF(2) every codim-2 face is hit an even number of times
     for n in range(1, 7):
-        for x in range(1 << n):
-            seen: set[int] = set()
-            for f in hboundary(x):
-                seen ^= set(hboundary(f))
-            assert not seen
+        HypercubeComplex(n).check_dd_zero()
 
 
 def test_template_flips_coordinate_i():
-    # coordinate 1 is the most significant of the n bits
-    assert template(1, 0b000, 3) == 0b100
-    assert template(3, 0b110, 3) == 0b111
-    assert template(2, 0b010, 3) == 0b000
-    for i in (1, 2, 3):
+    # coordinate 1 is the most significant of the n bits; on the full cube
+    # every entry is a perfect pairing
+    entries = HypercubeComplex(3).template_entries()
+    assert entries[0](0b000) == 0b100
+    assert entries[2](0b110) == 0b111
+    assert entries[1](0b010) == 0b000
+    for t in entries:
         for x in range(8):
-            assert template(i, template(i, x, 3), 3) == x
-
-
-def test_string_round_trip():
-    assert to_string(0b101, 3) == "101"
-    assert from_string("101") == (0b101, 3)
-    assert from_string("0") == (0, 1)
-    for n in (1, 4, 6):
-        for x in range(1 << n):
-            assert from_string(to_string(x, n)) == (x, n)
+            assert t(x) != x and t(t(x)) == x
 
 
 def test_full_complex_counts():
@@ -75,7 +60,7 @@ def test_full_complex_counts():
 
 
 def test_member_set_must_be_face_closed():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonMemberCellError):
         HypercubeComplex(3, frozenset({0b110}))
     HypercubeComplex(3, frozenset({0b110, 0b100, 0b010, 0b000}))
 
@@ -105,9 +90,11 @@ def test_template_entries_fix_cells_leaving_the_complex():
 
 
 def test_random_subcomplexes_validate():
+    # closure and d(d) = 0, checked by the cell-by-cell walk
     rng = random.Random(20260815)
     for _ in range(60):
         n = rng.randint(1, 5)
         cx = HypercubeComplex(n, random_hypercube_members(rng, n))
         report = validate_complex(cx)
         assert report.ok, report.summary()
+        assert report.checked_cells == cx.cell_count

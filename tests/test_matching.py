@@ -17,7 +17,6 @@ from cubemorse.core import (
     validate_complex,
 )
 from cubemorse.cubical import CubicalComplex
-from cubemorse.hypercube import HypercubeComplex
 from cubemorse import matching
 from cubemorse.morse import homology, template_round
 from cubemorse.matching import (
@@ -32,7 +31,12 @@ from cubemorse.matching import (
     verify_matching,
     verify_stable,
 )
-from .helpers import dense_top_cube_complexes, random_cubical_complex, random_hypercube_members
+from .helpers import (
+    HypercubeComplex,
+    dense_top_cube_complexes,
+    random_cubical_complex,
+    random_hypercube_members,
+)
 
 
 def arrow_complex() -> HypercubeComplex:

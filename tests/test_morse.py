@@ -10,7 +10,6 @@ from cubemorse import morse
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.cubical import CubicalComplex
-from cubemorse.hypercube import HypercubeComplex
 from cubemorse.matching import SequenceMatching, TemplateMatching, verify_acyclic
 from cubemorse.morse import (
     connection_matrix,
@@ -22,6 +21,7 @@ from cubemorse.morse import (
     template_round,
 )
 from .helpers import (
+    HypercubeComplex,
     lower_star_graded,
     random_cubical_complex,
     random_hypercube_complex,
