@@ -508,7 +508,7 @@ def _pool_axis(
         np.minimum(a, b, out=lo)
         if seen is not None:
             rows, n = seen.shape
-            key = lo * (np.int32 if n * n < 2**31 else np.int64)(n - 1)
+            key = np.multiply(lo, n - 1, dtype=np.int32 if n * n < 2**31 else np.int64)  # int16 ranks would wrap
             key += a  # key = lo * n + hi, as hi = a + b - lo
             key += b
             if rows < n:
@@ -523,7 +523,8 @@ _TABLE_FLOOR = 1 << 24  # bytes the grading check's table may take however few c
 def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True) -> np.ndarray:
     """Grade of every cell of C(m-1; d): least class among its star's tops.
 
-    Pools the tops' linear-extension ranks, as int32, axis by axis
+    Pools the tops' linear-extension ranks axis by axis, as int16 while
+    the poset has at most 32,767 classes and int32 above that
     (:func:`_pool_axis`).  At stage k a cell with an even digit on axis k
     and odd digits on every later axis takes the smaller rank of its two
     cofaces along axis k.  Its star is the union of theirs, whose least
@@ -536,8 +537,9 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
     ``_TABLE_FLOOR``, pooling once per block of its rows beyond that.
     """
     na, d, n = sk.m - 1, sk.d, poset.n
-    top = poset.rank.astype(np.int32)[poset.labels].reshape((na,) * d, order="F")
-    scc_by_rank = np.argsort(poset.rank).astype(np.int32)
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    top = poset.rank.astype(dtype)[poset.labels].reshape((na,) * d, order="F")
+    scc_by_rank = np.argsort(poset.rank).astype(dtype)
     rows = max(1, max(4 * (2 * na + 1) ** d, _TABLE_FLOOR) // n) if verify else n
     keys = []
     for r0 in range(0, n, rows):
@@ -549,8 +551,8 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
             keys.append(np.flatnonzero(seen) + r0 * n)
     if verify:
         key = np.concatenate(keys)
-        p, q = scc_by_rank[key // n], scc_by_rank[key % n]
-        for key in np.sort((p * np.int64(n) + q)[p != q]).tolist():
+        p, q = scc_by_rank[key // n].astype(np.int64), scc_by_rank[key % n]
+        for key in np.sort((p * n + q)[p != q]).tolist():
             p, q = divmod(key, n)
             if not poset.leq(p, q):
                 raise IntegrityError(
@@ -613,7 +615,7 @@ class BraidComplex:
         tally = np.zeros(self.poset.n * (d + 1), dtype=np.int64)
         for j in range(base):
             g = self.grades[j * slab : (j + 1) * slab]
-            tally += np.bincount(g * (d + 1) + (dims + (j & 1)), minlength=tally.size)
+            tally += np.bincount(g.astype(np.intp) * (d + 1) + (dims + (j & 1)), minlength=tally.size)
         return {
             (int(u) // (d + 1), int(u) % (d + 1)): int(tally[u])
             for u in np.flatnonzero(tally)

@@ -76,11 +76,13 @@ _DENSE_SPAN = 3
 _WALK_CHUNK = 4096
 
 
-def _digit_slices(m: int, d: int) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """Per axis of a grid's Fortran-order id array, the indices of digits 2l + 1, 2l and 2l + 2."""
+def _digit_slices(m: int, d: int, last: int | None = None) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """Per axis of a grid's Fortran-order id array, the indices of digits 2l + 1, 2l and 2l + 2,
+    for l < m, or on the last axis for l < ``last``, the half-width of a slab of its planes."""
     for axis in range(d):
+        h = m if last is None or axis < d - 1 else last
         at = (slice(None),) * axis
-        yield at + (slice(1, 2 * m, 2),), at + (slice(0, 2 * m - 1, 2),), at + (slice(2, 2 * m + 1, 2),)
+        yield at + (slice(1, 2 * h, 2),), at + (slice(0, 2 * h - 1, 2),), at + (slice(2, 2 * h + 1, 2),)
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

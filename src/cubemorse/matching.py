@@ -198,7 +198,9 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     position: a cell's id is its index in the ``(base,) * d`` Fortran-order
     array of all ids, so level i compares the digit slices ``0:2m-1:2`` and
     ``1:2m:2`` of axis i - 1 (``_digit_slices``), with the excluded centre
-    or the non-members marked taken beforehand; no id is searched.  Any
+    or the non-members marked taken beforehand; no id is searched.  The
+    levels run over one slab of last-axis planes at a time, so beyond the
+    int8 codes memory is bounded by the slab (:func:`_grid_sweep`).  Any
     other sweep finds each partner among ``ids`` by ``searchsorted``.
 
     Args:
@@ -235,30 +237,38 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     return code
 
 
+_SLAB_CELLS = 1 << 20  # a grid sweep's slabs of last-axis planes hold at least this many cells
+
+
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid or dense explicit complex, as
     slice passes over the grid's digit array in which the non-members start
-    taken.  The grade array over all ids is read in place."""
-    shape, excl, rank = (cx.base,) * cx.d, cx._excluded, cx._rank
-    if rank is None:
-        taken = np.zeros(cx.total_ids, dtype=bool)
-        if excl is not None:
-            taken[excl] = True
-    else:
-        taken = rank < 0
-    grade = None if grade_of is None else grade_of.reshape(shape, order="F")
+    taken.  The grade array over all ids is read in place.  No pair leaves
+    a slab of last-axis planes 2l .. 2l' - 1, so the passes run over one
+    slab of at least ``_SLAB_CELLS`` cells at a time, the last also taking
+    plane 2m: only the int8 codes are held whole."""
+    base, d, excl, rank = cx.base, cx.d, cx._excluded, cx._rank
+    plane = base ** (d - 1)
+    width = 2 * max(1, -(-_SLAB_CELLS // (2 * plane)))  # an even number of planes
     flat = np.zeros(cx.total_ids, dtype=np.int8)
-    code, taken = flat.reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
-    for level, (hi, lo, _) in enumerate(_digit_slices(cx.m, cx.d), start=1):
-        ok = taken[lo] | taken[hi]
-        np.logical_not(ok, out=ok)
-        if grade is not None:
-            ok &= grade[lo] == grade[hi]
-        np.copyto(code[lo], level, where=ok)
-        np.copyto(code[hi], -level, where=ok)
-        taken[lo] |= ok
-        taken[hi] |= ok
-    del taken, ok, grade  # freed before the members' codes are cut out
+    for a in range(0, 2 * cx.m, width):
+        b = a + width if a + width < 2 * cx.m else base
+        cells, shape = slice(a * plane, b * plane), (base,) * (d - 1) + (b - a,)
+        taken = np.zeros(plane * (b - a), dtype=bool) if rank is None else rank[cells] < 0
+        if excl is not None and cells.start <= excl < cells.stop:
+            taken[excl - cells.start] = True
+        grade = None if grade_of is None else grade_of[cells].reshape(shape, order="F")
+        code, taken = flat[cells].reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
+        for level, (hi, lo, _) in enumerate(_digit_slices(cx.m, d, (b - a) // 2), start=1):
+            ok = taken[lo] | taken[hi]
+            np.logical_not(ok, out=ok)
+            if grade is not None:
+                ok &= grade[lo] == grade[hi]
+            np.copyto(code[lo], level, where=ok)
+            np.copyto(code[hi], -level, where=ok)
+            taken[lo] |= ok
+            taken[hi] |= ok
+        del taken, ok, grade  # freed before the next slab and the members' codes
     if rank is not None:
         return flat[cx.members]
     return flat if excl is None else np.delete(flat, excl)
@@ -555,8 +565,9 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     visited in the next frontier if new; a fixed face ends the flow; an
     upper face has no flow.  Nodes are numbered in visit order, ``front``
     first, each later frontier ascending by position.  Positions, nodes
-    and edges are int32 while the members fit (:func:`_index_dtype`);
-    memory beyond the edges is one such node index per member.
+    and edges are int32 while the members fit (:func:`_index_dtype`).
+    Memory beyond the edges is one byte per member, the mask of visited
+    positions, whose rank (:func:`_mask_rank`) numbers the nodes at the end.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -566,9 +577,9 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     """
     step = np.array(_steps(cx), dtype=np.int64)
     idx = _index_dtype(code.size)
-    node = np.full(code.size, -1, dtype=idx)  # position -> node
-    node[front] = np.arange(front.size)
-    visited, n, done = [front], front.size, 0
+    seen = np.zeros(code.size, dtype=bool)  # the positions of the nodes
+    seen[front] = True
+    visited, done = [front], 0
     src, at = [np.zeros(0, dtype=idx)], [np.zeros(0, dtype=idx)]  # edges to faces
     while front.size:
         first = len(at)
@@ -582,13 +593,37 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
             done += chunk.size
         reached = np.concatenate(at[first:])
         reached = reached[code[reached] > 0]
-        front = _distinct(reached[node[reached] < 0])
-        node[front] = np.arange(n, n + front.size)
-        n += front.size
+        front = _distinct(reached[~seen[reached]])
+        seen[front] = True
         visited.append(front)
-    src, at = np.concatenate(src), np.concatenate(at)
+    src, at, order = np.concatenate(src), np.concatenate(at), np.concatenate(visited)
     low = code[at] > 0
-    return np.concatenate(visited), (src[low], node[at[low]]), (src[~low], at[~low])
+    rank = _mask_rank(seen)
+    node = np.empty(order.size, dtype=idx)  # rank of a node's position -> node
+    node[rank(order)] = np.arange(order.size)
+    return order, (src[low], node[rank(at[low])]), (src[~low], at[~low])
+
+
+def _mask_rank(mask: np.ndarray):
+    """``rank(pos)``: the index of each set position ``pos`` of a bool mask
+    in ``np.flatnonzero(mask)``, with no sort and no search.  The mask's own
+    bytes take the running count of set entries within each block of 255
+    (at the set entries alone when they are few), and one prefix count per
+    block adds the set entries of the blocks before it."""
+    run = mask.view(np.uint8)
+    before = np.zeros(run.size // 255 + 2, dtype=_index_dtype(run.size))  # per block, then one spare
+    if 16 * np.count_nonzero(mask) < run.size:
+        at = np.flatnonzero(mask)
+        block = at // 255
+        np.cumsum(np.bincount(block, minlength=before.size - 1), out=before[1:])
+        run[at] = np.arange(1, at.size + 1) - before[block]
+    else:
+        whole = run.size - run.size % 255
+        blocks = run[:whole].reshape(-1, 255)
+        np.cumsum(blocks, axis=1, dtype=np.uint8, out=blocks)
+        np.cumsum(run[whole:], dtype=np.uint8, out=run[whole:])
+        np.cumsum(blocks[:, -1], dtype=before.dtype, out=before[1:-1])
+    return lambda pos: before[pos // 255] + run[pos] - 1
 
 
 def _rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:

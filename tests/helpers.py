@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -149,3 +150,15 @@ def strip_zeros(betti: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes of ``fn()``, run once before the trace to warm the
+    numpy caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cubemorse import braid
 from cubemorse.braid import (
+    BraidComplex,
     BraidSkeleton,
     CondensationPoset,
     SkeletonError,
@@ -32,7 +33,8 @@ from cubemorse.braid import (
 )
 from cubemorse.core import FormatError, IntegrityError
 from cubemorse.cubical import CubicalComplex, alpha, beta
-from .helpers import braid_skeletons
+from cubemorse.morse import template_round
+from .helpers import braid_skeletons, traced_peak
 
 REFERENCE_ROWS = [(0, 0, 0), (1, 3, 1), (2, 1, 2), (3, 4, 3), (4, 2, 4), (5, 5, 5)]
 
@@ -392,6 +394,41 @@ def test_input_counts_equal_brute_force_tally():
         bc = build_braid_complex(sk)
         want = Counter((bc.grade_of(c), bc.cx.dim_of(c)) for c in bc.cx.cells())
         assert bc.input_counts() == dict(want)
+
+
+def test_input_counts_widen_int16_grades():
+    """int16 grades are widened before ``grade * (d + 1)``, which exceeds
+    32,767 here: the tally equals a per-cell count of (grade, dimension)."""
+    cx = CubicalComplex.full(2, 3)
+    grades = np.random.default_rng(4).integers(29_000, 30_000, cx.total_ids).astype(np.int16)
+    bc = BraidComplex(None, cx, SimpleNamespace(n=30_000), grades, None)
+    want = Counter(zip(grades.tolist(), cx._dims(np.arange(cx.total_ids)).tolist()))
+    assert int(grades.max()) * (cx.d + 1) > np.iinfo(np.int16).max
+    assert bc.input_counts() == dict(want)
+
+
+@pytest.mark.parametrize("n, dtype", [(32_767, np.int16), (32_768, np.int32)])
+def test_grades_are_int16_up_to_32767_classes(n, dtype):
+    """Every top cube in the last class: each cell's grade is n - 1, held as
+    int16 while the classes fit it and as int32 past that."""
+    labels = np.full(4, n - 1)
+    poset = CondensationPoset(n, labels, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(4, np.int64))
+    grades = grade_cells(SimpleNamespace(m=3, d=2), poset)
+    assert grades.dtype == dtype and grades.tolist() == [n - 1] * 25
+
+
+def test_braid_v3_round_one_is_a_few_bytes_per_cell():
+    """On braid-v3 (879 classes) ``grade_cells`` pools int16 ranks and peaks
+    below 4.5 bytes per cell (4.09 measured), and ``template_round`` peaks
+    below 3.2 (2.82 measured): int8 codes, a slab sweep's taken mask and the
+    flow walk's visited mask."""
+    sk = nfold_cover(reference_braid(), 3)
+    po = condensation(sk)
+    bc = build_braid_complex(sk)
+    n = bc.cx.cell_count
+    assert n == 11**6 and bc.grades.dtype == np.int16
+    assert traced_peak(lambda: grade_cells(sk, po)) < 4.5 * n
+    assert traced_peak(lambda: template_round(bc.cx, bc.grades)) < 3.2 * n
 
 
 class ChainPoset:
