@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FormatError, IntegrityError
-from .cubical import CubicalComplex, _distinct, _read_header, _read_rows, _row_starts
+from .core import FormatError, IntegrityError, _distinct, _row_starts
+from .cubical import CubicalComplex, _read_header, _read_rows
 from .matching import _layers
 
 

@@ -10,9 +10,13 @@ without materializing cells (see :mod:`cubemorse.cubical`).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import log2
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
+
+import numpy as np
 
 
 class NonMemberCellError(ValueError):
@@ -50,6 +54,31 @@ def _refuse_above(what: str, cx: CellComplexLike, limit: int) -> None:
     if n > limit:
         size = n if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
         raise SizeGuardError(f"{what} refuses {size} cells (limit {limit})")
+
+
+def _row_starts(n: int, rows: np.ndarray) -> np.ndarray:
+    """CSR row pointers over rows 0..n-1 of the entries with ascending row indices ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _distinct(keys: np.ndarray, counts: bool = False):
+    """The distinct values of ``keys``, ascending, and with ``counts`` also
+    how often each occurs: ``np.unique`` as one sort and a ``diff`` mask,
+    since plain ``np.unique`` is several times slower on int arrays."""
+    keys = np.sort(keys)
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if not counts:
+        return keys[new]
+    first = np.flatnonzero(new)
+    return keys[first], np.diff(first, append=keys.size)
+
+
+def _rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given rows of a CSR with row
+    pointers ``indptr``, concatenated in the order of ``rows``."""
+    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 class AcyclicityError(RuntimeError):
@@ -119,68 +148,146 @@ class ValidationReport:
         return f"{len(self.violations)} violation(s) in {self.checked_cells} cells: {head}"
 
 
+def _id_array(ids: list[int]) -> np.ndarray:
+    """Ascending cell ids as int64, or as exact Python ints (dtype object)
+    once the largest passes int64."""
+    big = bool(ids) and ids[-1] > np.iinfo(np.int64).max
+    return np.array(ids, dtype=object if big else np.int64)
+
+
+def _positions(ids: np.ndarray, cells) -> np.ndarray:
+    """The position of each of ``cells`` among the ascending ``ids``, and
+    -1 for a cell that is not one, by one ``searchsorted``."""
+    try:
+        keys = np.array(cells, dtype=ids.dtype)
+    except OverflowError:  # a key past int64, so compare exact ints
+        ids, keys = ids.astype(object), np.array(cells, dtype=object)
+    if not ids.size:
+        return np.full(keys.size, -1)
+    at = np.minimum(ids.searchsorted(keys), ids.size - 1)
+    return np.where(ids[at] == keys, at, -1)
+
+
+class BoundaryRows(Mapping):
+    """A GF(2) boundary as a CSR over the positions of the ascending cell
+    ids ``ids``: row i holds the positions ``cols[indptr[i]:indptr[i + 1]]``
+    of the faces of cell ``ids[i]``, ascending.  As a mapping it takes each
+    cell with a nonempty row to the ascending tuple of its faces' ids."""
+
+    def __init__(self, ids: np.ndarray, indptr: np.ndarray, cols: np.ndarray):
+        self.ids, self.indptr, self.cols = ids, indptr, cols
+
+    def owners(self) -> np.ndarray:
+        """The row of every entry, ascending."""
+        return np.repeat(np.arange(self.ids.size), np.diff(self.indptr))
+
+    @cached_property
+    def by_id(self) -> dict[int, tuple[int, ...]]:
+        """Every cell id -> the tuple of its faces' ids, empty ones too:
+        built on first use, for queries one cell at a time."""
+        ptr, faces = self.indptr.tolist(), self.ids[self.cols].tolist()
+        return {c: tuple(faces[lo:hi]) for c, lo, hi in zip(self.ids.tolist(), ptr, ptr[1:])}
+
+    def __getitem__(self, cell: int) -> tuple[int, ...]:
+        row = self.by_id.get(cell)
+        if not row:
+            raise KeyError(cell)
+        return row
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids[np.diff(self.indptr) > 0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self.indptr)))
+
+
 class ExplicitComplex:
-    """A complex stored as dictionaries, the output format of Morse reduction.
+    """A complex stored as arrays over the positions of its ascending ids,
+    the output format of Morse reduction: ``rows`` (:class:`BoundaryRows`)
+    holds the ids and the boundary CSR, ``_dim`` and ``_grade`` (or None)
+    the dimension and grade at each position.  Reduction rounds build it
+    from arrays (:meth:`of_rows`); ``dims`` and ``grades`` read it by id.
 
     Args:
         dims: cell id -> dimension.
-        boundary: cell id -> ascending tuple of face ids (only nonzero columns
-            need to be present).
+        boundary: cell id -> face ids (only nonzero columns need to be
+            present); every id must be a key of ``dims``, which one
+            ``searchsorted`` pass checks.
         grades: optional cell id -> poset element, for graded complexes.
     """
 
     def __init__(
         self,
         dims: dict[int, int],
-        boundary: dict[int, tuple[int, ...]],
+        boundary: Mapping[int, tuple[int, ...]],
         grades: dict[int, int] | None = None,
     ):
-        self.dims = dims
-        self._bdry = {c: tuple(sorted(fs)) for c, fs in boundary.items() if fs}
-        self.grades = grades
-        self._cob: dict[int, tuple[int, ...]] | None = None
-        for c, faces in self._bdry.items():
-            if c not in dims:
-                raise NonMemberCellError(f"boundary column for unknown cell {c}")
-            for f in faces:
-                if f not in dims:
-                    raise NonMemberCellError(f"face {f} of cell {c} is not a member")
+        ids = _id_array(sorted(dims))
+        rows = [(c, fs) for c, fs in boundary.items() if fs]
+        flat = [c for c, _ in rows] + [f for _, fs in rows for f in fs]
+        at = _positions(ids, flat)
+        owner = np.repeat(at[:len(rows)], [len(fs) for _, fs in rows])
+        if (at < 0).any():
+            e = int(np.argmax(at < 0))
+            if e < len(rows):
+                raise NonMemberCellError(f"boundary column for unknown cell {flat[e]}")
+            raise NonMemberCellError(f"face {flat[e]} of cell {ids[owner[e - len(rows)]]} is not a member")
+        cols = at[len(rows):]
+        order = np.lexsort((cols, owner))
+        self.rows = BoundaryRows(ids, _row_starts(ids.size, owner[order]), cols[order])
+        keys = ids.tolist()
+        self._dim = np.array([dims[c] for c in keys], dtype=np.int64)
+        self._grade = None if grades is None else np.array([grades[c] for c in keys], dtype=np.int64)
+
+    @classmethod
+    def of_rows(cls, rows: BoundaryRows, dim: np.ndarray, grade: np.ndarray | None = None) -> "ExplicitComplex":
+        """The complex of ``rows`` with the dimension (and grade) at each position."""
+        out = cls.__new__(cls)
+        out.rows, out._dim, out._grade = rows, dim, grade
+        return out
+
+    @cached_property
+    def dims(self) -> dict[int, int]:
+        return dict(zip(self.rows.ids.tolist(), self._dim.tolist()))
+
+    @cached_property
+    def grades(self) -> dict[int, int] | None:
+        return None if self._grade is None else dict(zip(self.rows.ids.tolist(), self._grade.tolist()))
 
     @property
     def cell_count(self) -> int:
-        return len(self.dims)
+        return self.rows.ids.size
 
     @property
     def max_cell_dim(self) -> int:
-        return max(self.dims.values(), default=-1)
+        return int(self._dim.max()) if self._dim.size else -1
 
     def cells(self) -> Iterator[int]:
-        return iter(sorted(self.dims))
+        return iter(self.rows.ids.tolist())
 
     def is_member(self, cell: int) -> bool:
         return cell in self.dims
 
+    def _member(self, cell: int) -> int:
+        if cell not in self.dims:
+            raise NonMemberCellError(f"cell {cell} is not a member")
+        return cell
+
     def dim(self, cell: int) -> int:
-        try:
-            return self.dims[cell]
-        except KeyError:
-            raise NonMemberCellError(f"cell {cell} is not a member") from None
+        return self.dims[self._member(cell)]
 
     def boundary(self, cell: int) -> tuple[int, ...]:
-        if cell not in self.dims:
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        return self._bdry.get(cell, ())
+        return self.rows.by_id[self._member(cell)]
+
+    @cached_property
+    def _cob(self) -> BoundaryRows:
+        """The transpose of ``rows``, each row ascending."""
+        n = self.cell_count
+        keys = np.sort(self.rows.cols.astype(np.int64) * n + self.rows.owners())
+        return BoundaryRows(self.rows.ids, _row_starts(n, keys // n), keys % n)
 
     def coboundary(self, cell: int) -> tuple[int, ...]:
-        if cell not in self.dims:
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        if self._cob is None:
-            cob: dict[int, list[int]] = {}
-            for c in sorted(self._bdry):
-                for f in self._bdry[c]:
-                    cob.setdefault(f, []).append(c)
-            self._cob = {f: tuple(cs) for f, cs in cob.items()}
-        return self._cob.get(cell, ())
+        return self._cob.by_id[self._member(cell)]
 
     def grade(self, cell: int) -> int:
         if self.grades is None:
@@ -188,60 +295,53 @@ class ExplicitComplex:
         return self.grades[cell]
 
     def counts_by_dim(self) -> list[int]:
-        if not self.dims:
-            return []
-        out = [0] * (self.max_cell_dim + 1)
-        for d in self.dims.values():
-            out[d] += 1
-        return out
+        return np.bincount(self._dim).tolist()
 
     def euler(self) -> int:
-        return sum(1 if d % 2 == 0 else -1 for d in self.dims.values())
+        return self.cell_count - 2 * int(np.count_nonzero(self._dim & 1))
 
     def euler_by_grade(self) -> dict[int, int]:
-        if self.grades is None:
+        if self._grade is None:
             raise IntegrityError("complex is not graded")
-        out: dict[int, int] = {}
-        for c, d in self.dims.items():
-            g = self.grades[c]
-            out[g] = out.get(g, 0) + (1 if d % 2 == 0 else -1)
-        return out
+        grades, at = np.unique(self._grade, return_inverse=True)
+        sign = 1 - 2 * (self._dim & 1)
+        return dict(zip(grades.tolist(), np.bincount(at, sign, grades.size).astype(np.int64).tolist()))
 
     def boundary_entries(self) -> Iterator[tuple[int, int]]:
-        """Yield (face_id, cell_id) pairs, i.e. positions of nonzero entries."""
-        for c in sorted(self._bdry):
-            for f in self._bdry[c]:
-                yield f, c
+        """Yield (face_id, cell_id) pairs, i.e. positions of nonzero entries,
+        by ascending cell, then face."""
+        ids = self.rows.ids
+        return zip(ids[self.rows.cols].tolist(), ids[self.rows.owners()].tolist())
 
     def nonzero_boundary(self) -> bool:
-        return bool(self._bdry)
+        return bool(self.rows.cols.size)
 
     def check_dd_zero(self) -> None:
-        """Assert the boundary squares to zero; raises IntegrityError otherwise."""
-        for c, faces in self._bdry.items():
-            acc: set[int] = set()
-            for f in faces:
-                acc.symmetric_difference_update(self._bdry.get(f, ()))
-            if acc:
-                raise IntegrityError(
-                    f"boundary of boundary of cell {c} is nonzero at {sorted(acc)[:4]}"
-                )
+        """Assert the boundary squares to zero; raises IntegrityError otherwise.
+
+        One sort of the expanded (cell, face of face) pairs counts each pair;
+        an odd count names the smallest such cell and its first four faces
+        of faces."""
+        ids, ptr, cols = self.rows.ids, self.rows.indptr, self.rows.cols
+        n = np.int64(max(self.cell_count, 1))
+        cell = np.repeat(self.rows.owners(), ptr[cols + 1] - ptr[cols])
+        keys, count = _distinct(cell * n + cols[_rows(ptr, cols)], counts=True)
+        odd = keys[count % 2 == 1]
+        if odd.size:
+            c = odd[0] // n
+            at = odd[odd // n == c][:4] % n
+            raise IntegrityError(
+                f"boundary of boundary of cell {ids[c]} is nonzero at {ids[at].tolist()}"
+            )
 
     def canonical_form(self) -> tuple:
         """Relabel cells 0..n-1 in ascending id order; grades are not included."""
-        order = sorted(self.dims)
-        idx = {c: k for k, c in enumerate(order)}
-        dims = tuple(self.dims[c] for c in order)
-        entries = tuple(sorted((idx[c], idx[f]) for f, c in self.boundary_entries()))
-        return dims, entries
+        entries = tuple(zip(self.rows.owners().tolist(), self.rows.cols.tolist()))
+        return tuple(self._dim.tolist()), entries
 
     def to_json_dict(self, poset_pairs: list[tuple[int, int]] | None = None) -> dict:
-        cells = []
-        for c in sorted(self.dims):
-            rec: dict = {"id": c, "dim": self.dims[c]}
-            if self.grades is not None:
-                rec["grade"] = int(self.grades[c])
-            cells.append(rec)
+        g = self.grades
+        cells = [{"id": c, "dim": d} | ({} if g is None else {"grade": g[c]}) for c, d in self.dims.items()]
         out: dict = {
             "cells": cells,
             "boundary": [[f, c] for f, c in self.boundary_entries()],
@@ -259,20 +359,14 @@ class ExplicitComplex:
         bdry: dict[int, list[int]] = {}
         for f, c in data.get("boundary", []):
             bdry.setdefault(int(c), []).append(int(f))
-        return cls(dims, {c: tuple(fs) for c, fs in bdry.items()}, grades)
+        return cls(dims, bdry, grades)
 
     @classmethod
     def from_complex(cls, cx: CellComplexLike) -> "ExplicitComplex":
         """Materialize any complex handle of at most ``VALIDATE_LIMIT`` cells."""
         _refuse_above("ExplicitComplex.from_complex", cx, VALIDATE_LIMIT)
-        dims = {}
-        bdry = {}
-        for c in cx.cells():
-            dims[c] = cx.dim(c)
-            faces = cx.boundary(c)
-            if faces:
-                bdry[c] = faces
-        return cls(dims, bdry)
+        cells = list(cx.cells())
+        return cls({c: cx.dim(c) for c in cells}, {c: cx.boundary(c) for c in cells})
 
 
 def validate_complex(cx: CellComplexLike) -> ValidationReport:

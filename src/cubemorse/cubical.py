@@ -100,24 +100,6 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.intp)
 
 
-def _row_starts(n: int, rows: np.ndarray) -> np.ndarray:
-    """CSR row pointers over rows 0..n-1 of the entries with ascending row indices ``rows``."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-
-def _distinct(keys: np.ndarray, counts: bool = False):
-    """The distinct values of ``keys``, ascending, and with ``counts`` also
-    how often each occurs: ``np.unique`` as one sort and a ``diff`` mask,
-    since plain ``np.unique`` is several times slower on int arrays."""
-    keys = np.sort(keys)
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    if not counts:
-        return keys[new]
-    first = np.flatnonzero(new)
-    return keys[first], np.diff(first, append=keys.size)
-
-
 class CubicalComplex(CellComplexLike):
     """See module docstring.  ``CubicalComplex(m, d)`` is the full grid;
     :meth:`sphere` and :meth:`top_sphere` exclude its centre cell, and

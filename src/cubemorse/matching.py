@@ -3,16 +3,13 @@
 An *entry* is an involution on cells that fixes everything it cannot pair
 (e.g. an extent toggle restricted to a subcomplex).  Given entries
 w_1, ..., w_n, a cell takes the partner offered by the earliest entry under
-which both sides are still unclaimed.  :func:`mate` resolves one cell by
-structural recursion; :func:`mate_table` materializes the same function by
-sweeping the whole complex level by level and exists as an independent
-cross-check.  On cubical complexes, where entries are single-bit extent
-toggles, :func:`template_sweep` is the production evaluation, one array pass
-per axis, and :class:`TemplateMatching` wraps it, so ``verify`` checks the
-matching the reduction rounds use.  On a whole grid or a dense explicit
-complex, where a cell's id is its index in the grid's digit array, a pass
-compares two strided digit slices of one axis; elsewhere it looks each
-partner up among the member ids.  :func:`fiber_mate` evaluates it on one
+which both sides are still unclaimed.  On cubical complexes, where entries
+are single-bit extent toggles, :func:`template_sweep` evaluates it in one
+array pass per axis, and :class:`TemplateMatching` wraps it, so ``verify``
+checks the matching the reduction rounds use.  On a whole grid or a dense
+explicit complex, where a cell's id is its index in the grid's digit array,
+a pass compares two strided digit slices of one axis; elsewhere it looks
+each partner up among the member ids.  :func:`fiber_mate` evaluates it on one
 anchor fiber in pure Python, as the tests' independent oracle and the
 benchmark's fiber replay.
 
@@ -29,29 +26,20 @@ rank table of a dense explicit complex and by ``searchsorted`` among the
 ``members`` of a sparse one.  The passes take ids only for the positions
 they touch, one chunk at a time, so a grid gets no id array.  Given a
 :class:`TemplateMatching`, the checks run as numpy passes over one whole
-sweep.  Each partner must be a member that maps back, and the pair checks
-compare the codes with the codec's digits: a lower cell's toggled digit
-must be even and below 2m, so by the face formula its partner is a coface
-one dimension up.
+sweep; a lower cell's toggled digit must be even and below 2m, so by the
+face formula its partner is a coface one dimension up.
 
-One function builds the flow graph of a sweep (:func:`_flow_graph`),
-breadth first, one face-array call per ``_WALK_CHUNK`` frontier nodes, and
-two stages read it, both from the cached whole sweep of one
-:class:`TemplateMatching`.  ``verify`` builds it once per matching from all
-lower cells (``TemplateMatching._flows``): acyclicity is a Kahn peel over
-it (:func:`_peel`) and stability a test on the same edges.  Round one's
-flow counting (:func:`cubemorse.morse.morse_boundary` given the matching)
-builds it from the fixed cells whose rows count (:func:`_sweep_graph`).
-The flow graphs of other oracles are walked cell by cell, and the same two
-algorithms read them: :func:`_flow_rows` contracts the chains of
-one-successor nodes and sums the flow rows mod 2 in a layered peel from the
-sinks, and :func:`_peel` decides acyclicity.
-
-The ``verify`` passes only decide that all is clean.  On any anomaly, and
-for every other oracle, the checks walk the cells and query the oracle one
-cell at a time, which writes the exact report or raises the exact error.
-Memory beyond the sweep codes is bounded by the chunk size, except for the
-flow graph, whose complexes ``FLOW_CHECK_LIMIT`` bounds in ``verify``.
+One walk builds every array flow graph (:func:`_flow_graph`), breadth
+first over member positions, ``_WALK_CHUNK`` frontier nodes at a time:
+``verify`` from all lower cells of a sweep (``TemplateMatching._flows``),
+round one from its fixed cells (:func:`_sweep_graph`), and the later
+rounds over the CSR of an explicit complex
+(:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums the flow
+rows mod 2, chains contracted and then a layered peel from the sinks, and
+:func:`_peel` decides acyclicity.  The ``verify`` passes only decide that
+all is clean; on any anomaly, and for every other oracle, the checks walk
+the cells one at a time, which writes the exact report or raises the
+exact error.  ``FLOW_CHECK_LIMIT`` bounds the flow graphs of ``verify``.
 """
 
 from __future__ import annotations
@@ -64,89 +52,20 @@ import numpy as np
 
 from .core import (
     VALIDATE_LIMIT,
-    AcyclicityError,
     CellComplexLike,
     IntegrityError,
     NonMemberCellError,
     TrichotomyError,
+    _distinct,
     _refuse_above,
+    _row_starts,
+    _rows,
 )
-from .cubical import _WALK_CHUNK, CubicalComplex, _digit_slices, _distinct, _index_dtype, _lookup
-from .cubical import _row_starts, alpha, beta
+from .cubical import _WALK_CHUNK, CubicalComplex, _digit_slices, _index_dtype, _lookup, alpha, beta
 
 Entry = Callable[[int], int]
 
 FLOW_CHECK_LIMIT = 100_000  # cell limit of verify_acyclic and verify_stable
-
-
-def _mate_helper(x: int, i: int, entries: Sequence[Entry], memo: dict) -> int:
-    """Partner of x after aggregating the first i entries."""
-    if i == 0:
-        return x
-    key = (x, i)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    res = _mate_helper(x, i - 1, entries, memo)
-    if res == x:
-        y = entries[i - 1](x)
-        if y != x and _mate_helper(y, i - 1, entries, memo) == y:
-            res = y
-    memo[key] = res
-    return res
-
-
-def mate(cell: int, entries: Sequence[Entry], memo: dict | None = None) -> int:
-    """Resolve one cell's partner under the aggregated matching.
-
-    Args:
-        cell: cell id.
-        entries: the elementary pairings, earliest first.
-        memo: optional shared cache of (cell, level) results.
-
-    Returns:
-        The partner cell, or ``cell`` itself when it stays unmatched.
-    """
-    if memo is None:
-        memo = {}
-    return _mate_helper(cell, len(entries), entries, memo)
-
-
-def mate_table(cx: CellComplexLike, entries: Sequence[Entry]) -> tuple[dict[int, int], dict[int, int]]:
-    """Materialize the aggregated matching over a whole complex.
-
-    Runs the level-by-level construction directly: at level i every pair
-    (x, w_i(x)) with both sides still unclaimed after the previous levels is
-    matched.  Serves as the independent oracle for :func:`mate`, on at most
-    10,000 cells.
-
-    Returns:
-        (partner, level): partner[c] is c's match (c itself when unmatched),
-        level[c] the 1-based entry index at which the pair formed.
-    """
-    _refuse_above("mate_table", cx, 10_000)
-    partner = {c: c for c in cx.cells()}
-    level: dict[int, int] = {}
-    avail = set(partner)
-    for i, entry in enumerate(entries, start=1):
-        matched_now: list[int] = []
-        for x in sorted(avail):
-            if partner[x] != x:
-                continue
-            y = entry(x)
-            if y == x or y not in avail or partner.get(y) != y:
-                continue
-            if entry(y) != x:
-                raise IntegrityError(
-                    f"entry {i} is not involutive on pair ({x}, {y})"
-                )
-            partner[x] = y
-            partner[y] = x
-            level[x] = level[y] = i
-            matched_now.append(x)
-            matched_now.append(y)
-        avail.difference_update(matched_now)
-    return partner, level
 
 
 def fiber_mate(
@@ -280,29 +199,6 @@ def _steps(cx: CubicalComplex) -> list[int]:
     return [0, *cx.pows, *(-p for p in reversed(cx.pows))]
 
 
-class SequenceMatching:
-    """Matching oracle for an arbitrary complex, backed by the recursion."""
-
-    def __init__(self, cx: CellComplexLike, entries: Sequence[Entry]):
-        self.cx = cx
-        self.entries = list(entries)
-        self._memo: dict = {}
-
-    def __call__(self, cell: int) -> int:
-        if not self.cx.is_member(cell):
-            raise NonMemberCellError(f"cell {cell} is not a member")
-        return _mate_helper(cell, len(self.entries), self.entries, self._memo)
-
-    def provenance(self, cell: int) -> int | None:
-        """1-based entry index at which the cell pairs; None if unmatched."""
-        if self(cell) == cell:
-            return None
-        for i in range(1, len(self.entries) + 1):
-            if _mate_helper(cell, i, self.entries, self._memo) != cell:
-                return i
-        return None
-
-
 class TemplateMatching:
     """The production matching of :func:`template_sweep`, per cell and, for
     the ``verify_*`` checks, as one whole-sweep array view.
@@ -419,7 +315,7 @@ class TemplateMatching:
             (src ascending, faces in boundary order) and a flag per edge.
         """
         cx, code = self.cx, self._clean_sweep
-        at, (src, dst), _ = _flow_graph(cx, code, np.flatnonzero(code > 0))
+        at, (src, dst), _ = _flow_graph(code, np.flatnonzero(code > 0), _sweep_faces(cx, code))
         step = np.array(self._step, dtype=np.int64)
         q0, q1 = at[src], at[dst]
         gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
@@ -551,31 +447,30 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
-def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
-    """The flow graph of a sweep's codes ``code``, walked breadth first
-    from the positions ``front``: one pass per frontier, each taking its
-    nodes ``_WALK_CHUNK`` at a time into one :meth:`CubicalComplex._face_arrays`
-    call, so the transient face arrays stay bounded however wide the
-    frontier grows.  Ids are taken for those nodes alone, and the faces
-    are located by ``cx._locate``.
+def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
+    """The flow graph of a matching over member positions, walked breadth
+    first from the positions ``front``.  ``code[i]`` is positive for a
+    lower cell, 0 for a fixed one and negative for an upper one, and
+    ``faces_of(chunk)`` gives (owner, pos): the positions of the member
+    faces of the cells that the nodes ``chunk`` step into (a lower cell's
+    partner, a fixed cell itself), each with the index in ``chunk`` of its
+    node.  One pass per frontier takes its nodes ``_WALK_CHUNK`` at a time,
+    so the transient face arrays stay bounded however wide it grows.
 
-    A node at position i, of id ``cx._ids_at(i)``, steps to the member
-    faces, other than itself, of ``id + step[code[i]]``: of its partner for
-    a lower cell, of itself for a fixed cell.  A lower face is a node,
-    visited in the next frontier if new; a fixed face ends the flow; an
-    upper face has no flow.  Nodes are numbered in visit order, ``front``
-    first, each later frontier ascending by position.  Positions, nodes
-    and edges are int32 while the members fit (:func:`_index_dtype`).
-    Memory beyond the edges is one byte per member, the mask of visited
-    positions, whose rank (:func:`_mask_rank`) numbers the nodes at the end.
+    A lower face other than the node itself is a node, visited in the next
+    frontier if new; a fixed face ends the flow; an upper face has no flow.
+    Nodes are numbered in visit order, ``front`` first, each later frontier
+    ascending by position.  Positions, nodes and edges are int32 while the
+    members fit (:func:`_index_dtype`).  Memory beyond the edges is one
+    byte per member, the mask of visited positions, whose rank
+    (:func:`_mask_rank`) numbers the nodes at the end.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
         from nodes to the nodes of their lower faces; and the edges from
         nodes to the positions of their fixed faces.  Both edge lists run
-        src ascending, faces in :meth:`CubicalComplex._face_arrays` order.
+        src ascending, faces in ``faces_of`` order.
     """
-    step = np.array(_steps(cx), dtype=np.int64)
     idx = _index_dtype(code.size)
     seen = np.zeros(code.size, dtype=bool)  # the positions of the nodes
     seen[front] = True
@@ -585,9 +480,8 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
         first = len(at)
         for lo in range(0, front.size, _WALK_CHUNK):
             chunk = front[lo:lo + _WALK_CHUNK]
-            faces, owner, _ = cx._face_arrays(cx._ids_at(chunk) + step[code[chunk]])
-            pos, hit = cx._locate(faces)
-            hit &= (pos != chunk[owner]) & (code[pos] >= 0)
+            owner, pos = faces_of(chunk)
+            hit = (pos != chunk[owner]) & (code[pos] >= 0)
             src.append((owner[hit] + done).astype(idx))
             at.append(pos[hit].astype(idx, copy=False))
             done += chunk.size
@@ -602,6 +496,20 @@ def _flow_graph(cx: CubicalComplex, code: np.ndarray, front: np.ndarray):
     node = np.empty(order.size, dtype=idx)  # rank of a node's position -> node
     node[rank(order)] = np.arange(order.size)
     return order, (src[low], node[rank(at[low])]), (src[~low], at[~low])
+
+
+def _sweep_faces(cx: CubicalComplex, code: np.ndarray):
+    """The ``faces_of`` of :func:`_flow_graph` for a sweep's codes: the node
+    at position i steps into ``cx._ids_at(i) + step[code[i]]``, whose faces
+    :meth:`CubicalComplex._face_arrays` lists and ``cx._locate`` finds."""
+    step = np.array(_steps(cx), dtype=np.int64)
+
+    def faces_of(chunk):
+        faces, owner, _ = cx._face_arrays(cx._ids_at(chunk) + step[code[chunk]])
+        pos, hit = cx._locate(faces)
+        return owner[hit], pos[hit]
+
+    return faces_of
 
 
 def _mask_rank(mask: np.ndarray):
@@ -624,13 +532,6 @@ def _mask_rank(mask: np.ndarray):
         np.cumsum(run[whole:], dtype=np.uint8, out=run[whole:])
         np.cumsum(blocks[:, -1], dtype=before.dtype, out=before[1:-1])
     return lambda pos: before[pos // 255] + run[pos] - 1
-
-
-def _rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions of the entries of the given rows of a CSR with row
-    pointers ``indptr``, concatenated in the order of ``rows``."""
-    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _layers(n: int, src: np.ndarray, dst: np.ndarray):
@@ -669,7 +570,9 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     the graph.  A chain node that reaches no end lies on, or leads into, a
     cycle of chain nodes and stays.  A Kahn peel from the sinks of what is
     left (:func:`_layers`) then fills the rows one layer at a time into a
-    CSR in peel order.
+    CSR in peel order.  When every successor is a sink, as in a late
+    reduction round, a row is its node's columns and its successors', so
+    one pass gives the rows, with no contraction and no peel.
 
     Returns:
         (stuck, indptr, cols): the mask of the nodes that reach a cycle,
@@ -677,6 +580,17 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
         a CSR, columns ascending, the rows of stuck sources empty.
     """
     start = _row_starts(n, src)
+    ncol = int(fat.max()) + 1 if fat.size else 1
+    if not np.diff(start)[dst].any():  # every successor is a sink
+        fix_start = _row_starts(n, fsrc)
+        out = _rows(start, sources)  # the sources' edges, in source order
+        hop = dst[out]
+        row = np.repeat(np.arange(sources.size), np.diff(fix_start)[sources])
+        via = np.repeat(np.repeat(np.arange(sources.size), np.diff(start)[sources]), np.diff(fix_start)[hop])
+        keys = np.concatenate([row * ncol + fat[_rows(fix_start, sources)], via * ncol + fat[_rows(fix_start, hop)]])
+        keys, count = _distinct(keys, counts=True)
+        keys = keys[count % 2 == 1]
+        return np.zeros(n, dtype=bool), _row_starts(sources.size, keys // ncol), keys % ncol
     chain = (np.diff(start) == 1) & (np.bincount(fsrc, minlength=n) == 0)
     chain[sources] = False
     end = np.arange(n, dtype=_index_dtype(n))
@@ -696,7 +610,6 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     src, dst, fsrc = new[src[e]], new[end[dst[e]]], new[fsrc]
     del start, chain, keep, e  # freed before the peel, the peak of round one
 
-    ncol = int(fat.max()) + 1 if fat.size else 1
     fix_start, succ_start = _row_starts(m, fsrc), _row_starts(m, src)
     indptr = np.zeros(m + 1, dtype=np.int64)  # flow rows in peel order
     slot = np.full(m, -1, dtype=np.int64)  # node -> its flow row
@@ -729,20 +642,14 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return stuck[new[end]], np.concatenate(([0], np.cumsum(count))), data[_rows(indptr, rows)]
 
 
-def _sweep_graph(mate: TemplateMatching, sources: list[int]):
+def _sweep_graph(mate: TemplateMatching, sources: np.ndarray):
     """The :func:`_flow_graph` of a matching's whole sweep from the fixed
-    cells ``sources``, for :func:`cubemorse.morse.morse_boundary`: node ids
-    for positions, and the fixed faces reached numbered by rank.
-
-    Returns:
-        (nodes, (src, dst), (fsrc, fcol), cols): the node ids; the node
-        edges; the edges from nodes to the columns of their fixed faces; and
-        the id of each column, ascending.
-    """
-    cx = mate.cx
-    at, edges, (fsrc, fat) = _flow_graph(cx, mate._whole, cx._locate(np.array(sources))[0])
-    fat, fcol = np.unique(fat, return_inverse=True)
-    return cx._ids_at(at), edges, (fsrc, fcol), cx._ids_at(fat).tolist()
+    cells ``sources``, for :func:`cubemorse.morse.morse_boundary`: (node
+    ids, node edges, edges to the columns of fixed faces), a fixed face's
+    column its rank among the sweep's fixed cells (:func:`_mask_rank`)."""
+    cx, code = mate.cx, mate._whole
+    at, edges, (fsrc, fat) = _flow_graph(code, cx._locate(sources)[0], _sweep_faces(cx, code))
+    return cx._ids_at(at), edges, (fsrc, _mask_rank(code == 0)(fat))
 
 
 def _lower_cells(cx, oracle):

@@ -3,19 +3,14 @@
 Given an acyclic matching, the reduced complex has the fixed cells as its
 cells and, over GF(2), a boundary that counts alternating paths: a path
 steps from a face of a cell into the partner of a lower cell and onward.
-:func:`morse_boundary` performs the count, skipping cells whose entries
-could only join fixed cells of a dimension that has none.
-:func:`template_round` runs one reduction round of a cubical complex under
-the template matching, evaluated as an array sweep over the members by
-position (:func:`cubemorse.matching.template_sweep`); its flow graph is
-built in array passes in :mod:`cubemorse.matching`, the one module that
-reads the sweep's encoding.  Later rounds walk their flow graph cell by
-cell, and every round sums the flow rows over its graph with one algorithm
-(:func:`cubemorse.matching._flow_rows`).  :func:`generic_round` produces
-the later rounds' deterministic acyclic matching on an already-explicit
-complex from coreductions and, when none is left, free-face collapses, so
-a round does not fill the next complex's boundary in.  Every round ends in
-the same collapse onto the fixed cells.  :func:`homology` and
+:func:`morse_boundary` performs the count and returns it as a CSR over the
+fixed cells, the storage of :class:`~cubemorse.core.ExplicitComplex`.
+:func:`template_round` runs round one of a cubical complex under the
+template matching (:func:`cubemorse.matching.template_sweep`).  Later
+rounds read the CSR: :func:`generic_round` matches the cells that touch an
+entry by coreductions and, when none is left, free-face collapses, so a
+round does not fill the next boundary in, and :func:`reduce_round` walks
+the flow graph over the CSR.  :func:`homology` and
 :func:`connection_matrix` share one reduction loop: homology is the
 connection matrix over a one-element poset, so it runs the loop ungraded
 and stops at a zero boundary, while :func:`connection_matrix` runs it
@@ -32,11 +27,17 @@ import numpy as np
 
 from .core import (
     AcyclicityError,
+    BoundaryRows,
     ExplicitComplex,
     IntegrityError,
+    NonMemberCellError,
+    _id_array,
+    _positions,
+    _row_starts,
+    _rows,
 )
 from .cubical import CubicalComplex
-from .matching import TemplateMatching, _flow_rows, _sweep_graph
+from .matching import TemplateMatching, _flow_graph, _flow_rows, _sweep_graph
 
 
 def morse_boundary(
@@ -44,50 +45,52 @@ def morse_boundary(
     boundary_of: Callable[[int], Iterable[int]],
     mate_of: Callable[[int], int],
     dim_of: Callable[[int], int],
-) -> dict[int, tuple[int, ...]]:
-    """GF(2) boundary of the reduced complex on the given fixed cells.
+    dims: np.ndarray | None = None,
+) -> BoundaryRows:
+    """GF(2) boundary of the reduced complex on the given fixed cells, as
+    :class:`~cubemorse.core.BoundaryRows` over them, ascending.
 
     A reduced boundary entry joins dimensions k and k - 1 only, so a fixed
     cell of dimension k is skipped when no fixed cell has dimension k - 1.
-
-    The flows are counted over a flow graph from the fixed cells whose rows
-    count.  Given a :class:`~cubemorse.matching.TemplateMatching`, whose
-    fixed cells must be ``criticals``, the graph is built in array passes
-    over its whole sweep (:func:`cubemorse.matching._sweep_graph`);
-    any other ``mate_of`` is walked cell by cell (:func:`_cell_graph`).
-    Either way :func:`cubemorse.matching._flow_rows` sums the rows mod 2,
-    and a flow that reaches a cycle means the matching is cyclic
-    (:class:`AcyclicityError`, naming the smallest lower cell that reaches
-    one).
+    Given a :class:`~cubemorse.matching.TemplateMatching`, whose fixed cells
+    must be ``criticals``, the flow graph is built in array passes over its
+    sweep (:func:`cubemorse.matching._sweep_graph`); any other ``mate_of``
+    is walked cell by cell (:func:`_cell_graph`).  :func:`_reduced_rows`
+    sums the rows.
 
     ``mate_of`` must return the partner of every lower cell (one paired with
     a coface) and may map any other cell, upper cells included, to itself;
-    ``dim_of`` is only asked about fixed cells and cells ``mate_of`` moves.
-    ``criticals`` may be a dict from each fixed cell to its dimension, which
-    is then read instead of asking ``dim_of`` about the fixed cells.
+    ``dim_of`` is only asked about fixed cells and cells ``mate_of`` moves,
+    and not about the fixed cells when ``criticals`` is an ascending int
+    array given with the array ``dims`` of their dimensions.
     """
-    if not isinstance(criticals, dict):
-        criticals = {c: dim_of(c) for c in criticals}
-    order = sorted(criticals)
-    have = set(criticals.values())
-    sources = [a for a in order if criticals[a] - 1 in have]
-    if not sources:
-        return {}
+    ids = criticals if isinstance(criticals, np.ndarray) else _id_array(sorted(criticals))
+    if dims is None:
+        dims = np.array([dim_of(c) for c in ids.tolist()], dtype=np.int64)
+    sources = np.flatnonzero(np.isin(dims - 1, dims))
+    if not sources.size:
+        return BoundaryRows(ids, np.zeros(ids.size + 1, dtype=np.int64), np.zeros(0, dtype=np.intp))
     if type(mate_of) is TemplateMatching:
-        nodes, edges, fixed, ids = _sweep_graph(mate_of, sources)
+        nodes, edges, fixed = _sweep_graph(mate_of, ids[sources])
     else:
-        nodes, edges, fixed, ids = _cell_graph(order, sources, boundary_of, mate_of, dim_of)
-    s = len(sources)
+        nodes, edges, fixed = _cell_graph(ids.tolist(), ids[sources].tolist(), boundary_of, mate_of, dim_of)
+    return _reduced_rows(ids, sources, nodes, edges, fixed)
+
+
+def _reduced_rows(ids, sources, nodes, edges, fixed) -> BoundaryRows:
+    """The flow rows of the nodes 0..s-1 of a flow graph, the fixed cells at
+    the positions ``sources`` among ``ids``, as rows over ``ids``: summed
+    mod 2 by :func:`cubemorse.matching._flow_rows`.  A flow that reaches a
+    cycle means the matching is cyclic (:class:`AcyclicityError`, naming the
+    smallest lower cell, of the ids ``nodes``, that reaches one)."""
+    s = sources.size
     stuck, indptr, cols = _flow_rows(len(nodes), np.arange(s), *edges, *fixed)
     if stuck.any():  # sources have no in-edges, so a cycle holds lower cells only
         lower = min(int(nodes[i]) for i in np.flatnonzero(stuck[s:]) + s)
         raise AcyclicityError(f"flow from lower cell {lower} runs into a cycle: matching is cyclic")
-    cols = [ids[j] for j in cols.tolist()]
-    out: dict[int, tuple[int, ...]] = {}
-    for c, lo, hi in zip(sources, indptr[:-1].tolist(), indptr[1:].tolist()):
-        if hi > lo:
-            out[c] = tuple(cols[lo:hi])
-    return out
+    count = np.zeros(ids.size, dtype=np.int64)
+    count[sources] = np.diff(indptr)
+    return BoundaryRows(ids, np.concatenate(([0], np.cumsum(count))), cols)
 
 
 _NEW = object()  # not yet reached by :func:`_cell_graph`
@@ -95,22 +98,17 @@ _NEW = object()  # not yet reached by :func:`_cell_graph`
 
 def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     """The flow graph of :func:`morse_boundary` walked cell by cell,
-    breadth first from ``sources``, in the shape of
-    :func:`cubemorse.matching._flow_graph`.
-
-    A node steps to the faces, other than itself, of its partner for a
-    lower cell, of itself for a source.  A fixed face ends the flow, as the
-    column of its rank in the ascending ``order``; a face ``mate_of`` pairs
-    with a coface one dimension up is a lower cell, a node; any other face
-    has no flow.  Each reached cell costs one ``mate_of`` and two ``dim_of``
-    calls (for it and its partner), each node one ``boundary_of`` call, and
-    each face one dict lookup.
+    breadth first from ``sources``, as :func:`cubemorse.matching._flow_graph`
+    walks it over positions.  A fixed face is the column of its rank in the
+    ascending ``order``; a face ``mate_of`` pairs with a coface one
+    dimension up is a lower cell, a node.  Each reached cell costs one
+    ``mate_of`` and two ``dim_of`` calls, each node one ``boundary_of`` call.
 
     Returns:
-        (nodes, (src, dst), (fsrc, fcol), order): the node cells in visit
-        order, sources first; the edges from nodes to the nodes of their
-        lower faces; the edges from nodes to the columns of their fixed
-        faces, both src ascending; and the id of each column.
+        (nodes, (src, dst), (fsrc, fcol)): the node cells in visit order,
+        sources first; the edges from nodes to the nodes of their lower
+        faces; and the edges from nodes to the columns of their fixed faces,
+        both src ascending.
     """
     # a fixed cell -> ~its column, a node -> its index, a cell with no flow -> None
     look = dict(zip(order, range(-1, -len(order) - 1, -1)))
@@ -138,7 +136,7 @@ def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
                 fsrc.append(i)
                 fcol.append(~got)
     src, dst, fsrc, fcol = (np.array(x, dtype=np.intp) for x in (src, dst, fsrc, fcol))
-    return nodes, (src, dst), (fsrc, fcol), order
+    return nodes, (src, dst), (fsrc, fcol)
 
 
 def morse_complex(
@@ -152,39 +150,45 @@ def morse_complex(
     cubical complexes prefer :func:`template_round`, which matches all cells
     in a few array passes instead of querying the oracle cell by cell.
     """
-    dims = {c: cx.dim(c) for c in cx.cells() if oracle(c) == c}
-    return _collapse(dims, cx.boundary, oracle, cx.dim, grade_of)
+    ids = _id_array(sorted(c for c in cx.cells() if oracle(c) == c))
+    dims = np.array([cx.dim(c) for c in ids.tolist()], dtype=np.int64)
+    grades = None if grade_of is None else np.array([grade_of(c) for c in ids.tolist()], dtype=np.int64)
+    return _collapse(morse_boundary(ids, cx.boundary, oracle, cx.dim, dims), dims, grades)
 
 
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
-    The whole :func:`cubemorse.matching.template_sweep` of a
-    :class:`~cubemorse.matching.TemplateMatching` matches all members in one
-    array pass per axis and gives a code per member position; the members
-    it leaves fixed are the critical cells, whose ids are taken from their
-    positions alone (``CubicalComplex._ids_at``, arithmetic on a grid, so no
-    id array of all members is built) and whose dimensions come from one
-    array odd-digit count (``CubicalComplex._dims``).  :func:`morse_boundary`
-    counts the flows over the same codes in array passes.  ``grade_of`` is
-    None or an int array of ``cx.total_ids`` grades indexed by id.
+    The whole :func:`cubemorse.matching.template_sweep` gives a code per
+    member position; the members it leaves fixed are the critical cells,
+    whose ids come from their positions (``CubicalComplex._ids_at``,
+    arithmetic on a grid) and dimensions from one odd-digit count, and
+    :func:`morse_boundary` counts the flows over the same codes.
+    ``grade_of`` is None or an int array of ``cx.total_ids`` grades by id.
     """
     mate = TemplateMatching(cx, grade_of)
-    fixed = cx._ids_at((mate._whole == 0).nonzero()[0])
-    dims = dict(zip(fixed.tolist(), cx._dims(fixed).tolist()))
-    grade = None if grade_of is None else grade_of.__getitem__
-    return _collapse(dims, cx._boundary_raw, mate, cx.dim_of, grade)
+    fixed = cx._ids_at((mate._whole == 0).nonzero()[0]).astype(np.int64, copy=False)
+    dims = cx._dims(fixed)
+    rows = morse_boundary(fixed, cx._boundary_raw, mate, cx.dim_of, dims)
+    return _collapse(rows, dims, None if grade_of is None else grade_of[fixed])
 
 
-def _collapse(dims, boundary_of, mate_of, dim_of, grade_of) -> ExplicitComplex:
-    """The tail of every round: the reduced complex on the fixed cells, the
-    keys of ``dims`` (cell -> dimension), with grades when ``grade_of`` is
-    given, and d^2 = 0 checked."""
-    bdry = morse_boundary(dims, boundary_of, mate_of, dim_of)
-    grades = None if grade_of is None else {c: int(grade_of(c)) for c in dims}
-    out = ExplicitComplex(dims, bdry, grades)
+def _collapse(rows: BoundaryRows, dims: np.ndarray, grades: np.ndarray | None) -> ExplicitComplex:
+    """The tail of every round: the reduced complex of the rows over the
+    fixed cells, with their dimensions (and grades), and d^2 = 0 checked."""
+    out = ExplicitComplex.of_rows(rows, dims, grades)
     out.check_dd_zero()
     return out
+
+
+def _same_grade(E: ExplicitComplex, graded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, faces): the positions of the boundary entries that join equal
+    grades, all of them when ungraded, in row order."""
+    cells, faces = E.rows.owners(), E.rows.cols
+    if graded:
+        same = E._grade[cells] == E._grade[faces]
+        cells, faces = cells[same], faces[same]
+    return cells, faces
 
 
 def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
@@ -209,50 +213,45 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
     next lower face; nor a collapse, since q0 was still a face of the
     previous pair's upper cell.
 
-    The bookkeeping is lists over positions in the sorted cells, which sort
-    as the ids do; a removed cell's face count is -1.
+    Only the cells that touch an entry (of equal grades, if graded) take
+    part, by their ranks, which sort as the ids do: face lists from the CSR,
+    coface lists from its transpose, and a removed cell's face count -1.
 
     Returns:
         partner dict over all cells; fixed cells map to themselves.
     """
-    grades = E.grades if graded else None
-    bdry = E._bdry  # every cell is a member: no per-cell check
-    cells = sorted(E.dims)
-    n = len(cells)
-    at = {c: i for i, c in enumerate(cells)}.__getitem__
-    faces: list[tuple[int, ...]] = [()] * n
-    cofaces: list = [()] * n  # a list once a cell has a coface
-    for c, fs in bdry.items():
-        if grades is not None:
-            g = grades[c]
-            fs = [f for f in fs if grades[f] == g]
-        i = at(c)
-        row = faces[i] = tuple(map(at, fs))
-        for f in row:
-            if cofaces[f]:
-                cofaces[f].append(i)
-            else:
-                cofaces[f] = [i]
-    del at
-    nf = [len(r) for r in faces]
-    nc = [len(r) for r in cofaces]
+    cells, faces = _same_grade(E, graded)
+    touch = np.zeros(E.cell_count, dtype=bool)
+    touch[cells] = touch[faces] = True
+    act = np.flatnonzero(touch)
+    n = act.size
+    rank = np.cumsum(touch) - 1
+    cells, faces = rank[cells], rank[faces]
+    nf, nc = np.bincount(cells, minlength=n), np.bincount(faces, minlength=n)
+    # tuples, which the garbage collector stops tracking; it walks lists at
+    # every collection (at m = 100 this call takes 1.19 s with lists, 0.99 s)
+    fs, ff = _row_starts(n, cells).tolist(), faces.tolist()
+    faces_of = [tuple(ff[lo:hi]) for lo, hi in zip(fs, fs[1:])]
+    keys = np.sort(faces * n + cells)  # the transpose, by face, then cell
+    cs, cf = _row_starts(n, keys // n).tolist(), (keys % n).tolist()
+    cofaces = [tuple(cf[lo:hi]) for lo, hi in zip(cs, cs[1:])]
 
-    # ascending lists are already heaps; a cell with neither faces nor
-    # cofaces touches nothing, so it stays fixed without a step of its own
-    core_heap = [i for i, x in enumerate(nf) if x == 1]
-    coll_heap = [i for i, x in enumerate(nc) if x == 1]
-    free_heap = [i for i, x in enumerate(nf) if x == 0 and nc[i]]
+    # ascending lists are already heaps; every active cell has a face or a coface
+    core_heap = np.flatnonzero(nf == 1).tolist()
+    coll_heap = np.flatnonzero(nc == 1).tolist()
+    free_heap = np.flatnonzero(nf == 0).tolist()
+    nf, nc = nf.tolist(), nc.tolist()
     push, pop = heapq.heappush, heapq.heappop
     partner = list(range(n))
 
-    remaining = sum(1 for a, b in zip(nf, nc) if a or b)
+    remaining = n
     while remaining:
         k = q = -1
         while core_heap:
             cand = pop(core_heap)
             if nf[cand] == 1:
                 k = cand
-                q = next(f for f in faces[k] if nf[f] >= 0)
+                q = next(f for f in faces_of[k] if nf[f] >= 0)
                 break
         else:
             while coll_heap:
@@ -288,19 +287,39 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
                     push(core_heap, co)
                 elif m == 0:
                     push(free_heap, co)
-            for f in faces[x]:
+            for f in faces_of[x]:
                 if nf[f] >= 0:
                     nc[f] -= 1
                     if nc[f] == 1:
                         push(coll_heap, f)
-    return dict(zip(cells, [cells[p] for p in partner]))
+    mate = np.arange(E.cell_count)
+    mate[act] = act[partner]
+    ids = E.rows.ids
+    return dict(zip(ids.tolist(), ids[mate].tolist()))
 
 
 def reduce_round(E: ExplicitComplex, partner: dict[int, int]) -> ExplicitComplex:
-    """Collapse an explicit complex along a matching given as a partner dict."""
-    dims = {c: k for c, k in E.dims.items() if partner[c] == c}
-    grade_of = None if E.grades is None else E.grades.__getitem__
-    return _collapse(dims, lambda c: E._bdry.get(c, ()), partner.__getitem__, E.dims.__getitem__, grade_of)
+    """Collapse an explicit complex along a matching given as a partner
+    dict, over the :func:`cubemorse.matching._flow_graph` of its CSR: a
+    node steps into the row of its partner, or its own for a fixed cell."""
+    rows, dim = E.rows, E._dim
+    ptr = rows.indptr
+    mate = _positions(rows.ids, list(map(partner.__getitem__, rows.ids.tolist())))
+    if (mate < 0).any():
+        raise NonMemberCellError("a partner is not a member of the complex")
+    fixed = mate == np.arange(E.cell_count)
+    code = (dim[mate] == dim + 1).astype(np.int8)  # 1 for a lower cell
+    code[~fixed & (code == 0)] = -1
+    keep = np.flatnonzero(fixed)
+    sources = np.flatnonzero(np.isin(dim[keep] - 1, dim[keep]))
+
+    def faces_of(chunk):
+        up = mate[chunk]
+        return np.repeat(np.arange(chunk.size), ptr[up + 1] - ptr[up]), rows.cols[_rows(ptr, up)]
+
+    at, edges, (fsrc, fat) = _flow_graph(code, keep[sources], faces_of)
+    out = _reduced_rows(rows.ids[keep], sources, rows.ids[at], edges, (fsrc, np.cumsum(fixed)[fat] - 1))
+    return _collapse(out, dim[keep], None if E._grade is None else E._grade[keep])
 
 
 @dataclass
@@ -337,12 +356,8 @@ def _reduce(
     E = template_round(cx, grade_of)
     check(E)
     sizes = [E.cell_count]
-    graded = E.grades is not None
-    while (
-        any(E.grades[f] == E.grades[c] for f, c in E.boundary_entries())
-        if graded
-        else E.nonzero_boundary()
-    ):
+    graded = E._grade is not None
+    while _same_grade(E, graded)[0].size:
         nxt = reduce_round(E, generic_round(E, graded=graded))
         if nxt.cell_count >= E.cell_count:
             raise IntegrityError("reduction round made no progress")
@@ -375,16 +390,21 @@ def homology(cx: CubicalComplex) -> HomologyResult:
 
 
 def _check_filtered(E: ExplicitComplex, poset) -> None:
-    """Every boundary entry between distinct grades descends the poset."""
-    g = E.grades
-    assert g is not None
-    for f, c in E.boundary_entries():
-        gf, gc = g[f], g[c]
-        if gf != gc and not poset.leq(gf, gc):
-            raise IntegrityError(
-                f"boundary entry ({f}, {c}) does not descend the grading "
-                f"({gf} vs {gc})"
-            )
+    """Every boundary entry between distinct grades descends the poset,
+    asked once per distinct (face grade, cell grade) pair; a failure names
+    the first such entry in row order."""
+    cells, faces = E.rows.owners(), E.rows.cols
+    g = E._grade
+    cross = np.flatnonzero(g[faces] != g[cells])
+    pairs, first = np.unique(np.stack([g[faces[cross]], g[cells[cross]]]), axis=1, return_index=True)
+    bad = [i for (p, q), i in zip(pairs.T.tolist(), first.tolist()) if not poset.leq(p, q)]
+    if bad:
+        e = cross[min(bad)]
+        f, c = E.rows.ids[[faces[e], cells[e]]].tolist()
+        raise IntegrityError(
+            f"boundary entry ({f}, {c}) does not descend the grading "
+            f"({int(g[faces[e]])} vs {int(g[cells[e]])})"
+        )
 
 
 def connection_matrix(
@@ -411,11 +431,8 @@ def connection_matrix(
             _check_filtered(E, poset)
 
     E, sizes = _reduce(cx, grade_of, check)
-    counts: dict[tuple[int, int], int] = {}
-    assert E.grades is not None
-    for c, d in E.dims.items():
-        key = (E.grades[c], d)
-        counts[key] = counts.get(key, 0) + 1
+    keys, n = np.unique(np.stack([E._grade, E._dim]), axis=1, return_counts=True)
+    counts = dict(zip(map(tuple, keys.T.tolist()), n.tolist()))
     scc_count = getattr(poset, "n", None)
     return ConleyResult(
         complex=E, tower=len(sizes), round_sizes=sizes, counts=counts, scc_count=scc_count

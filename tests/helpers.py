@@ -1,17 +1,19 @@
 """Random complex generators shared by the unit and acceptance suites."""
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import tracemalloc
 from collections import Counter
+from typing import Callable, Sequence
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from cubemorse.braid import SkeletonError, validate_skeleton
-from cubemorse.core import ExplicitComplex
+from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _refuse_above
 from cubemorse.cubical import CubicalComplex
 
 
@@ -37,6 +39,104 @@ class HypercubeComplex(ExplicitComplex):
             return lambda x: x ^ b if x ^ b in self.dims else x
 
         return [entry(1 << (self.n - i)) for i in range(1, self.n + 1)]
+
+
+# The aggregated matching of a sequence of entries, by structural recursion
+# (``mate``, ``SequenceMatching``) and level by level (``mate_table``): the
+# independent oracles of ``cubemorse.matching``'s sweeps.
+
+
+def _mate_helper(x: int, i: int, entries: Sequence[Callable[[int], int]], memo: dict) -> int:
+    """Partner of x after aggregating the first i entries."""
+    if i == 0:
+        return x
+    key = (x, i)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    res = _mate_helper(x, i - 1, entries, memo)
+    if res == x:
+        y = entries[i - 1](x)
+        if y != x and _mate_helper(y, i - 1, entries, memo) == y:
+            res = y
+    memo[key] = res
+    return res
+
+
+def mate(cell: int, entries: Sequence[Callable[[int], int]], memo: dict | None = None) -> int:
+    """Resolve one cell's partner under the aggregated matching.
+
+    Args:
+        cell: cell id.
+        entries: the elementary pairings, earliest first.
+        memo: optional shared cache of (cell, level) results.
+
+    Returns:
+        The partner cell, or ``cell`` itself when it stays unmatched.
+    """
+    if memo is None:
+        memo = {}
+    return _mate_helper(cell, len(entries), entries, memo)
+
+
+def mate_table(cx: CellComplexLike, entries: Sequence[Callable[[int], int]]) -> tuple[dict[int, int], dict[int, int]]:
+    """Materialize the aggregated matching over a whole complex.
+
+    Runs the level-by-level construction directly: at level i every pair
+    (x, w_i(x)) with both sides still unclaimed after the previous levels is
+    matched.  Serves as the independent oracle for :func:`mate`, on at most
+    10,000 cells.
+
+    Returns:
+        (partner, level): partner[c] is c's match (c itself when unmatched),
+        level[c] the 1-based entry index at which the pair formed.
+    """
+    _refuse_above("mate_table", cx, 10_000)
+    partner = {c: c for c in cx.cells()}
+    level: dict[int, int] = {}
+    avail = set(partner)
+    for i, entry in enumerate(entries, start=1):
+        matched_now: list[int] = []
+        for x in sorted(avail):
+            if partner[x] != x:
+                continue
+            y = entry(x)
+            if y == x or y not in avail or partner.get(y) != y:
+                continue
+            if entry(y) != x:
+                raise IntegrityError(
+                    f"entry {i} is not involutive on pair ({x}, {y})"
+                )
+            partner[x] = y
+            partner[y] = x
+            level[x] = level[y] = i
+            matched_now.append(x)
+            matched_now.append(y)
+        avail.difference_update(matched_now)
+    return partner, level
+
+
+class SequenceMatching:
+    """Matching oracle for an arbitrary complex, backed by the recursion."""
+
+    def __init__(self, cx: CellComplexLike, entries: Sequence[Callable[[int], int]]):
+        self.cx = cx
+        self.entries = list(entries)
+        self._memo: dict = {}
+
+    def __call__(self, cell: int) -> int:
+        if not self.cx.is_member(cell):
+            raise NonMemberCellError(f"cell {cell} is not a member")
+        return _mate_helper(cell, len(self.entries), self.entries, self._memo)
+
+    def provenance(self, cell: int) -> int | None:
+        """1-based entry index at which the cell pairs; None if unmatched."""
+        if self(cell) == cell:
+            return None
+        for i in range(1, len(self.entries) + 1):
+            if _mate_helper(cell, i, self.entries, self._memo) != cell:
+                return i
+        return None
 
 
 def random_hypercube_members(rng: random.Random, n: int) -> frozenset[int]:
@@ -132,13 +232,130 @@ def braid_skeletons(draw, max_m: int = 5, max_d: int = 3):
         assume(False)
 
 
+@st.composite
+def random_boundaries(draw):
+    """An explicit complex with random boundary rows, which may or may not
+    square to zero: each cell of dimension k > 0 lists a random set of the
+    cells of dimension k - 1.  Ids are spread by a random stride, up to
+    beyond 2^64, so they need not fit any numpy int."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=14))
+    stride = draw(st.sampled_from([1, 7, 2 ** 40 + 3, 2 ** 58 + 1, 2 ** 64]))
+    ids = [i * stride for i in range(len(dims))]
+    bdry = {}
+    for c, k in zip(ids, dims):
+        below = [f for f, j in zip(ids, dims) if j == k - 1]
+        if below:
+            bdry[c] = tuple(draw(st.sets(st.sampled_from(below))))
+    return ExplicitComplex(dict(zip(ids, dims)), bdry)
+
+
+@st.composite
+def cubical_boundaries(draw):
+    """The boundary of a top-cube complex, which squares to zero, with
+    optionally one face added to or removed from one row, which breaks it
+    unless the row is a vertex's."""
+    E = ExplicitComplex.from_complex(draw(top_cube_complexes()))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(sorted(E.rows)))
+        below = [f for f in E.dims if E.dims[f] == E.dims[c] - 1]
+        row = set(E.rows[c]) ^ {draw(st.sampled_from(below))}
+        E = ExplicitComplex(E.dims, {**E.rows, c: tuple(row)})
+    return E
+
+
+def generic_round_reference(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
+    """The dict implementation of ``morse.generic_round``, the oracle of the
+    array one: face tuples and coface lists built from the rows of every
+    cell, positions looked up in a dict, the same heap loop.  Returns the
+    partner dict over all cells."""
+    grades = E.grades if graded else None
+    bdry = E.rows
+    cells = sorted(E.dims)
+    n = len(cells)
+    at = {c: i for i, c in enumerate(cells)}.__getitem__
+    faces: list[tuple[int, ...]] = [()] * n
+    cofaces: list = [()] * n  # a list once a cell has a coface
+    for c, fs in bdry.items():
+        if grades is not None:
+            g = grades[c]
+            fs = [f for f in fs if grades[f] == g]
+        i = at(c)
+        row = faces[i] = tuple(map(at, fs))
+        for f in row:
+            if cofaces[f]:
+                cofaces[f].append(i)
+            else:
+                cofaces[f] = [i]
+    del at
+    nf = [len(r) for r in faces]
+    nc = [len(r) for r in cofaces]
+
+    # ascending lists are already heaps; a cell with neither faces nor
+    # cofaces touches nothing, so it stays fixed without a step of its own
+    core_heap = [i for i, x in enumerate(nf) if x == 1]
+    coll_heap = [i for i, x in enumerate(nc) if x == 1]
+    free_heap = [i for i, x in enumerate(nf) if x == 0 and nc[i]]
+    push, pop = heapq.heappush, heapq.heappop
+    partner = list(range(n))
+
+    remaining = sum(1 for a, b in zip(nf, nc) if a or b)
+    while remaining:
+        k = q = -1
+        while core_heap:
+            cand = pop(core_heap)
+            if nf[cand] == 1:
+                k = cand
+                q = next(f for f in faces[k] if nf[f] >= 0)
+                break
+        else:
+            while coll_heap:
+                cand = pop(coll_heap)
+                if nc[cand] == 1 and nf[cand] >= 0:
+                    q = cand
+                    k = next(c for c in cofaces[q] if nf[c] >= 0)
+                    break
+        if k >= 0:
+            partner[q] = k
+            partner[k] = q
+            nf[q] = nf[k] = -1
+            remaining -= 2
+            gone: tuple[int, ...] = (q, k)
+        else:
+            while free_heap:
+                cand = pop(free_heap)
+                if nf[cand] == 0:
+                    q = cand
+                    break
+            if q < 0:
+                raise IntegrityError("coreduction stalled with cells remaining")
+            nf[q] = -1
+            remaining -= 1
+            gone = (q,)
+        for x in gone:
+            for co in cofaces[x]:
+                m = nf[co] - 1
+                if m < 0:
+                    continue  # removed
+                nf[co] = m
+                if m == 1:
+                    push(core_heap, co)
+                elif m == 0:
+                    push(free_heap, co)
+            for f in faces[x]:
+                if nf[f] >= 0:
+                    nc[f] -= 1
+                    if nc[f] == 1:
+                        push(coll_heap, f)
+    return dict(zip(cells, [cells[p] for p in partner]))
+
+
 def dd_nonzero(E) -> dict[int, list[int]]:
     """The cells of an explicit complex whose boundary of boundary is
     nonzero, each with its faces of faces of odd count, ascending, counted
     by a ``Counter`` per cell: the oracle of ``check_dd_zero``."""
     out = {}
-    for c, faces in E._bdry.items():
-        count = Counter(g for f in faces for g in E._bdry.get(f, ()))
+    for c, faces in E.rows.items():
+        count = Counter(g for f in faces for g in E.rows.get(f, ()))
         odd = sorted(g for g, k in count.items() if k % 2)
         if odd:
             out[c] = odd

@@ -23,10 +23,7 @@ from cubemorse.cli import main
 from cubemorse.core import betti_oracle, validate_complex
 from cubemorse.cubical import CubicalComplex
 from cubemorse.matching import (
-    SequenceMatching,
     TemplateMatching,
-    mate,
-    mate_table,
     verify_acyclic,
     verify_matching,
     verify_stable,
@@ -39,7 +36,15 @@ from cubemorse.morse import (
     reduce_round,
     template_round,
 )
-from .helpers import HypercubeComplex, random_cubical_complex, random_hypercube_complex, strip_zeros
+from .helpers import (
+    HypercubeComplex,
+    SequenceMatching,
+    mate,
+    mate_table,
+    random_cubical_complex,
+    random_hypercube_complex,
+    strip_zeros,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -15,7 +15,7 @@ from cubemorse.core import (
     validate_complex,
 )
 from cubemorse.cubical import CubicalComplex
-from .helpers import dd_nonzero, random_hypercube_complex, top_cube_complexes
+from .helpers import cubical_boundaries, dd_nonzero, random_boundaries, random_hypercube_complex
 
 
 class StubComplex:
@@ -126,37 +126,6 @@ def test_check_dd_zero():
     )
     with pytest.raises(IntegrityError):
         bad.check_dd_zero()
-
-
-@st.composite
-def random_boundaries(draw):
-    """An explicit complex with random boundary rows, which may or may not
-    square to zero: each cell of dimension k > 0 lists a random set of the
-    cells of dimension k - 1.  Ids are spread by a random stride, up to
-    beyond 2^64, so they need not fit any numpy int."""
-    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=14))
-    stride = draw(st.sampled_from([1, 7, 2 ** 40 + 3, 2 ** 58 + 1, 2 ** 64]))
-    ids = [i * stride for i in range(len(dims))]
-    bdry = {}
-    for c, k in zip(ids, dims):
-        below = [f for f, j in zip(ids, dims) if j == k - 1]
-        if below:
-            bdry[c] = tuple(draw(st.sets(st.sampled_from(below))))
-    return ExplicitComplex(dict(zip(ids, dims)), bdry)
-
-
-@st.composite
-def cubical_boundaries(draw):
-    """The boundary of a top-cube complex, which squares to zero, with
-    optionally one face added to or removed from one row, which breaks it
-    unless the row is a vertex's."""
-    E = ExplicitComplex.from_complex(draw(top_cube_complexes()))
-    if draw(st.booleans()):
-        c = draw(st.sampled_from(sorted(E._bdry)))
-        below = [f for f in E.dims if E.dims[f] == E.dims[c] - 1]
-        row = set(E._bdry[c]) ^ {draw(st.sampled_from(below))}
-        E = ExplicitComplex(E.dims, {**E._bdry, c: tuple(row)})
-    return E
 
 
 @settings(max_examples=150, deadline=None, database=None)

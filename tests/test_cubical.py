@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubemorse.core import FormatError, NonMemberCellError, SizeGuardError, validate_complex
+from cubemorse.core import FormatError, NonMemberCellError, SizeGuardError, _distinct, validate_complex
 from cubemorse.cubical import (
     _DENSE_SPAN,
     CubicalComplex,
-    _distinct,
     alpha,
     beta,
     parse_top_cell_file,

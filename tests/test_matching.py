@@ -19,12 +19,9 @@ from cubemorse.cubical import CubicalComplex
 from cubemorse import matching
 from cubemorse.morse import homology, template_round
 from cubemorse.matching import (
-    SequenceMatching,
     TemplateMatching,
     classify,
     fiber_mate,
-    mate,
-    mate_table,
     template_sweep,
     verify_acyclic,
     verify_matching,
@@ -32,7 +29,10 @@ from cubemorse.matching import (
 )
 from .helpers import (
     HypercubeComplex,
+    SequenceMatching,
     dense_top_cube_complexes,
+    mate,
+    mate_table,
     random_cubical_complex,
     random_hypercube_members,
     traced_peak,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -10,7 +11,7 @@ from cubemorse import morse
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.cubical import CubicalComplex
-from cubemorse.matching import SequenceMatching, TemplateMatching, verify_acyclic
+from cubemorse.matching import TemplateMatching, verify_acyclic
 from cubemorse.morse import (
     connection_matrix,
     generic_round,
@@ -22,7 +23,11 @@ from cubemorse.morse import (
 )
 from .helpers import (
     HypercubeComplex,
+    SequenceMatching,
+    cubical_boundaries,
+    generic_round_reference,
     lower_star_graded,
+    random_boundaries,
     random_cubical_complex,
     random_hypercube_complex,
     strip_zeros,
@@ -354,7 +359,7 @@ def assert_later_round_matches_vpaths(E, graded):
     args = (E.boundary, partner.__getitem__, E.dim)
     want = vpath_boundary(fixed, *args)
     assert morse_boundary(fixed, *args) == want
-    assert reduce_round(E, partner)._bdry == want
+    assert reduce_round(E, partner).rows == want
     return want
 
 
@@ -387,14 +392,19 @@ def test_generic_round_prefers_a_collapse_to_a_fixed_cell():
     assert partner[2] == 2
 
 
-def boundary_entries_by_round(monkeypatch, m: int) -> list[int]:
-    """Boundary entries of round 1 and of every later round of ``homology``
-    on the closure of random top cubes in C(m; 3), drawn as the benchmark's
+def seeded_closure(m: int) -> CubicalComplex:
+    """The closure of random top cubes in C(m; 3), drawn as the benchmark's
     cubical-rand draws them: lexicographic anchors, each kept with
     probability 0.5 under ``random.Random(1)``."""
     rng = random.Random(1)
     anchors = [a for a in itertools.product(range(m), repeat=3) if rng.random() < 0.5]
-    cx = CubicalComplex.from_top_cells(m, 3, anchors)
+    return CubicalComplex.from_top_cells(m, 3, anchors)
+
+
+def boundary_entries_by_round(monkeypatch, m: int) -> list[int]:
+    """Boundary entries of round 1 and of every later round of ``homology``
+    on :func:`seeded_closure`."""
+    cx = seeded_closure(m)
     entries: list[int] = []
     real_round = morse.reduce_round
 
@@ -420,3 +430,54 @@ def test_later_rounds_do_not_fill_in(monkeypatch):
 def test_later_rounds_do_not_fill_in_at_m60(monkeypatch):
     entries = boundary_entries_by_round(monkeypatch, 60)
     assert all(b <= a for a, b in zip(entries, entries[1:])), entries
+
+
+@pytest.mark.slow
+def test_homology_at_m60_keeps_its_rounds_and_betti_numbers():
+    """Round sizes and Betti numbers of the seed-1 closure at d = 3, m = 60,
+    as the dict-based reduced complexes gave them."""
+    res = homology(seeded_closure(60))
+    assert res.round_sizes == [43170, 17724, 17582, 17576]
+    assert res.betti == [1, 15902, 1673, 0]
+
+
+@st.composite
+def generic_round_inputs(draw):
+    """(complex, graded): random rows with ids up to past 2^64, or a
+    top-cube boundary with at most one entry flipped, each with random
+    grades; or the round one of a lower-star graded complex."""
+    kind = draw(st.sampled_from(["random", "cubical", "lower-star"]))
+    if kind == "lower-star":
+        cx, grades = draw(lower_star_graded())
+        E = template_round(cx, grades)
+    else:
+        E = draw(random_boundaries() if kind == "random" else cubical_boundaries())
+        grades = draw(st.lists(st.integers(0, 2), min_size=E.cell_count, max_size=E.cell_count))
+        E = ExplicitComplex(E.dims, E.rows, dict(zip(E.dims, grades)))
+    return E, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(generic_round_inputs())
+def test_generic_round_equals_the_dict_reference(case):
+    """The array ``generic_round`` (faces from the CSR, cofaces from its
+    transpose, active cells only) gives the partner dict of the dict
+    implementation it replaced."""
+    E, graded = case
+    assert generic_round(E, graded=graded) == generic_round_reference(E, graded=graded)
+
+
+def test_round_one_reads_as_the_benchmark_reads_it():
+    """The benchmark's flow replay takes ``sorted(E.dims)`` as the fixed
+    cells, reads ``morse_boundary``'s rows through ``items()`` and compares
+    them with ``boundary_entries()``, whose ids it also writes as JSON."""
+    cx = seeded_closure(8)
+    E = template_round(cx)
+    w = TemplateMatching(cx)
+    assert list(E.dims) == [c for c in cx.cells() if w(c) == c]
+    for mate_of in (TemplateMatching(cx), lambda c: w(c)):
+        bdry = morse_boundary(sorted(E.dims), cx.boundary, mate_of, cx.dim_of)
+        assert [(f, c) for c, fs in bdry.items() for f in fs] == list(E.boundary_entries())
+    entries = list(E.boundary_entries())
+    assert entries and all(type(x) is int for e in entries for x in e)
+    assert json.loads(json.dumps(entries)) == [list(e) for e in entries]

@@ -121,7 +121,7 @@ def test_indices_widen_past_int32(monkeypatch):
     cx = CubicalComplex.from_top_cells(6, 3, anchors)
     assert cx._rank.dtype == np.intp
     code = template_sweep(cx)
-    at, (src, dst), (fsrc, fat) = matching._flow_graph(cx, code, np.flatnonzero(code == 0))
+    at, (src, dst), (fsrc, fat) = matching._flow_graph(code, np.flatnonzero(code == 0), matching._sweep_faces(cx, code))
     assert {x.dtype for x in (at, src, dst, fsrc, fat)} == {np.dtype(np.intp)}
     assert want and assert_paths_agree(cx) == want and homology(cx).betti == betti
     assert cx.cell_count in seen  # the rank table and the flow graph asked by member count
@@ -194,7 +194,7 @@ def test_walk_takes_each_frontier_in_few_chunks(monkeypatch, chunk):
     rng = random.Random(5)
     anchors = [a for a in itertools.product(range(12), repeat=3) if rng.random() < 0.5]
     cx = CubicalComplex.from_top_cells(12, 3, anchors)
-    want = template_round(cx)._bdry
+    want = template_round(cx).rows
     passes, nodes = walk_passes(cx, template_sweep(cx))
     if chunk is not None:
         monkeypatch.setattr(matching, "_WALK_CHUNK", chunk)
@@ -205,7 +205,7 @@ def test_walk_takes_each_frontier_in_few_chunks(monkeypatch, chunk):
     monkeypatch.setattr(
         CubicalComplex, "_face_arrays", lambda self, x: calls.append(len(x)) or real(self, x)
     )
-    assert template_round(cx)._bdry == want
+    assert template_round(cx).rows == want
     assert passes <= len(calls) <= passes + nodes // size
     assert max(calls) <= size and sum(calls) == nodes
 
@@ -287,6 +287,8 @@ def chain_into(n, cycle_from, fixed=()):
 @example((4, [3], [(0, 1), (1, 2), (2, 0)], [(3, 1)]))  # a cycle of chain nodes alone
 @example((5, [0, 3], [(0, 1), (1, 2), (2, 1), (3, 4)], [(0, 7), (2, 7), (4, 1)]))
 @example((4, [0], [(0, 1), (0, 2), (1, 3), (2, 3)], [(3, 0), (3, 2)]))  # rows cancel
+@example((3, [0, 2], [], [(0, 4), (0, 4), (1, 3), (2, 1), (2, 0)]))  # no node edge
+@example((4, [0, 1], [(0, 2), (0, 3), (1, 3), (1, 3)], [(0, 1), (2, 1), (2, 5), (3, 5), (3, 0)]))  # edges into sinks
 def test_flow_rows_match_depth_first_search(graph):
     """``_flow_rows`` gives the rows of a memoized depth-first search on any
     digraph, and marks exactly the nodes that reach a cycle; ``_peel`` finds
@@ -301,4 +303,35 @@ def test_flow_rows_match_depth_first_search(graph):
     for i, s in enumerate(sources):
         got = cols[indptr[i]:indptr[i + 1]].tolist()
         assert got == ([] if s in want_stuck else sorted(rows[s]))
+
+
+@st.composite
+def sinkward_graphs(draw):
+    """Flow graphs whose every successor is a sink: nodes 0..k-1 with edges
+    into k..n-1, which have columns and no edges, or no node edge at all."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(0, n))
+    sink = st.lists(st.integers(k, n - 1), max_size=3) if k < n else st.just([])
+    edges = [(v, w) for v in range(k) for w in draw(sink)]
+    fixed = [(v, c) for v in range(n) for c in draw(st.lists(st.integers(0, 9), max_size=3))]
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, sorted(sources), edges, fixed
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sinkward_graphs())
+def test_flow_rows_of_sinkward_graphs_take_no_peel(graph):
+    """When every successor is a sink, as in the late reduction rounds,
+    ``_flow_rows`` sums each source's columns and its successors' in one
+    pass, without the peel, and gives the depth-first rows."""
+    n, sources, edges, fixed = graph
+    arr = lambda pairs, i: np.array([p[i] for p in pairs], dtype=np.intp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_layers", None)  # the peel would fail
+        stuck, indptr, cols = _flow_rows(
+            n, np.array(sources, dtype=np.intp), arr(edges, 0), arr(edges, 1), arr(fixed, 0), arr(fixed, 1)
+        )
+    rows, _ = dfs_rows(n, edges, fixed)
+    assert not stuck.any()
+    assert [cols[indptr[i]:indptr[i + 1]].tolist() for i in range(len(sources))] == [sorted(rows[s]) for s in sources]
 
