@@ -30,7 +30,6 @@ from .morse import (
     ConleyResult,
     HomologyResult,
     connection_matrix,
-    generic_round,
     homology,
     template_round,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "condensation",
     "connection_matrix",
     "crossing_number",
-    "generic_round",
     "homology",
     "nfold_cover",
     "reference_braid",

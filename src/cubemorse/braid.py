@@ -564,27 +564,6 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
     return grades
 
 
-def grade_cell(
-    sk: BraidSkeleton, poset: CondensationPoset, cx: CubicalComplex, cell: int
-) -> int:
-    """Single-cell grade by enumerating the star's top cubes directly.
-
-    Independent of :func:`grade_cells`; used to spot-check the pooled array.
-    """
-    na = sk.m - 1
-    opts = []
-    for c in cx.digits(cell):
-        if c & 1:
-            opts.append((c // 2,))
-        else:
-            k = c // 2
-            opts.append(tuple(x for x in (k - 1, k) if 0 <= x <= na - 1))
-    classes = set()
-    for combo in product(*opts):
-        classes.add(int(poset.labels[_top_flat(combo, na)]))
-    return poset.least(classes)
-
-
 @dataclass
 class BraidComplex:
     """Everything the connection-matrix pipeline needs for one diagram."""

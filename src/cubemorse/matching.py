@@ -35,11 +35,11 @@ first over member positions, ``_WALK_CHUNK`` frontier nodes at a time:
 round one from its fixed cells (:func:`_sweep_graph`), and the later
 rounds over the CSR of an explicit complex
 (:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums the flow
-rows mod 2, chains contracted and then a layered peel from the sinks, and
-:func:`_peel` decides acyclicity.  The ``verify`` passes only decide that
-all is clean; on any anomaly, and for every other oracle, the checks walk
-the cells one at a time, which writes the exact report or raises the
-exact error.  ``FLOW_CHECK_LIMIT`` bounds the flow graphs of ``verify``.
+rows mod 2 of every such graph by one path, chains contracted and then a
+layered peel from the sinks, and :func:`_peel` decides acyclicity.  The
+``verify`` passes only decide that all is clean; on any anomaly, and for
+every other oracle, the checks walk the cells one at a time, which writes
+the exact report or raises the exact error.  ``FLOW_CHECK_LIMIT`` bounds the flow graphs of ``verify``.
 """
 
 from __future__ import annotations
@@ -342,17 +342,13 @@ class TemplateMatching:
         )
 
 
-def classify(cell: int, oracle: Callable[[int], int], cx: CellComplexLike) -> str:
-    """'A' for fixed, 'Q' for lower (paired upward), 'K' for upper cells.
+def _classify(cell: int, m: int, cx: CellComplexLike) -> str:
+    """'A' for fixed, 'Q' for lower (paired upward), 'K' for upper cells,
+    given the cell's partner ``m``.
 
     Raises TrichotomyError when the partner is not an incident cell one
     dimension away.
     """
-    return _classify(cell, oracle(cell), cx)
-
-
-def _classify(cell: int, m: int, cx: CellComplexLike) -> str:
-    """:func:`classify` of a cell whose partner ``m`` is already known."""
     if m == cell:
         return "A"
     dc = cx.dim(cell)
@@ -570,9 +566,7 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     the graph.  A chain node that reaches no end lies on, or leads into, a
     cycle of chain nodes and stays.  A Kahn peel from the sinks of what is
     left (:func:`_layers`) then fills the rows one layer at a time into a
-    CSR in peel order.  When every successor is a sink, as in a late
-    reduction round, a row is its node's columns and its successors', so
-    one pass gives the rows, with no contraction and no peel.
+    CSR in peel order.
 
     Returns:
         (stuck, indptr, cols): the mask of the nodes that reach a cycle,
@@ -581,16 +575,6 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     """
     start = _row_starts(n, src)
     ncol = int(fat.max()) + 1 if fat.size else 1
-    if not np.diff(start)[dst].any():  # every successor is a sink
-        fix_start = _row_starts(n, fsrc)
-        out = _rows(start, sources)  # the sources' edges, in source order
-        hop = dst[out]
-        row = np.repeat(np.arange(sources.size), np.diff(fix_start)[sources])
-        via = np.repeat(np.repeat(np.arange(sources.size), np.diff(start)[sources]), np.diff(fix_start)[hop])
-        keys = np.concatenate([row * ncol + fat[_rows(fix_start, sources)], via * ncol + fat[_rows(fix_start, hop)]])
-        keys, count = _distinct(keys, counts=True)
-        keys = keys[count % 2 == 1]
-        return np.zeros(n, dtype=bool), _row_starts(sources.size, keys // ncol), keys % ncol
     chain = (np.diff(start) == 1) & (np.bincount(fsrc, minlength=n) == 0)
     chain[sources] = False
     end = np.arange(n, dtype=_index_dtype(n))

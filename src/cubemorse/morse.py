@@ -9,7 +9,8 @@ fixed cells, the storage of :class:`~cubemorse.core.ExplicitComplex`.
 template matching (:func:`cubemorse.matching.template_sweep`).  Later
 rounds read the CSR: :func:`generic_round` matches the cells that touch an
 entry by coreductions and, when none is left, free-face collapses, so a
-round does not fill the next boundary in, and :func:`reduce_round` walks
+round does not fill the next boundary in, and hands the matching over as
+partner positions, which :func:`reduce_round` reads as they are to walk
 the flow graph over the CSR.  :func:`homology` and
 :func:`connection_matrix` share one reduction loop: homology is the
 connection matrix over a one-element poset, so it runs the loop ungraded
@@ -30,9 +31,7 @@ from .core import (
     BoundaryRows,
     ExplicitComplex,
     IntegrityError,
-    NonMemberCellError,
     _id_array,
-    _positions,
     _row_starts,
     _rows,
 )
@@ -139,23 +138,6 @@ def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     return nodes, (src, dst), (fsrc, fcol)
 
 
-def morse_complex(
-    cx,
-    oracle: Callable[[int], int],
-    grade_of: Callable[[int], int] | None = None,
-) -> ExplicitComplex:
-    """Reduce any complex handle along a matching oracle.
-
-    Streams all cells to find the fixed ones, then counts flows.  For large
-    cubical complexes prefer :func:`template_round`, which matches all cells
-    in a few array passes instead of querying the oracle cell by cell.
-    """
-    ids = _id_array(sorted(c for c in cx.cells() if oracle(c) == c))
-    dims = np.array([cx.dim(c) for c in ids.tolist()], dtype=np.int64)
-    grades = None if grade_of is None else np.array([grade_of(c) for c in ids.tolist()], dtype=np.int64)
-    return _collapse(morse_boundary(ids, cx.boundary, oracle, cx.dim, dims), dims, grades)
-
-
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
@@ -191,7 +173,7 @@ def _same_grade(E: ExplicitComplex, graded: bool) -> tuple[np.ndarray, np.ndarra
     return cells, faces
 
 
-def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
+def generic_round(E: ExplicitComplex, graded: bool = False) -> np.ndarray:
     """Deterministic acyclic matching on an explicit complex by coreductions
     and collapses.
 
@@ -218,7 +200,8 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
     coface lists from its transpose, and a removed cell's face count -1.
 
     Returns:
-        partner dict over all cells; fixed cells map to themselves.
+        the matching as the int array ``mate`` over E's positions: the
+        position of each cell's partner, a fixed cell's own.
     """
     cells, faces = _same_grade(E, graded)
     touch = np.zeros(E.cell_count, dtype=bool)
@@ -294,20 +277,20 @@ def generic_round(E: ExplicitComplex, graded: bool = False) -> dict[int, int]:
                         push(coll_heap, f)
     mate = np.arange(E.cell_count)
     mate[act] = act[partner]
-    ids = E.rows.ids
-    return dict(zip(ids.tolist(), ids[mate].tolist()))
+    return mate
 
 
-def reduce_round(E: ExplicitComplex, partner: dict[int, int]) -> ExplicitComplex:
-    """Collapse an explicit complex along a matching given as a partner
-    dict, over the :func:`cubemorse.matching._flow_graph` of its CSR: a
-    node steps into the row of its partner, or its own for a fixed cell."""
+def reduce_round(E: ExplicitComplex, mate: np.ndarray) -> ExplicitComplex:
+    """Collapse an explicit complex along a matching given as the int array
+    ``mate`` of :func:`generic_round`, an involution of E's positions, over
+    the :func:`cubemorse.matching._flow_graph` of its CSR: a node steps into
+    the row of its partner, or its own for a fixed cell."""
     rows, dim = E.rows, E._dim
     ptr = rows.indptr
-    mate = _positions(rows.ids, list(map(partner.__getitem__, rows.ids.tolist())))
-    if (mate < 0).any():
-        raise NonMemberCellError("a partner is not a member of the complex")
-    fixed = mate == np.arange(E.cell_count)
+    pos = np.arange(E.cell_count)
+    if not (mate.shape == pos.shape and ((mate >= 0) & (mate < pos.size)).all() and (mate[mate] == pos).all()):
+        raise IntegrityError("the matching is not an involution of the cell positions")
+    fixed = mate == pos
     code = (dim[mate] == dim + 1).astype(np.int8)  # 1 for a lower cell
     code[~fixed & (code == 0)] = -1
     keep = np.flatnonzero(fixed)

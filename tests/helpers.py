@@ -6,15 +6,18 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from cubemorse.braid import SkeletonError, validate_skeleton
-from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _refuse_above
+from cubemorse.braid import BraidSkeleton, CondensationPoset, SkeletonError, _top_flat, validate_skeleton
+from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _id_array, _refuse_above
 from cubemorse.cubical import CubicalComplex
+from cubemorse.matching import _classify
+from cubemorse.morse import _collapse, morse_boundary
 
 
 class HypercubeComplex(ExplicitComplex):
@@ -137,6 +140,57 @@ class SequenceMatching:
             if _mate_helper(cell, i, self.entries, self._memo) != cell:
                 return i
         return None
+
+
+# Per-cell oracles: one cell, one query at a time, the way the paper states
+# them, against the array passes of ``cubemorse``.
+
+
+def classify(cell: int, oracle: Callable[[int], int], cx: CellComplexLike) -> str:
+    """'A' for fixed, 'Q' for lower (paired upward), 'K' for upper cells.
+
+    Raises TrichotomyError when the partner is not an incident cell one
+    dimension away.
+    """
+    return _classify(cell, oracle(cell), cx)
+
+
+def morse_complex(
+    cx,
+    oracle: Callable[[int], int],
+    grade_of: Callable[[int], int] | None = None,
+) -> ExplicitComplex:
+    """Reduce any complex handle along a matching oracle.
+
+    Streams all cells to find the fixed ones, then counts flows.  For large
+    cubical complexes prefer :func:`template_round`, which matches all cells
+    in a few array passes instead of querying the oracle cell by cell.
+    """
+    ids = _id_array(sorted(c for c in cx.cells() if oracle(c) == c))
+    dims = np.array([cx.dim(c) for c in ids.tolist()], dtype=np.int64)
+    grades = None if grade_of is None else np.array([grade_of(c) for c in ids.tolist()], dtype=np.int64)
+    return _collapse(morse_boundary(ids, cx.boundary, oracle, cx.dim, dims), dims, grades)
+
+
+def grade_cell(
+    sk: BraidSkeleton, poset: CondensationPoset, cx: CubicalComplex, cell: int
+) -> int:
+    """Single-cell grade by enumerating the star's top cubes directly.
+
+    Independent of :func:`grade_cells`; used to spot-check the pooled array.
+    """
+    na = sk.m - 1
+    opts = []
+    for c in cx.digits(cell):
+        if c & 1:
+            opts.append((c // 2,))
+        else:
+            k = c // 2
+            opts.append(tuple(x for x in (k - 1, k) if 0 <= x <= na - 1))
+    classes = set()
+    for combo in product(*opts):
+        classes.add(int(poset.labels[_top_flat(combo, na)]))
+    return poset.least(classes)
 
 
 def random_hypercube_members(rng: random.Random, n: int) -> frozenset[int]:

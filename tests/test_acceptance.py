@@ -32,7 +32,6 @@ from cubemorse.morse import (
     connection_matrix,
     generic_round,
     homology,
-    morse_complex,
     reduce_round,
     template_round,
 )
@@ -41,6 +40,7 @@ from .helpers import (
     SequenceMatching,
     mate,
     mate_table,
+    morse_complex,
     random_cubical_complex,
     random_hypercube_complex,
     strip_zeros,

@@ -21,7 +21,6 @@ from cubemorse.braid import (
     condensation_dot,
     crossing_number,
     crossing_table,
-    grade_cell,
     grade_cells,
     improper_vertices,
     nfold_cover,
@@ -34,7 +33,7 @@ from cubemorse.braid import (
 from cubemorse.core import FormatError, IntegrityError
 from cubemorse.cubical import CubicalComplex, alpha, beta
 from cubemorse.morse import template_round
-from .helpers import braid_skeletons, traced_peak
+from .helpers import braid_skeletons, grade_cell, traced_peak
 
 REFERENCE_ROWS = [(0, 0, 0), (1, 3, 1), (2, 1, 2), (3, 4, 3), (4, 2, 4), (5, 5, 5)]
 

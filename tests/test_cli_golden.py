@@ -6,7 +6,9 @@ for byte once its timing values are masked as ``T``.  The records cover the
 human, ``--json`` and ``--csv`` forms of every computing command.
 """
 
+import itertools
 import json
+import random
 import re
 
 import pytest
@@ -14,6 +16,13 @@ import pytest
 from cubemorse.cli import EXIT_OK, main
 
 SQUARES = "2 2\n0 0\n1 1\n"
+# The closure of the anchors of C(4; 3), in lexicographic order, that
+# random.Random(1) keeps with probability 0.5: 34 top cubes, 538 cells,
+# reduced in two rounds to [10, 2] cells.
+_rng = random.Random(1)
+RAND = "3 4\n" + "".join(
+    f"{a} {b} {c}\n" for a, b, c in itertools.product(range(4), repeat=3) if _rng.random() < 0.5
+)
 
 
 def _mask(text: str) -> str:
@@ -25,10 +34,11 @@ def _mask(text: str) -> str:
 
 @pytest.fixture
 def run(tmp_path, monkeypatch, capsys):
-    """Run ``main`` in a directory holding ``squares.txt``; return the
+    """Run ``main`` in a directory holding ``squares.txt`` and ``rand.txt``; return the
     masked stdout, after checking exit 0 and an empty stderr."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "squares.txt").write_text(SQUARES)
+    (tmp_path / "rand.txt").write_text(RAND)
 
     def go(argv: list[str]) -> str:
         code = main(argv)
@@ -105,6 +115,28 @@ RECORDS = {
 }
 """,
         'betti,cell_count,command,conley,rounds,timing_ms\r\n"[1, 0, 0]",17,"{""cmd"": ""cubical"", ""file"": ""squares.txt""}",null,1,T\r\n',
+    ),
+    "cubical rand.txt": (
+        "cubical rand.txt: 538 cells, betti [1, 1, 0, 0], 2 round(s), T ms\n",
+        """\
+{
+  "betti": [
+    1,
+    1,
+    0,
+    0
+  ],
+  "cell_count": 538,
+  "command": {
+    "cmd": "cubical",
+    "file": "rand.txt"
+  },
+  "conley": null,
+  "rounds": 2,
+  "timing_ms": T
+}
+""",
+        'betti,cell_count,command,conley,rounds,timing_ms\r\n"[1, 1, 0, 0]",538,"{""cmd"": ""cubical"", ""file"": ""rand.txt""}",null,2,T\r\n',
     ),
     "braid --nfold 1": (
         "braid nfold=1: 121 cells, 13 classes, first round 7 cells, connection matrix 3 cells, tower 2, T ms\n",

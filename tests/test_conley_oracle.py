@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cubemorse.braid import build_braid_complex, grade_cell, nfold_cover, reference_braid, torus_knot
+from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import ExplicitComplex, IntegrityError, betti_oracle
 from cubemorse.morse import connection_matrix
-from .helpers import braid_skeletons, lower_star_graded, strip_zeros
+from .helpers import braid_skeletons, grade_cell, lower_star_graded, strip_zeros
 
 
 def restricted_betti(cells, dim, boundary, keep) -> list[int]:

@@ -20,7 +20,6 @@ from cubemorse import matching
 from cubemorse.morse import homology, template_round
 from cubemorse.matching import (
     TemplateMatching,
-    classify,
     fiber_mate,
     template_sweep,
     verify_acyclic,
@@ -30,6 +29,7 @@ from cubemorse.matching import (
 from .helpers import (
     HypercubeComplex,
     SequenceMatching,
+    classify,
     dense_top_cube_complexes,
     mate,
     mate_table,

@@ -17,7 +17,6 @@ from cubemorse.morse import (
     generic_round,
     homology,
     morse_boundary,
-    morse_complex,
     reduce_round,
     template_round,
 )
@@ -27,6 +26,7 @@ from .helpers import (
     cubical_boundaries,
     generic_round_reference,
     lower_star_graded,
+    morse_complex,
     random_boundaries,
     random_cubical_complex,
     random_hypercube_complex,
@@ -150,24 +150,33 @@ def test_template_round_preserves_euler_and_betti():
         assert strip_zeros(betti_oracle(E)) == strip_zeros(betti_oracle(cx))
 
 
+def partner_dict(E: ExplicitComplex, mate: np.ndarray) -> dict[int, int]:
+    """The matching ``generic_round`` gives as positions, as a dict from
+    each cell's id to its partner's."""
+    ids = E.rows.ids
+    return dict(zip(ids.tolist(), ids[mate].tolist()))
+
+
 def test_generic_round_pairs_everything_possible():
     # one round of coreduction on the interval leaves a single vertex
     E = ExplicitComplex({0: 0, 1: 0, 2: 1}, {2: (0, 1)})
-    partner = generic_round(E)
+    mate = generic_round(E)
+    partner = partner_dict(E, mate)
     fixed = [c for c in E.dims if partner[c] == c]
     assert len(fixed) == 1
-    out = reduce_round(E, partner)
+    out = reduce_round(E, mate)
     assert out.cell_count == 1
     assert not out.nonzero_boundary()
 
 
 def test_generic_round_is_deterministic_smallest_id():
     E = ExplicitComplex({0: 0, 1: 0, 10: 1, 11: 1}, {10: (0, 1), 11: (0, 1)})
-    partner = generic_round(E)
+    mate = generic_round(E)
+    partner = partner_dict(E, mate)
     # free-cell excision takes vertex 0 first, then 1 matches upward
     assert partner[0] == 0
     assert partner[1] == 10
-    out = reduce_round(E, partner)
+    out = reduce_round(E, mate)
     assert sorted(out.dims) == [0, 11]
     assert betti_oracle(out) == [1, 1]
 
@@ -175,10 +184,11 @@ def test_generic_round_is_deterministic_smallest_id():
 def test_generic_round_graded_respects_grades():
     dims = {0: 0, 1: 0, 2: 1}
     E = ExplicitComplex(dims, {2: (0, 1)}, grades={0: 0, 1: 1, 2: 1})
-    partner = generic_round(E, graded=True)
+    mate = generic_round(E, graded=True)
+    partner = partner_dict(E, mate)
     assert partner[0] == 0  # the grade-0 vertex cannot pair across grades
     assert partner[1] == 2 and partner[2] == 1
-    out = reduce_round(E, partner)
+    out = reduce_round(E, mate)
     assert sorted(out.dims) == [0]
     assert out.grades == {0: 0}
 
@@ -189,6 +199,17 @@ def test_reduce_round_keeps_grades():
     out = reduce_round(E, generic_round(E, graded=True))
     assert out.grades is not None
     assert set(out.grades.values()) <= {0}
+
+
+@pytest.mark.parametrize(
+    "mate",
+    [[1, 2, 0], [0, 2, 2], [0, 1, 3], [-1, 1, 2], [0, 1], [0, 1, 2, 3]],
+    ids=["three-cycle", "not-injective", "past-the-end", "negative", "short", "long"],
+)
+def test_reduce_round_rejects_a_mate_that_is_no_involution(mate):
+    E = ExplicitComplex({0: 0, 1: 0, 2: 1}, {2: (0, 1)})
+    with pytest.raises(IntegrityError, match="not an involution"):
+        reduce_round(E, np.array(mate))
 
 
 def test_homology_spheres():
@@ -300,10 +321,11 @@ def test_generic_rounds_reduce_square_boundary_to_two_cells():
     E = ExplicitComplex(dims, bdry)
     assert betti_oracle(E) == [1, 1]
     for _ in range(10):
-        partner = generic_round(E)
+        mate = generic_round(E)
+        partner = partner_dict(E, mate)
         if all(partner[c] == c for c in partner):
             break
-        E = reduce_round(E, partner)
+        E = reduce_round(E, mate)
     assert len(E.dims) == 2
     assert betti_oracle(E) == [1, 1]
 
@@ -336,7 +358,8 @@ def round_one_complexes(draw):
 @given(round_one_complexes())
 def test_generic_round_is_an_acyclic_matching(case):
     cx, E, graded = case
-    partner = generic_round(E, graded=graded)
+    mate = generic_round(E, graded=graded)
+    partner = partner_dict(E, mate)
     assert sorted(partner) == sorted(E.dims)
     for c, k in partner.items():
         assert partner[k] == c
@@ -347,19 +370,20 @@ def test_generic_round_is_an_acyclic_matching(case):
         else:
             assert k == c or E.dims[c] == E.dims[k] + 1
     assert verify_acyclic(E, partner.__getitem__)
-    assert strip_zeros(betti_oracle(reduce_round(E, partner))) == strip_zeros(betti_oracle(cx))
+    assert strip_zeros(betti_oracle(reduce_round(E, mate))) == strip_zeros(betti_oracle(cx))
     assert strip_zeros(homology(cx).betti) == strip_zeros(betti_oracle(cx))
 
 
 def assert_later_round_matches_vpaths(E, graded):
     """``reduce_round``'s flow count, the per-cell walk of ``morse_boundary``
     along ``generic_round`` partners, equals the brute-force V-path count."""
-    partner = generic_round(E, graded=graded)
+    mate = generic_round(E, graded=graded)
+    partner = partner_dict(E, mate)
     fixed = [c for c in E.dims if partner[c] == c]
     args = (E.boundary, partner.__getitem__, E.dim)
     want = vpath_boundary(fixed, *args)
     assert morse_boundary(fixed, *args) == want
-    assert reduce_round(E, partner).rows == want
+    assert reduce_round(E, mate).rows == want
     return want
 
 
@@ -386,7 +410,7 @@ def test_generic_round_prefers_a_collapse_to_a_fixed_cell():
     # a path of two edges: no edge has one face, but vertex 0 has the one
     # coface 10, so the collapse (0, 10) comes before any fixed cell
     E = ExplicitComplex({0: 0, 1: 0, 2: 0, 10: 1, 11: 1}, {10: (0, 1), 11: (1, 2)})
-    partner = generic_round(E)
+    partner = partner_dict(E, generic_round(E))
     assert partner[0] == 10 and partner[10] == 0
     assert partner[1] == 11 and partner[11] == 1
     assert partner[2] == 2
@@ -408,10 +432,10 @@ def boundary_entries_by_round(monkeypatch, m: int) -> list[int]:
     entries: list[int] = []
     real_round = morse.reduce_round
 
-    def counted(E, partner):
+    def counted(E, mate):
         if not entries:
             entries.append(sum(1 for _ in E.boundary_entries()))
-        out = real_round(E, partner)
+        out = real_round(E, mate)
         entries.append(sum(1 for _ in out.boundary_entries()))
         return out
 
@@ -461,10 +485,10 @@ def generic_round_inputs(draw):
 @given(generic_round_inputs())
 def test_generic_round_equals_the_dict_reference(case):
     """The array ``generic_round`` (faces from the CSR, cofaces from its
-    transpose, active cells only) gives the partner dict of the dict
-    implementation it replaced."""
+    transpose, active cells only) gives, read as ids, the partner dict of
+    the dict implementation it replaced."""
     E, graded = case
-    assert generic_round(E, graded=graded) == generic_round_reference(E, graded=graded)
+    assert partner_dict(E, generic_round(E, graded=graded)) == generic_round_reference(E, graded=graded)
 
 
 def test_round_one_reads_as_the_benchmark_reads_it():

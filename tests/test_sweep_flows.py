@@ -270,6 +270,20 @@ def flow_graphs(draw):
     return n, sorted(sources), edges, fixed
 
 
+@st.composite
+def sinkward_graphs(draw):
+    """Flow graphs whose every successor is a sink, the shape of a late
+    reduction round: nodes 0..k-1 with edges into k..n-1, which have
+    columns and no edges, or no node edge at all."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(0, n))
+    sink = st.lists(st.integers(k, n - 1), max_size=3) if k < n else st.just([])
+    edges = [(v, w) for v in range(k) for w in draw(sink)]
+    fixed = [(v, c) for v in range(n) for c in draw(st.lists(st.integers(0, 9), max_size=3))]
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, sorted(sources), edges, fixed
+
+
 def chain_into(n, cycle_from, fixed=()):
     """Nodes 0..n-1 each pointing at the next, the last back at ``cycle_from``
     (None: the last is a dead end), with node 0 the source."""
@@ -279,8 +293,8 @@ def chain_into(n, cycle_from, fixed=()):
     return n, [0], edges, list(fixed)
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(flow_graphs())
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(flow_graphs(), sinkward_graphs()))
 @example(chain_into(30, None, [(29, 3), (29, 5)]))  # a long chain into a dead end
 @example(chain_into(30, 10))  # a chain into a cycle of chain nodes
 @example(chain_into(30, 0))  # a cycle through the source, whose chain contracts to a loop
@@ -303,35 +317,3 @@ def test_flow_rows_match_depth_first_search(graph):
     for i, s in enumerate(sources):
         got = cols[indptr[i]:indptr[i + 1]].tolist()
         assert got == ([] if s in want_stuck else sorted(rows[s]))
-
-
-@st.composite
-def sinkward_graphs(draw):
-    """Flow graphs whose every successor is a sink: nodes 0..k-1 with edges
-    into k..n-1, which have columns and no edges, or no node edge at all."""
-    n = draw(st.integers(1, 30))
-    k = draw(st.integers(0, n))
-    sink = st.lists(st.integers(k, n - 1), max_size=3) if k < n else st.just([])
-    edges = [(v, w) for v in range(k) for w in draw(sink)]
-    fixed = [(v, c) for v in range(n) for c in draw(st.lists(st.integers(0, 9), max_size=3))]
-    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    return n, sorted(sources), edges, fixed
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(sinkward_graphs())
-def test_flow_rows_of_sinkward_graphs_take_no_peel(graph):
-    """When every successor is a sink, as in the late reduction rounds,
-    ``_flow_rows`` sums each source's columns and its successors' in one
-    pass, without the peel, and gives the depth-first rows."""
-    n, sources, edges, fixed = graph
-    arr = lambda pairs, i: np.array([p[i] for p in pairs], dtype=np.intp)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matching, "_layers", None)  # the peel would fail
-        stuck, indptr, cols = _flow_rows(
-            n, np.array(sources, dtype=np.intp), arr(edges, 0), arr(edges, 1), arr(fixed, 0), arr(fixed, 1)
-        )
-    rows, _ = dfs_rows(n, edges, fixed)
-    assert not stuck.any()
-    assert [cols[indptr[i]:indptr[i + 1]].tolist() for i in range(len(sources))] == [sorted(rows[s]) for s in sources]
-
