@@ -317,3 +317,29 @@ def test_flow_rows_match_depth_first_search(graph):
     for i, s in enumerate(sources):
         got = cols[indptr[i]:indptr[i + 1]].tolist()
         assert got == ([] if s in want_stuck else sorted(rows[s]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sinkward_graphs())
+def test_flow_rows_of_sinkward_graphs_take_no_peel(graph):
+    """When every successor is a sink, as in the late reduction rounds,
+    ``_flow_rows`` needs no peel beyond its first two layers, the sinks and
+    then every other node, and gives the depth-first rows."""
+    n, sources, edges, fixed = graph
+    arr = lambda pairs, i: np.array([p[i] for p in pairs], dtype=np.intp)
+    layers, peel = [], matching._layers
+
+    def counted(*args):
+        for layer in peel(*args):
+            layers.append(layer)
+            yield layer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_layers", counted)
+        stuck, indptr, cols = _flow_rows(
+            n, np.array(sources, dtype=np.intp), arr(edges, 0), arr(edges, 1), arr(fixed, 0), arr(fixed, 1)
+        )
+    rows, _ = dfs_rows(n, edges, fixed)
+    assert len(layers) <= 2
+    assert not stuck.any()
+    assert [cols[indptr[i]:indptr[i + 1]].tolist() for i in range(len(sources))] == [sorted(rows[s]) for s in sources]
