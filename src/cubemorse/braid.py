@@ -595,10 +595,8 @@ class BraidComplex:
         for j in range(base):
             g = self.grades[j * slab : (j + 1) * slab]
             tally += np.bincount(g.astype(np.intp) * (d + 1) + (dims + (j & 1)), minlength=tally.size)
-        return {
-            (int(u) // (d + 1), int(u) % (d + 1)): int(tally[u])
-            for u in np.flatnonzero(tally)
-        }
+        u = np.flatnonzero(tally)
+        return dict(zip(zip((u // (d + 1)).tolist(), (u % (d + 1)).tolist()), tally[u].tolist()))
 
 
 def build_braid_complex(sk: BraidSkeleton) -> BraidComplex:

@@ -8,10 +8,11 @@ are single-bit extent toggles, :func:`template_sweep` evaluates it in one
 array pass per axis, and :class:`TemplateMatching` wraps it, so ``verify``
 checks the matching the reduction rounds use.  On a whole grid or a dense
 explicit complex, where a cell's id is its index in the grid's digit array,
-a pass compares two strided digit slices of one axis; elsewhere it looks
-each partner up among the member ids.  :func:`fiber_mate` evaluates it on one
-anchor fiber in pure Python, as the tests' independent oracle and the
-benchmark's fiber replay.
+a pass compares each cell with the one a stride on, in contiguous blocks of
+the flat array for the short strides and as two strided digit slices of one
+axis for the others; elsewhere it looks each partner up among the member
+ids.  :func:`fiber_mate` evaluates it on one anchor fiber in pure Python, as
+the tests' independent oracle and the benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -115,12 +116,15 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 
     A whole grid or dense explicit complex (``ids`` None) is swept by
     position: a cell's id is its index in the ``(base,) * d`` Fortran-order
-    array of all ids, so level i compares the digit slices ``0:2m-1:2`` and
-    ``1:2m:2`` of axis i - 1 (``_digit_slices``), with the excluded centre
-    or the non-members marked taken beforehand; no id is searched.  The
-    levels run over one slab of last-axis planes at a time, so beyond the
-    int8 codes memory is bounded by the slab (:func:`_grid_sweep`).  Any
-    other sweep finds each partner among ``ids`` by ``searchsorted``.
+    array of all ids, so level i compares each cell x whose digit i - 1 is
+    even and below 2m with x + ``pows[i-1]``, with the excluded centre or
+    the non-members marked taken beforehand; no id is searched.  A level of
+    a short stride runs as contiguous passes over the flat array, in blocks
+    under a periodic mask of those digits; the others compare the digit
+    slices ``0:2m-1:2`` and ``1:2m:2`` of axis i - 1 (``_digit_slices``).
+    The levels run over one slab of last-axis planes at a time, so beyond
+    the int8 codes memory is bounded by the slab (:func:`_grid_sweep`).
+    Any other sweep finds each partner among ``ids`` by ``searchsorted``.
 
     Args:
         cx: the cubical complex.
@@ -157,18 +161,31 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
 
 
 _SLAB_CELLS = 1 << 20  # a grid sweep's slabs of last-axis planes hold at least this many cells
+# Levels of a stride below _FLAT_STRIDE run as flat passes (:func:`_flat_level`), since
+# their slices iterate in inner loops of p cells: on braid-v3 the levels of stride 1, 11
+# and 121 take 16.4, 7.7 and 1.7 ms as slices, 5.1 (the first touch of the arrays
+# included), 1.4 and 1.1 ms flat.  Longer strides gain nothing measurable flat on braid-v3,
+# sphere(12) or cubical-rand, and each costs verify-s9's small slab about 0.03 ms.
+_FLAT_STRIDE = 128
+# A flat pass's blocks span at most _FLAT_BLOCK cells (any value >= 1 is exact) and 1/8 of
+# the slab: blocks of 32-64k cells sweep braid-v3 fastest, 4k-cell ones 2.5 times slower.
+_FLAT_BLOCK = 1 << 16
 
 
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid or dense explicit complex, as
-    slice passes over the grid's digit array in which the non-members start
+    passes over the grid's digit array in which the non-members start
     taken.  The grade array over all ids is read in place.  No pair leaves
     a slab of last-axis planes 2l .. 2l' - 1, so the passes run over one
     slab of at least ``_SLAB_CELLS`` cells at a time, the last also taking
-    plane 2m: only the int8 codes are held whole."""
+    plane 2m: only the int8 codes are held whole.  In a slab, the levels of
+    a stride below ``_FLAT_STRIDE``, the first ones, run as flat passes
+    (:func:`_flat_level`) and the others as slice passes, whose masks are
+    each freed before the next level's."""
     base, d, excl, rank = cx.base, cx.d, cx._excluded, cx._rank
     plane = base ** (d - 1)
     width = 2 * max(1, -(-_SLAB_CELLS // (2 * plane)))  # an even number of planes
+    fast = sum(p < _FLAT_STRIDE for p in cx.pows)  # the first levels, whose strides are small
     flat = np.zeros(cx.total_ids, dtype=np.int8)
     for a in range(0, 2 * cx.m, width):
         b = a + width if a + width < 2 * cx.m else base
@@ -176,9 +193,13 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
         taken = np.zeros(plane * (b - a), dtype=bool) if rank is None else rank[cells] < 0
         if excl is not None and cells.start <= excl < cells.stop:
             taken[excl - cells.start] = True
-        grade = None if grade_of is None else grade_of[cells].reshape(shape, order="F")
+        grade = None if grade_of is None else grade_of[cells]
+        slices = list(_digit_slices(cx.m, d, (b - a) // 2))
+        for level in range(1, fast + 1):
+            _flat_level(flat[cells], taken, grade, level, cx.pows[level - 1], shape[level - 1])
+        grade = None if grade is None else grade.reshape(shape, order="F")
         code, taken = flat[cells].reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
-        for level, (hi, lo, _) in enumerate(_digit_slices(cx.m, d, (b - a) // 2), start=1):
+        for level, (hi, lo, _) in enumerate(slices[fast:], start=fast + 1):
             ok = taken[lo] | taken[hi]
             np.logical_not(ok, out=ok)
             if grade is not None:
@@ -187,10 +208,50 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
             np.copyto(code[hi], -level, where=ok)
             taken[lo] |= ok
             taken[hi] |= ok
-        del taken, ok, grade  # freed before the next slab and the members' codes
+            del ok  # freed before the next level's
+        del taken, grade  # freed before the next slab and the members' codes
     if rank is not None:
         return flat[cx.members]
     return flat if excl is None else np.delete(flat, excl)
+
+
+def _flat_level(code, taken, grade, level, p, n) -> None:
+    """One level of :func:`_grid_sweep` as contiguous passes over a slab's
+    flat arrays, for a stride ``p`` whose slices would iterate in short
+    inner loops.  Cell x pairs with x + p when digit ``x // p % n`` of its
+    axis, of extent n in the slab, is even and below 2(n // 2) and both are
+    untaken (and of equal grade).  The pattern has period ``p * n``, and
+    no pair crosses a period or, within one, a multiple of 2p, so blocks
+    of whole periods, or of pieces of one period that start at even
+    digits, all share one mask.  An untaken cell's code is 0, so the int8
+    adds write the codes exactly, without a branch per cell.  Blocks span
+    at most ``_FLAT_BLOCK`` cells and 1/8 of the slab, so the buffers,
+    freed on return, stay small next to it."""
+    size, period = code.size, p * n
+    target = max(1, min(_FLAT_BLOCK, size >> 3))
+    if period <= target:
+        span = block = target // period * period
+    else:
+        span, block = period, max(1, target // (2 * p)) * 2 * p
+    digit = np.arange(n)
+    even = np.tile((digit % 2 == 0) & (digit < n // 2 * 2), -(-block // period))  # per digit of a block
+    pattern = np.repeat(even[: block // p], p)[: block - p]
+    ok, same, step = np.empty(block - p, bool), np.empty(block - p, bool), np.empty(block - p, np.int8)
+    for q in range(0, size, span):
+        for s in range(q, min(q + span, size), block):
+            k = min(s + block, q + span, size) - s - p  # the pairs x, x + p with s <= x < s + k
+            if k <= 0:
+                continue
+            lo, hi, o = slice(s, s + k), slice(s + p, s + p + k), ok[:k]
+            np.logical_or(taken[lo], taken[hi], out=o)
+            np.greater(pattern[:k], o, out=o)  # pattern and untaken
+            if grade is not None:
+                o &= np.equal(grade[lo], grade[hi], out=same[:k])
+            up = np.multiply(o.view(np.int8), level, out=step[:k])
+            code[lo] += up
+            code[hi] -= up
+            taken[lo] |= o
+            taken[hi] |= o
 
 
 def _steps(cx: CubicalComplex) -> list[int]:

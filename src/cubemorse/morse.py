@@ -31,6 +31,7 @@ from .core import (
     BoundaryRows,
     ExplicitComplex,
     IntegrityError,
+    _distinct,
     _id_array,
     _row_starts,
     _rows,
@@ -372,17 +373,28 @@ def homology(cx: CubicalComplex) -> HomologyResult:
     return HomologyResult(betti=betti, rounds=len(sizes), round_sizes=sizes, complex=E)
 
 
+def _pair_keys(a: np.ndarray, b: np.ndarray):
+    """One int64 key per pair (a[i], b[i]) of ints, ordered as the pairs
+    are, and the function that maps an array of keys back to the pairs, as
+    tuples of Python ints."""
+    lo = int(min(a.min(), b.min())) if a.size else 0
+    span = int(max(a.max(), b.max())) - lo + 1 if a.size else 1
+    keys = (a.astype(np.int64) - lo) * span + (b.astype(np.int64) - lo)
+    return keys, lambda k: list(zip((k // span + lo).tolist(), (k % span + lo).tolist()))
+
+
 def _check_filtered(E: ExplicitComplex, poset) -> None:
     """Every boundary entry between distinct grades descends the poset,
     asked once per distinct (face grade, cell grade) pair; a failure names
-    the first such entry in row order."""
+    the first entry of a failing pair in row order."""
     cells, faces = E.rows.owners(), E.rows.cols
     g = E._grade
     cross = np.flatnonzero(g[faces] != g[cells])
-    pairs, first = np.unique(np.stack([g[faces[cross]], g[cells[cross]]]), axis=1, return_index=True)
-    bad = [i for (p, q), i in zip(pairs.T.tolist(), first.tolist()) if not poset.leq(p, q)]
+    keys, pairs = _pair_keys(g[faces[cross]], g[cells[cross]])
+    distinct = _distinct(keys)
+    bad = [k for k, (p, q) in zip(distinct.tolist(), pairs(distinct)) if not poset.leq(p, q)]
     if bad:
-        e = cross[min(bad)]
+        e = cross[np.isin(keys, bad).argmax()]
         f, c = E.rows.ids[[faces[e], cells[e]]].tolist()
         raise IntegrityError(
             f"boundary entry ({f}, {c}) does not descend the grading "
@@ -407,25 +419,33 @@ def connection_matrix(
     height is the number of rounds executed.
     """
 
+    want = None if input_counts is None else _euler_by_grade(input_counts)
+
     def check(E: ExplicitComplex) -> None:
-        if input_counts is not None:
-            _check_graded_euler(E, input_counts)
+        if want is not None:
+            _check_graded_euler(E, want)
         if poset is not None:
             _check_filtered(E, poset)
 
     E, sizes = _reduce(cx, grade_of, check)
-    keys, n = np.unique(np.stack([E._grade, E._dim]), axis=1, return_counts=True)
-    counts = dict(zip(map(tuple, keys.T.tolist()), n.tolist()))
+    keys, pairs = _pair_keys(E._grade, E._dim)
+    keys, n = _distinct(keys, counts=True)
+    counts = dict(zip(pairs(keys), n.tolist()))
     scc_count = getattr(poset, "n", None)
     return ConleyResult(
         complex=E, tower=len(sizes), round_sizes=sizes, counts=counts, scc_count=scc_count
     )
 
 
-def _check_graded_euler(E: ExplicitComplex, input_counts: dict[tuple[int, int], int]) -> None:
+def _euler_by_grade(input_counts: dict[tuple[int, int], int]) -> dict[int, int]:
+    """grade -> Euler characteristic of a (grade, dimension) cell tally."""
     want: dict[int, int] = {}
     for (g, d), n in input_counts.items():
         want[g] = want.get(g, 0) + (n if d % 2 == 0 else -n)
+    return want
+
+
+def _check_graded_euler(E: ExplicitComplex, want: dict[int, int]) -> None:
     got = E.euler_by_grade()
     for g in set(want) | set(got):
         if want.get(g, 0) != got.get(g, 0):

@@ -580,6 +580,36 @@ def test_slab_sweep_equals_member_id_sweep(case):
     assert np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(graded_grids() | graded_dense_explicit(), st.sampled_from([1, 2, 8, 128, 1 << 62]), st.booleans())
+def test_flat_sweep_in_smallest_blocks_equals_member_id_sweep(case, stride, thin_slabs):
+    """With ``_FLAT_BLOCK`` at its smallest, 1, a flat pass runs in blocks
+    of 2p cells within each period of its digit pattern, so it crosses a
+    block boundary at every other digit: the codes still equal the
+    member-id sweep's, whichever levels run flat (every stride below
+    ``stride``) and with one last-axis plane pair per slab or not."""
+    cx, grades = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_FLAT_BLOCK", 1)
+        mp.setattr(matching, "_FLAT_STRIDE", stride)
+        if thin_slabs:
+            mp.setattr(matching, "_SLAB_CELLS", 0)
+        code = template_sweep(cx, grades)
+    assert code.dtype == np.int8 and np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
+
+
+def test_flat_sweep_in_smallest_blocks_under_braid_grades(monkeypatch):
+    """Braid v2's grades (base 11, d = 4) with ``_FLAT_BLOCK`` at 1: the
+    levels of stride 1, 11 and 121 run flat in blocks of at most 2p cells,
+    the level of stride 1331 as slices, and the codes equal the member-id
+    sweep's."""
+    bc = build_braid_complex(nfold_cover(reference_braid(), 2))
+    monkeypatch.setattr(matching, "_FLAT_BLOCK", 1)
+    assert bc.cx.pows == [1, 11, 121, 1331] and matching._FLAT_STRIDE == 128
+    code = template_sweep(bc.cx, bc.grades)
+    assert np.array_equal(code, template_sweep(bc.cx, bc.grades, ids=bc.cx.member_ids()))
+
+
 def test_slab_sweep_on_spheres_dense_complexes_and_braid_grades(monkeypatch):
     """One plane pair per slab, the last slab taking the top plane too: the
     sweep equals the member-id sweep on spheres, on ``top_sphere``, whose

@@ -300,6 +300,13 @@ def test_filtered_boundary_violation_raises():
     with pytest.raises(IntegrityError):
         _check_filtered(E, Chain())
 
+    # two failing pairs: the message names the first failing entry in row
+    # order, (1, 3), although its pair (9, 2) sorts after the other, (5, 0)
+    dims = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
+    E = ExplicitComplex(dims, {3: (0, 1), 4: (0, 2)}, grades={0: 0, 1: 9, 2: 5, 3: 2, 4: 0})
+    with pytest.raises(IntegrityError, match=r"^boundary entry \(1, 3\) does not descend the grading \(9 vs 2\)$"):
+        _check_filtered(E, Chain())
+
 
 def test_homology_via_rounds_on_hypercube_subcomplexes():
     rng = random.Random(14)
