@@ -35,8 +35,9 @@ loop over :meth:`CubicalComplex.digits`; the array passes
 (``CubicalComplex._dims``, ``CubicalComplex._face_arrays``) apply the same
 formula to id arrays, ``_WALK_CHUNK`` cells per call, for the flow walks
 and a sparse explicit complex's closure check.  The sweep, the closure by
-dilation and the closure check of a grid or dense explicit complex read
-its ids as one digit array instead, by slices (:func:`_digit_slices`).
+dilation, the closure check and ``verify``'s pair and flow-edge checks of a
+grid or dense explicit complex read its ids as one digit array instead, by
+slices (:func:`_digit_slices`).
 
 The *fiber* of a cell is the set of cells sharing its anchor (the vector of
 lower endpoints l).  Each fiber is a sub-hypercube spanned by the extent bits,
@@ -70,9 +71,11 @@ CLOSURE_CELL_GUARD = 100_000_000
 # four the rank table's 4 bytes per id raise the peak 20-45% for a gain of
 # 0-25%, and at six or more dense is no faster
 _DENSE_SPAN = 3
-# cells per face-array call of the array walks: a call has a fixed cost of
-# tens of microseconds, and the bound keeps a walk over all members from
-# building every face at once
+# cells per face-array call of the array walks, and per chunk of the checks
+# that look a sparse explicit complex's faces and partners up: a call has a
+# fixed cost of tens of microseconds, and the bound keeps a pass over all
+# members from building every face at once.  A grid or dense explicit
+# complex checks closure, pairs and verify's flow edges by digit slices
 _WALK_CHUNK = 4096
 
 

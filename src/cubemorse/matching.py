@@ -28,19 +28,24 @@ rank table of a dense explicit complex and by ``searchsorted`` among the
 they touch, one chunk at a time, so a grid gets no id array.  Given a
 :class:`TemplateMatching`, the checks run as numpy passes over one whole
 sweep; a lower cell's toggled digit must be even and below 2m, so by the
-face formula its partner is a coface one dimension up.
+face formula its partner is a coface one dimension up.  On a grid or dense
+explicit complex they scatter the codes once over all ids
+(:func:`_on_grid`) and read digit slices: the pairs by counting
+(:func:`_pairs_by_slices`), the flow edges from each upper cell's faces
+(:func:`_grid_flow_edges`).
 
-One walk builds every array flow graph (:func:`_flow_graph`), breadth
-first over member positions, ``_WALK_CHUNK`` frontier nodes at a time:
-``verify`` from all lower cells of a sweep (``TemplateMatching._flows``),
-round one from its fixed cells (:func:`_sweep_graph`), and the later
-rounds over the CSR of an explicit complex
-(:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums the flow
-rows mod 2 of every such graph by one path, chains contracted and then a
-layered peel from the sinks, and :func:`_peel` decides acyclicity.  The
-``verify`` passes only decide that all is clean; on any anomaly, and for
-every other oracle, the checks walk the cells one at a time, which writes
-the exact report or raises the exact error.  ``FLOW_CHECK_LIMIT`` bounds the flow graphs of ``verify``.
+One walk builds every other array flow graph (:func:`_flow_graph`),
+breadth first over member positions, ``_WALK_CHUNK`` frontier nodes at a
+time: ``verify``'s on a sparse explicit complex from all lower cells of a
+sweep (``TemplateMatching._flows``), round one's from its fixed cells
+(:func:`_sweep_graph`), and the later rounds' over the CSR of an explicit
+complex (:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums
+the flow rows mod 2 of every such graph by one path, chains contracted and
+then a layered peel from the sinks, and :func:`_peel` decides acyclicity.
+The ``verify`` passes only decide that all is clean; on any anomaly, and
+for every other oracle, the checks walk the cells one at a time, which
+writes the exact report or raises the exact error.  ``FLOW_CHECK_LIMIT``
+bounds the flow graphs of ``verify``.
 """
 
 from __future__ import annotations
@@ -290,6 +295,7 @@ class TemplateMatching:
         self._grade_of = grade_of
         self._codes: dict[int, int] = {}  # member id -> sweep code, for the members of swept fibers
         self._step = _steps(cx)
+        self._grid: np.ndarray | None = None  # the clean sweep's codes over all ids (:func:`_on_grid`)
         self._fibers_left = 0 if cx.members is not None else (cx.m + 1) ** cx.d // 16
 
     @cached_property
@@ -327,9 +333,11 @@ class TemplateMatching:
         the cell again, and every pair must toggle an even digit below 2m of
         its lower cell up to the odd digit of its upper cell.  By the face
         formula, which is the complex's ``dim`` and ``boundary``, the two
-        are then face and coface one dimension apart.  The members are
-        checked ``_WALK_CHUNK`` positions at a time.  Computed once; when
-        clean, per-cell queries read these codes too.
+        are then face and coface one dimension apart.  A grid or dense
+        explicit complex counts codes in digit slices of ``_grid``
+        (:func:`_pairs_by_slices`); a sparse one looks the partners up
+        ``_WALK_CHUNK`` positions at a time.  Computed once; when clean,
+        per-cell queries read these codes too.
         """
         cx = self.cx
         try:  # ids beyond int64 raise here too
@@ -341,28 +349,35 @@ class TemplateMatching:
             return None
         if n and not -cx.d <= code.min() <= code.max() <= cx.d:
             return None
-        step = np.array(self._step, dtype=np.int64)
-        for lo in range(0, n, _WALK_CHUNK):
-            ids, k = cx._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))), code[lo:lo + _WALK_CHUNK]
-            at, hit = cx._locate(ids + step[k])
-            up = k > 0
-            toggled = ids[up] // step[k[up]] % cx.base
-            if not (
-                hit.all()
-                and np.array_equal(code[at], -k)
-                and np.all(toggled % 2 == 0)
-                and np.all(toggled < 2 * cx.m)
-            ):
+        if cx.members is None or cx._rank is not None:
+            self._grid = _on_grid(cx, code)
+            if not _pairs_by_slices(cx, self._grid):
                 return None
+        else:
+            step = np.array(self._step, dtype=np.int64)
+            for lo in range(0, n, _WALK_CHUNK):
+                ids, k = cx._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))), code[lo:lo + _WALK_CHUNK]
+                at, hit = cx._locate(ids + step[k])
+                up = k > 0
+                toggled = ids[up] // step[k[up]] % cx.base
+                if not (
+                    hit.all()
+                    and np.array_equal(code[at], -k)
+                    and np.all(toggled % 2 == 0)
+                    and np.all(toggled < 2 * cx.m)
+                ):
+                    return None
         self._fibers_left = 0
         return code
 
     @cached_property
     def _flows(self):
         """The flow edges of the clean sweep, built once for both
-        :func:`verify_acyclic` and :func:`verify_stable`: the
-        :func:`_flow_graph` of all lower cells, so nodes are numbered by
-        position.
+        :func:`verify_acyclic` and :func:`verify_stable`, over all lower
+        cells as nodes, numbered by position: by digit slices of ``_grid``
+        on a grid or dense explicit complex (:func:`_grid_flow_edges`), else
+        by the :func:`_flow_graph` walk from all lower cells.  Both give the
+        same arrays.
 
         An edge runs from lower cell q0, with partner k0, to each other
         lower cell q1 among the faces of k0.  It is unstable when the gap
@@ -376,7 +391,11 @@ class TemplateMatching:
             (src ascending, faces in boundary order) and a flag per edge.
         """
         cx, code = self.cx, self._clean_sweep
-        at, (src, dst), _ = _flow_graph(code, np.flatnonzero(code > 0), _sweep_faces(cx, code))
+        at = np.flatnonzero(code > 0)
+        if self._grid is not None:
+            src, dst = _grid_flow_edges(cx, self._grid)
+        else:
+            _, (src, dst), _ = _flow_graph(code, at, _sweep_faces(cx, code))
         step = np.array(self._step, dtype=np.int64)
         q0, q1 = at[src], at[dst]
         gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
@@ -456,7 +475,7 @@ def verify_matching(cx: CellComplexLike, oracle: Callable[[int], int]) -> Matchi
     view = _array_view(cx, oracle)
     if view is not None:
         code = view._clean_sweep
-        n_lower = int(np.count_nonzero(code > 0))
+        n_lower = int(np.count_nonzero(code)) // 2  # a pair's codes are +t and -t
         return MatchingReport(code.size, code.size - 2 * n_lower, n_lower, n_lower)
     rep = MatchingReport(checked_cells=0)
     cap = 200
@@ -502,6 +521,80 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     if type(oracle) is TemplateMatching and oracle.cx is cx and oracle._clean_sweep is not None:
         return oracle
     return None
+
+
+def _on_grid(cx: CubicalComplex, code: np.ndarray) -> np.ndarray:
+    """The sweep codes ``code``, by position, scattered over all ids of a
+    grid or dense explicit complex as int8, -128 at the ids of no member
+    (the non-members, the excluded centre), below every code -d..d: one
+    byte per id, the codes themselves on a whole grid."""
+    code = code.astype(np.int8, copy=False)
+    if cx.members is not None:
+        grid = np.full(cx.total_ids, -128, dtype=np.int8)
+        grid[cx.members] = code
+        return grid
+    return code if cx._excluded is None else np.insert(code, cx._excluded, -128)
+
+
+def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
+    """Whether the grid code array of a sweep whose codes lie in -d..d pairs
+    as :func:`template_sweep` does: for each level t, every cell of code +t
+    has an even digit t - 1 below 2m and code -t at that digit plus one,
+    and every cell of code -t is such a partner.  By digit slices of axis
+    t - 1 (:func:`_digit_slices`), the pairs of a +t cell in the even slice
+    with a -t cell in the aligned odd slice are counted.  No member lies in
+    two of them, and each holds two members of nonzero code, so they hold
+    every such member exactly when they number half of them."""
+    cells = grid.reshape((cx.base,) * cx.d, order="F")  # a view
+    pairs = 0
+    for t, (odd, lo, _) in enumerate(_digit_slices(cx.m, cx.d), start=1):
+        paired = cells[lo] == t
+        paired &= cells[odd] == -t
+        pairs += np.count_nonzero(paired)
+    return 2 * pairs == np.count_nonzero(grid) - (grid.size - cx.cell_count)  # less the -128s
+
+
+def _grid_flow_edges(cx: CubicalComplex, grid: np.ndarray):
+    """The node edges of :func:`_flow_graph` from all lower cells of a clean
+    sweep, by digit slices of its grid code array (:func:`_on_grid`):
+    nodes are the lower cells by position, and an edge runs from lower cell
+    q0 to each other lower face of its partner k0.  For axis i, an upper
+    cell k in the odd slice of i has the faces k - pows[i] and k + pows[i]
+    in the slices on either side, the first of them q0 itself when k pairs
+    along i.  The faces of a cell ascend by id in
+    :meth:`CubicalComplex._face_arrays` order, and nodes by position, so
+    sorting the edges by (src, dst) gives the walk's arrays.
+
+    Returns:
+        (src, dst): the edges, src ascending and each node's faces in
+        boundary order, in the walk's index dtype.
+    """
+    shape, d = (cx.base,) * cx.d, cx.d
+    cells = grid.reshape(shape, order="F")
+    lower = grid > 0
+    low = lower.reshape(shape, order="F")
+    hit = np.zeros(grid.size, dtype=bool)  # the upper cells with a lower face on one side of one axis
+    marks = hit.reshape(shape, order="F")
+    step = np.array([0, *cx.pows], dtype=np.int64)  # per level
+    tails, heads = [], []
+    for i, (odd, lo, hi) in enumerate(_digit_slices(cx.m, d)):
+        k = cells[odd]
+        upper = (k < 0) & (k >= -d)  # not a non-member
+        for face, p in ((lo, -cx.pows[i]), (hi, cx.pows[i])):
+            edge = upper & low[face]
+            if p < 0:
+                edge &= k != -1 - i  # else the face is k's partner
+            marks[odd] = edge
+            at = np.flatnonzero(hit)
+            hit[at] = False
+            tails.append(at - step[-grid[at]])
+            heads.append(at + p)
+    n = max(1, np.count_nonzero(lower))
+    rank = _mask_rank(lower)
+    key = rank(np.concatenate(tails)).astype(np.int64) * n + rank(np.concatenate(heads))
+    key.sort()
+    idx = _index_dtype(cx.cell_count)
+    return tuple(part.astype(idx) for part in np.divmod(key, n))
 
 
 def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):

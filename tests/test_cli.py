@@ -278,6 +278,54 @@ def test_verify_checks_the_production_sweep(monkeypatch, capsys, tmp_path, corru
         assert "error: cell -1 is not a member" in captured.err
 
 
+@pytest.mark.parametrize(
+    "source, wrong",
+    [
+        ("grid", {8: 1, 9: -1, 10: 0, 17: 0}),  # +1 on digit 2m
+        ("grid", {1: 1, 2: -1, 0: 0, 5: 0}),  # +1 on an odd digit
+        ("grid", {1: -2, 5: -1}),  # upper codes of the wrong level
+        ("dense", {2: 1, 7: -1, 0: 0, 1: 0}),  # a non-member partner
+        ("grid", {0: 4}),  # out-of-range codes
+        ("dense", {0: -128}),
+    ],
+)
+def test_verify_reports_corrupt_sweeps_as_the_per_cell_path(monkeypatch, capsys, tmp_path, source, wrong):
+    """Sweeps that keep the +t and -t codes of each level equal in number,
+    on ``sphere:2`` and on a dense explicit complex (two squares of
+    C(2; 2)): ``verify`` prints and exits exactly as its per-cell checks
+    do, to which the array checks fall back.  A code of -128 indexes past
+    the oracle's steps, so the per-cell matching check raises IndexError
+    either way."""
+    if source == "grid":
+        given = ["--gen", "sphere:2"]
+    else:
+        f = tmp_path / "squares.txt"
+        f.write_text("2 2\n0 0\n1 1\n")
+        given = [str(f)]
+    real_sweep = matching.template_sweep
+
+    def broken_sweep(cx, grade_of=None, ids=None):
+        code = real_sweep(cx, grade_of, ids).copy()
+        at = {c: i for i, c in enumerate((cx.member_ids() if ids is None else ids).tolist())}
+        for c, k in wrong.items():
+            if c in at:
+                code[at[c]] = k
+        return code
+
+    def run():
+        try:
+            status = main(["verify", *given, "--acyclic", "--stable"])
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            status = type(exc), str(exc)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    monkeypatch.setattr(matching, "template_sweep", broken_sweep)
+    got = run()
+    monkeypatch.setattr(matching, "_array_view", lambda cx, oracle: None)
+    assert got == run()
+
+
 @pytest.mark.parametrize("flag, check", [("--acyclic", "verify_acyclic"), ("--stable", "verify_stable")])
 def test_verify_refuses_oversized_flow_checks_first(capsys, flag, check):
     assert main(["verify", "--gen", "sphere:10", flag]) == EXIT_GUARD

@@ -610,6 +610,40 @@ def test_flat_sweep_in_smallest_blocks_under_braid_grades(monkeypatch):
     assert np.array_equal(code, template_sweep(bc.cx, bc.grades, ids=bc.cx.member_ids()))
 
 
+def assert_slice_flows_equal_the_walk(cx, grades):
+    """Verify's flow graph by digit slices of the grid code array, as
+    ``TemplateMatching._flows`` builds it on a grid or dense explicit
+    complex, equals the :func:`matching._flow_graph` walk from all lower
+    cells array for array, dtypes and order included, and so do the
+    unstable flags, computed from the walk's edges as the walk path
+    computes them."""
+    w = TemplateMatching(cx, grades)
+    code = w._clean_sweep
+    assert code is not None and w._grid is not None
+    at, (src, dst), _ = matching._flow_graph(code, np.flatnonzero(code > 0), matching._sweep_faces(cx, code))
+    step = np.array(matching._steps(cx), dtype=np.int64)
+    q0, q1 = at[src], at[dst]
+    gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
+    unstable = (gap > 0) & (gap < step[np.minimum(code[q0], code[q1])])
+    n, s, t, flags = w._flows
+    assert n == at.size == np.count_nonzero(code > 0)
+    for got, want in ((s, src), (t, dst), (flags, unstable)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(graded_grids() | graded_dense_explicit())
+def test_slice_flow_graph_equals_the_walk(case):
+    assert_slice_flows_equal_the_walk(*case)
+
+
+@pytest.mark.parametrize("nfold", [1, 2])
+def test_slice_flow_graph_equals_the_walk_under_braid_grades(nfold):
+    bc = build_braid_complex(nfold_cover(reference_braid(), nfold))
+    assert bc.cx.members is None
+    assert_slice_flows_equal_the_walk(bc.cx, bc.grades)
+
+
 def test_slab_sweep_on_spheres_dense_complexes_and_braid_grades(monkeypatch):
     """One plane pair per slab, the last slab taking the top plane too: the
     sweep equals the member-id sweep on spheres, on ``top_sphere``, whose

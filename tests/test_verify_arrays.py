@@ -10,6 +10,7 @@ the same input.  Corrupted boundary rows, which only the per-cell walk reads,
 must be reported by it.
 """
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from cubemorse import matching
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
 from cubemorse.core import validate_complex
 from cubemorse.cubical import _WALK_CHUNK, CubicalComplex, alpha
-from cubemorse.matching import TemplateMatching, verify_acyclic, verify_matching, verify_stable
+from cubemorse.matching import FLOW_CHECK_LIMIT, TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from cubemorse.morse import template_round
-from .helpers import dense_top_cube_complexes, random_cubical_complex, top_cube_complexes
+from .helpers import dense_top_cube_complexes, random_cubical_complex, top_cube_complexes, traced_peak
 
 
 class PerCell:
@@ -66,6 +67,14 @@ def both_paths(cx):
     return arrays, cells
 
 
+def two_squares():
+    """The closure of squares (0, 0) and (1, 1) of C(2; 2): 17 members of 25
+    ids, a dense explicit complex."""
+    cx = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
+    assert cx._rank is not None
+    return cx
+
+
 def clean_inputs():
     rng = random.Random(11)
     for _ in range(40):
@@ -76,6 +85,7 @@ def clean_inputs():
         yield CubicalComplex.top_sphere(d)
     for m, d in ((1, 1), (2, 2), (3, 3), (2, 4)):
         yield CubicalComplex.full(m, d)
+    yield two_squares()
 
 
 def test_array_and_per_cell_paths_agree():
@@ -245,26 +255,56 @@ def patch_codes(monkeypatch, ids, code):
     monkeypatch.setattr(matching, "template_sweep", sweep)
 
 
+def sphere2():
+    return CubicalComplex.sphere(2)
+
+
 @pytest.mark.parametrize(
-    "kind, wrong",
+    "make, kind, wrong",
     [
-        ("non-member", {0: -1}),  # cell 0 pairs with the id -1
-        ("involution", {0: 2}),  # cell 0 pairs with 3, which pairs with 4
-        ("trichotomy", {2: 1, 3: -1}),  # vertex (2, 0, 0) with edge (0, 1, 0)
+        pytest.param(sphere2, "non-member", {0: -1}, id="non-member-wrong0"),  # cell 0 pairs with the id -1
+        # cell 0 pairs with 3, which pairs with 4
+        pytest.param(sphere2, "involution", {0: 2}, id="involution-wrong1"),
+        # vertex (2, 0, 0) with edge (0, 1, 0)
+        pytest.param(sphere2, "trichotomy", {2: 1, 3: -1}, id="trichotomy-wrong2"),
         # the same pair, with their former partners 5 and 4 left fixed so
         # that only the toggled digit 2 = 2m tells the pair is no face pair
-        ("trichotomy", {2: 1, 3: -1, 4: 0, 5: 0}),
+        pytest.param(sphere2, "trichotomy", {2: 1, 3: -1, 4: 0, 5: 0}, id="trichotomy-wrong3"),
+        # From here on each level keeps as many +t as -t codes, so only the
+        # digit-slice counts of the clean-sweep check can refuse them.
+        # +1 on digit 2m: 8 = (2, 2, 0) with 9 = (0, 0, 1), former partners fixed
+        pytest.param(sphere2, "trichotomy", {8: 1, 9: -1, 10: 0, 17: 0}, id="up-on-digit-2m"),
+        # +1 on an odd digit: 1 = (1, 0, 0) with its plus face 2, a valid
+        # matching that is not the template's
+        pytest.param(sphere2, None, {1: 1, 2: -1, 0: 0, 5: 0}, id="up-on-odd-digit"),
+        # upper codes of the wrong level: 0 with 1 at -2, 2 with 5 at -1
+        pytest.param(sphere2, "non-member", {1: -2, 5: -1}, id="upper-of-wrong-level"),
+        # the partner (3, 0) of (2, 0) is no member; 7 = (2, 1) takes -1
+        pytest.param(two_squares, "non-member", {2: 1, 7: -1, 0: 0, 1: 0}, id="dense-non-member-partner"),
+        pytest.param(sphere2, "non-member", {0: 4}, id="code-above-d"),
+        pytest.param(sphere2, "non-member", {26: -4}, id="code-below-minus-d"),
+        # -128 indexes past the oracle's steps: verify_matching raises
+        # IndexError on the partner's query
+        pytest.param(two_squares, IndexError, {0: -128}, id="dense-code-minus-128"),
     ],
 )
-def test_corrupted_pairs(monkeypatch, kind, wrong):
-    cx = CubicalComplex.sphere(2)
+def test_corrupted_pairs(monkeypatch, make, kind, wrong):
+    """The clean-sweep check refuses each corrupted sweep, so every check
+    walks the cells and reports as the per-cell path does."""
+    cx = make()
     ids, code = cx.member_ids(), matching.template_sweep(cx)
     for c, k in wrong.items():
         code[np.searchsorted(ids, c)] = k
     patch_codes(monkeypatch, ids, code)
+    assert TemplateMatching(cx)._clean_sweep is None
     arrays, cells = both_paths(cx)
     assert arrays == cells
-    assert kind in kinds(arrays[1])
+    if kind is IndexError:
+        assert arrays[1][0] is IndexError
+    elif kind is None:
+        assert arrays[1].ok
+    else:
+        assert kind in kinds(arrays[1])
 
 
 def random_template_codes(cx, rng):
@@ -319,12 +359,24 @@ def assert_flow_edges_match(cx, grades=None):
     assert (n, edges) == (n_ref, edges_ref)
 
 
+def storage(cx) -> str:
+    """How ``cx`` stores its members, which picks the path of its array
+    checks: digit slices on a grid or dense explicit complex, the chunked
+    search and the walk on a sparse one."""
+    if cx.members is None:
+        return "grid"
+    return "dense" if cx._rank is not None else "sparse"
+
+
 def test_flow_edges_match_the_per_cell_relation(monkeypatch):
     for nfold in (1, 2):
         bc = build_braid_complex(nfold_cover(reference_braid(), nfold))
         assert_flow_edges_match(bc.cx, bc.grades)
+    seen = set()
     for cx in clean_inputs():
         assert_flow_edges_match(cx)
+        seen.add(storage(cx))
+    assert seen == {"grid", "dense", "sparse"}  # both paths of _flows ran
     rng = random.Random(5)
     for _ in range(20):
         cx = CubicalComplex.sphere(2)
@@ -359,7 +411,9 @@ def test_each_fact_is_computed_once(monkeypatch):
     """validate_complex checks a grid by digit slices alone, and expands the
     face formula of a sparse explicit complex once per chunk; neither reads
     a scalar row or dim.  The two flow checks share one build of the flow
-    graph per matching, and one round builds it at most once."""
+    graph per matching, by digit slices on a grid (no face array) and by
+    the walk on a sparse explicit complex, and one round builds it at most
+    once."""
     calls = {}
 
     def count(owner, name):
@@ -382,12 +436,17 @@ def test_each_fact_is_computed_once(monkeypatch):
     n = cx.cell_count
     assert cx._rank is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
 
-    count(matching, "_flow_graph")
+    for name in ("_flow_graph", "_grid_flow_edges"):
+        count(matching, name)
     inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
+    assert inputs[2]._rank is None  # a sparse explicit complex, which walks
+    calls.clear()
     for cx in inputs:
         w = TemplateMatching(cx)
         assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
-    assert calls["_flow_graph"] == len(inputs)
+        if cx is inputs[0]:
+            assert calls == {"_grid_flow_edges": 1}  # by digit slices: no face array
+    assert calls["_flow_graph"] + calls["_grid_flow_edges"] == len(inputs)
     rounds = []
     for cx in inputs:
         calls["_flow_graph"] = 0
@@ -406,3 +465,33 @@ def test_verify_matching_builds_member_ids_once(monkeypatch):
     assert cx.members is not None
     assert verify_matching(cx, TemplateMatching(cx)).ok
     assert len(calls) == 1
+
+
+def test_verify_memory_is_a_few_bytes_per_cell():
+    """``verify_matching`` on ``sphere(11)`` peaks at 2.69 bytes per cell
+    measured: the int8 codes, their grid code array and one level's slice
+    temporaries, next to the sweep's own 2.63.  The flow graph of the
+    largest sphere under ``FLOW_CHECK_LIMIT``, sphere(9), peaks at 18.8
+    bytes per cell measured, the edges and two bool masks over the grid;
+    the walk from all lower cells took 42.9.  Bounds: 3.0 and 22."""
+    cx = CubicalComplex.sphere(11)
+    peak = traced_peak(lambda: verify_matching(cx, TemplateMatching(cx)))
+    assert peak < 3.0 * cx.cell_count, peak / cx.cell_count
+
+    d = max(d for d in range(1, 12) if 3 ** (d + 1) - 1 <= FLOW_CHECK_LIMIT)
+    cx = CubicalComplex.sphere(d)
+    assert d == 9 and cx.cell_count == 59048
+
+    def flows_peak():
+        w = TemplateMatching(cx)
+        assert w._clean_sweep is not None
+        tracemalloc.start()
+        try:
+            w._flows
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    flows_peak()  # warms the numpy caches
+    peak = flows_peak()
+    assert peak < 22 * cx.cell_count, peak / cx.cell_count
