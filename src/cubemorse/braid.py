@@ -16,12 +16,12 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FormatError, IntegrityError, _distinct, _row_starts
+from .core import FormatError, IntegrityError, _distinct, _row_starts, _rows
 from .cubical import CubicalComplex, _read_header, _read_rows
 from .matching import _layers
 
@@ -216,20 +216,6 @@ def improper_vertices(sk: BraidSkeleton) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _star_tops(vertex: Sequence[int], na: int) -> list[tuple[int, ...]]:
-    opts = []
-    for vi in vertex:
-        opts.append(tuple(k for k in (vi - 1, vi) if 0 <= k <= na - 1))
-    return [t for t in product(*opts)]
-
-
-def _top_flat(anchor: Sequence[int], na: int) -> int:
-    out = 0
-    for i, k in enumerate(anchor):
-        out += k * na**i
-    return out
-
-
 def _relation_edge_arrays(
     sk: BraidSkeleton, cross_flat: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -263,18 +249,17 @@ def _relation_edge_arrays(
         one_v += [nb[down], sel[up]]
         two_a.append(sel[tie])
         two_b.append(nb[tie])
-    star_a: list[int] = []
-    star_b: list[int] = []
     for vert in improper_vertices(sk):
-        tops = set(_star_tops(vert, na))
-        for t in tops:
-            for ax in range(d):
-                t2 = t[:ax] + (t[ax] + 1,) + t[ax + 1 :]
-                if t2 in tops:
-                    star_a.append(_top_flat(t, na))
-                    star_b.append(_top_flat(t2, na))
-    two_a.append(np.asarray(star_a, dtype=np.int64))
-    two_b.append(np.asarray(star_b, dtype=np.int64))
+        # the star's tops form one box: on axis i, the intervals v_i - 1 and
+        # v_i that lie in 0..na-1, whose flat indices sum over the axes
+        box = np.zeros((1,) * d, dtype=np.int64)
+        for ax, v in enumerate(vert):
+            k = np.arange(max(v - 1, 0), min(v, na - 1) + 1, dtype=np.int64)
+            box = box + (k * na**ax).reshape([-1 if a == ax else 1 for a in range(d)])
+        for ax in range(d):
+            if box.shape[ax] == 2:
+                two_a.append(np.take(box, 0, axis=ax).ravel())
+                two_b.append(np.take(box, 1, axis=ax).ravel())
     return (
         (np.concatenate(one_u), np.concatenate(one_v)),
         (np.concatenate(two_a), np.concatenate(two_b)),
@@ -393,7 +378,11 @@ class CondensationPoset:
     ascending (u, v) order.  ``rank`` is the order of the Kahn peel
     (:func:`~cubemorse.matching._layers`) of the reversed DAG, sinks first,
     so a linear extension: it serves the least-element queries and the
-    grade pooling.
+    grade pooling.  The layers of the same peel build the reachability, on
+    the first order question, as one packed bit array of n rows of
+    ceil(n / 64) words: a class's row is its own bit or'ed with the rows of
+    its DAG successors, which all sit in earlier layers, one
+    ``bitwise_or.reduceat`` per layer.
     """
 
     def __init__(
@@ -414,35 +403,38 @@ class CondensationPoset:
         np.minimum.at(self.cross_min, labels, cross_flat)
         np.maximum.at(self.cross_max, labels, cross_flat)
         order = np.argsort(dag_v, kind="stable")
-        peel = np.concatenate([np.empty(0, np.int64), *_layers(n, dag_v[order], dag_u[order])])
+        self._peel = list(_layers(n, dag_v[order], dag_u[order]))
+        peel = np.concatenate([np.empty(0, np.int64), *self._peel])
         if peel.size != n:
             raise IntegrityError("condensation is not acyclic")
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[peel] = np.arange(n)
-        self._desc: list[int] | None = None
 
-    @property
-    def desc(self) -> list[int]:
-        """Per class, the bitset of classes below or equal to it."""
-        if self._desc is None:
-            n = self.n
-            out_adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in zip(self.dag_u.tolist(), self.dag_v.tolist()):
-                out_adj[u].append(v)
-            order = np.argsort(self.rank, kind="stable")
-            desc = [0] * n
-            for p in order.tolist():
-                x = 1 << p
-                for q in out_adj[p]:
-                    x |= desc[q]
-                desc[p] = x
-            self._desc = desc
-        return self._desc
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """Bit p of row q (byte p >> 3, bit p & 7) is set when p <= q: the
+        rows of each layer of the peel or'ed from those of earlier ones."""
+        n, dag_u, dag_v = self.n, self.dag_u, self.dag_v
+        every = np.arange(n)
+        reach = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+        reach[every, every >> 3] = 1 << (every & 7)
+        words = reach.view(np.uint64)  # or-ed eight bytes at a time, which is bytewise
+        start = _row_starts(n, dag_u)  # the out-edges of each class, dag_u ascending
+        for layer in self._peel:
+            count = start[layer + 1] - start[layer]
+            has = count > 0
+            if has.any():
+                first = np.cumsum(count) - count
+                below = words[dag_v[_rows(start, layer)]]
+                words[layer[has]] |= np.bitwise_or.reduceat(below, first[has], axis=0)
+        return reach
 
-    def leq(self, p: int, q: int) -> bool:
-        if p == q:
-            return True
-        return bool((self.desc[q] >> p) & 1)
+    def leq(self, p, q):
+        """Whether p <= q, elementwise over int arrays of any matching shape;
+        a bool for two ints."""
+        p, q = np.asarray(p), np.asarray(q)
+        out = (self._reach[q, p >> 3] >> (p & 7) & 1).astype(bool)
+        return out if out.ndim else bool(out)
 
     def least(self, classes: Iterable[int]) -> int:
         """The unique class below all the given ones; IntegrityError if none."""
@@ -450,20 +442,16 @@ class CondensationPoset:
         if not cs:
             raise IntegrityError("least element of an empty set requested")
         best = min(cs, key=lambda c: self.rank[c])
-        for c in cs:
-            if not self.leq(best, c):
-                raise IntegrityError(f"classes {cs} have no least element")
+        if not self.leq(best, np.array(cs)).all():
+            raise IntegrityError(f"classes {cs} have no least element")
         return best
 
     def relation_pairs(self, subset: Iterable[int]) -> list[tuple[int, int]]:
-        """All strict order pairs (p, q) with p < q within a subset."""
-        sub = sorted(set(int(c) for c in subset))
-        out = []
-        for p in sub:
-            for q in sub:
-                if p != q and self.leq(p, q):
-                    out.append((p, q))
-        return out
+        """All strict order pairs (p, q) with p < q within a subset, by p and then q."""
+        sub = np.array(sorted(set(int(c) for c in subset)), dtype=np.int64)
+        p, q = np.meshgrid(sub, sub, indexing="ij")
+        hit = self.leq(p, q) & (p != q)
+        return list(zip(p[hit].tolist(), q[hit].tolist()))
 
 
 def condensation(sk: BraidSkeleton, cross_flat: np.ndarray | None = None) -> CondensationPoset:
@@ -490,7 +478,9 @@ def _pool_axis(
     fully pooled grid ravels into per-cell grades without a copy.  Given a
     bool table ``seen`` of n columns, each vertex's two neighbouring ranks
     ``lo <= hi`` are marked at ``seen[lo - r0, hi]`` if ``lo`` has a row,
-    one vertex slice at a time.
+    one vertex slice at a time, over the core digits 1..2na-1 of the axes
+    already pooled: pooling copies digit 1 to digit 0 and digit 2na-1 to
+    digit 2na, so those slices repeat the pairs of their neighbours.
     """
     side = 2 * na + 1
     shape = list(cur.shape)
@@ -503,10 +493,12 @@ def _pool_axis(
     out[sl(1, side, 2)] = cur
     out[sl(0, 1)] = cur[sl(0, 1)]
     out[sl(side - 1, side)] = cur[sl(na - 1, na)]
+    core = (slice(1, side - 1),) * ax
     for k in range(na - 1):
         a, b, lo = cur[sl(k, k + 1)], cur[sl(k + 1, k + 2)], out[sl(2 * k + 2, 2 * k + 3)]
         np.minimum(a, b, out=lo)
         if seen is not None:
+            a, b, lo = a[core], b[core], lo[core]
             rows, n = seen.shape
             key = np.multiply(lo, n - 1, dtype=np.int32 if n * n < 2**31 else np.int64)  # int16 ranks would wrap
             key += a  # key = lo * n + hi, as hi = a + b - lo
@@ -518,6 +510,7 @@ def _pool_axis(
 
 
 _TABLE_FLOOR = 1 << 24  # bytes the grading check's table may take however few cells the grid has
+_PIECE = 1 << 16  # cells per step of the rank remap and the tally, so their temporaries fit in cache
 
 
 def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True) -> np.ndarray:
@@ -529,12 +522,15 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
     and odd digits on every later axis takes the smaller rank of its two
     cofaces along axis k.  Its star is the union of theirs, whose least
     classes those ranks are by induction, so it has a least class exactly
-    when the smaller rank's class is below the larger's.  ``verify`` checks
-    every such unequal pair against the poset in ascending class order and
-    raises :class:`IntegrityError` naming the smallest failing (face grade,
-    coface grade) pair; passing certifies every cell's grade.  The pairs are
+    when the smaller rank's class is below the larger's.  ``verify`` marks
+    every such unequal pair over the core digit slices of the pooled axes,
+    asks the poset about all of them in one ``leq`` call, and raises
+    :class:`IntegrityError` naming the smallest failing (face grade, coface
+    grade) pair; passing certifies every cell's grade.  The pairs are
     marked in a rank x rank bool table of at most 4 bytes per cell or
-    ``_TABLE_FLOOR``, pooling once per block of its rows beyond that.
+    ``_TABLE_FLOOR``, pooling once per block of its rows beyond that.  The
+    ranks become classes in place, ``_PIECE`` cells at a time, so the index
+    temporary stays in cache.
     """
     na, d, n = sk.m - 1, sk.d, poset.n
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
@@ -552,15 +548,18 @@ def grade_cells(sk: BraidSkeleton, poset: CondensationPoset, verify: bool = True
     if verify:
         key = np.concatenate(keys)
         p, q = scc_by_rank[key // n].astype(np.int64), scc_by_rank[key % n]
-        for key in np.sort((p * n + q)[p != q]).tolist():
-            p, q = divmod(key, n)
-            if not poset.leq(p, q):
-                raise IntegrityError(
-                    f"grade {p} is not below coface grade {q}: star has no least class"
-                )
+        key = np.sort((p * n + q)[p != q])
+        p, q = np.divmod(key, n)
+        bad = np.flatnonzero(~np.asarray(poset.leq(p, q), dtype=bool))
+        if bad.size:
+            p, q = int(p[bad[0]]), int(q[bad[0]])
+            raise IntegrityError(
+                f"grade {p} is not below coface grade {q}: star has no least class"
+            )
     grades = cur.reshape(-1, order="F")  # a view: ranks become classes in place
-    for s in range(0, grades.size, 1 << 20):
-        grades[s : s + (1 << 20)] = scc_by_rank[grades[s : s + (1 << 20)]]
+    for s in range(0, grades.size, _PIECE):
+        piece = grades[s : s + _PIECE]
+        np.take(scc_by_rank, piece, out=piece, mode="clip")  # "raise" would copy out first; ranks are in range
     return grades
 
 
@@ -578,23 +577,41 @@ class BraidComplex:
         return int(self.grades[cell])
 
     def input_counts(self) -> dict[tuple[int, int], int]:
-        """Cell tally per (grade, dimension), for Euler bookkeeping."""
-        base = self.cx.base
-        d = self.cx.d
-        # a cell's dimension is its count of odd digits; the last axis is the
-        # slowest, so digit j of it owns one contiguous slab of the grades,
-        # whose dims are those of the other axes plus j & 1.  The sum over
-        # the other axes is symmetric, so their order does not matter.
-        parity = (np.arange(base) & 1).astype(np.int8)
-        dims = np.zeros((1,) * (d - 1), dtype=np.int8)
-        for ax in range(d - 1):
-            dims = dims + parity.reshape([base if a == ax else 1 for a in range(d - 1)])
-        dims = dims.ravel()
-        slab = dims.size
+        """Cell tally per (grade, dimension), for Euler bookkeeping.
+
+        A cell's dimension is its count of odd digits.  Split its id as
+        ``lo + B * hi`` with B = base**k the largest power at most
+        ``_PIECE``: the dimension is the count over the k fast digits of
+        ``lo`` plus the count over the other digits of ``hi``, each a small
+        table.  The tally runs over pieces of ``_PIECE // B`` rows of B
+        cells, one key ``grade * (d + 1) + dim`` per cell in one reused
+        intp buffer and one ``bincount`` per piece, so its memory does not
+        grow with the grid.
+        """
+        base, d = self.cx.base, self.cx.d
+        k = 0
+        while k < d and base ** (k + 1) <= _PIECE:
+            k += 1
+        parity = (np.arange(base) & 1).astype(np.intp)
+
+        def dims(axes: int) -> np.ndarray:  # odd-digit counts of 0..base**axes - 1
+            out = np.zeros((1,) * axes, dtype=np.intp)
+            for ax in range(axes):
+                out = out + parity.reshape([base if a == ax else 1 for a in range(axes)])
+            return out.ravel(order="F")
+
+        lo, hi = dims(k), dims(d - k)
+        rows = _PIECE // lo.size
+        buf = np.empty((rows, lo.size), dtype=np.intp)
+        grades = self.grades.reshape(hi.size, lo.size)
         tally = np.zeros(self.poset.n * (d + 1), dtype=np.int64)
-        for j in range(base):
-            g = self.grades[j * slab : (j + 1) * slab]
-            tally += np.bincount(g.astype(np.intp) * (d + 1) + (dims + (j & 1)), minlength=tally.size)
+        for r in range(0, hi.size, rows):
+            g = grades[r : r + rows]
+            key = buf[: g.shape[0]]
+            np.multiply(g, d + 1, out=key, dtype=np.intp)  # widened first: int16 grade * (d + 1) may wrap
+            key += lo
+            key += hi[r : r + rows, None]
+            tally += np.bincount(key.reshape(-1), minlength=tally.size)
         u = np.flatnonzero(tally)
         return dict(zip(zip((u // (d + 1)).tolist(), (u % (d + 1)).tolist()), tally[u].tolist()))
 

@@ -494,7 +494,11 @@ def verify_matching(cx: CellComplexLike, oracle: Callable[[int], int]) -> Matchi
         if not cx.is_member(m):
             rep.violations.append(("non-member", c, f"partner {m} not a member"))
             continue
-        back = oracle(m)
+        try:
+            back = oracle(m)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            rep.violations.append(("oracle-error", c, f"partner {m}: {exc}"))
+            continue
         if back != c:
             rep.violations.append(("involution", c, f"partner {m} maps to {back}"))
             continue
@@ -613,7 +617,8 @@ def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
     ascending by position.  Positions, nodes and edges are int32 while the
     members fit (:func:`_index_dtype`).  Memory beyond the edges is one
     byte per member, the mask of visited positions, whose rank
-    (:func:`_mask_rank`) numbers the nodes at the end.
+    (:func:`_mask_rank`, given the visited positions, so that a walk of few
+    nodes makes no pass over all positions) numbers the nodes at the end.
 
     Returns:
         (at, (src, dst), (fsrc, fat)): the position of each node; the edges
@@ -642,7 +647,7 @@ def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
         visited.append(front)
     src, at, order = np.concatenate(src), np.concatenate(at), np.concatenate(visited)
     low = code[at] > 0
-    rank = _mask_rank(seen)
+    rank = _mask_rank(seen, np.sort(order))
     node = np.empty(order.size, dtype=idx)  # rank of a node's position -> node
     node[rank(order)] = np.arange(order.size)
     return order, (src[low], node[rank(at[low])]), (src[~low], at[~low])
@@ -662,16 +667,19 @@ def _sweep_faces(cx: CubicalComplex, code: np.ndarray):
     return faces_of
 
 
-def _mask_rank(mask: np.ndarray):
+def _mask_rank(mask: np.ndarray, at: np.ndarray | None = None):
     """``rank(pos)``: the index of each set position ``pos`` of a bool mask
     in ``np.flatnonzero(mask)``, with no sort and no search.  The mask's own
     bytes take the running count of set entries within each block of 255
     (at the set entries alone when they are few), and one prefix count per
-    block adds the set entries of the blocks before it."""
+    block adds the set entries of the blocks before it.  A caller that holds
+    the set positions passes them ascending as ``at``, so that few set
+    entries cost no pass over the whole mask."""
     run = mask.view(np.uint8)
     before = np.zeros(run.size // 255 + 2, dtype=_index_dtype(run.size))  # per block, then one spare
-    if 16 * np.count_nonzero(mask) < run.size:
+    if at is None and 16 * np.count_nonzero(mask) < run.size:
         at = np.flatnonzero(mask)
+    if at is not None and 16 * at.size < run.size:
         block = at // 255
         np.cumsum(np.bincount(block, minlength=before.size - 1), out=before[1:])
         run[at] = np.arange(1, at.size + 1) - before[block]
@@ -780,20 +788,30 @@ def _flow_rows(n: int, sources: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return stuck[new[end]], np.concatenate(([0], np.cumsum(count))), data[_rows(indptr, rows)]
 
 
-def _sweep_graph(mate: TemplateMatching, sources: np.ndarray):
+def _sweep_graph(mate: TemplateMatching, fixed: np.ndarray, sources: np.ndarray):
     """The :func:`_flow_graph` of a matching's whole sweep from the fixed
-    cells ``sources``, for :func:`cubemorse.morse.morse_boundary`: (node
-    ids, node edges, edges to the columns of fixed faces), a fixed face's
-    column its rank among the sweep's fixed cells (:func:`_mask_rank`)."""
+    cells ``fixed[sources]``, for :func:`cubemorse.morse.morse_boundary`,
+    ``fixed`` the ascending ids of all the sweep's fixed cells: (node ids,
+    node edges, edges to the columns of fixed faces), a fixed face's column
+    its index in ``fixed`` (:func:`_mask_rank` over their positions)."""
     cx, code = mate.cx, mate._whole
-    at, edges, (fsrc, fat) = _flow_graph(code, cx._locate(sources)[0], _sweep_faces(cx, code))
-    return cx._ids_at(at), edges, (fsrc, _mask_rank(code == 0)(fat))
+    pos = cx._locate(fixed)[0]
+    at, edges, (fsrc, fat) = _flow_graph(code, pos[sources], _sweep_faces(cx, code))
+    mask = np.zeros(code.size, dtype=bool)
+    mask[pos] = True
+    return cx._ids_at(at), edges, (fsrc, _mask_rank(mask, pos)(fat))
 
 
 def _lower_cells(cx, oracle):
+    """Lower cell -> its partner, for the per-cell flow checks.  An oracle
+    that raises on a cell ends the check in an :class:`IntegrityError`
+    naming the cell, which the command line reports with exit code 2."""
     out = {}
     for c in cx.cells():
-        m = oracle(c)
+        try:
+            m = oracle(c)
+        except Exception as exc:  # noqa: BLE001 - reported as the check's failure
+            raise IntegrityError(f"matching oracle fails on cell {c}: {exc}") from exc
         if m != c and out.get(m) != c and cx.dim(m) == cx.dim(c) + 1:
             out[c] = m
     return out

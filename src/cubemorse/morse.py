@@ -71,7 +71,7 @@ def morse_boundary(
     if not sources.size:
         return BoundaryRows(ids, np.zeros(ids.size + 1, dtype=np.int64), np.zeros(0, dtype=np.intp))
     if type(mate_of) is TemplateMatching:
-        nodes, edges, fixed = _sweep_graph(mate_of, ids[sources])
+        nodes, edges, fixed = _sweep_graph(mate_of, ids, sources)
     else:
         nodes, edges, fixed = _cell_graph(ids.tolist(), ids[sources].tolist(), boundary_of, mate_of, dim_of)
     return _reduced_rows(ids, sources, nodes, edges, fixed)
@@ -139,6 +139,9 @@ def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     return nodes, (src, dst), (fsrc, fcol)
 
 
+_SCAN = 1 << 20  # member positions per piece of round one's scan for fixed cells
+
+
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
@@ -150,7 +153,9 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     ``grade_of`` is None or an int array of ``cx.total_ids`` grades by id.
     """
     mate = TemplateMatching(cx, grade_of)
-    fixed = cx._ids_at((mate._whole == 0).nonzero()[0]).astype(np.int64, copy=False)
+    code = mate._whole  # scanned in pieces: no bool array over all members at the round's peak
+    at = [np.flatnonzero(code[s : s + _SCAN] == 0) + s for s in range(0, code.size, _SCAN)]
+    fixed = cx._ids_at(np.concatenate([np.empty(0, np.intp), *at])).astype(np.int64, copy=False)
     dims = cx._dims(fixed)
     rows = morse_boundary(fixed, cx._boundary_raw, mate, cx.dim_of, dims)
     return _collapse(rows, dims, None if grade_of is None else grade_of[fixed])
@@ -376,24 +381,24 @@ def homology(cx: CubicalComplex) -> HomologyResult:
 def _pair_keys(a: np.ndarray, b: np.ndarray):
     """One int64 key per pair (a[i], b[i]) of ints, ordered as the pairs
     are, and the function that maps an array of keys back to the pairs, as
-    tuples of Python ints."""
+    two int64 arrays."""
     lo = int(min(a.min(), b.min())) if a.size else 0
     span = int(max(a.max(), b.max())) - lo + 1 if a.size else 1
     keys = (a.astype(np.int64) - lo) * span + (b.astype(np.int64) - lo)
-    return keys, lambda k: list(zip((k // span + lo).tolist(), (k % span + lo).tolist()))
+    return keys, lambda k: (k // span + lo, k % span + lo)
 
 
 def _check_filtered(E: ExplicitComplex, poset) -> None:
     """Every boundary entry between distinct grades descends the poset,
-    asked once per distinct (face grade, cell grade) pair; a failure names
-    the first entry of a failing pair in row order."""
+    asked in one ``leq`` call over the distinct (face grade, cell grade)
+    pairs; a failure names the first entry of a failing pair in row order."""
     cells, faces = E.rows.owners(), E.rows.cols
     g = E._grade
     cross = np.flatnonzero(g[faces] != g[cells])
     keys, pairs = _pair_keys(g[faces[cross]], g[cells[cross]])
     distinct = _distinct(keys)
-    bad = [k for k, (p, q) in zip(distinct.tolist(), pairs(distinct)) if not poset.leq(p, q)]
-    if bad:
+    bad = distinct[~np.asarray(poset.leq(*pairs(distinct)), dtype=bool)]
+    if bad.size:
         e = cross[np.isin(keys, bad).argmax()]
         f, c = E.rows.ids[[faces[e], cells[e]]].tolist()
         raise IntegrityError(
@@ -430,7 +435,8 @@ def connection_matrix(
     E, sizes = _reduce(cx, grade_of, check)
     keys, pairs = _pair_keys(E._grade, E._dim)
     keys, n = _distinct(keys, counts=True)
-    counts = dict(zip(pairs(keys), n.tolist()))
+    grade, dim = pairs(keys)
+    counts = dict(zip(zip(grade.tolist(), dim.tolist()), n.tolist()))
     scc_count = getattr(poset, "n", None)
     return ConleyResult(
         complex=E, tower=len(sizes), round_sizes=sizes, counts=counts, scc_count=scc_count

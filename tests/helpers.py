@@ -5,7 +5,7 @@ import heapq
 import itertools
 import random
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 from typing import Callable, Sequence
 
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from cubemorse.braid import BraidSkeleton, CondensationPoset, SkeletonError, _top_flat, validate_skeleton
+from cubemorse.braid import BraidSkeleton, CondensationPoset, SkeletonError, validate_skeleton
 from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _id_array, _refuse_above
 from cubemorse.cubical import CubicalComplex
 from cubemorse.matching import _classify
@@ -170,6 +170,33 @@ def morse_complex(
     dims = np.array([cx.dim(c) for c in ids.tolist()], dtype=np.int64)
     grades = None if grade_of is None else np.array([grade_of(c) for c in ids.tolist()], dtype=np.int64)
     return _collapse(morse_boundary(ids, cx.boundary, oracle, cx.dim, dims), dims, grades)
+
+
+def _top_flat(anchor: Sequence[int], na: int) -> int:
+    """Flat index of the top cube with the given anchor, axis 0 fastest."""
+    out = 0
+    for i, k in enumerate(anchor):
+        out += k * na**i
+    return out
+
+
+def reachability(n: int, dag_u: np.ndarray, dag_v: np.ndarray) -> np.ndarray:
+    """``below[q, p]``: whether class p is reached from class q along the
+    edges ``dag_u -> dag_v``, q itself included, by a breadth-first search
+    from every class.  Independent of :class:`CondensationPoset`'s bit array."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(dag_u.tolist(), dag_v.tolist()):
+        succ[u].append(v)
+    below = np.zeros((n, n), dtype=bool)
+    for q in range(n):
+        seen, queue = {q}, deque([q])
+        while queue:
+            for v in succ[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        below[q, sorted(seen)] = True
+    return below
 
 
 def grade_cell(

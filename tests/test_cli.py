@@ -294,8 +294,8 @@ def test_verify_reports_corrupt_sweeps_as_the_per_cell_path(monkeypatch, capsys,
     on ``sphere:2`` and on a dense explicit complex (two squares of
     C(2; 2)): ``verify`` prints and exits exactly as its per-cell checks
     do, to which the array checks fall back.  A code of -128 indexes past
-    the oracle's steps, so the per-cell matching check raises IndexError
-    either way."""
+    the oracle's steps: the matching check reports that as an oracle error
+    and the flow checks end in exit code 2."""
     if source == "grid":
         given = ["--gen", "sphere:2"]
     else:
@@ -324,6 +324,7 @@ def test_verify_reports_corrupt_sweeps_as_the_per_cell_path(monkeypatch, capsys,
     got = run()
     monkeypatch.setattr(matching, "_array_view", lambda cx, oracle: None)
     assert got == run()
+    assert isinstance(got[0], int), got  # an exit status, never an exception
 
 
 @pytest.mark.parametrize("flag, check", [("--acyclic", "verify_acyclic"), ("--stable", "verify_stable")])

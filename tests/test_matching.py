@@ -684,9 +684,11 @@ def test_mask_rank_at_block_edges(size, density):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 5000), st.floats(0, 1), st.integers(0, 2**32 - 1))
 def test_mask_rank_is_the_index_among_set_positions(size, density, seed):
+    """Also when the caller passes the set positions it holds."""
     mask = np.random.default_rng(seed).random(size) < density
     want = np.flatnonzero(mask)
     assert np.array_equal(matching._mask_rank(mask.copy())(want), np.arange(want.size))
+    assert np.array_equal(matching._mask_rank(mask.copy(), want)(want), np.arange(want.size))
 
 
 def test_template_matching_rejects_non_members():
