@@ -235,6 +235,19 @@ def _relation_edge_arrays(
     one_v: list[np.ndarray] = []
     two_a: list[np.ndarray] = []
     two_b: list[np.ndarray] = []
+    # The improper stars go first, so that their small arrays do not sit
+    # above the large per-axis temporaries and keep the freed heap resident.
+    for vert in improper_vertices(sk):
+        # the star's tops form one box: on axis i, the intervals v_i - 1 and
+        # v_i that lie in 0..na-1, whose flat indices sum over the axes
+        box = np.zeros((1,) * d, dtype=np.int64)
+        for ax, v in enumerate(vert):
+            k = np.arange(max(v - 1, 0), min(v, na - 1) + 1, dtype=np.int64)
+            box = box + (k * na**ax).reshape([-1 if a == ax else 1 for a in range(d)])
+        for ax in range(d):
+            if box.shape[ax] == 2:
+                two_a.append(np.take(box, 0, axis=ax).ravel())
+                two_b.append(np.take(box, 1, axis=ax).ravel())
     for ax in range(d):
         stride = na**ax
         k = (idx // stride) % na
@@ -249,17 +262,6 @@ def _relation_edge_arrays(
         one_v += [nb[down], sel[up]]
         two_a.append(sel[tie])
         two_b.append(nb[tie])
-    for vert in improper_vertices(sk):
-        # the star's tops form one box: on axis i, the intervals v_i - 1 and
-        # v_i that lie in 0..na-1, whose flat indices sum over the axes
-        box = np.zeros((1,) * d, dtype=np.int64)
-        for ax, v in enumerate(vert):
-            k = np.arange(max(v - 1, 0), min(v, na - 1) + 1, dtype=np.int64)
-            box = box + (k * na**ax).reshape([-1 if a == ax else 1 for a in range(d)])
-        for ax in range(d):
-            if box.shape[ax] == 2:
-                two_a.append(np.take(box, 0, axis=ax).ravel())
-                two_b.append(np.take(box, 1, axis=ax).ravel())
     return (
         (np.concatenate(one_u), np.concatenate(one_v)),
         (np.concatenate(two_a), np.concatenate(two_b)),
