@@ -449,11 +449,13 @@ class CondensationPoset:
         return best
 
     def relation_pairs(self, subset: Iterable[int]) -> list[tuple[int, int]]:
-        """All strict order pairs (p, q) with p < q within a subset, by p and then q."""
+        """All strict order pairs (p, q) with p < q within a subset, by p and
+        then q, asked one row of the subset at a time."""
         sub = np.array(sorted(set(int(c) for c in subset)), dtype=np.int64)
-        p, q = np.meshgrid(sub, sub, indexing="ij")
-        hit = self.leq(p, q) & (p != q)
-        return list(zip(p[hit].tolist(), q[hit].tolist()))
+        out = []
+        for p in sub.tolist():
+            out += [(p, q) for q in sub[self.leq(p, sub) & (sub != p)].tolist()]
+        return out
 
 
 def condensation(sk: BraidSkeleton, cross_flat: np.ndarray | None = None) -> CondensationPoset:
