@@ -636,15 +636,25 @@ def test_verify_grading_adds_under_a_byte_per_cell():
     assert peaks[True] < peaks[False] + 0.9, peaks
 
 
-def test_input_counts_memory_is_one_piece():
+def test_input_counts_memory_is_one_piece(monkeypatch):
     """On braid-v3 the tally keeps one piece of ``_PIECE`` int keys at a
-    time: ``input_counts`` peaks at 1.61 MB measured, the returned dict of
-    5,598 entries (0.66 MB) and the dict's construction included, below a
-    fixed 2 MB however large the grid's slabs grow (the last axis's slab of
-    11^5 cells would take 1.29 MB of keys alone)."""
+    time, where the last axis's slab of 11^5 cells would take 1.29 MB of
+    keys: every ``bincount`` counts at most ``_PIECE`` keys, and
+    ``input_counts`` peaks at 1.61 MB measured, below a fixed 2 MB, the
+    returned dict of 5,598 entries (0.66 MB) and its construction included."""
     bc = build_braid_complex(nfold_cover(reference_braid(), 3))
     bc.input_counts()  # numpy's caches, outside the trace
     assert traced_peak(bc.input_counts) < 2_000_000
+    counted = []
+    real_bincount = np.bincount
+
+    def bincount(keys, *args, **kwargs):
+        counted.append(keys.size)
+        return real_bincount(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    bc.input_counts()
+    assert counted and max(counted) <= braid._PIECE
 
 
 def end_slices_repeat(grades: np.ndarray, na: int, d: int) -> bool:
