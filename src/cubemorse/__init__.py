@@ -16,7 +16,6 @@ from .core import (
     NonMemberCellError,
     SizeGuardError,
     TrichotomyError,
-    betti_oracle,
     validate_complex,
 )
 from .cubical import CubicalComplex, alpha, beta
@@ -39,7 +38,6 @@ from .braid import (
     SkeletonError,
     build_braid_complex,
     condensation,
-    crossing_number,
     nfold_cover,
     reference_braid,
     torus_knot,
@@ -66,11 +64,9 @@ __all__ = [
     "TrichotomyError",
     "alpha",
     "beta",
-    "betti_oracle",
     "build_braid_complex",
     "condensation",
     "connection_matrix",
-    "crossing_number",
     "homology",
     "nfold_cover",
     "reference_braid",

@@ -160,28 +160,6 @@ def torus_knot(m: int) -> BraidSkeleton:
     return validate_skeleton(rows)
 
 
-def crossing_number(sk: BraidSkeleton, anchor: Sequence[int]) -> int:
-    """Crossings between the skeleton and a free strand through one top cube.
-
-    The free strand takes the midpoint height anchor[i] + 1/2 at every
-    position (wrapping at the seam), so each segment pair contributes when
-    the height differences flip sign.  Values are doubled to stay integral.
-    """
-    d = sk.d
-    if len(anchor) != d:
-        raise ValueError(f"anchor needs {d} coordinates")
-    if any(not 0 <= a <= sk.m - 2 for a in anchor):
-        raise ValueError(f"anchor {tuple(anchor)} outside the top-cube grid")
-    total = 0
-    for s in sk.strands:
-        for j in range(d):
-            a = 2 * anchor[j] + 1 - 2 * s[j]
-            b = 2 * anchor[(j + 1) % d] + 1 - 2 * s[j + 1]
-            if a * b < 0:
-                total += 1
-    return total
-
-
 def crossing_table(sk: BraidSkeleton) -> np.ndarray:
     """Crossing numbers of all top cubes; axis i indexes coordinate i+1.
 

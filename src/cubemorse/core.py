@@ -1,4 +1,4 @@
-"""Cell complexes over GF(2): contracts, validation, and a brute-force homology oracle.
+"""Cell complexes over GF(2): contracts and validation.
 
 A complex is a finite set of integer cell ids with a dimension function and a
 boundary operator over GF(2).  The boundary of a cell is returned as the tuple
@@ -334,11 +334,6 @@ class ExplicitComplex:
                 f"boundary of boundary of cell {ids[c]} is nonzero at {ids[at].tolist()}"
             )
 
-    def canonical_form(self) -> tuple:
-        """Relabel cells 0..n-1 in ascending id order; grades are not included."""
-        entries = tuple(zip(self.rows.owners().tolist(), self.rows.cols.tolist()))
-        return tuple(self._dim.tolist()), entries
-
     def to_json_dict(self, poset_pairs: list[tuple[int, int]] | None = None) -> dict:
         g = self.grades
         cells = [{"id": c, "dim": d} | ({} if g is None else {"grade": g[c]}) for c, d in self.dims.items()]
@@ -419,60 +414,3 @@ def validate_complex(cx: CellComplexLike) -> ValidationReport:
                 Violation("dd-nonzero", c, f"d(d(cell)) nonzero at {sorted(acc)[:4]}")
             )
     return report
-
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are given as int bitmasks.
-
-    Each pivot is keyed by its lowest set bit.  Adding the pivot keyed by a
-    row's lowest bit clears that bit and changes only higher ones, so every
-    row ends as zero or as the pivot of a new key.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = row
-                break
-            row ^= p
-    return len(pivots)
-
-
-def betti_oracle(cx: CellComplexLike) -> list[int]:
-    """Betti numbers over GF(2) by straight Gaussian elimination.
-
-    Independent of the Morse machinery: builds each boundary matrix and uses
-    rank-nullity.  Intended as a test oracle, so it refuses more than
-    100,000 cells.
-
-    Returns:
-        List ``b`` with ``b[k]`` the k-th GF(2) Betti number, for k in
-        0..max_cell_dim of the complex.
-    """
-    _refuse_above("betti_oracle", cx, 100_000)
-    by_dim: dict[int, list[int]] = {}
-    for c in cx.cells():
-        by_dim.setdefault(cx.dim(c), []).append(c)
-    if not by_dim:
-        return []
-    top = max(by_dim)
-    index: dict[int, dict[int, int]] = {
-        d: {c: i for i, c in enumerate(sorted(ids))} for d, ids in by_dim.items()
-    }
-    ranks: dict[int, int] = {}
-    for d in range(1, top + 1):
-        rows = []
-        lower = index.get(d - 1, {})
-        for c in sorted(by_dim.get(d, [])):
-            mask = 0
-            for f in cx.boundary(c):
-                mask |= 1 << lower[f]
-            rows.append(mask)
-        ranks[d] = gf2_rank(rows)
-    betti = []
-    for d in range(top + 1):
-        n = len(by_dim.get(d, []))
-        betti.append(n - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return betti

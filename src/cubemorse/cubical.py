@@ -79,13 +79,11 @@ _DENSE_SPAN = 3
 _WALK_CHUNK = 4096
 
 
-def _digit_slices(m: int, d: int, last: int | None = None) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """Per axis of a grid's Fortran-order id array, the indices of digits 2l + 1, 2l and 2l + 2,
-    for l < m, or on the last axis for l < ``last``, the half-width of a slab of its planes."""
+def _digit_slices(m: int, d: int) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """Per axis of a grid's Fortran-order id array, the indices of digits 2l + 1, 2l and 2l + 2, for l < m."""
     for axis in range(d):
-        h = m if last is None or axis < d - 1 else last
         at = (slice(None),) * axis
-        yield at + (slice(1, 2 * h, 2),), at + (slice(0, 2 * h - 1, 2),), at + (slice(2, 2 * h + 1, 2),)
+        yield at + (slice(1, 2 * m, 2),), at + (slice(0, 2 * m - 1, 2),), at + (slice(2, 2 * m + 1, 2),)
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +104,7 @@ def _index_dtype(n: int) -> np.dtype:
 class CubicalComplex(CellComplexLike):
     """See module docstring.  ``CubicalComplex(m, d)`` is the full grid;
     :meth:`sphere` and :meth:`top_sphere` exclude its centre cell, and
-    :meth:`from_top_cells` and :meth:`from_cells` set ``members``."""
+    :meth:`from_top_cells` sets ``members``."""
 
     def __init__(self, m: int, d: int):
         if m < 1 or d < 1:
@@ -203,24 +201,6 @@ class CubicalComplex(CellComplexLike):
                 steps = (steps + np.array([0, p, 2 * p], dtype=pows.dtype)[:, None]).ravel()
             ids = np.sort((corners[:, None] + steps).ravel())
             cx.members = ids[np.diff(ids, prepend=-1) != 0]
-        cx.members.flags.writeable = False
-        return cx
-
-    @classmethod
-    def from_cells(cls, m: int, d: int, cells: list[int]) -> "CubicalComplex":
-        """Closure (under taking faces) of an arbitrary set of cell ids."""
-        cx = cls(m, d)
-        members: set[int] = set()
-        stack = list(cells)
-        while stack:
-            c = stack.pop()
-            if c in members:
-                continue
-            if not 0 <= c < cx.total_ids:
-                raise NonMemberCellError(f"cell id {c} out of range for this grid")
-            members.add(c)
-            stack.extend(cx._boundary_raw(c))
-        cx.members = np.array(sorted(members), dtype=cx._id_dtype)
         cx.members.flags.writeable = False
         return cx
 

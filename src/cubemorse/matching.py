@@ -9,10 +9,10 @@ array pass per axis, and :class:`TemplateMatching` wraps it, so ``verify``
 checks the matching the reduction rounds use.  On a whole grid or a dense
 explicit complex, where a cell's id is its index in the grid's digit array,
 a pass compares each cell with the one a stride on, in contiguous blocks of
-the flat array for the short strides and as two strided digit slices of one
-axis for the others; elsewhere it looks each partner up among the member
-ids.  :func:`fiber_mate` evaluates it on one anchor fiber in pure Python, as
-the tests' independent oracle and the benchmark's fiber replay.
+one int8 code array over all ids whose nonzero codes mark the taken cells;
+elsewhere it looks each partner up among the member ids.
+:func:`fiber_mate` evaluates it on one anchor fiber in pure Python, as the
+tests' independent oracle and the benchmark's fiber replay.
 
 A matching w partitions cells into fixed cells, lower cells (paired upward),
 and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
@@ -123,13 +123,12 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     position: a cell's id is its index in the ``(base,) * d`` Fortran-order
     array of all ids, so level i compares each cell x whose digit i - 1 is
     even and below 2m with x + ``pows[i-1]``, with the excluded centre or
-    the non-members marked taken beforehand; no id is searched.  A level of
-    a short stride runs as contiguous passes over the flat array, in blocks
-    under a periodic mask of those digits; the others compare the digit
-    slices ``0:2m-1:2`` and ``1:2m:2`` of axis i - 1 (``_digit_slices``).
-    The levels run over one slab of last-axis planes at a time, so beyond
-    the int8 codes memory is bounded by the slab (:func:`_grid_sweep`).
-    Any other sweep finds each partner among ``ids`` by ``searchsorted``.
+    the non-members marked taken beforehand; no id is searched.  Each level
+    is one contiguous pass over an int8 code array of all ids, in blocks
+    under a periodic mask of those digits, and a nonzero code marks a cell
+    taken, so beyond the codes memory is bounded by the blocks
+    (:func:`_grid_sweep`).  Any other sweep finds each partner among
+    ``ids`` by ``searchsorted``, with the codes as its taken mask too.
 
     Args:
         cx: the cubical complex.
@@ -148,115 +147,90 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
         return _grid_sweep(cx, grade_of)
     ids = cx.member_ids() if ids is None else ids
     grade = None if grade_of is None else grade_of[ids]
-    code = np.zeros(ids.size, dtype=np.int8)
-    free = np.ones(ids.size, dtype=bool)
+    code = np.zeros(ids.size, dtype=np.int8)  # 0 while a member is free
     for level, p in enumerate(cx.pows, start=1):
         digit = ids // p % cx.base
-        src = np.flatnonzero(free & (digit & 1 == 0) & (digit < 2 * cx.m))
+        src = np.flatnonzero((code == 0) & (digit & 1 == 0) & (digit < 2 * cx.m))
         dst, ok = _lookup(ids, ids[src] + p)
-        ok &= free[dst]
+        ok &= code[dst] == 0
         if grade is not None:
             ok &= grade[src] == grade[dst]
         src, dst = src[ok], dst[ok]
         code[src] = level
         code[dst] = -level
-        free[src] = False
-        free[dst] = False
     return code
 
 
-_SLAB_CELLS = 1 << 20  # a grid sweep's slabs of last-axis planes hold at least this many cells
-# Levels of a stride below _FLAT_STRIDE run as flat passes (:func:`_flat_level`), since
-# their slices iterate in inner loops of p cells: on braid-v3 the levels of stride 1, 11
-# and 121 take 16.4, 7.7 and 1.7 ms as slices, 5.1 (the first touch of the arrays
-# included), 1.4 and 1.1 ms flat.  Longer strides gain nothing measurable flat on braid-v3,
-# sphere(12) or cubical-rand, and each costs verify-s9's small slab about 0.03 ms.
-_FLAT_STRIDE = 128
+_TAKEN = -128  # the code of an id no sweep level pairs, a non-member or the excluded centre: below -d
 # A flat pass's blocks span at most _FLAT_BLOCK cells (any value >= 1 is exact) and 1/8 of
-# the slab: blocks of 32-64k cells sweep braid-v3 fastest, 4k-cell ones 2.5 times slower.
+# the grid: blocks of 32-64k cells sweep braid-v3 fastest, 4k-cell ones 2.5 times slower.
 _FLAT_BLOCK = 1 << 16
 
 
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid or dense explicit complex, as
-    passes over the grid's digit array in which the non-members start
-    taken.  The grade array over all ids is read in place.  No pair leaves
-    a slab of last-axis planes 2l .. 2l' - 1, so the passes run over one
-    slab of at least ``_SLAB_CELLS`` cells at a time, the last also taking
-    plane 2m: only the int8 codes are held whole.  In a slab, the levels of
-    a stride below ``_FLAT_STRIDE``, the first ones, run as flat passes
-    (:func:`_flat_level`) and the others as slice passes, whose masks are
-    each freed before the next level's."""
-    base, d, excl, rank = cx.base, cx.d, cx._excluded, cx._rank
-    plane = base ** (d - 1)
-    width = 2 * max(1, -(-_SLAB_CELLS // (2 * plane)))  # an even number of planes
-    fast = sum(p < _FLAT_STRIDE for p in cx.pows)  # the first levels, whose strides are small
-    flat = np.zeros(cx.total_ids, dtype=np.int8)
-    for a in range(0, 2 * cx.m, width):
-        b = a + width if a + width < 2 * cx.m else base
-        cells, shape = slice(a * plane, b * plane), (base,) * (d - 1) + (b - a,)
-        taken = np.zeros(plane * (b - a), dtype=bool) if rank is None else rank[cells] < 0
-        if excl is not None and cells.start <= excl < cells.stop:
-            taken[excl - cells.start] = True
-        grade = None if grade_of is None else grade_of[cells]
-        slices = list(_digit_slices(cx.m, d, (b - a) // 2))
-        for level in range(1, fast + 1):
-            _flat_level(flat[cells], taken, grade, level, cx.pows[level - 1], shape[level - 1])
-        grade = None if grade is None else grade.reshape(shape, order="F")
-        code, taken = flat[cells].reshape(shape, order="F"), taken.reshape(shape, order="F")  # views
-        for level, (hi, lo, _) in enumerate(slices[fast:], start=fast + 1):
-            ok = taken[lo] | taken[hi]
-            np.logical_not(ok, out=ok)
-            if grade is not None:
-                ok &= grade[lo] == grade[hi]
-            np.copyto(code[lo], level, where=ok)
-            np.copyto(code[hi], -level, where=ok)
-            taken[lo] |= ok
-            taken[hi] |= ok
-            del ok  # freed before the next level's
-        del taken, grade  # freed before the next slab and the members' codes
+    one flat pass per level (:func:`_flat_level`) over an int8 code array
+    of all ids, in which a nonzero code means taken: the non-members and
+    the excluded centre start at ``_TAKEN``.  The grade array over all ids
+    is read in place, so beyond the codes only the passes' small buffers
+    are held."""
+    rank, excl = cx._rank, cx._excluded
+    code = np.zeros(cx.total_ids, np.int8) if rank is None else np.multiply(rank < 0, _TAKEN, dtype=np.int8)
+    if excl is not None:
+        code[excl] = _TAKEN
+    for level, p in enumerate(cx.pows, start=1):
+        _flat_level(code, grade_of, level, p, cx.base)
     if rank is not None:
-        return flat[cx.members]
-    return flat if excl is None else np.delete(flat, excl)
+        return code.take(cx.members)
+    if excl is not None:
+        code[excl:-1] = code[excl + 1 :]  # the centre's code dropped in place
+        code = code[:-1]
+    return code
 
 
-def _flat_level(code, taken, grade, level, p, n) -> None:
-    """One level of :func:`_grid_sweep` as contiguous passes over a slab's
-    flat arrays, for a stride ``p`` whose slices would iterate in short
-    inner loops.  Cell x pairs with x + p when digit ``x // p % n`` of its
-    axis, of extent n in the slab, is even and below 2(n // 2) and both are
-    untaken (and of equal grade).  The pattern has period ``p * n``, and
-    no pair crosses a period or, within one, a multiple of 2p, so blocks
-    of whole periods, or of pieces of one period that start at even
-    digits, all share one mask.  An untaken cell's code is 0, so the int8
+def _flat_level(code, grade, level, p, n) -> None:
+    """One level of :func:`_grid_sweep` as contiguous passes over the flat
+    arrays.  Cell x pairs with x + p when digit ``x // p % n`` of its axis
+    is even and below n - 1 and both codes are 0, untaken (and the grades
+    equal).  The pattern has period ``p * n``, and no pair crosses a period
+    or, within one, a multiple of 2p, so blocks of whole periods, or of
+    pieces of one period that start at even digits, all share one mask;
+    when 2p exceeds a block, each even digit's run of p cells pairs in
+    pieces of at most a block.  An untaken cell's code is 0, so the int8
     adds write the codes exactly, without a branch per cell.  Blocks span
-    at most ``_FLAT_BLOCK`` cells and 1/8 of the slab, so the buffers,
+    at most ``_FLAT_BLOCK`` cells and 1/8 of the grid, so the buffers,
     freed on return, stay small next to it."""
     size, period = code.size, p * n
     target = max(1, min(_FLAT_BLOCK, size >> 3))
-    if period <= target:
-        span = block = target // period * period
-    else:
-        span, block = period, max(1, target // (2 * p)) * 2 * p
     digit = np.arange(n)
-    even = np.tile((digit % 2 == 0) & (digit < n // 2 * 2), -(-block // period))  # per digit of a block
-    pattern = np.repeat(even[: block // p], p)[: block - p]
-    ok, same, step = np.empty(block - p, bool), np.empty(block - p, bool), np.empty(block - p, np.int8)
-    for q in range(0, size, span):
-        for s in range(q, min(q + span, size), block):
-            k = min(s + block, q + span, size) - s - p  # the pairs x, x + p with s <= x < s + k
-            if k <= 0:
-                continue
-            lo, hi, o = slice(s, s + k), slice(s + p, s + p + k), ok[:k]
-            np.logical_or(taken[lo], taken[hi], out=o)
-            np.greater(pattern[:k], o, out=o)  # pattern and untaken
-            if grade is not None:
-                o &= np.equal(grade[lo], grade[hi], out=same[:k])
-            up = np.multiply(o.view(np.int8), level, out=step[:k])
-            code[lo] += up
-            code[hi] -= up
-            taken[lo] |= o
-            taken[hi] |= o
+    even = (digit % 2 == 0) & (digit < n - 1)
+    if period <= target:  # whole periods; a block's pairs x, x + p have s <= x < s + k
+        block = target // period * period
+        pieces = ((s, min(s + block, size) - s - p) for s in range(0, size, block))
+    elif 2 * p <= target:  # pieces of one period
+        block = target // (2 * p) * 2 * p
+        pieces = (
+            (s, min(s + block, q + period) - s - p) for q in range(0, size, period) for s in range(q, q + period, block)
+        )
+    else:  # pieces of the run of p cells at each even digit
+        block = min(target, p)
+        runs = (x for x in range(0, size, p) if even[x // p % n])
+        pieces = ((s, min(s + block, x + p) - s) for x in runs for s in range(x, x + p, block))
+    run = min(p, block)  # the cells of one digit in a block
+    pattern = np.repeat(np.tile(even, -(-block // period))[: block // run], run)
+    ok, same, step = np.empty(block, bool), np.empty(block, bool), np.empty(block, np.int8)
+    for s, k in pieces:
+        if k <= 0:
+            continue
+        lo, hi, o, up = slice(s, s + k), slice(s + p, s + p + k), ok[:k], step[:k]
+        np.bitwise_or(code[lo], code[hi], out=up)
+        np.equal(up, 0, out=o)  # both untaken
+        o &= pattern[:k]
+        if grade is not None:
+            o &= np.equal(grade[lo], grade[hi], out=same[:k])
+        np.multiply(o.view(np.int8), level, out=up)
+        code[lo] += up
+        code[hi] -= up
 
 
 def _steps(cx: CubicalComplex) -> list[int]:
@@ -529,15 +503,15 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
 
 def _on_grid(cx: CubicalComplex, code: np.ndarray) -> np.ndarray:
     """The sweep codes ``code``, by position, scattered over all ids of a
-    grid or dense explicit complex as int8, -128 at the ids of no member
-    (the non-members, the excluded centre), below every code -d..d: one
-    byte per id, the codes themselves on a whole grid."""
+    grid or dense explicit complex as int8, ``_TAKEN`` at the ids of no
+    member (the non-members, the excluded centre), below every code -d..d:
+    one byte per id, the codes themselves on a whole grid."""
     code = code.astype(np.int8, copy=False)
     if cx.members is not None:
-        grid = np.full(cx.total_ids, -128, dtype=np.int8)
+        grid = np.full(cx.total_ids, _TAKEN, dtype=np.int8)
         grid[cx.members] = code
         return grid
-    return code if cx._excluded is None else np.insert(code, cx._excluded, -128)
+    return code if cx._excluded is None else np.insert(code, cx._excluded, _TAKEN)
 
 
 def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
@@ -555,7 +529,7 @@ def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
         paired = cells[lo] == t
         paired &= cells[odd] == -t
         pairs += np.count_nonzero(paired)
-    return 2 * pairs == np.count_nonzero(grid) - (grid.size - cx.cell_count)  # less the -128s
+    return 2 * pairs == np.count_nonzero(grid) - (grid.size - cx.cell_count)  # less the _TAKENs
 
 
 def _grid_flow_edges(cx: CubicalComplex, grid: np.ndarray):

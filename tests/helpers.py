@@ -243,7 +243,7 @@ def random_cubical_complex(rng: random.Random, d: int, m: int = 3) -> CubicalCom
     base = 2 * m + 1
     total = base**d
     seeds = rng.sample(range(total), rng.randint(1, min(15, total)))
-    return CubicalComplex.from_cells(m, d, seeds)
+    return from_cells(m, d, seeds)
 
 
 @st.composite
@@ -279,7 +279,7 @@ def sparse_cubical_complexes(draw):
     complex, with no rank table."""
     m, d = draw(st.integers(3, 4)), draw(st.integers(3, 4))
     seeds = draw(st.lists(st.integers(0, (2 * m + 1) ** d - 1), min_size=1, max_size=3))
-    cx = CubicalComplex.from_cells(m, d, seeds)
+    cx = from_cells(m, d, seeds)
     assert cx._rank is None
     return cx
 
@@ -441,6 +441,113 @@ def dd_nonzero(E) -> dict[int, list[int]]:
         if odd:
             out[c] = odd
     return out
+
+
+# The test-only oracles: dense GF(2) Betti numbers, crossing counts of one
+# free strand, the closure of arbitrary cells and a relabelled boundary.
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank of a GF(2) matrix whose rows are given as int bitmasks.
+
+    Each pivot is keyed by its lowest set bit.  Adding the pivot keyed by a
+    row's lowest bit clears that bit and changes only higher ones, so every
+    row ends as zero or as the pivot of a new key.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = row
+                break
+            row ^= p
+    return len(pivots)
+
+
+def betti_oracle(cx: CellComplexLike) -> list[int]:
+    """Betti numbers over GF(2) by straight Gaussian elimination.
+
+    Independent of the Morse machinery: builds each boundary matrix and uses
+    rank-nullity.  Intended as a test oracle, so it refuses more than
+    100,000 cells.
+
+    Returns:
+        List ``b`` with ``b[k]`` the k-th GF(2) Betti number, for k in
+        0..max_cell_dim of the complex.
+    """
+    _refuse_above("betti_oracle", cx, 100_000)
+    by_dim: dict[int, list[int]] = {}
+    for c in cx.cells():
+        by_dim.setdefault(cx.dim(c), []).append(c)
+    if not by_dim:
+        return []
+    top = max(by_dim)
+    index: dict[int, dict[int, int]] = {
+        d: {c: i for i, c in enumerate(sorted(ids))} for d, ids in by_dim.items()
+    }
+    ranks: dict[int, int] = {}
+    for d in range(1, top + 1):
+        rows = []
+        lower = index.get(d - 1, {})
+        for c in sorted(by_dim.get(d, [])):
+            mask = 0
+            for f in cx.boundary(c):
+                mask |= 1 << lower[f]
+            rows.append(mask)
+        ranks[d] = gf2_rank(rows)
+    betti = []
+    for d in range(top + 1):
+        n = len(by_dim.get(d, []))
+        betti.append(n - ranks.get(d, 0) - ranks.get(d + 1, 0))
+    return betti
+
+
+def crossing_number(sk: BraidSkeleton, anchor: Sequence[int]) -> int:
+    """Crossings between the skeleton and a free strand through one top cube.
+
+    The free strand takes the midpoint height anchor[i] + 1/2 at every
+    position (wrapping at the seam), so each segment pair contributes when
+    the height differences flip sign.  Values are doubled to stay integral.
+    """
+    d = sk.d
+    if len(anchor) != d:
+        raise ValueError(f"anchor needs {d} coordinates")
+    if any(not 0 <= a <= sk.m - 2 for a in anchor):
+        raise ValueError(f"anchor {tuple(anchor)} outside the top-cube grid")
+    total = 0
+    for s in sk.strands:
+        for j in range(d):
+            a = 2 * anchor[j] + 1 - 2 * s[j]
+            b = 2 * anchor[(j + 1) % d] + 1 - 2 * s[j + 1]
+            if a * b < 0:
+                total += 1
+    return total
+
+
+def from_cells(m: int, d: int, cells: list[int]) -> CubicalComplex:
+    """Closure (under taking faces) of an arbitrary set of cell ids."""
+    cx = CubicalComplex(m, d)
+    members: set[int] = set()
+    stack = list(cells)
+    while stack:
+        c = stack.pop()
+        if c in members:
+            continue
+        if not 0 <= c < cx.total_ids:
+            raise NonMemberCellError(f"cell id {c} out of range for this grid")
+        members.add(c)
+        stack.extend(cx._boundary_raw(c))
+    cx.members = np.array(sorted(members), dtype=cx._id_dtype)
+    cx.members.flags.writeable = False
+    return cx
+
+
+def canonical_form(E: ExplicitComplex) -> tuple:
+    """Relabel cells 0..n-1 in ascending id order; grades are not included."""
+    entries = tuple(zip(E.rows.owners().tolist(), E.rows.cols.tolist()))
+    return tuple(E._dim.tolist()), entries
 
 
 def strip_zeros(betti: list[int]) -> list[int]:

@@ -19,7 +19,6 @@ from cubemorse.braid import (
     build_braid_complex,
     condensation,
     condensation_dot,
-    crossing_number,
     crossing_table,
     grade_cells,
     improper_vertices,
@@ -33,7 +32,7 @@ from cubemorse.braid import (
 from cubemorse.core import FormatError, IntegrityError
 from cubemorse.cubical import CubicalComplex, alpha, beta
 from cubemorse.morse import template_round
-from .helpers import braid_skeletons, grade_cell, reachability, traced_peak
+from .helpers import braid_skeletons, crossing_number, grade_cell, reachability, traced_peak
 
 REFERENCE_ROWS = [(0, 0, 0), (1, 3, 1), (2, 1, 2), (3, 4, 3), (4, 2, 4), (5, 5, 5)]
 

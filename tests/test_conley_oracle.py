@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
-from cubemorse.core import ExplicitComplex, IntegrityError, betti_oracle
+from cubemorse.core import ExplicitComplex, IntegrityError
 from cubemorse.morse import connection_matrix
-from .helpers import braid_skeletons, grade_cell, lower_star_graded, strip_zeros
+from .helpers import betti_oracle, braid_skeletons, grade_cell, lower_star_graded, strip_zeros
 
 
 def restricted_betti(cells, dim, boundary, keep) -> list[int]:

@@ -20,6 +20,7 @@ from cubemorse.morse import _input_euler, homology, template_round
 from .helpers import (
     HypercubeComplex,
     dense_top_cube_complexes,
+    from_cells,
     random_cubical_complex,
     sparse_cubical_complexes,
     top_cube_complexes,
@@ -114,7 +115,7 @@ def test_max_cell_dim():
     assert CubicalComplex.sphere(2).max_cell_dim == 2
     # other top squares survive around the removed central one
     assert CubicalComplex.top_sphere(1).max_cell_dim == 2
-    assert CubicalComplex.from_cells(2, 2, [21]).max_cell_dim == 1
+    assert from_cells(2, 2, [21]).max_cell_dim == 1
 
 
 def test_from_top_cells_closure():
@@ -138,12 +139,12 @@ def test_from_top_cells_guard():
 
 
 def test_from_cells_closes_downward():
-    cx = CubicalComplex.from_cells(2, 2, [21])
+    cx = from_cells(2, 2, [21])
     assert cx.cell_count == 3
     assert sorted(cx.cells()) == [20, 21, 22]
     assert validate_complex(cx).ok
     with pytest.raises(NonMemberCellError):
-        CubicalComplex.from_cells(2, 2, [25])
+        from_cells(2, 2, [25])
 
 
 def test_fibers_partition_the_complex():
@@ -169,7 +170,7 @@ def test_fibers_partition_the_complex():
 
 def test_fiber_members_matches_iteration():
     # iter_fibers and the per-anchor query agree on the extent masks
-    for cx in (CubicalComplex.sphere(2), CubicalComplex.from_cells(2, 2, [21, 13])):
+    for cx in (CubicalComplex.sphere(2), from_cells(2, 2, [21, 13])):
         for base, members in cx.iter_fibers():
             assert cx.fiber_members(cx.anchor(base)) == members
 
@@ -416,7 +417,7 @@ def _interval_codec(cx, cell):
         CubicalComplex.sphere(20),  # base 3, 21 digits, ids above 2^32
         CubicalComplex.full(5, 7),  # base 11
         CubicalComplex.full(30, 3),  # base 61
-        CubicalComplex.from_cells(1000, 3, [2001**3 - 2]),  # int64 ids
+        from_cells(1000, 3, [2001**3 - 2]),  # int64 ids
         CubicalComplex.full(5000, 2),  # base 10001
     ],
     ids=["b3d5", "sphere9", "sphere20", "b11d7", "b61d3", "b2001-int64", "b10001"],
@@ -679,7 +680,7 @@ def test_locate_agrees_with_the_members(cx, extra):
 
 def test_is_member_beyond_int64():
     top = 3 ** 45 - 1
-    cx = CubicalComplex.from_cells(1, 45, [top - 1])  # an edge and its two end vertices
+    cx = from_cells(1, 45, [top - 1])  # an edge and its two end vertices
     assert cx.members.dtype == object and cx.members.tolist() == [top - 2, top - 1, top]
     want = {top - 2, top - 1, top}
     for c in [-1, 0, 1, top - 3, *want, top + 1, 2 ** 64]:
@@ -716,7 +717,7 @@ def test_sphere_grids_equal_their_explicit_closures():
     cases += [CubicalComplex.top_sphere(d) for d in range(1, 4)]
     for grid in cases:
         assert grid.members is None
-        explicit = CubicalComplex.from_cells(grid.m, grid.d, list(grid.cells()))
+        explicit = from_cells(grid.m, grid.d, list(grid.cells()))
         assert list(explicit.cells()) == list(grid.cells())
         assert explicit.member_ids().tolist() == grid.member_ids().tolist()
         assert explicit.counts_by_dim() == grid.counts_by_dim()

@@ -12,7 +12,6 @@ from cubemorse.core import (
     NonMemberCellError,
     SizeGuardError,
     TrichotomyError,
-    betti_oracle,
     validate_complex,
 )
 from cubemorse.cubical import CubicalComplex
@@ -29,8 +28,10 @@ from cubemorse.matching import (
 from .helpers import (
     HypercubeComplex,
     SequenceMatching,
+    betti_oracle,
     classify,
     dense_top_cube_complexes,
+    from_cells,
     mate,
     mate_table,
     random_cubical_complex,
@@ -395,7 +396,7 @@ def test_template_matching_sweeps_fibers_then_whole(monkeypatch):
 
 def test_template_sweep_on_sparse_grid():
     # ids beyond int32 on a grid far too large for a bitmap over all ids
-    cx = CubicalComplex.from_cells(1000, 3, [1_234_567_891, 7_999_999_999])
+    cx = from_cells(1000, 3, [1_234_567_891, 7_999_999_999])
     assert cx.total_ids > 2**32
     code = template_sweep(cx)
     assert cx.member_ids().dtype == np.int64
@@ -423,7 +424,7 @@ def graded_grids(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(graded_grids())
 def test_grid_sweep_equals_member_id_sweep(case):
-    """The slice passes of a whole grid give the member-id sweep's result."""
+    """The flat passes of a whole grid give the member-id sweep's result."""
     cx, grades = case
     code = template_sweep(cx, grades)
     want = template_sweep(cx, grades, ids=cx.member_ids())
@@ -559,8 +560,9 @@ def graded_dense_explicit(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(graded_dense_explicit())
 def test_dense_explicit_sweep_equals_member_id_sweep(case):
-    """The masked slice passes of a dense explicit complex give the
-    member-id sweep's codes and the per-fiber oracle's pairs."""
+    """The flat passes of a dense explicit complex, whose non-members start
+    taken, give the member-id sweep's codes and the per-fiber oracle's
+    pairs."""
     cx, grades = case
     code = template_sweep(cx, grades)
     want = template_sweep(cx, grades, ids=cx.member_ids())
@@ -568,46 +570,41 @@ def test_dense_explicit_sweep_equals_member_id_sweep(case):
     assert_sweep_matches_oracle(cx, grades)
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(graded_grids() | graded_dense_explicit())
-def test_slab_sweep_equals_member_id_sweep(case):
-    """With one last-axis plane pair per slab, the grid sweep still gives
-    the member-id sweep's codes: no pair crosses a slab boundary."""
-    cx, grades = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matching, "_SLAB_CELLS", 0)
-        code = template_sweep(cx, grades)
-    assert np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
-
-
 @settings(max_examples=60, deadline=None, database=None)
-@given(graded_grids() | graded_dense_explicit(), st.sampled_from([1, 2, 8, 128, 1 << 62]), st.booleans())
-def test_flat_sweep_in_smallest_blocks_equals_member_id_sweep(case, stride, thin_slabs):
-    """With ``_FLAT_BLOCK`` at its smallest, 1, a flat pass runs in blocks
-    of 2p cells within each period of its digit pattern, so it crosses a
-    block boundary at every other digit: the codes still equal the
-    member-id sweep's, whichever levels run flat (every stride below
-    ``stride``) and with one last-axis plane pair per slab or not."""
+@given(graded_grids() | graded_dense_explicit(), st.sampled_from([1, 2, 7, 64]))
+def test_flat_sweep_in_smallest_blocks_equals_member_id_sweep(case, block):
+    """With ``_FLAT_BLOCK`` at 1, 2, 7 or 64, a flat pass runs in blocks of
+    whole periods of its digit pattern, of pieces of one period or of
+    pieces of one even digit's run of p cells, so it crosses a block
+    boundary at every other digit or inside a run: the codes still equal
+    the member-id sweep's."""
     cx, grades = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matching, "_FLAT_BLOCK", 1)
-        mp.setattr(matching, "_FLAT_STRIDE", stride)
-        if thin_slabs:
-            mp.setattr(matching, "_SLAB_CELLS", 0)
+        mp.setattr(matching, "_FLAT_BLOCK", block)
         code = template_sweep(cx, grades)
     assert code.dtype == np.int8 and np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
 
 
 def test_flat_sweep_in_smallest_blocks_under_braid_grades(monkeypatch):
-    """Braid v2's grades (base 11, d = 4) with ``_FLAT_BLOCK`` at 1: the
-    levels of stride 1, 11 and 121 run flat in blocks of at most 2p cells,
-    the level of stride 1331 as slices, and the codes equal the member-id
-    sweep's."""
+    """With ``_FLAT_BLOCK`` at 1, 2, 7 and 64, the grid sweep equals the
+    member-id sweep on spheres and ``top_sphere``, whose excluded centres
+    start taken, on a dense explicit complex with and without grades, and
+    under braid v2's grades (base 11, d = 4)."""
     bc = build_braid_complex(nfold_cover(reference_braid(), 2))
-    monkeypatch.setattr(matching, "_FLAT_BLOCK", 1)
-    assert bc.cx.pows == [1, 11, 121, 1331] and matching._FLAT_STRIDE == 128
-    code = template_sweep(bc.cx, bc.grades)
-    assert np.array_equal(code, template_sweep(bc.cx, bc.grades, ids=bc.cx.member_ids()))
+    assert bc.grades.dtype == np.int16 and bc.cx.pows == [1, 11, 121, 1331]
+    rng = np.random.default_rng(5)
+    dense = dense_explicit()
+    cases = [
+        *((CubicalComplex.sphere(d), None) for d in range(1, 6)),
+        *((CubicalComplex.top_sphere(d), None) for d in (1, 2, 3)),
+        (dense, None),
+        (dense, rng.integers(0, 3, dense.total_ids).astype(np.int16)),
+        (bc.cx, bc.grades),
+    ]
+    for block, (cx, grades) in itertools.product([1, 2, 7, 64], cases):
+        monkeypatch.setattr(matching, "_FLAT_BLOCK", block)
+        code = template_sweep(cx, grades)
+        assert code.dtype == np.int8 and np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
 
 
 def assert_slice_flows_equal_the_walk(cx, grades):
@@ -642,32 +639,6 @@ def test_slice_flow_graph_equals_the_walk_under_braid_grades(nfold):
     bc = build_braid_complex(nfold_cover(reference_braid(), nfold))
     assert bc.cx.members is None
     assert_slice_flows_equal_the_walk(bc.cx, bc.grades)
-
-
-def test_slab_sweep_on_spheres_dense_complexes_and_braid_grades(monkeypatch):
-    """One plane pair per slab, the last slab taking the top plane too: the
-    sweep equals the member-id sweep on spheres, on ``top_sphere``, whose
-    excluded centre (last digit 3 of 0..6) lies in the middle of three
-    slabs, on dense explicit complexes and under braid v2's grades."""
-    bc = build_braid_complex(nfold_cover(reference_braid(), 2))
-    real, halves = matching._digit_slices, []
-    monkeypatch.setattr(matching, "_SLAB_CELLS", 0)
-    monkeypatch.setattr(matching, "_digit_slices", lambda m, d, last: halves.append(last) or real(m, d, last))
-    rng = np.random.default_rng(5)
-    dense = dense_explicit()
-    cases = [
-        *((CubicalComplex.sphere(d), None) for d in range(1, 6)),
-        *((CubicalComplex.top_sphere(d), None) for d in (1, 2, 3)),
-        (dense, None),
-        (dense, rng.integers(0, 3, dense.total_ids).astype(np.int16)),
-        (bc.cx, bc.grades),
-    ]
-    for cx, grades in cases:
-        halves.clear()
-        code = template_sweep(cx, grades)
-        assert code.dtype == np.int8 and np.array_equal(code, template_sweep(cx, grades, ids=cx.member_ids()))
-        assert halves == [1] * cx.m  # one slab per plane pair
-    assert bc.grades.dtype == np.int16 and bc.cx.base == 11
 
 
 @pytest.mark.parametrize("size", [0, 1, 254, 255, 256, 510])
@@ -714,27 +685,26 @@ def test_template_matching_rejects_non_members():
 
 
 def test_grid_sweep_memory_is_a_few_bytes_per_cell():
-    """Peak memory of a graded full-grid sweep stays below 3.5 bytes per
-    cell (3.43 measured): int8 codes, a bool mask and the slice
-    temporaries, with no id array."""
+    """Peak memory of a graded full-grid sweep stays below 1.7 bytes per
+    cell (1.54 measured): the int8 codes, which are their own taken mask,
+    and the flat passes' block buffers, with no id array."""
     cx = CubicalComplex.full(3, 6)
     grades = (np.arange(cx.total_ids) % 5).astype(np.int32)
     assert template_sweep(cx, grades).dtype == np.int8
     peak = traced_peak(lambda: template_sweep(cx, grades))
-    assert peak < 3.5 * cx.total_ids, peak / cx.total_ids
+    assert peak < 1.7 * cx.total_ids, peak / cx.total_ids
 
 
 @pytest.mark.parametrize(
     "cx, betti, bound",
-    [(CubicalComplex.sphere(11), [1] + [0] * 10 + [1], 3.1), (CubicalComplex.full(20, 4), [1, 0, 0, 0, 0], 2.1)],
+    [(CubicalComplex.sphere(11), [1] + [0] * 10 + [1], 2.2), (CubicalComplex.full(20, 4), [1, 0, 0, 0, 0], 1.5)],
     ids=["sphere11", "full20x4"],
 )
 def test_grid_homology_memory_is_a_few_bytes_per_cell(cx, betti, bound):
-    """The peak of ``homology`` on a grid is its round-one sweep, 2.71 and
-    2.00 bytes per cell measured: below the 4 bytes an int32 id array
-    would take alone.  The sphere's 531,441 cells are one slab of the
-    sweep; the 2,825,761 of ``full(20, 4)`` are three, so its taken mask is
-    never held whole."""
+    """The peak of ``homology`` on a grid, 2.01 and 1.37 bytes per cell
+    measured, stays below the 4 bytes an int32 id array would take alone:
+    the sweep holds one int8 code per id, which marks the taken cells too,
+    and buffers of at most ``_FLAT_BLOCK`` cells."""
     assert homology(cx).betti == betti
     peak = traced_peak(lambda: homology(cx))
     assert peak < bound * cx.cell_count, peak / cx.cell_count

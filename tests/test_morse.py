@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cubemorse import morse
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid, torus_knot
-from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError, betti_oracle
+from cubemorse.core import AcyclicityError, ExplicitComplex, IntegrityError
 from cubemorse.cubical import CubicalComplex
 from cubemorse.matching import TemplateMatching, verify_acyclic
 from cubemorse.morse import (
@@ -23,6 +23,7 @@ from cubemorse.morse import (
 from .helpers import (
     HypercubeComplex,
     SequenceMatching,
+    betti_oracle,
     cubical_boundaries,
     generic_round_reference,
     lower_star_graded,

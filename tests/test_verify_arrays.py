@@ -23,7 +23,7 @@ from cubemorse.core import validate_complex
 from cubemorse.cubical import _WALK_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import FLOW_CHECK_LIMIT, TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from cubemorse.morse import template_round
-from .helpers import dense_top_cube_complexes, random_cubical_complex, top_cube_complexes, traced_peak
+from .helpers import dense_top_cube_complexes, from_cells, random_cubical_complex, top_cube_complexes, traced_peak
 
 
 class PerCell:
@@ -114,7 +114,7 @@ def test_graded_array_checks_agree_on_braids():
 
 
 def test_ids_beyond_int64_take_the_per_cell_walk():
-    cx = CubicalComplex.from_cells(1, 45, [3 ** 45 - 1])
+    cx = from_cells(1, 45, [3 ** 45 - 1])
     assert not cx._validates_clean()
     assert validate_complex(cx) == validate_complex(PerCell(cx))
     assert validate_complex(cx).ok
