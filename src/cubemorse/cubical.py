@@ -13,19 +13,19 @@ answered from the codec.  An *explicit* complex stores its member ids in
 ``members``, one sorted read-only array (:meth:`CubicalComplex.member_ids`);
 a grid has ``members = None``.  An explicit complex is *dense* when its id
 range is at most ``_DENSE_SPAN`` times its member count, as the closures of
-random top cubes are: it then also keeps a rank table over the whole id
-range (``CubicalComplex._rank``, each member's position, -1 elsewhere),
-built on first use, and is treated as a grid with a member mask.  A
-*sparse* explicit complex, such as a few cubes of a grid with 10^6
-intervals per axis, keeps ``members`` alone.
+random top cubes are: it then also keeps a bool mask of its members over
+the whole id range (``CubicalComplex._member_mask``), built on first use,
+and is treated as a grid with that mask.  A *sparse* explicit complex,
+such as a few cubes of a grid with 10^6 intervals per axis, keeps
+``members`` alone.
 
-Array passes address members by *position*, their index in ascending id
-order.  One codec maps ids to positions and back
-(:meth:`CubicalComplex._locate`, :meth:`CubicalComplex._ids_at`): on a grid
-it is arithmetic, a position being the id shifted down by one past the
-excluded centre, so no id array is built and nothing is searched; a dense
-explicit complex reads its rank table and ``members``, and a sparse one
-searches ``members``.
+Array passes address each member by its *slot*: on a grid or dense
+explicit complex the id itself, so an array over the slots spans all ids;
+on a sparse explicit complex its *position*, its index in ``members``.
+One codec maps ids to slots and back (:meth:`CubicalComplex._locate`,
+:meth:`CubicalComplex._ids_at`): by id it is the identity, membership read
+from the mask or the excluded centre, so no id array is built and nothing
+is searched; a sparse complex searches ``members``.
 
 The codec is one face formula: the faces of a cell are ``id - pows[i]`` and
 ``id + pows[i]`` for each odd digit i (its edge [l, l+1] replaced by [l, l]
@@ -63,13 +63,13 @@ from .core import (
 
 CLOSURE_CELL_GUARD = 100_000_000
 # an explicit complex whose id range is at most this many times its member
-# count is dense: positions by a rank table over the ids, closure by
-# dilation of a member mask and the grid's slice sweep.  Three is where the
-# two paths cross on random top cubes (d = 3, 5, 8; 5 * 10^4 to 2.5 * 10^6
-# cells): up to three ids per member, homology runs 10-40% faster dense and
-# peaks at most 14% above the sparse path, below it for d >= 5; at about
-# four the rank table's 4 bytes per id raise the peak 20-45% for a gain of
-# 0-25%, and at six or more dense is no faster
+# count is dense: slots by id, a member mask over the ids, closure by
+# dilation and the grid's slice sweep.  Three is where the two paths
+# crossed on random top cubes (d = 3, 5, 8; 5 * 10^4 to 2.5 * 10^6 cells)
+# with a 4-byte rank table in place of the mask: up to three ids per
+# member, homology ran 10-40% faster dense and peaked at most 14% above the
+# sparse path, below it for d >= 5; at about four the table raised the
+# peak 20-45% for a gain of 0-25%, and at six or more dense was no faster
 _DENSE_SPAN = 3
 # cells per face-array call of the array walks, and per chunk of the checks
 # that look a sparse explicit complex's faces and partners up: a call has a
@@ -93,12 +93,6 @@ def _lookup(ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids copies all of ``ids`` first; ``hit`` compares the uncast keys."""
     at = np.minimum(np.searchsorted(ids, keys.astype(ids.dtype, copy=False)), ids.size - 1)
     return at, ids[at] == keys
-
-
-def _index_dtype(n: int) -> np.dtype:
-    """int32 for indices into an array of n entries when they all fit, else
-    intp: a cast to int32 past 2^31 wraps and indexes from the end."""
-    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.intp)
 
 
 class CubicalComplex(CellComplexLike):
@@ -315,56 +309,50 @@ class CubicalComplex(CellComplexLike):
         return ids
 
     @cached_property
-    def _rank(self) -> np.ndarray | None:
-        """Of a dense explicit complex, the position of every id of the
-        grid, -1 for a non-member, int32 when the positions fit; None for a
-        grid or a sparse explicit complex.  Built from ``members`` on first
-        use."""
+    def _member_mask(self) -> np.ndarray | None:
+        """Of a dense explicit complex, a bool mask over every id of the
+        grid, True at the members; None for a grid or a sparse explicit
+        complex.  Built from ``members`` on first use."""
         ids = self.members
         if ids is None or self.total_ids > _DENSE_SPAN * ids.size:
             return None
-        rank = np.full(self.total_ids, -1, dtype=_index_dtype(ids.size))
-        rank[ids] = np.arange(ids.size, dtype=rank.dtype)
-        return rank
+        mask = np.zeros(self.total_ids, dtype=bool)
+        mask[ids] = True
+        return mask
+
+    @property
+    def _by_id(self) -> bool:
+        """Whether a cell's slot in array passes is its id: on a grid or a
+        dense explicit complex; on a sparse one it is the cell's position
+        in ``members``."""
+        return self.members is None or self._member_mask is not None
 
     def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pos, hit): the position of each id of ``keys`` among the members
-        and whether it is a member; a missed key gets some valid position.
-        Arithmetic on a grid, a gather from :attr:`_rank` on a dense
-        explicit complex, ``searchsorted`` in ``members`` on a sparse one."""
-        rank = self._rank
-        if rank is None and self.members is not None:
+        """(slot, hit): the slot of each id of ``keys`` and whether it is a
+        member; a missed key gets some valid slot.  The keys themselves when
+        :attr:`_by_id`, ``hit`` read from :attr:`_member_mask` or the
+        excluded centre; ``searchsorted`` in a sparse complex's ``members``."""
+        if not self._by_id:
             return _lookup(self.members, keys)
         hit = (keys >= 0) & (keys < self.total_ids)
-        if rank is not None:
-            pos = rank[np.where(hit, keys, 0)]
-            hit &= pos >= 0
-        else:
-            pos = keys
-            if self._excluded is not None:
-                hit &= keys != self._excluded
-                pos = keys - (keys > self._excluded)
-        return np.where(hit, pos, 0), hit
+        if self._member_mask is not None:
+            hit &= self._member_mask[np.where(hit, keys, 0)]
+        elif self._excluded is not None:
+            hit &= keys != self._excluded
+        return np.where(hit, keys, 0), hit
 
-    def _ids_at(self, pos: np.ndarray) -> np.ndarray:
-        """The member ids at the positions ``pos``: the inverse of :meth:`_locate`."""
-        if self.members is not None:
-            return self.members[pos]
-        if self._excluded is None:
-            return pos
-        return pos + (pos >= self._excluded)
+    def _ids_at(self, slot: np.ndarray) -> np.ndarray:
+        """The member ids at the slots ``slot``: the inverse of :meth:`_locate`."""
+        return slot if self._by_id else self.members[slot]
 
     def _position(self, cell: int) -> int | None:
-        """:meth:`_locate` of one id: its position, or None for a non-member."""
+        """:meth:`_locate` of one id: its slot, or None for a non-member."""
         if not 0 <= cell < self.total_ids:
             return None
         if self.members is None:
-            if cell == self._excluded:
-                return None
-            return cell - (self._excluded is not None and cell > self._excluded)
-        if self._rank is not None:
-            at = int(self._rank[cell])
-            return at if at >= 0 else None
+            return None if cell == self._excluded else cell
+        if self._member_mask is not None:
+            return cell if self._member_mask[cell] else None
         at = int(self.members.searchsorted(self.members.dtype.type(cell)))  # a key of another dtype casts all ids
         return at if at < self.members.size and self.members[at] == cell else None
 
@@ -419,9 +407,10 @@ class CubicalComplex(CellComplexLike):
         """Whether :func:`cubemorse.core.validate_complex` finds no violation:
         whether every face of every member is a member.  A grid or dense
         explicit complex checks its member mask (all ids but the excluded
-        one, or ``_rank >= 0``) by digit slices, a member at an odd digit
-        2l + 1 needing members at 2l and 2l + 2 (:func:`_digit_slices`); a
-        sparse one searches the faces of each ``_WALK_CHUNK`` members.
+        one, or :attr:`_member_mask` in place) by digit slices, a member at
+        an odd digit 2l + 1 needing members at 2l and 2l + 2
+        (:func:`_digit_slices`); a sparse one searches the faces of each
+        ``_WALK_CHUNK`` members.
 
         That is all the per-cell walk can find: it reads :meth:`boundary`
         and :meth:`dim`, the face formula, whose rows are ascending, one
@@ -430,14 +419,15 @@ class CubicalComplex(CellComplexLike):
         """
         if self.total_ids > np.iinfo(np.int64).max:
             return False
-        if self.members is None or self._rank is not None:
-            member = np.ones(self.total_ids, dtype=bool) if self.members is None else self._rank >= 0
-            if self._excluded is not None:
-                member[self._excluded] = False
+        if self._by_id:
+            member = self._member_mask
+            if member is None:
+                member = np.ones(self.total_ids, dtype=bool)
+                if self._excluded is not None:
+                    member[self._excluded] = False
             grid, slices = member.reshape((self.base,) * self.d, order="F"), _digit_slices(self.m, self.d)
             return not any((grid[odd] & ~(grid[lo] & grid[hi])).any() for odd, lo, hi in slices)
-        n = self.cell_count
-        chunks = (self._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))) for lo in range(0, n, _WALK_CHUNK))
+        chunks = (self.members[lo:lo + _WALK_CHUNK] for lo in range(0, self.members.size, _WALK_CHUNK))
         return all(self._locate(self._face_arrays(ids)[0])[1].all() for ids in chunks)
 
     def boundary(self, cell: int) -> tuple[int, ...]:

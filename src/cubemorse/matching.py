@@ -19,23 +19,23 @@ and upper cells.  ``verify_*`` check the matching axioms, acyclicity of the
 induced flow relation, and the pair-stability property that guarantees
 acyclicity for aggregated matchings.
 
-This module alone reads the sweep's encoding, one code per member
-position (ascending id order): the member at position i has id
-``cx._ids_at(i)`` and partner ``id + step[code[i]]`` (:func:`_steps`), and
-``cx._locate`` maps ids back to positions, by arithmetic on a grid, by the
-rank table of a dense explicit complex and by ``searchsorted`` among the
-``members`` of a sparse one.  The passes take ids only for the positions
-they touch, one chunk at a time, so a grid gets no id array.  Given a
-:class:`TemplateMatching`, the checks run as numpy passes over one whole
-sweep; a lower cell's toggled digit must be even and below 2m, so by the
-face formula its partner is a coface one dimension up.  On a grid or dense
-explicit complex they scatter the codes once over all ids
-(:func:`_on_grid`) and read digit slices: the pairs by counting
-(:func:`_pairs_by_slices`), the flow edges from each upper cell's faces
-(:func:`_grid_flow_edges`).
+This module alone reads the sweep's encoding, one code per *slot*: on a
+grid or dense explicit complex a cell's slot is its id, and the ids of no
+member hold ``_TAKEN``; on a sparse explicit complex it is the cell's
+position in ``members``.  The member at slot i has id ``cx._ids_at(i)``
+and partner ``id + step[code[i]]`` (:func:`_steps`), and ``cx._locate``
+maps ids back to slots, the ids themselves where they address the slots
+and by ``searchsorted`` among the ``members`` of a sparse complex.  The
+passes take ids only for the slots they touch, one chunk at a time, so a
+grid gets no id array.  Given a :class:`TemplateMatching`, the checks run
+as numpy passes over one whole sweep; a lower cell's toggled digit must be
+even and below 2m, so by the face formula its partner is a coface one
+dimension up.  On a grid or dense explicit complex they read the sweep's
+codes by digit slices: the pairs by counting (:func:`_pairs_by_slices`),
+the flow edges from each upper cell's faces (:func:`_grid_flow_edges`).
 
 One walk builds every other array flow graph (:func:`_flow_graph`),
-breadth first over member positions, ``_WALK_CHUNK`` frontier nodes at a
+breadth first over slots, ``_WALK_CHUNK`` frontier nodes at a
 time: ``verify``'s on a sparse explicit complex from all lower cells of a
 sweep (``TemplateMatching._flows``), round one's from its fixed cells
 (:func:`_sweep_graph`), and the later rounds' over the CSR of an explicit
@@ -67,11 +67,17 @@ from .core import (
     _row_starts,
     _rows,
 )
-from .cubical import _WALK_CHUNK, CubicalComplex, _digit_slices, _index_dtype, _lookup, alpha, beta
+from .cubical import _WALK_CHUNK, CubicalComplex, _digit_slices, _lookup, alpha, beta
 
 Entry = Callable[[int], int]
 
 FLOW_CHECK_LIMIT = 100_000  # cell limit of verify_acyclic and verify_stable
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """int32 for indices into an array of n entries when they all fit, else
+    intp: a cast to int32 past 2^31 wraps and indexes from the end."""
+    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.intp)
 
 
 def fiber_mate(
@@ -119,11 +125,11 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
     unmatched odd neighbour (of equal grade, if graded) all at once
     reproduces the level construction of :func:`fiber_mate` exactly.
 
-    A whole grid or dense explicit complex (``ids`` None) is swept by
-    position: a cell's id is its index in the ``(base,) * d`` Fortran-order
-    array of all ids, so level i compares each cell x whose digit i - 1 is
-    even and below 2m with x + ``pows[i-1]``, with the excluded centre or
-    the non-members marked taken beforehand; no id is searched.  Each level
+    A whole grid or dense explicit complex (``ids`` None) is swept by id:
+    a cell's slot is its index in the ``(base,) * d`` Fortran-order array
+    of all ids, so level i compares each cell x whose digit i - 1 is even
+    and below 2m with x + ``pows[i-1]``, with the excluded centre or the
+    non-members marked taken beforehand; no id is searched.  Each level
     is one contiguous pass over an int8 code array of all ids, in blocks
     under a periodic mask of those digits, and a nonzero code marks a cell
     taken, so beyond the codes memory is bounded by the blocks
@@ -138,12 +144,13 @@ def template_sweep(cx: CubicalComplex, grade_of=None, ids=None) -> np.ndarray:
             anchor fiber; all members when None.
 
     Returns:
-        code: per member position (per entry of ``ids`` when given), the
-        signed level of the member's pair as int8: +i when it pairs upward
-        with ``id + pows[i-1]``, -i when it pairs downward with
-        ``id - pows[i-1]``, 0 when it stays fixed.
+        code: per slot (per entry of ``ids`` when given), the signed level
+        of the member's pair as int8: +i when it pairs upward with
+        ``id + pows[i-1]``, -i when it pairs downward with ``id - pows[i-1]``,
+        0 when it stays fixed; ``_TAKEN`` at the ids of no member of a grid
+        or dense explicit complex.
     """
-    if ids is None and (cx.members is None or cx._rank is not None):
+    if ids is None and cx._by_id:
         return _grid_sweep(cx, grade_of)
     ids = cx.member_ids() if ids is None else ids
     grade = None if grade_of is None else grade_of[ids]
@@ -171,20 +178,15 @@ def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
     """:func:`template_sweep` of a whole grid or dense explicit complex, as
     one flat pass per level (:func:`_flat_level`) over an int8 code array
     of all ids, in which a nonzero code means taken: the non-members and
-    the excluded centre start at ``_TAKEN``.  The grade array over all ids
-    is read in place, so beyond the codes only the passes' small buffers
-    are held."""
-    rank, excl = cx._rank, cx._excluded
-    code = np.zeros(cx.total_ids, np.int8) if rank is None else np.multiply(rank < 0, _TAKEN, dtype=np.int8)
-    if excl is not None:
-        code[excl] = _TAKEN
+    the excluded centre start at ``_TAKEN`` and keep it.  The grade array
+    over all ids is read in place, so beyond the codes only the passes'
+    small buffers are held."""
+    mask = cx._member_mask
+    code = np.zeros(cx.total_ids, np.int8) if mask is None else np.where(mask, np.int8(0), np.int8(_TAKEN))
+    if cx._excluded is not None:
+        code[cx._excluded] = _TAKEN
     for level, p in enumerate(cx.pows, start=1):
         _flat_level(code, grade_of, level, p, cx.base)
-    if rank is not None:
-        return code.take(cx.members)
-    if excl is not None:
-        code[excl:-1] = code[excl + 1 :]  # the centre's code dropped in place
-        code = code[:-1]
     return code
 
 
@@ -248,7 +250,7 @@ class TemplateMatching:
     sweeps, about 0.1 ms each, cost about one whole sweep.  An explicit
     complex, whose fibers are often a few cells each, is swept whole on the
     first query, and so is any complex whose whole sweep the array checks
-    have found clean; queries then read the whole sweep's codes by position.
+    have found clean; queries then read the whole sweep's codes by slot.
     Pairs never leave a fiber, so the codes are the whole sweep's.  Code k
     maps a cell to ``cell + pows[k-1]`` when k > 0, to ``cell - pows[-k-1]``
     when k < 0 and to itself when k = 0; the pair forms at level |k|.
@@ -269,12 +271,11 @@ class TemplateMatching:
         self._grade_of = grade_of
         self._codes: dict[int, int] = {}  # member id -> sweep code, for the members of swept fibers
         self._step = _steps(cx)
-        self._grid: np.ndarray | None = None  # the clean sweep's codes over all ids (:func:`_on_grid`)
         self._fibers_left = 0 if cx.members is not None else (cx.m + 1) ** cx.d // 16
 
     @cached_property
     def _whole(self) -> np.ndarray:
-        """The codes of the whole :func:`template_sweep`, by position."""
+        """The codes of the whole :func:`template_sweep`, by slot."""
         return template_sweep(self.cx, self._grade_of)
 
     def _code(self, cell: int) -> int:
@@ -299,18 +300,21 @@ class TemplateMatching:
 
     @cached_property
     def _clean_sweep(self) -> np.ndarray | None:
-        """The codes of the whole :func:`template_sweep`, by position, when
+        """The codes of the whole :func:`template_sweep`, by slot, when
         :func:`verify_matching` would find nothing wrong with them, else
         None.  The sweep is the one round one runs, over all members.
 
-        Every partner ``id + step[code]`` must be a member whose partner is
-        the cell again, and every pair must toggle an even digit below 2m of
+        The codes must lie in -d..d, but for the slots of no member of a
+        grid or dense explicit complex: exactly ``total_ids - cell_count``
+        codes lie below -d, all ``_TAKEN`` and none at a member.  Every
+        partner ``id + step[code]`` must be a member whose partner is the
+        cell again, and every pair must toggle an even digit below 2m of
         its lower cell up to the odd digit of its upper cell.  By the face
         formula, which is the complex's ``dim`` and ``boundary``, the two
         are then face and coface one dimension apart.  A grid or dense
-        explicit complex counts codes in digit slices of ``_grid``
+        explicit complex counts codes in digit slices of the sweep itself
         (:func:`_pairs_by_slices`); a sparse one looks the partners up
-        ``_WALK_CHUNK`` positions at a time.  Computed once; when clean,
+        ``_WALK_CHUNK`` members at a time.  Computed once; when clean,
         per-cell queries read these codes too.
         """
         cx = self.cx
@@ -319,18 +323,20 @@ class TemplateMatching:
         except Exception:  # noqa: BLE001 - the per-cell checks report it per cell
             return None
         n = cx.cell_count
-        if code.shape != (n,) or code.dtype.kind not in "iu":
+        if code.shape != (cx.total_ids if cx._by_id else n,) or code.dtype.kind not in "iu":
             return None
-        if n and not -cx.d <= code.min() <= code.max() <= cx.d:
+        taken = np.flatnonzero(code < -cx.d)
+        if taken.size != code.size - n or (n and code.max() > cx.d):
             return None
-        if cx.members is None or cx._rank is not None:
-            self._grid = _on_grid(cx, code)
-            if not _pairs_by_slices(cx, self._grid):
+        if taken.size and ((code[taken] != _TAKEN).any() or cx._locate(taken)[1].any()):
+            return None
+        if cx._by_id:
+            if not _pairs_by_slices(cx, code):
                 return None
         else:
             step = np.array(self._step, dtype=np.int64)
             for lo in range(0, n, _WALK_CHUNK):
-                ids, k = cx._ids_at(np.arange(lo, min(lo + _WALK_CHUNK, n))), code[lo:lo + _WALK_CHUNK]
+                ids, k = cx.members[lo:lo + _WALK_CHUNK], code[lo:lo + _WALK_CHUNK]
                 at, hit = cx._locate(ids + step[k])
                 up = k > 0
                 toggled = ids[up] // step[k[up]] % cx.base
@@ -348,8 +354,8 @@ class TemplateMatching:
     def _flows(self):
         """The flow edges of the clean sweep, built once for both
         :func:`verify_acyclic` and :func:`verify_stable`, over all lower
-        cells as nodes, numbered by position: by digit slices of ``_grid``
-        on a grid or dense explicit complex (:func:`_grid_flow_edges`), else
+        cells as nodes, numbered by slot: by digit slices of the sweep on a
+        grid or dense explicit complex (:func:`_grid_flow_edges`), else
         by the :func:`_flow_graph` walk from all lower cells.  Both give the
         same arrays.
 
@@ -366,8 +372,8 @@ class TemplateMatching:
         """
         cx, code = self.cx, self._clean_sweep
         at = np.flatnonzero(code > 0)
-        if self._grid is not None:
-            src, dst = _grid_flow_edges(cx, self._grid)
+        if cx._by_id:
+            src, dst = _grid_flow_edges(cx, code)
         else:
             _, (src, dst), _ = _flow_graph(code, at, _sweep_faces(cx, code))
         step = np.array(self._step, dtype=np.int64)
@@ -448,9 +454,9 @@ def verify_matching(cx: CellComplexLike, oracle: Callable[[int], int]) -> Matchi
     _refuse_above("verify_matching", cx, VALIDATE_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None:
-        code = view._clean_sweep
-        n_lower = int(np.count_nonzero(code)) // 2  # a pair's codes are +t and -t
-        return MatchingReport(code.size, code.size - 2 * n_lower, n_lower, n_lower)
+        code, n = view._clean_sweep, cx.cell_count
+        n_lower = (int(np.count_nonzero(code)) - (code.size - n)) // 2  # less the _TAKENs; a pair's codes are +t, -t
+        return MatchingReport(n, n - 2 * n_lower, n_lower, n_lower)
     rep = MatchingReport(checked_cells=0)
     cap = 200
     for c in cx.cells():
@@ -501,24 +507,12 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
-def _on_grid(cx: CubicalComplex, code: np.ndarray) -> np.ndarray:
-    """The sweep codes ``code``, by position, scattered over all ids of a
-    grid or dense explicit complex as int8, ``_TAKEN`` at the ids of no
-    member (the non-members, the excluded centre), below every code -d..d:
-    one byte per id, the codes themselves on a whole grid."""
-    code = code.astype(np.int8, copy=False)
-    if cx.members is not None:
-        grid = np.full(cx.total_ids, _TAKEN, dtype=np.int8)
-        grid[cx.members] = code
-        return grid
-    return code if cx._excluded is None else np.insert(code, cx._excluded, _TAKEN)
-
-
 def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
-    """Whether the grid code array of a sweep whose codes lie in -d..d pairs
-    as :func:`template_sweep` does: for each level t, every cell of code +t
-    has an even digit t - 1 below 2m and code -t at that digit plus one,
-    and every cell of code -t is such a partner.  By digit slices of axis
+    """Whether the codes of a sweep by id, in -d..d at the members and
+    ``_TAKEN`` elsewhere, pair as :func:`template_sweep` does: for each
+    level t, every cell of code +t has an even digit t - 1 below 2m and
+    code -t at that digit plus one, and every cell of code -t is such a
+    partner.  By digit slices of axis
     t - 1 (:func:`_digit_slices`), the pairs of a +t cell in the even slice
     with a -t cell in the aligned odd slice are counted.  No member lies in
     two of them, and each holds two members of nonzero code, so they hold
@@ -534,14 +528,13 @@ def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
 
 def _grid_flow_edges(cx: CubicalComplex, grid: np.ndarray):
     """The node edges of :func:`_flow_graph` from all lower cells of a clean
-    sweep, by digit slices of its grid code array (:func:`_on_grid`):
-    nodes are the lower cells by position, and an edge runs from lower cell
-    q0 to each other lower face of its partner k0.  For axis i, an upper
-    cell k in the odd slice of i has the faces k - pows[i] and k + pows[i]
-    in the slices on either side, the first of them q0 itself when k pairs
-    along i.  The faces of a cell ascend by id in
-    :meth:`CubicalComplex._face_arrays` order, and nodes by position, so
-    sorting the edges by (src, dst) gives the walk's arrays.
+    sweep by id, by digit slices of its codes: nodes are the lower cells
+    by slot, and an edge runs from lower cell q0 to each other lower face
+    of its partner k0.  For axis i, an upper cell k in the odd slice of i
+    has the faces k - pows[i] and k + pows[i] in the slices on either side,
+    the first of them q0 itself when k pairs along i.  The faces of a cell
+    ascend by id in :meth:`CubicalComplex._face_arrays` order, and nodes by
+    slot, so sorting the edges by (src, dst) gives the walk's arrays.
 
     Returns:
         (src, dst): the edges, src ascending and each node's faces in
@@ -571,15 +564,15 @@ def _grid_flow_edges(cx: CubicalComplex, grid: np.ndarray):
     rank = _mask_rank(lower)
     key = rank(np.concatenate(tails)).astype(np.int64) * n + rank(np.concatenate(heads))
     key.sort()
-    idx = _index_dtype(cx.cell_count)
+    idx = _index_dtype(grid.size)
     return tuple(part.astype(idx) for part in np.divmod(key, n))
 
 
 def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
-    """The flow graph of a matching over member positions, walked breadth
-    first from the positions ``front``.  ``code[i]`` is positive for a
+    """The flow graph of a matching over the slots of its codes, walked
+    breadth first from the slots ``front``.  ``code[i]`` is positive for a
     lower cell, 0 for a fixed one and negative for an upper one, and
-    ``faces_of(chunk)`` gives (owner, pos): the positions of the member
+    ``faces_of(chunk)`` gives (owner, pos): the slots of the member
     faces of the cells that the nodes ``chunk`` step into (a lower cell's
     partner, a fixed cell itself), each with the index in ``chunk`` of its
     node.  One pass per frontier takes its nodes ``_WALK_CHUNK`` at a time,
@@ -588,20 +581,20 @@ def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
     A lower face other than the node itself is a node, visited in the next
     frontier if new; a fixed face ends the flow; an upper face has no flow.
     Nodes are numbered in visit order, ``front`` first, each later frontier
-    ascending by position.  Positions, nodes and edges are int32 while the
-    members fit (:func:`_index_dtype`).  Memory beyond the edges is one
-    byte per member, the mask of visited positions, whose rank
-    (:func:`_mask_rank`, given the visited positions, so that a walk of few
-    nodes makes no pass over all positions) numbers the nodes at the end.
+    ascending by slot.  Slots, nodes and edges are int32 while the slots
+    fit (:func:`_index_dtype`).  Memory beyond the edges is one byte per
+    slot, the mask of visited slots, whose rank (:func:`_mask_rank`, given
+    the visited slots, so that a walk of few nodes makes no pass over all
+    slots) numbers the nodes at the end.
 
     Returns:
-        (at, (src, dst), (fsrc, fat)): the position of each node; the edges
+        (at, (src, dst), (fsrc, fat)): the slot of each node; the edges
         from nodes to the nodes of their lower faces; and the edges from
-        nodes to the positions of their fixed faces.  Both edge lists run
+        nodes to the slots of their fixed faces.  Both edge lists run
         src ascending, faces in ``faces_of`` order.
     """
     idx = _index_dtype(code.size)
-    seen = np.zeros(code.size, dtype=bool)  # the positions of the nodes
+    seen = np.zeros(code.size, dtype=bool)  # the slots of the nodes
     seen[front] = True
     visited, done = [front], 0
     src, at = [np.zeros(0, dtype=idx)], [np.zeros(0, dtype=idx)]  # edges to faces
@@ -622,14 +615,14 @@ def _flow_graph(code: np.ndarray, front: np.ndarray, faces_of):
     src, at, order = np.concatenate(src), np.concatenate(at), np.concatenate(visited)
     low = code[at] > 0
     rank = _mask_rank(seen, np.sort(order))
-    node = np.empty(order.size, dtype=idx)  # rank of a node's position -> node
+    node = np.empty(order.size, dtype=idx)  # rank of a node's slot -> node
     node[rank(order)] = np.arange(order.size)
     return order, (src[low], node[rank(at[low])]), (src[~low], at[~low])
 
 
 def _sweep_faces(cx: CubicalComplex, code: np.ndarray):
     """The ``faces_of`` of :func:`_flow_graph` for a sweep's codes: the node
-    at position i steps into ``cx._ids_at(i) + step[code[i]]``, whose faces
+    at slot i steps into ``cx._ids_at(i) + step[code[i]]``, whose faces
     :meth:`CubicalComplex._face_arrays` lists and ``cx._locate`` finds."""
     step = np.array(_steps(cx), dtype=np.int64)
 
@@ -767,7 +760,7 @@ def _sweep_graph(mate: TemplateMatching, fixed: np.ndarray, sources: np.ndarray)
     cells ``fixed[sources]``, for :func:`cubemorse.morse.morse_boundary`,
     ``fixed`` the ascending ids of all the sweep's fixed cells: (node ids,
     node edges, edges to the columns of fixed faces), a fixed face's column
-    its index in ``fixed`` (:func:`_mask_rank` over their positions)."""
+    its index in ``fixed`` (:func:`_mask_rank` over their slots)."""
     cx, code = mate.cx, mate._whole
     pos = cx._locate(fixed)[0]
     at, edges, (fsrc, fat) = _flow_graph(code, pos[sources], _sweep_faces(cx, code))

@@ -99,7 +99,7 @@ _NEW = object()  # not yet reached by :func:`_cell_graph`
 def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     """The flow graph of :func:`morse_boundary` walked cell by cell,
     breadth first from ``sources``, as :func:`cubemorse.matching._flow_graph`
-    walks it over positions.  A fixed face is the column of its rank in the
+    walks it over slots.  A fixed face is the column of its rank in the
     ascending ``order``; a face ``mate_of`` pairs with a coface one
     dimension up is a lower cell, a node.  Each reached cell costs one
     ``mate_of`` and two ``dim_of`` calls, each node one ``boundary_of`` call.
@@ -139,21 +139,22 @@ def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     return nodes, (src, dst), (fsrc, fcol)
 
 
-_SCAN = 1 << 20  # member positions per piece of round one's scan for fixed cells
+_SCAN = 1 << 20  # slots per piece of round one's scan for fixed cells
 
 
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """One reduction round of a cubical complex under the template matching.
 
     The whole :func:`cubemorse.matching.template_sweep` gives a code per
-    member position; the members it leaves fixed are the critical cells,
-    whose ids come from their positions (``CubicalComplex._ids_at``,
-    arithmetic on a grid) and dimensions from one odd-digit count, and
-    :func:`morse_boundary` counts the flows over the same codes.
+    slot; the members it leaves fixed, code 0, are the critical cells,
+    whose ids come from their slots (``CubicalComplex._ids_at``, the slots
+    themselves on a grid or dense explicit complex) and dimensions from one
+    odd-digit count, and :func:`morse_boundary` counts the flows over the
+    same codes.
     ``grade_of`` is None or an int array of ``cx.total_ids`` grades by id.
     """
     mate = TemplateMatching(cx, grade_of)
-    code = mate._whole  # scanned in pieces: no bool array over all members at the round's peak
+    code = mate._whole  # scanned in pieces: no bool array over all slots at the round's peak
     at = [np.flatnonzero(code[s : s + _SCAN] == 0) + s for s in range(0, code.size, _SCAN)]
     fixed = cx._ids_at(np.concatenate([np.empty(0, np.intp), *at])).astype(np.int64, copy=False)
     dims = cx._dims(fixed)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cubemorse.braid import BraidSkeleton, CondensationPoset, SkeletonError, validate_skeleton
 from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _id_array, _refuse_above
 from cubemorse.cubical import CubicalComplex
-from cubemorse.matching import _classify
+from cubemorse.matching import _TAKEN, _classify
 from cubemorse.morse import _collapse, morse_boundary
 
 
@@ -260,15 +260,28 @@ def top_cube_complexes():
     return top_cubes().map(lambda t: CubicalComplex.from_top_cells(*t))
 
 
+def member_codes(cx: CubicalComplex, code: np.ndarray) -> np.ndarray:
+    """The codes of a whole sweep at the members' slots (``cx._locate``),
+    in ascending id order, after checking that the sweep has one slot per
+    id on a grid or dense explicit complex, one per member on a sparse one,
+    and ``_TAKEN`` at exactly the slots of no member."""
+    at, hit = cx._locate(cx.member_ids())
+    assert hit.all() and code.shape == ((cx.total_ids if cx._by_id else at.size),)
+    rest = np.ones(code.size, dtype=bool)
+    rest[at] = False
+    assert np.all(code[rest] == _TAKEN) and not np.any(code[at] == _TAKEN)
+    return code[at]
+
+
 @st.composite
 def dense_top_cube_complexes(draw):
     """The face closure of all top cubes of C(m; d), d <= 4, m <= 3, but at
-    most a quarter of them: a dense explicit complex, with a rank table."""
+    most a quarter of them: a dense explicit complex, with a member mask."""
     m, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     every = list(itertools.product(range(m), repeat=d))
     drop = draw(st.sets(st.sampled_from(every), max_size=len(every) // 4))
     cx = CubicalComplex.from_top_cells(m, d, [a for a in every if a not in drop])
-    assert cx._rank is not None
+    assert cx._member_mask is not None
     return cx
 
 
@@ -276,11 +289,11 @@ def dense_top_cube_complexes(draw):
 def sparse_cubical_complexes(draw):
     """The face closure of one to three cells of C(m; d), 3 <= m, d <= 4,
     whose ids outnumber its members more than three times: a sparse explicit
-    complex, with no rank table."""
+    complex, with no member mask."""
     m, d = draw(st.integers(3, 4)), draw(st.integers(3, 4))
     seeds = draw(st.lists(st.integers(0, (2 * m + 1) ** d - 1), min_size=1, max_size=3))
     cx = from_cells(m, d, seeds)
-    assert cx._rank is None
+    assert cx._member_mask is None
     return cx
 
 

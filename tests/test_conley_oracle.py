@@ -117,16 +117,19 @@ BRAIDS = {
 def interval_betti_oracle(cx, grades, poset, spans) -> dict[tuple[int, int], list[int]]:
     """The Betti numbers of the input cells graded in each interval of
     ``spans``, with the boundary restricted to them; the cells are grouped
-    by grade once, by one stable sort."""
+    by grade once, by one stable sort, and each cell's dimension, boundary
+    and grade are read once, by the complex's own per-cell queries."""
     ids = np.fromiter(cx.cells(), dtype=np.int64)
     ids = ids[np.argsort(grades[ids], kind="stable")]
-    starts = np.searchsorted(grades[ids], np.arange(poset.n + 1))
+    starts = np.searchsorted(grades[ids], np.arange(poset.n + 1)).tolist()
+    cells = ids.tolist()
+    dim, boundary = {c: cx.dim(c) for c in cells}, {c: cx.boundary(c) for c in cells}
+    grade = dict(zip(cells, grades[ids].tolist()))
     want = {}
     for p, q, inside in spans:
-        cells = np.concatenate([ids[starts[r] : starts[r + 1]] for r in np.flatnonzero(inside)])
-        want[p, q] = restricted_betti(
-            cells.tolist(), cx.dim, cx.boundary, lambda f: inside[grades[f]]
-        )
+        keep = inside.tolist()
+        sub = [c for r in np.flatnonzero(inside).tolist() for c in cells[starts[r] : starts[r + 1]]]
+        want[p, q] = restricted_betti(sub, dim.__getitem__, boundary.__getitem__, lambda f: keep[grade[f]])
     return want
 
 
@@ -145,7 +148,7 @@ INTERVAL_BRAIDS = ["v1", "t10", pytest.param("v2", marks=pytest.mark.slow)]
 
 @pytest.mark.parametrize("name", INTERVAL_BRAIDS)
 def test_braid_intervals_match_index_oracle(name):
-    """v1 takes about 0.01 s, t10 about 1 s and v2 about 7 s on 2 shared cores."""
+    """v1 takes about 0.01 s, t10 about 1 s and v2 about 3 s on 2 shared cores."""
     _, final, spans, want = interval_case(name)
     assert final_interval_betti(spans, final) == want
 

@@ -530,7 +530,7 @@ def test_from_top_cells_equals_product_closure_up_to_d8(case):
             want.add(sum(c * p for c, p in zip(digits, cx.pows)))
     assert cx.members.tolist() == sorted(want)
     assert cx.members.dtype == np.int32 and not cx.members.flags.writeable
-    assert (cx._rank is not None) is (cx.total_ids <= _DENSE_SPAN * len(want))
+    assert (cx._member_mask is not None) is (cx.total_ids <= _DENSE_SPAN * len(want))
 
 
 def test_members_is_one_sorted_read_only_array():
@@ -574,8 +574,8 @@ def test_dense_explicit_peaks_per_cell():
     """A dense explicit complex (half the top cubes of C(30; 3)) is closed by
     dilating a bool mask, which peaks at 15.3 bytes per cell where listing
     every top cube's 27 faces and sorting them peaked at 40.1; its
-    ``homology``, the rank table built inside the trace, peaks at 24.0 bytes
-    per cell, where searching the members peaked at 27.8."""
+    ``homology``, the member mask built inside the trace, peaks at 19.0
+    bytes per cell, where searching the members peaked at 27.8."""
     rng = random.Random(5)
     anchors = [a for a in itertools.product(range(30), repeat=3) if rng.random() < 0.5]
     homology(CubicalComplex.from_top_cells(30, 3, anchors[:200]))  # warm the numpy caches outside the trace
@@ -585,17 +585,17 @@ def test_dense_explicit_peaks_per_cell():
         closure = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "_rank" not in vars(cx)  # not built yet
+    assert "_member_mask" not in vars(cx)  # not built yet
     tracemalloc.start()
     try:
         assert homology(cx).betti == [1, 1961, 186, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cx._rank is not None
+    assert cx._member_mask is not None
     n = cx.cell_count
     assert closure < 17 * n, closure / n
-    assert peak < 26 * n, peak / n
+    assert peak < 21 * n, peak / n
 
 
 def test_sphere_member_ids_peak_near_4_bytes_per_cell():
@@ -640,7 +640,7 @@ def test_is_member_agrees_with_the_closure_set(cx):
 def located_complexes(draw):
     """A grid, ``full(m, d)``, ``sphere(d)`` or ``top_sphere(d)``, the
     closure of random top cubes, or an explicit complex drawn on either side
-    of the density rule: dense, with a rank table, or sparse, without."""
+    of the density rule: dense, with a member mask, or sparse, without."""
     kind = draw(st.sampled_from(["full", "sphere", "top_sphere", "explicit", "dense", "sparse"]))
     if kind == "full":
         return CubicalComplex.full(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
@@ -658,24 +658,27 @@ def located_complexes(draw):
 @settings(max_examples=80, deadline=None, database=None)
 @given(located_complexes(), st.lists(st.integers(-3, 3 ** 6), max_size=40))
 def test_locate_agrees_with_the_members(cx, extra):
-    """``_locate`` gives each member key its index in ``member_ids()`` and
-    misses exactly the non-members, whatever the key dtype; ``_position``
-    is its scalar form and ``_ids_at`` its inverse.  The keys span -1, the centre, total_ids and int64 keys
-    beyond the int32 range, next to every member."""
+    """``_locate`` gives each member key its slot, the key itself on a grid
+    or dense explicit complex and its index in ``member_ids()`` on a sparse
+    one, and misses exactly the non-members, whatever the key dtype;
+    ``_position`` is its scalar form and ``_ids_at`` its inverse.  The keys
+    span -1, the centre, total_ids and int64 keys beyond the int32 range,
+    next to every member."""
     ids = cx.member_ids()
     keys = np.array(
         [-1, cx.total_ids // 2, cx.total_ids - 1, cx.total_ids, 2 ** 31, 2 ** 40 + 5, *extra, *ids.tolist()],
         dtype=np.int64,
     )
+    slots, at = (cx.total_ids, ids) if cx._by_id else (ids.size, np.arange(ids.size))  # the members' slots
     pos, hit = cx._locate(keys)
     assert hit.tolist() == [cx.is_member(k) for k in keys.tolist()]
     assert [cx._position(k) for k in keys.tolist()] == [p if h else None for p, h in zip(pos.tolist(), hit.tolist())]
-    assert np.all((0 <= pos) & (pos < ids.size))  # a missed key still indexes
-    assert np.array_equal(pos[hit], ids.searchsorted(keys[hit]))
+    assert np.all((0 <= pos) & (pos < slots))  # a missed key still indexes
+    assert np.array_equal(pos[hit], at[ids.searchsorted(keys[hit])])
     assert np.array_equal(cx._ids_at(pos[hit]), keys[hit])
-    assert np.array_equal(cx._ids_at(np.arange(ids.size)), ids)
+    assert np.array_equal(cx._ids_at(at), ids)
     narrow = ids.astype(np.int32)  # keys of the members' own dtype locate alike
-    assert np.array_equal(cx._locate(narrow)[0], np.arange(ids.size)) and cx._locate(narrow)[1].all()
+    assert np.array_equal(cx._locate(narrow)[0], at) and cx._locate(narrow)[1].all()
 
 
 def test_is_member_beyond_int64():

@@ -20,22 +20,21 @@ from hypothesis import strategies as st
 
 from cubemorse.braid import build_braid_complex, nfold_cover, reference_braid
 from cubemorse.core import AcyclicityError
-from cubemorse import cubical
-from cubemorse.cubical import CubicalComplex, _index_dtype
+from cubemorse.cubical import CubicalComplex
 from cubemorse import matching
-from cubemorse.matching import TemplateMatching, _flow_rows, _peel, template_sweep
+from cubemorse.matching import TemplateMatching, _flow_rows, _index_dtype, _peel, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
-from .helpers import random_cubical_complex, top_cube_complexes
+from .helpers import member_codes, random_cubical_complex, top_cube_complexes
 
 
 def both_paths(cx, code):
     """(array, per-cell) outcomes of ``morse_boundary`` on the fixed cells of
-    one sweep's codes, given as the whole sweep of a ``TemplateMatching``:
-    the boundary, or, when it raises :class:`AcyclicityError`, that class
-    and the lower cell it names."""
-    ids = cx.member_ids()
-    criticals = ids[code == 0].tolist()
-    lower = {c: c + cx.pows[k - 1] for c, k in zip(ids.tolist(), code.tolist()) if k > 0}
+    one sweep's codes by slot, given as the whole sweep of a
+    ``TemplateMatching``: the boundary, or, when it raises
+    :class:`AcyclicityError`, that class and the lower cell it names."""
+    ids, kind = cx.member_ids(), member_codes(cx, code)
+    criticals = ids[kind == 0].tolist()
+    lower = {c: c + cx.pows[k - 1] for c, k in zip(ids.tolist(), kind.tolist()) if k > 0}
     sweep = TemplateMatching(cx)
     sweep._whole = code
     out = []
@@ -104,27 +103,25 @@ def test_array_path_detects_cycles():
 
 
 def test_indices_widen_past_int32(monkeypatch):
-    """Positions, nodes, flow columns and the rank table are int32 only
-    while they index fewer than 2^31 entries, since a cast past that wraps
-    and indexes from the end; beyond it they are intp, and round one and
-    homology are the same in intp."""
+    """Slots, nodes and flow columns are int32 only while they index fewer
+    than 2^31 entries, since a cast past that wraps and indexes from the
+    end; beyond it they are intp, and round one and homology are the same
+    in intp."""
     assert _index_dtype(2**31 - 1) == np.int32 and _index_dtype(2**31) == np.intp
     rng = random.Random(3)
     anchors = [a for a in itertools.product(range(6), repeat=3) if rng.random() < 0.5]
     cx = CubicalComplex.from_top_cells(6, 3, anchors)
-    assert cx._rank.dtype == np.int32
+    assert cx._member_mask is not None
     want, betti = assert_paths_agree(cx), homology(cx).betti
     seen = []
     wide = lambda n: seen.append(n) or np.dtype(np.intp)
-    monkeypatch.setattr(cubical, "_index_dtype", wide)
     monkeypatch.setattr(matching, "_index_dtype", wide)
     cx = CubicalComplex.from_top_cells(6, 3, anchors)
-    assert cx._rank.dtype == np.intp
     code = template_sweep(cx)
     at, (src, dst), (fsrc, fat) = matching._flow_graph(code, np.flatnonzero(code == 0), matching._sweep_faces(cx, code))
     assert {x.dtype for x in (at, src, dst, fsrc, fat)} == {np.dtype(np.intp)}
     assert want and assert_paths_agree(cx) == want and homology(cx).betti == betti
-    assert cx.cell_count in seen  # the rank table and the flow graph asked by member count
+    assert cx.total_ids in seen  # the flow graph asked by slot count, one slot per id
 
 
 def test_flow_pruning_skips_spheres(monkeypatch):
@@ -167,7 +164,7 @@ def walk_passes(cx, code):
     cell by cell: it starts from the fixed cells whose rows count and steps
     from each node to the new lower faces of its partner, or of itself when
     fixed."""
-    kind = dict(zip(cx.member_ids().tolist(), code.tolist()))
+    kind = dict(zip(cx.member_ids().tolist(), member_codes(cx, code).tolist()))
     dims = {c: cx.dim_of(c) for c, k in kind.items() if k == 0}
     front = [c for c in sorted(dims) if dims[c] - 1 in set(dims.values())]
     seen, passes, nodes = set(front), 0, 0

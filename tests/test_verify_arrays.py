@@ -71,7 +71,7 @@ def two_squares():
     """The closure of squares (0, 0) and (1, 1) of C(2; 2): 17 members of 25
     ids, a dense explicit complex."""
     cx = CubicalComplex.from_top_cells(2, 2, [(0, 0), (1, 1)])
-    assert cx._rank is not None
+    assert cx._member_mask is not None
     return cx
 
 
@@ -164,7 +164,7 @@ def test_grid_face_out_of_range_or_centre(monkeypatch, where):
     the array pass reads ``_face_arrays`` and the per-cell walk
     ``_boundary_raw``, both corrupted alike, and the walk reports the face."""
     cx = CubicalComplex.from_top_cells(3, 2, [(0, 0)])  # one square: 9 members of 49 ids
-    assert cx._rank is None
+    assert cx._member_mask is None
     bad = {"below": -1, "above": cx.total_ids, "centre": cx.total_ids // 2}[where]
     square = cx.cell_id((1, 1))
     real = cx._face_arrays
@@ -214,7 +214,7 @@ def closure_inputs(draw):
         m, d = draw(st.integers(4, 6)), draw(st.integers(2, 3))
         anchor = st.tuples(*[st.integers(0, m - 1)] * d)
         made = CubicalComplex.from_top_cells(m, d, draw(st.lists(anchor, min_size=1, max_size=2)))
-        assert made._rank is None
+        assert made._member_mask is None
     drop = draw(st.sets(st.sampled_from(made.members.tolist()), max_size=3))
     cx = CubicalComplex(made.m, made.d)
     cx.members = np.setdiff1d(made.members, list(drop)).astype(made.members.dtype)
@@ -243,14 +243,15 @@ def test_closure_violation_from_members(monkeypatch):
 # -- corruptions of the sweep codes ----------------------------------------------
 
 
-def patch_codes(monkeypatch, ids, code):
-    """Make ``template_sweep`` return ``code`` for the cells ``ids``, for
-    any subset of them that a fiber sweep asks about."""
+def patch_codes(monkeypatch, cx, code):
+    """Make ``template_sweep`` return ``code``, the codes by slot of
+    ``cx``, for the whole sweep, and their entries at the members that a
+    fiber sweep asks about."""
 
-    def sweep(cx, grade_of=None, subset=None):
+    def sweep(_, grade_of=None, subset=None):
         if subset is None:
             return code.copy()
-        return code[np.searchsorted(ids, subset)]
+        return code[cx._locate(subset)[0]]
 
     monkeypatch.setattr(matching, "template_sweep", sweep)
 
@@ -286,16 +287,30 @@ def sphere2():
         # -128 indexes past the oracle's steps: verify_matching reports the
         # queries of cell 0 and of its would-be partner as oracle errors
         pytest.param(two_squares, "oracle-error", {0: -128}, id="dense-code-minus-128"),
+        # The slots of no member must hold _TAKEN and nothing else.  The
+        # sphere's centre 13 takes the fixed member 26's code 0 and 26
+        # takes _TAKEN: the codes below -d still number one, all _TAKEN,
+        # but at a member; the oracle then fails on 26.
+        pytest.param(sphere2, "oracle-error", {13: 0, 26: -128}, id="centre-swapped-with-a-member"),
+        # the same swap of the non-member 3 with the fixed member 24
+        pytest.param(two_squares, "oracle-error", {3: 0, 24: -128}, id="dense-non-member-swapped"),
+        # a code below -d at the centre that is not _TAKEN
+        pytest.param(sphere2, None, {13: -4}, id="centre-below-minus-d"),
+        # a code in -d..d at the centre, no code below -d left; its level
+        # pairs still count as many as before
+        pytest.param(sphere2, None, {13: 1}, id="centre-in-range"),
     ],
 )
 def test_corrupted_pairs(monkeypatch, make, kind, wrong):
     """The clean-sweep check refuses each corrupted sweep, so every check
-    walks the cells and reports as the per-cell path does."""
+    walks the cells and reports as the per-cell path does.  The keys of
+    ``wrong`` are slots, which on these complexes are the ids."""
     cx = make()
-    ids, code = cx.member_ids(), matching.template_sweep(cx)
-    for c, k in wrong.items():
-        code[np.searchsorted(ids, c)] = k
-    patch_codes(monkeypatch, ids, code)
+    code = matching.template_sweep(cx)
+    assert cx._by_id
+    for at, k in wrong.items():
+        code[at] = k
+    patch_codes(monkeypatch, cx, code)
     assert TemplateMatching(cx)._clean_sweep is None
     arrays, cells = both_paths(cx)
     assert arrays == cells
@@ -306,22 +321,23 @@ def test_corrupted_pairs(monkeypatch, make, kind, wrong):
 
 
 def random_template_codes(cx, rng):
-    """A template-shaped matching in random order: each pair toggles an even
-    digit below 2m of its lower cell, at a random level."""
-    ids = cx.member_ids()
-    at = {c: i for i, c in enumerate(ids.tolist())}
-    code = np.zeros(ids.size, dtype=np.int8)
-    order = list(range(ids.size))
+    """A template-shaped matching in random order, as codes by slot: each
+    pair toggles an even digit below 2m of its lower cell, at a random
+    level, and the slots of no member keep the sweep's ``_TAKEN``."""
+    ids = cx.member_ids().tolist()
+    code = matching.template_sweep(cx)
+    code[cx._locate(np.array(ids))[0]] = 0
+    order = list(range(len(ids)))
     rng.shuffle(order)
     for i in order:
         axes = list(range(cx.d))
         rng.shuffle(axes)
         for a in axes:
-            digit = int(ids[i]) // cx.pows[a] % cx.base
-            j = at.get(int(ids[i]) + cx.pows[a])
-            if code[i] == 0 and digit % 2 == 0 and digit < 2 * cx.m and j is not None and code[j] == 0:
-                code[i], code[j] = a + 1, -(a + 1)
-    return ids, code
+            digit = ids[i] // cx.pows[a] % cx.base
+            at, j = cx._position(ids[i]), cx._position(ids[i] + cx.pows[a])
+            if code[at] == 0 and digit % 2 == 0 and digit < 2 * cx.m and j is not None and code[j] == 0:
+                code[at], code[j] = a + 1, -(a + 1)
+    return code
 
 
 def flow_edges_by_cells(cx, w):
@@ -363,7 +379,7 @@ def storage(cx) -> str:
     search and the walk on a sparse one."""
     if cx.members is None:
         return "grid"
-    return "dense" if cx._rank is not None else "sparse"
+    return "dense" if cx._member_mask is not None else "sparse"
 
 
 def test_flow_edges_match_the_per_cell_relation(monkeypatch):
@@ -378,7 +394,7 @@ def test_flow_edges_match_the_per_cell_relation(monkeypatch):
     rng = random.Random(5)
     for _ in range(20):
         cx = CubicalComplex.sphere(2)
-        patch_codes(monkeypatch, *random_template_codes(cx, rng))
+        patch_codes(monkeypatch, cx, random_template_codes(cx, rng))
         assert_flow_edges_match(cx)
 
 
@@ -397,7 +413,7 @@ def test_template_shaped_matchings(monkeypatch, kind):
     found = 0
     for _ in range(40):
         cx = CubicalComplex.sphere(2)
-        patch_codes(monkeypatch, *random_template_codes(cx, rng))
+        patch_codes(monkeypatch, cx, random_template_codes(cx, rng))
         assert TemplateMatching(cx)._clean_sweep is not None
         arrays, cells = both_paths(cx)
         assert arrays == cells
@@ -432,12 +448,12 @@ def test_each_fact_is_computed_once(monkeypatch):
     cx = CubicalComplex.from_top_cells(100, 3, spread)
     assert validate_complex(cx).ok
     n = cx.cell_count
-    assert cx._rank is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
+    assert cx._member_mask is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
 
     for name in ("_flow_graph", "_grid_flow_edges"):
         count(matching, name)
     inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
-    assert inputs[2]._rank is None  # a sparse explicit complex, which walks
+    assert inputs[2]._member_mask is None  # a sparse explicit complex, which walks
     calls.clear()
     for cx in inputs:
         w = TemplateMatching(cx)
@@ -466,15 +482,16 @@ def test_verify_matching_builds_member_ids_once(monkeypatch):
 
 
 def test_verify_memory_is_a_few_bytes_per_cell():
-    """``verify_matching`` on ``sphere(11)`` peaks at 2.69 bytes per cell
-    measured: the int8 codes, their grid code array and one level's slice
-    temporaries, next to the sweep's own 2.63.  The flow graph of the
-    largest sphere under ``FLOW_CHECK_LIMIT``, sphere(9), peaks at 18.8
-    bytes per cell measured, the edges and two bool masks over the grid;
-    the walk from all lower cells took 42.9.  Bounds: 3.0 and 22."""
+    """``verify_matching`` on ``sphere(11)`` peaks at 2.00 bytes per cell
+    measured: the int8 codes by id, which the pair check reads in place,
+    and one level's slice temporaries, next to the sweep's own 1.50.  The
+    flow graph of the largest sphere under ``FLOW_CHECK_LIMIT``, sphere(9),
+    peaks at 18.8 bytes per cell measured, the edges and two bool masks
+    over the grid; the walk from all lower cells took 42.9.  Bounds: 2.2
+    and 22."""
     cx = CubicalComplex.sphere(11)
     peak = traced_peak(lambda: verify_matching(cx, TemplateMatching(cx)))
-    assert peak < 3.0 * cx.cell_count, peak / cx.cell_count
+    assert peak < 2.2 * cx.cell_count, peak / cx.cell_count
 
     d = max(d for d in range(1, 12) if 3 ** (d + 1) - 1 <= FLOW_CHECK_LIMIT)
     cx = CubicalComplex.sphere(d)
