@@ -32,7 +32,12 @@ as numpy passes over one whole sweep; a lower cell's toggled digit must be
 even and below 2m, so by the face formula its partner is a coface one
 dimension up.  On a grid or dense explicit complex they read the sweep's
 codes by digit slices: the pairs by counting (:func:`_pairs_by_slices`),
-the flow edges from each upper cell's faces (:func:`_grid_flow_edges`).
+and whether some flow edge descends by id or is unstable by testing each
+upper cell's faces (:func:`_flow_facts_by_slices`), with no edge built.
+Slots ascend with the ids, so when no edge descends the slot order is a
+topological order and the flow relation is acyclic; only when one does
+are the flow edges built, by digit slices (:func:`_grid_flow_edges`), and
+peeled.
 
 One walk builds every other array flow graph (:func:`_flow_graph`),
 breadth first over slots, ``_WALK_CHUNK`` frontier nodes at a
@@ -41,7 +46,8 @@ sweep (``TemplateMatching._flows``), round one's from its fixed cells
 (:func:`_sweep_graph`), and the later rounds' over the CSR of an explicit
 complex (:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums
 the flow rows mod 2 of every such graph by one path, chains contracted and
-then a layered peel from the sinks, and :func:`_peel` decides acyclicity.
+then a layered peel from the sinks, and :func:`_peel` decides acyclicity
+where no order already shows it.
 The ``verify`` passes only decide that all is clean; on any anomaly, and
 for every other oracle, the checks walk the cells one at a time, which
 writes the exact report or raises the exact error.  ``FLOW_CHECK_LIMIT``
@@ -172,6 +178,9 @@ _TAKEN = -128  # the code of an id no sweep level pairs, a non-member or the exc
 # A flat pass's blocks span at most _FLAT_BLOCK cells (any value >= 1 is exact) and 1/8 of
 # the grid: blocks of 32-64k cells sweep braid-v3 fastest, 4k-cell ones 2.5 times slower.
 _FLAT_BLOCK = 1 << 16
+# Nor less than _FLAT_FLOOR cells, where _FLAT_BLOCK allows: a block costs about six numpy
+# calls: sphere(9)'s 59,049 ids swept in 78 blocks of <= 1/8 in 0.73 ms, in 38 of <= 16k in 0.53.
+_FLAT_FLOOR = 1 << 14
 
 
 def _grid_sweep(cx: CubicalComplex, grade_of) -> np.ndarray:
@@ -200,10 +209,11 @@ def _flat_level(code, grade, level, p, n) -> None:
     when 2p exceeds a block, each even digit's run of p cells pairs in
     pieces of at most a block.  An untaken cell's code is 0, so the int8
     adds write the codes exactly, without a branch per cell.  Blocks span
-    at most ``_FLAT_BLOCK`` cells and 1/8 of the grid, so the buffers,
-    freed on return, stay small next to it."""
+    at most ``_FLAT_BLOCK`` cells and 1/8 of the grid, or ``_FLAT_FLOOR``
+    cells if that is more, so the buffers, freed on return, stay small
+    next to a large grid and a small one is not swept in tiny blocks."""
     size, period = code.size, p * n
-    target = max(1, min(_FLAT_BLOCK, size >> 3))
+    target = min(_FLAT_BLOCK, max(_FLAT_FLOOR, size >> 3))
     digit = np.arange(n)
     even = (digit % 2 == 0) & (digit < n - 1)
     if period <= target:  # whole periods; a block's pairs x, x + p have s <= x < s + k
@@ -351,13 +361,23 @@ class TemplateMatching:
         return code
 
     @cached_property
+    def _slice_facts(self) -> tuple[bool, bool]:
+        """(descends, unstable) of the clean sweep of a grid or dense
+        explicit complex, by one pass over the digit slices of its codes
+        (:func:`_flow_facts_by_slices`): whether some flow edge runs to a
+        lower id, and whether some edge is unstable.  Computed once for both
+        :func:`verify_acyclic` and :func:`verify_stable`."""
+        return _flow_facts_by_slices(self.cx, self._clean_sweep)
+
+    @cached_property
     def _flows(self):
-        """The flow edges of the clean sweep, built once for both
-        :func:`verify_acyclic` and :func:`verify_stable`, over all lower
-        cells as nodes, numbered by slot: by digit slices of the sweep on a
-        grid or dense explicit complex (:func:`_grid_flow_edges`), else
-        by the :func:`_flow_graph` walk from all lower cells.  Both give the
-        same arrays.
+        """The flow edges of the clean sweep, over all lower cells as nodes,
+        numbered by slot, built once: by the :func:`_flow_graph` walk from
+        all lower cells on a sparse explicit complex, where both
+        :func:`verify_acyclic` and :func:`verify_stable` read them, and by
+        digit slices of the sweep (:func:`_grid_flow_edges`) on a grid or
+        dense explicit complex, where only :func:`verify_acyclic` does, when
+        some edge descends.  Both give the same arrays.
 
         An edge runs from lower cell q0, with partner k0, to each other
         lower cell q1 among the faces of k0.  It is unstable when the gap
@@ -524,6 +544,38 @@ def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
         paired &= cells[odd] == -t
         pairs += np.count_nonzero(paired)
     return 2 * pairs == np.count_nonzero(grid) - (grid.size - cx.cell_count)  # less the _TAKENs
+
+
+def _flow_facts_by_slices(cx: CubicalComplex, grid: np.ndarray) -> tuple[bool, bool]:
+    """(descends, unstable) of the flow edges of a clean sweep by id, from
+    digit slices of its codes with no edge built: whether some edge runs to
+    a lower id, and whether some edge is unstable (as in
+    ``TemplateMatching._flows``).
+
+    An edge runs from q0 to a lower face q1 = k - pows[i] or k + pows[i] of
+    q0's partner k, an upper cell in the odd slice of axis i whose code -t0
+    gives q0 = k - pows[t0 - 1].  The + face ascends by id.  The - face, in
+    the slice ``f`` below, is q0 itself when t0 = i + 1 and descends when
+    t0 < i + 1; the edge to it is unstable when i + 1 < min(t0, code(q1)),
+    and the + face's never is.  So with ``k`` the odd slice's codes, an
+    edge descends where ``-(i+1) < k < 0`` and ``f > 0``, and is unstable
+    where ``-d <= k < -(i+1)`` and ``f > i+1``.  Each test holds two bool
+    masks of one odd slice, and stops once its fact is found."""
+    cells, d = grid.reshape((cx.base,) * cx.d, order="F"), cx.d  # a view
+    descends = unstable = False
+    for i, (odd, lo, _) in enumerate(_digit_slices(cx.m, d)):
+        k, f = cells[odd], cells[lo]
+        if not descends:
+            hit = k > -(i + 1)
+            hit &= k < 0
+            hit &= f > 0
+            descends = bool(hit.any())
+        if not unstable:
+            hit = k >= -d
+            hit &= k < -(i + 1)
+            hit &= f > i + 1
+            unstable = bool(hit.any())
+    return descends, unstable
 
 
 def _grid_flow_edges(cx: CubicalComplex, grid: np.ndarray):
@@ -788,15 +840,22 @@ def verify_acyclic(cx: CellComplexLike, oracle: Callable[[int], int]) -> bool:
     """True when the flow relation on lower cells has no directed cycle.
 
     The relation steps from a lower cell q to every other lower cell in the
-    boundary of q's partner.  Both paths decide it by a Kahn peel
-    (:func:`_peel`): a clean :class:`TemplateMatching` over the flow graph of
-    its sweep, any other oracle over the edges found by walking the cells.
-    Refuses more than ``FLOW_CHECK_LIMIT`` cells.
+    boundary of q's partner.  A clean :class:`TemplateMatching` numbers
+    its lower cells by slot, in id order, so it is acyclic at once when no
+    step lowers the id, which a grid or dense explicit complex tells by
+    digit slices of its sweep (``TemplateMatching._slice_facts``) and a
+    sparse one by the edges of its flow walk; else a Kahn peel
+    (:func:`_peel`) of the flow graph of its sweep decides.  Any other oracle is peeled over the edges
+    found by walking the cells.  Refuses more than ``FLOW_CHECK_LIMIT``
+    cells.
     """
     _refuse_above("verify_acyclic", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None:
-        return _peel(*view._flows[:3])
+        if cx._by_id and not view._slice_facts[0]:
+            return True  # no edge descends: the slot order, which is the id order, is a topological order
+        n, src, dst, _ = view._flows
+        return bool((dst > src).all()) or _peel(n, src, dst)
     lower = _lower_cells(cx, oracle)
     node = {q: i for i, q in enumerate(lower)}
     src, dst = [], []
@@ -823,9 +882,11 @@ def verify_stable(
     q0's partner; an aggregated matching never produces this.
 
     A clean ungraded :class:`TemplateMatching`, passed with its own
-    :meth:`~TemplateMatching.entries` and provenance, is checked over the
-    flow graph (see ``TemplateMatching._flows``); any other input walks the
-    cells.  Refuses more than ``FLOW_CHECK_LIMIT`` cells.
+    :meth:`~TemplateMatching.entries` and provenance, is checked by digit
+    slices of its sweep on a grid or dense explicit complex
+    (:func:`_flow_facts_by_slices`) and over the flow graph of its walk on
+    a sparse one (see ``TemplateMatching._flows``); any other input walks
+    the cells.  Refuses more than ``FLOW_CHECK_LIMIT`` cells.
 
     Args:
         provenance: level lookup for matched cells; defaults to
@@ -834,7 +895,7 @@ def verify_stable(
     _refuse_above("verify_stable", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None and provenance in (None, view.provenance) and view._own_toggles(entries):
-        return not view._flows[3].any()
+        return not (view._slice_facts[1] if cx._by_id else view._flows[3].any())
     if provenance is None:
         provenance = oracle.provenance  # type: ignore[attr-defined]
     lower = _lower_cells(cx, oracle)

@@ -139,7 +139,7 @@ def _cell_graph(order, sources, boundary_of, mate_of, dim_of):
     return nodes, (src, dst), (fsrc, fcol)
 
 
-_SCAN = 1 << 20  # slots per piece of round one's scan for fixed cells
+_SCAN = 1 << 20  # slots per piece of round one's scan for fixed cells, and at most 1/8 of them
 
 
 def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
@@ -155,7 +155,8 @@ def template_round(cx: CubicalComplex, grade_of=None) -> ExplicitComplex:
     """
     mate = TemplateMatching(cx, grade_of)
     code = mate._whole  # scanned in pieces: no bool array over all slots at the round's peak
-    at = [np.flatnonzero(code[s : s + _SCAN] == 0) + s for s in range(0, code.size, _SCAN)]
+    piece = max(1, min(_SCAN, code.size >> 3))
+    at = [np.flatnonzero(code[s : s + piece] == 0) + s for s in range(0, code.size, piece)]
     fixed = cx._ids_at(np.concatenate([np.empty(0, np.intp), *at])).astype(np.int64, copy=False)
     dims = cx._dims(fixed)
     rows = morse_boundary(fixed, cx._boundary_raw, mate, cx.dim_of, dims)

@@ -406,9 +406,10 @@ def test_flow_edges_match_the_per_cell_relation_on_top_cube_files(cx):
 
 @pytest.mark.parametrize("kind", ["cycle", "instability"])
 def test_template_shaped_matchings(monkeypatch, kind):
-    """Random template-shaped matchings pass the pair checks, so the flow
-    arrays decide acyclicity and stability; some have a cycle and some an
-    unstable pair."""
+    """Random template-shaped matchings pass the pair checks, so the digit
+    slices decide stability, and acyclicity too unless an edge descends,
+    when the flow arrays are peeled; some have a cycle and some an unstable
+    pair."""
     rng = random.Random(3)
     found = 0
     for _ in range(40):
@@ -421,13 +422,52 @@ def test_template_shaped_matchings(monkeypatch, kind):
     assert found
 
 
+@pytest.mark.parametrize(
+    "pairs, facts",
+    [
+        # upper (1, 1, 0) = 4 pairs along axis 0 with 3; its - face (1, 0, 0)
+        # = 1 along axis 1 pairs up at level 3, so the edge 3 -> 1 descends
+        pytest.param({3: 1, 4: -1, 1: 3, 10: -3}, (True, False), id="descends"),
+        # upper 4 pairs along axis 1 with 1; its - face (0, 1, 0) = 3 along
+        # axis 0 pairs up at level 3, and 1 < min(2, 3): toggle 1 sends 3 to 4
+        pytest.param({1: 2, 4: -2, 3: 3, 12: -3}, (False, True), id="unstable"),
+    ],
+)
+def test_slice_facts_on_hand_made_codes(monkeypatch, pairs, facts):
+    """Two pairs of ``full(1, 3)``, every other cell fixed: each makes one
+    digit-slice fact true, the facts equal the flow edges', and both paths
+    agree; the one edge makes no cycle."""
+    cx = CubicalComplex.full(1, 3)
+    code = np.zeros(cx.total_ids, dtype=np.int8)
+    for at, k in pairs.items():
+        code[at] = k
+    patch_codes(monkeypatch, cx, code)
+    w = TemplateMatching(cx)
+    assert w._clean_sweep is not None and w._slice_facts == facts
+    _, src, dst, unstable = w._flows
+    assert ((dst < src).tolist(), unstable.tolist()) == ([facts[0]], [facts[1]])  # one edge, between the lower cells
+    arrays, cells = both_paths(cx)
+    assert arrays == cells
+    assert arrays[2] is True and arrays[3] is not facts[1]
+
+
+def two_cubes_on_an_edge():
+    """The closure of cubes (0, 0, 1) and (1, 0, 0) of C(2; 3), which share
+    one edge: 51 members of 125 ids, a dense explicit complex whose sweep
+    has a flow edge to a lower id."""
+    cx = CubicalComplex.from_top_cells(2, 3, [(0, 0, 1), (1, 0, 0)])
+    assert cx._member_mask is not None
+    return cx
+
+
 def test_each_fact_is_computed_once(monkeypatch):
     """validate_complex checks a grid by digit slices alone, and expands the
     face formula of a sparse explicit complex once per chunk; neither reads
-    a scalar row or dim.  The two flow checks share one build of the flow
-    graph per matching, by digit slices on a grid (no face array) and by
-    the walk on a sparse explicit complex, and one round builds it at most
-    once."""
+    a scalar row or dim.  The two flow checks share one pass over the digit
+    slices on a grid or dense explicit complex, which builds no flow edge
+    unless an edge descends, and then builds them once by digit slices (no
+    face array); they share one walk on a sparse explicit complex.  One
+    round builds its flow graph at most once."""
     calls = {}
 
     def count(owner, name):
@@ -450,17 +490,25 @@ def test_each_fact_is_computed_once(monkeypatch):
     n = cx.cell_count
     assert cx._member_mask is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
 
-    for name in ("_flow_graph", "_grid_flow_edges"):
+    for name in ("_flow_graph", "_grid_flow_edges", "_flow_facts_by_slices"):
         count(matching, name)
-    inputs = [CubicalComplex.sphere(3), CubicalComplex.sphere(1), random_cubical_complex(random.Random(9), 3)]
-    assert inputs[2]._member_mask is None  # a sparse explicit complex, which walks
+    grids = [CubicalComplex.sphere(3), CubicalComplex.sphere(1)]
+    dense, sparse = two_cubes_on_an_edge(), random_cubical_complex(random.Random(9), 3)
+    assert sparse._member_mask is None  # a sparse explicit complex, which walks
     calls.clear()
-    for cx in inputs:
+    for cx in grids:
         w = TemplateMatching(cx)
         assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
-        if cx is inputs[0]:
-            assert calls == {"_grid_flow_edges": 1}  # by digit slices: no face array
-    assert calls["_flow_graph"] + calls["_grid_flow_edges"] == len(inputs)
+    assert calls == {"_flow_facts_by_slices": 2}  # no edge descends: no flow edge built
+    w = TemplateMatching(dense)
+    assert verify_acyclic(dense, w) is verify_stable(dense, w, w.entries(), w.provenance) is True
+    assert w._slice_facts == (True, False)
+    assert calls == {"_flow_facts_by_slices": 3, "_grid_flow_edges": 1}  # an edge descends: built once, peeled
+    w = TemplateMatching(sparse)
+    assert verify_acyclic(sparse, w) is verify_stable(sparse, w, w.entries(), w.provenance) is True
+    assert sparse.cell_count <= _WALK_CHUNK
+    assert calls == {"_flow_facts_by_slices": 3, "_grid_flow_edges": 1, "_flow_graph": 1, "_face_arrays": 1}
+    inputs = [*grids, sparse]
     rounds = []
     for cx in inputs:
         calls["_flow_graph"] = 0
@@ -485,28 +533,35 @@ def test_verify_memory_is_a_few_bytes_per_cell():
     """``verify_matching`` on ``sphere(11)`` peaks at 2.00 bytes per cell
     measured: the int8 codes by id, which the pair check reads in place,
     and one level's slice temporaries, next to the sweep's own 1.50.  The
-    flow graph of the largest sphere under ``FLOW_CHECK_LIMIT``, sphere(9),
-    peaks at 18.8 bytes per cell measured, the edges and two bool masks
-    over the grid; the walk from all lower cells took 42.9.  Bounds: 2.2
-    and 22."""
+    acyclicity and stability checks of a clean grid sweep read its codes by
+    digit slices, two bool masks of one odd slice: 0.87 and 0.69 bytes per
+    cell measured on ``sphere(9)``, the largest sphere under
+    ``FLOW_CHECK_LIMIT``, and on ``sphere(11)``.  The flow graph, built
+    only when an edge descends, peaks at 18.8 bytes per cell measured on
+    sphere(9), the edges and two bool masks over the grid; the walk from
+    all lower cells took 42.9.  Bounds: 2.2, 2 and 22."""
     cx = CubicalComplex.sphere(11)
     peak = traced_peak(lambda: verify_matching(cx, TemplateMatching(cx)))
     assert peak < 2.2 * cx.cell_count, peak / cx.cell_count
 
     d = max(d for d in range(1, 12) if 3 ** (d + 1) - 1 <= FLOW_CHECK_LIMIT)
-    cx = CubicalComplex.sphere(d)
-    assert d == 9 and cx.cell_count == 59048
+    assert d == 9 and CubicalComplex.sphere(d).cell_count == 59048
 
-    def flows_peak():
+    def checks_peak(cx, name):
         w = TemplateMatching(cx)
         assert w._clean_sweep is not None
         tracemalloc.start()
         try:
-            w._flows
+            getattr(w, name)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    flows_peak()  # warms the numpy caches
-    peak = flows_peak()
-    assert peak < 22 * cx.cell_count, peak / cx.cell_count
+    for cx, name, bound in (
+        (CubicalComplex.sphere(9), "_slice_facts", 2),
+        (CubicalComplex.sphere(11), "_slice_facts", 2),
+        (CubicalComplex.sphere(9), "_flows", 22),
+    ):
+        checks_peak(cx, name)  # warms the numpy caches
+        peak = checks_peak(cx, name)
+        assert peak < bound * cx.cell_count, (name, peak / cx.cell_count)
