@@ -92,13 +92,6 @@ class RunResult:
         writer.writerow([json.dumps(data[k], sort_keys=True) for k in keys])
         return buf.getvalue()
 
-    @staticmethod
-    def parse_csv(text: str) -> dict:
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) != 2:
-            raise FormatError("expected a header row and one value row")
-        return {k: json.loads(v) for k, v in zip(rows[0], rows[1])}
-
 
 def build_parser() -> _Parser:
     p = _Parser(prog="cubemorse", description=__doc__)

@@ -313,9 +313,6 @@ class ExplicitComplex:
         ids = self.rows.ids
         return zip(ids[self.rows.cols].tolist(), ids[self.rows.owners()].tolist())
 
-    def nonzero_boundary(self) -> bool:
-        return bool(self.rows.cols.size)
-
     def check_dd_zero(self) -> None:
         """Assert the boundary squares to zero; raises IntegrityError otherwise.
 
@@ -344,17 +341,6 @@ class ExplicitComplex:
         if poset_pairs is not None:
             out["poset_edges"] = [[p, q] for p, q in sorted(poset_pairs)]
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExplicitComplex":
-        dims = {int(rec["id"]): int(rec["dim"]) for rec in data["cells"]}
-        grades = None
-        if data["cells"] and "grade" in data["cells"][0]:
-            grades = {int(rec["id"]): int(rec["grade"]) for rec in data["cells"]}
-        bdry: dict[int, list[int]] = {}
-        for f, c in data.get("boundary", []):
-            bdry.setdefault(int(c), []).append(int(f))
-        return cls(dims, bdry, grades)
 
     @classmethod
     def from_complex(cls, cx: CellComplexLike) -> "ExplicitComplex":

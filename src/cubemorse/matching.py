@@ -28,26 +28,26 @@ maps ids back to slots, the ids themselves where they address the slots
 and by ``searchsorted`` among the ``members`` of a sparse complex.  The
 passes take ids only for the slots they touch, one chunk at a time, so a
 grid gets no id array.  Given a :class:`TemplateMatching`, the checks run
-as numpy passes over one whole sweep; a lower cell's toggled digit must be
-even and below 2m, so by the face formula its partner is a coface one
-dimension up.  On a grid or dense explicit complex they read the sweep's
-codes by digit slices: the pairs by counting (:func:`_pairs_by_slices`),
-and whether some flow edge descends by id or is unstable by testing each
-upper cell's faces (:func:`_flow_facts_by_slices`), with no edge built.
-Slots ascend with the ids, so when no edge descends the slot order is a
-topological order and the flow relation is acyclic; only when one does
-are the flow edges built, by digit slices (:func:`_grid_flow_edges`), and
-peeled.
+as numpy passes over one whole sweep, and read its codes by the digit
+slices of the complex (:meth:`CubicalComplex._face_slices`), whatever its
+storage: the pairs by counting (:func:`_pairs_by_slices`), and whether
+some flow edge descends by id or is unstable by testing each upper cell's
+faces (:func:`_flow_facts_by_slices`), with no edge built.  A pair toggles
+an odd digit with the even one below it, so by the face formula its lower
+cell is a face of its upper cell, one dimension down.  Slots ascend with
+the ids, so when no edge descends the slot order is a topological order
+and the flow relation is acyclic; only when one does are the flow edges
+built and peeled (``TemplateMatching._flows``).
 
 One walk builds every other array flow graph (:func:`_flow_graph`),
 breadth first over slots, ``_WALK_CHUNK`` frontier nodes at a
 time: ``verify``'s on a sparse explicit complex from all lower cells of a
-sweep (``TemplateMatching._flows``), round one's from its fixed cells
-(:func:`_sweep_graph`), and the later rounds' over the CSR of an explicit
-complex (:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums
-the flow rows mod 2 of every such graph by one path, chains contracted and
-then a layered peel from the sinks, and :func:`_peel` decides acyclicity
-where no order already shows it.
+sweep, round one's from its fixed cells (:func:`_sweep_graph`), and the
+later rounds' over the CSR of an explicit complex
+(:func:`cubemorse.morse.reduce_round`).  :func:`_flow_rows` sums the flow
+rows mod 2 of every such graph by one path, chains contracted and then a
+layered peel from the sinks, and :func:`_peel` decides acyclicity where no
+order already shows it.
 The ``verify`` passes only decide that all is clean; on any anomaly, and
 for every other oracle, the checks walk the cells one at a time, which
 writes the exact report or raises the exact error.  ``FLOW_CHECK_LIMIT``
@@ -321,11 +321,9 @@ class TemplateMatching:
         cell again, and every pair must toggle an even digit below 2m of
         its lower cell up to the odd digit of its upper cell.  By the face
         formula, which is the complex's ``dim`` and ``boundary``, the two
-        are then face and coface one dimension apart.  A grid or dense
-        explicit complex counts codes in digit slices of the sweep itself
-        (:func:`_pairs_by_slices`); a sparse one looks the partners up
-        ``_WALK_CHUNK`` members at a time.  Computed once; when clean,
-        per-cell queries read these codes too.
+        are then face and coface one dimension apart.  The pairs are
+        counted in the digit slices of the codes (:func:`_pairs_by_slices`).
+        Computed once; when clean, per-cell queries read these codes too.
         """
         cx = self.cx
         try:  # ids beyond int64 raise here too
@@ -340,67 +338,40 @@ class TemplateMatching:
             return None
         if taken.size and ((code[taken] != _TAKEN).any() or cx._locate(taken)[1].any()):
             return None
-        if cx._by_id:
-            if not _pairs_by_slices(cx, code):
-                return None
-        else:
-            step = np.array(self._step, dtype=np.int64)
-            for lo in range(0, n, _WALK_CHUNK):
-                ids, k = cx.members[lo:lo + _WALK_CHUNK], code[lo:lo + _WALK_CHUNK]
-                at, hit = cx._locate(ids + step[k])
-                up = k > 0
-                toggled = ids[up] // step[k[up]] % cx.base
-                if not (
-                    hit.all()
-                    and np.array_equal(code[at], -k)
-                    and np.all(toggled % 2 == 0)
-                    and np.all(toggled < 2 * cx.m)
-                ):
-                    return None
+        if not _pairs_by_slices(cx, code):
+            return None
         self._fibers_left = 0
         return code
 
     @cached_property
     def _slice_facts(self) -> tuple[bool, bool]:
-        """(descends, unstable) of the clean sweep of a grid or dense
-        explicit complex, by one pass over the digit slices of its codes
-        (:func:`_flow_facts_by_slices`): whether some flow edge runs to a
-        lower id, and whether some edge is unstable.  Computed once for both
-        :func:`verify_acyclic` and :func:`verify_stable`."""
+        """(descends, unstable) of the clean sweep, by one pass over the
+        digit slices of its codes (:func:`_flow_facts_by_slices`): whether
+        some flow edge runs to a lower id, and whether some edge is
+        unstable.  Computed once for both :func:`verify_acyclic` and
+        :func:`verify_stable`."""
         return _flow_facts_by_slices(self.cx, self._clean_sweep)
 
     @cached_property
     def _flows(self):
         """The flow edges of the clean sweep, over all lower cells as nodes,
-        numbered by slot, built once: by the :func:`_flow_graph` walk from
-        all lower cells on a sparse explicit complex, where both
-        :func:`verify_acyclic` and :func:`verify_stable` read them, and by
-        digit slices of the sweep (:func:`_grid_flow_edges`) on a grid or
-        dense explicit complex, where only :func:`verify_acyclic` does, when
-        some edge descends.  Both give the same arrays.
-
-        An edge runs from lower cell q0, with partner k0, to each other
-        lower cell q1 among the faces of k0.  It is unstable when the gap
-        k0 - q1 is pows[t] with t + 1 < min(code(q0), code(q1)): toggle t + 1
-        changes digit t alone, so it sends q1 to k0 exactly then, at a level
-        below both pairs.  The gap of a face is ± a power, so that is
-        0 < gap < pows[min(code(q0), code(q1)) - 1].
+        numbered by slot, built once, for :func:`verify_acyclic` to peel when
+        some edge descends: by digit slices of the sweep
+        (:func:`_grid_flow_edges`) when the slots are the ids, else by the
+        :func:`_flow_graph` walk from all lower cells.  Both give the same
+        arrays.  An edge runs from lower cell q0, with partner k0, to each
+        other lower cell q1 among the faces of k0.
 
         Returns:
-            (n, src, dst, unstable): the number of lower cells, the edges
-            (src ascending, faces in boundary order) and a flag per edge.
+            (n, src, dst): the number of lower cells and the edges, src
+            ascending, faces in boundary order.
         """
         cx, code = self.cx, self._clean_sweep
-        at = np.flatnonzero(code > 0)
         if cx._by_id:
             src, dst = _grid_flow_edges(cx, code)
         else:
-            _, (src, dst), _ = _flow_graph(code, at, _sweep_faces(cx, code))
-        step = np.array(self._step, dtype=np.int64)
-        q0, q1 = at[src], at[dst]
-        gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
-        unstable = (gap > 0) & (gap < step[np.minimum(code[q0], code[q1])])
-        return at.size, src, dst, unstable
+            _, (src, dst), _ = _flow_graph(code, np.flatnonzero(code > 0), _sweep_faces(cx, code))
+        return int(np.count_nonzero(code > 0)), src, dst
 
     def provenance(self, cell: int) -> int | None:
         """1-based level at which the cell pairs; None if unmatched."""
@@ -527,30 +498,30 @@ def _array_view(cx: CellComplexLike, oracle) -> TemplateMatching | None:
     return None
 
 
-def _pairs_by_slices(cx: CubicalComplex, grid: np.ndarray) -> bool:
-    """Whether the codes of a sweep by id, in -d..d at the members and
-    ``_TAKEN`` elsewhere, pair as :func:`template_sweep` does: for each
-    level t, every cell of code +t has an even digit t - 1 below 2m and
-    code -t at that digit plus one, and every cell of code -t is such a
-    partner.  By digit slices of axis
-    t - 1 (:func:`_digit_slices`), the pairs of a +t cell in the even slice
-    with a -t cell in the aligned odd slice are counted.  No member lies in
+def _pairs_by_slices(cx: CubicalComplex, code: np.ndarray) -> bool:
+    """Whether the codes of a sweep by slot, in -d..d at the members and
+    ``_TAKEN`` at the slots of no member, pair as :func:`template_sweep`
+    does: for each level t, every cell of code +t has an even digit t - 1
+    below 2m and code -t at that digit plus one, and every cell of code -t
+    is such a partner.  By the digit slices of axis t - 1
+    (:meth:`CubicalComplex._face_slices`), the pairs of a -t cell at an odd
+    digit with a +t cell at its lower face are counted.  No member lies in
     two of them, and each holds two members of nonzero code, so they hold
     every such member exactly when they number half of them."""
-    cells = grid.reshape((cx.base,) * cx.d, order="F")  # a view
     pairs = 0
-    for t, (odd, lo, _) in enumerate(_digit_slices(cx.m, cx.d), start=1):
-        paired = cells[lo] == t
-        paired &= cells[odd] == -t
+    for i, odd, lo, _ in cx._face_slices(code, 0, hi=False):
+        paired = lo == i + 1
+        paired &= odd == -(i + 1)
         pairs += np.count_nonzero(paired)
-    return 2 * pairs == np.count_nonzero(grid) - (grid.size - cx.cell_count)  # less the _TAKENs
+    return 2 * pairs == np.count_nonzero(code) - (code.size - cx.cell_count)  # less the _TAKENs
 
 
-def _flow_facts_by_slices(cx: CubicalComplex, grid: np.ndarray) -> tuple[bool, bool]:
-    """(descends, unstable) of the flow edges of a clean sweep by id, from
-    digit slices of its codes with no edge built: whether some edge runs to
-    a lower id, and whether some edge is unstable (as in
-    ``TemplateMatching._flows``).
+def _flow_facts_by_slices(cx: CubicalComplex, code: np.ndarray) -> tuple[bool, bool]:
+    """(descends, unstable) of the flow edges of a clean sweep, from the
+    digit slices of its codes (:meth:`CubicalComplex._face_slices`) with no
+    edge built: whether some edge runs to a lower id, and whether some edge
+    is unstable: whether a toggle of a level below both pairs sends q1 to
+    k0, for lower cells q0, q1 with q1 a face of q0's partner k0.
 
     An edge runs from q0 to a lower face q1 = k - pows[i] or k + pows[i] of
     q0's partner k, an upper cell in the odd slice of axis i whose code -t0
@@ -561,17 +532,15 @@ def _flow_facts_by_slices(cx: CubicalComplex, grid: np.ndarray) -> tuple[bool, b
     edge descends where ``-(i+1) < k < 0`` and ``f > 0``, and is unstable
     where ``-d <= k < -(i+1)`` and ``f > i+1``.  Each test holds two bool
     masks of one odd slice, and stops once its fact is found."""
-    cells, d = grid.reshape((cx.base,) * cx.d, order="F"), cx.d  # a view
     descends = unstable = False
-    for i, (odd, lo, _) in enumerate(_digit_slices(cx.m, d)):
-        k, f = cells[odd], cells[lo]
+    for i, k, f, _ in cx._face_slices(code, 0, hi=False):
         if not descends:
             hit = k > -(i + 1)
             hit &= k < 0
             hit &= f > 0
             descends = bool(hit.any())
         if not unstable:
-            hit = k >= -d
+            hit = k >= -cx.d
             hit &= k < -(i + 1)
             hit &= f > i + 1
             unstable = bool(hit.any())
@@ -842,20 +811,16 @@ def verify_acyclic(cx: CellComplexLike, oracle: Callable[[int], int]) -> bool:
     The relation steps from a lower cell q to every other lower cell in the
     boundary of q's partner.  A clean :class:`TemplateMatching` numbers
     its lower cells by slot, in id order, so it is acyclic at once when no
-    step lowers the id, which a grid or dense explicit complex tells by
-    digit slices of its sweep (``TemplateMatching._slice_facts``) and a
-    sparse one by the edges of its flow walk; else a Kahn peel
-    (:func:`_peel`) of the flow graph of its sweep decides.  Any other oracle is peeled over the edges
-    found by walking the cells.  Refuses more than ``FLOW_CHECK_LIMIT``
-    cells.
+    step lowers the id, which the digit slices of its sweep tell
+    (``TemplateMatching._slice_facts``); else a Kahn peel (:func:`_peel`)
+    of the flow graph of its sweep (``TemplateMatching._flows``) decides.
+    Any other oracle is peeled over the edges found by walking the cells.
+    Refuses more than ``FLOW_CHECK_LIMIT`` cells.
     """
     _refuse_above("verify_acyclic", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None:
-        if cx._by_id and not view._slice_facts[0]:
-            return True  # no edge descends: the slot order, which is the id order, is a topological order
-        n, src, dst, _ = view._flows
-        return bool((dst > src).all()) or _peel(n, src, dst)
+        return not view._slice_facts[0] or _peel(*view._flows)
     lower = _lower_cells(cx, oracle)
     node = {q: i for i, q in enumerate(lower)}
     src, dst = [], []
@@ -882,11 +847,10 @@ def verify_stable(
     q0's partner; an aggregated matching never produces this.
 
     A clean ungraded :class:`TemplateMatching`, passed with its own
-    :meth:`~TemplateMatching.entries` and provenance, is checked by digit
-    slices of its sweep on a grid or dense explicit complex
-    (:func:`_flow_facts_by_slices`) and over the flow graph of its walk on
-    a sparse one (see ``TemplateMatching._flows``); any other input walks
-    the cells.  Refuses more than ``FLOW_CHECK_LIMIT`` cells.
+    :meth:`~TemplateMatching.entries` and provenance, is checked by the
+    digit slices of its sweep (:func:`_flow_facts_by_slices`), with no
+    flow edge built; any other input walks the cells.  Refuses more than
+    ``FLOW_CHECK_LIMIT`` cells.
 
     Args:
         provenance: level lookup for matched cells; defaults to
@@ -895,7 +859,7 @@ def verify_stable(
     _refuse_above("verify_stable", cx, FLOW_CHECK_LIMIT)
     view = _array_view(cx, oracle)
     if view is not None and provenance in (None, view.provenance) and view._own_toggles(entries):
-        return not (view._slice_facts[1] if cx._by_id else view._flows[3].any())
+        return not view._slice_facts[1]
     if provenance is None:
         provenance = oracle.provenance  # type: ignore[attr-defined]
     lower = _lower_cells(cx, oracle)

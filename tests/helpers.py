@@ -1,8 +1,11 @@
 """Random complex generators shared by the unit and acceptance suites."""
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter, deque
@@ -14,9 +17,17 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from cubemorse.braid import BraidSkeleton, CondensationPoset, SkeletonError, validate_skeleton
-from cubemorse.core import CellComplexLike, ExplicitComplex, IntegrityError, NonMemberCellError, _id_array, _refuse_above
+from cubemorse.core import (
+    CellComplexLike,
+    ExplicitComplex,
+    FormatError,
+    IntegrityError,
+    NonMemberCellError,
+    _id_array,
+    _refuse_above,
+)
 from cubemorse.cubical import CubicalComplex
-from cubemorse.matching import _TAKEN, _classify
+from cubemorse.matching import _TAKEN, _classify, _steps
 from cubemorse.morse import _collapse, morse_boundary
 
 
@@ -580,3 +591,45 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def from_json_dict(data: dict) -> ExplicitComplex:
+    """The complex of a ``to_json_dict`` record, grades included when its
+    cells carry them."""
+    dims = {int(rec["id"]): int(rec["dim"]) for rec in data["cells"]}
+    grades = None
+    if data["cells"] and "grade" in data["cells"][0]:
+        grades = {int(rec["id"]): int(rec["grade"]) for rec in data["cells"]}
+    bdry: dict[int, list[int]] = {}
+    for f, c in data.get("boundary", []):
+        bdry.setdefault(int(c), []).append(int(f))
+    return ExplicitComplex(dims, bdry, grades)
+
+
+def nonzero_boundary(E: ExplicitComplex) -> bool:
+    """Whether the boundary of ``E`` has an entry."""
+    return bool(E.rows.cols.size)
+
+
+def parse_csv(text: str) -> dict:
+    """The record of a ``RunResult.to_csv`` text: its header row's keys with
+    the JSON values of its one value row."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) != 2:
+        raise FormatError("expected a header row and one value row")
+    return {k: json.loads(v) for k, v in zip(rows[0], rows[1])}
+
+
+def unstable_edges(cx: CubicalComplex, code: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per flow edge of a sweep's codes by slot, numbered over the lower
+    cells by slot as ``TemplateMatching._flows`` numbers them, whether it is
+    unstable: q1 is a face of q0's partner k0, and the toggle of a level
+    below both pairs sends q1 to k0.  That toggle changes one digit, so it
+    does when the gap k0 - q1 is pows[t] with t + 1 < min(code(q0),
+    code(q1)); the gap of a face is a power or its negation, so the rule is
+    0 < k0 - q1 < pows[min(code(q0), code(q1)) - 1]."""
+    at = np.flatnonzero(code > 0)
+    step = np.array(_steps(cx), dtype=np.int64)
+    q0, q1 = at[src], at[dst]
+    gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
+    return (gap > 0) & (gap < step[np.minimum(code[q0], code[q1])])

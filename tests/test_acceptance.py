@@ -43,6 +43,7 @@ from .helpers import (
     mate,
     mate_table,
     morse_complex,
+    nonzero_boundary,
     random_cubical_complex,
     random_hypercube_complex,
     strip_zeros,
@@ -295,7 +296,7 @@ def test_c09_randomized_oracle_suite(capsys):
             if E.euler() != euler_in:
                 failures.append(("cubical-euler", k))
                 break
-            if not E.nonzero_boundary():
+            if not nonzero_boundary(E):
                 break
             E = reduce_round(E, generic_round(E))
 

@@ -15,12 +15,11 @@ from cubemorse.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    RunResult,
     main,
 )
 from cubemorse import cli, matching
-from cubemorse.core import ExplicitComplex, FormatError
-from .helpers import top_cubes
+from cubemorse.core import FormatError
+from .helpers import from_json_dict, parse_csv, top_cubes
 
 REFERENCE_TEXT = "6 2\n0 0 0\n1 3 1\n2 1 2\n3 4 3\n4 2 4\n5 5 5\n"
 
@@ -44,7 +43,7 @@ def test_sphere_json_output(capsys):
 
 def test_sphere_csv_round_trip(capsys):
     assert main(["sphere", "--kind", "stop", "--dim", "1", "--csv"]) == EXIT_OK
-    parsed = RunResult.parse_csv(capsys.readouterr().out)
+    parsed = parse_csv(capsys.readouterr().out)
     assert parsed["betti"] == [1, 1, 0]
     assert parsed["cell_count"] == 48
     assert parsed["rounds"] == 1
@@ -52,7 +51,7 @@ def test_sphere_csv_round_trip(capsys):
 
 def test_parse_csv_rejects_garbage():
     with pytest.raises(FormatError):
-        RunResult.parse_csv("just one line\n")
+        parse_csv("just one line\n")
 
 
 def test_sphere_usage_errors(capsys):
@@ -165,7 +164,7 @@ def test_braid_artifacts(tmp_path, capsys):
     assert text.startswith("digraph")
     assert "tops=" in text
     payload = json.loads(mat.read_text())
-    final = ExplicitComplex.from_json_dict(payload)
+    final = from_json_dict(payload)
     assert final.cell_count == 3
     assert final.grades == {24: 0, 61: 7, 120: 12}
     assert final.boundary(61) == (24, 120)

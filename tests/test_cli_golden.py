@@ -16,6 +16,11 @@ import pytest
 from cubemorse.cli import EXIT_OK, main
 
 SQUARES = "2 2\n0 0\n1 1\n"
+# Two sparse closures in C(1000; 3), whose ids outnumber their members by
+# far: three scattered cubes, and two cubes sharing an edge, whose sweep has
+# a flow edge to a lower id.
+SCATTERED = "3 1000\n0 0 0\n500 500 500\n999 999 999\n"
+EDGE = "3 1000\n0 0 1\n1 0 0\n"
 # The closure of the anchors of C(4; 3), in lexicographic order, that
 # random.Random(1) keeps with probability 0.5: 34 top cubes, 538 cells,
 # reduced in two rounds to [10, 2] cells.
@@ -34,11 +39,12 @@ def _mask(text: str) -> str:
 
 @pytest.fixture
 def run(tmp_path, monkeypatch, capsys):
-    """Run ``main`` in a directory holding ``squares.txt`` and ``rand.txt``; return the
-    masked stdout, after checking exit 0 and an empty stderr."""
+    """Run ``main`` in a directory holding ``squares.txt``, ``rand.txt``,
+    ``scattered.txt`` and ``edge.txt``; return the masked stdout, after
+    checking exit 0 and an empty stderr."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "squares.txt").write_text(SQUARES)
-    (tmp_path / "rand.txt").write_text(RAND)
+    for name, text in (("squares", SQUARES), ("rand", RAND), ("scattered", SCATTERED), ("edge", EDGE)):
+        (tmp_path / f"{name}.txt").write_text(text)
 
     def go(argv: list[str]) -> str:
         code = main(argv)
@@ -444,6 +450,20 @@ def test_braid_artifact_bytes(run, tmp_path, command, dot, matrix):
             "verify squares.txt",
             "complex: ok: 17 cells checked\n"
             "matching: ok: 17 cells: 1 fixed, 8+8 paired\n",
+        ),
+        (
+            "verify scattered.txt --acyclic --stable",
+            "complex: ok: 81 cells checked\n"
+            "matching: ok: 81 cells: 3 fixed, 39+39 paired\n"
+            "acyclic: ok\n"
+            "stable: ok\n",
+        ),
+        (
+            "verify edge.txt --acyclic --stable",
+            "complex: ok: 51 cells checked\n"
+            "matching: ok: 51 cells: 3 fixed, 24+24 paired\n"
+            "acyclic: ok\n"
+            "stable: ok\n",
         ),
     ],
 )

@@ -35,9 +35,13 @@ from .helpers import (
     mate,
     mate_table,
     member_codes,
+    nonzero_boundary,
     random_cubical_complex,
     random_hypercube_members,
+    sparse_cubical_complexes,
+    top_cube_complexes,
     traced_peak,
+    unstable_edges,
 )
 
 
@@ -541,18 +545,18 @@ def test_grid_round_one_and_verify_search_nothing(monkeypatch):
         assert cx.members is None
         E = run(cx, grades)
         assert calls == {"member_ids": 0, "searchsorted": 0}
-    assert E.nonzero_boundary()  # the braid's round-one flows were counted
-    assert run(dense).nonzero_boundary()
+    assert nonzero_boundary(E)  # the braid's round-one flows were counted
+    assert nonzero_boundary(run(dense))
     assert calls["searchsorted"] == 0 and CountingIds.calls == 0
     run(sparse)
     assert calls["searchsorted"] > 0 and CountingIds.calls > calls["searchsorted"]
 
 
 @st.composite
-def graded_dense_explicit(draw):
-    """A dense explicit complex with no grade or random grades over all
-    ids."""
-    cx = draw(dense_top_cube_complexes())
+def graded_explicit(draw, complexes):
+    """An explicit complex drawn from ``complexes``, with no grade or random
+    grades over all ids."""
+    cx = draw(complexes)
     if draw(st.booleans()):
         return cx, None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -560,7 +564,7 @@ def graded_dense_explicit(draw):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(graded_dense_explicit())
+@given(graded_explicit(dense_top_cube_complexes()))
 def test_dense_explicit_sweep_equals_member_id_sweep(case):
     """The flat passes of a dense explicit complex, whose non-members start
     taken and keep ``_TAKEN``, give the member-id sweep's codes at the
@@ -573,7 +577,7 @@ def test_dense_explicit_sweep_equals_member_id_sweep(case):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(graded_grids() | graded_dense_explicit(), st.sampled_from([1, 2, 7, 64]))
+@given(graded_grids() | graded_explicit(dense_top_cube_complexes()), st.sampled_from([1, 2, 7, 64]))
 def test_flat_sweep_in_smallest_blocks_equals_member_id_sweep(case, block):
     """With ``_FLAT_BLOCK`` at 1, 2, 7 or 64, a flat pass runs in blocks of
     whole periods of its digit pattern, of pieces of one period or of
@@ -615,25 +619,19 @@ def assert_slice_flows_equal_the_walk(cx, grades):
     """Verify's flow graph by digit slices of the sweep by id, as
     ``TemplateMatching._flows`` builds it on a grid or dense explicit
     complex, equals the :func:`matching._flow_graph` walk from all lower
-    cells array for array, dtypes and order included, and so do the
-    unstable flags, computed from the walk's edges as the walk path
-    computes them."""
+    cells array for array, dtypes and order included."""
     w = TemplateMatching(cx, grades)
     code = w._clean_sweep
     assert code is not None and cx._by_id
     at, (src, dst), _ = matching._flow_graph(code, np.flatnonzero(code > 0), matching._sweep_faces(cx, code))
-    step = np.array(matching._steps(cx), dtype=np.int64)
-    q0, q1 = at[src], at[dst]
-    gap = cx._ids_at(q0) + step[code[q0]] - cx._ids_at(q1)
-    unstable = (gap > 0) & (gap < step[np.minimum(code[q0], code[q1])])
-    n, s, t, flags = w._flows
+    n, s, t = w._flows
     assert n == at.size == np.count_nonzero(code > 0)
-    for got, want in ((s, src), (t, dst), (flags, unstable)):
+    for got, want in ((s, src), (t, dst)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(graded_grids() | graded_dense_explicit())
+@given(graded_grids() | graded_explicit(dense_top_cube_complexes()))
 def test_slice_flow_graph_equals_the_walk(case):
     assert_slice_flows_equal_the_walk(*case)
 
@@ -646,22 +644,31 @@ def test_slice_flow_graph_equals_the_walk_under_braid_grades(nfold):
 
 
 def assert_slice_facts_equal_the_edges(cx, grades):
-    """The digit-slice facts of a clean sweep by id equal those of its flow
+    """The digit-slice facts of a clean sweep equal those of its flow
     edges: whether some edge runs to a lower slot and whether some edge is
-    unstable; and ``verify_acyclic``, which peels only when an edge
-    descends, equals the peel of the edges.  Returns whether one descends."""
+    unstable by the tests' rule (:func:`unstable_edges`); and
+    ``verify_acyclic``, which peels only when an edge descends, equals the
+    peel of the edges.  Returns whether one descends."""
     w = TemplateMatching(cx, grades)
-    assert w._clean_sweep is not None and cx._by_id
-    n, src, dst, unstable = w._flows
+    code = w._clean_sweep
+    assert code is not None
+    n, src, dst = w._flows
     descends = bool((dst < src).any())
-    assert w._slice_facts == (descends, bool(unstable.any()))
+    assert w._slice_facts == (descends, bool(unstable_edges(cx, code, src, dst).any()))
     assert verify_acyclic(cx, w) is matching._peel(n, src, dst)
     return descends
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(graded_grids() | graded_dense_explicit())
+@given(
+    graded_grids()
+    | graded_explicit(dense_top_cube_complexes())
+    | graded_explicit(sparse_cubical_complexes())
+    | graded_explicit(top_cube_complexes())
+)
 def test_slice_facts_equal_the_flow_edges(case):
+    """On every storage: grids, dense and sparse explicit complexes, and
+    the closures of top-cube files, which are either."""
     assert_slice_facts_equal_the_edges(*case)
 
 

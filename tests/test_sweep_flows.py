@@ -24,7 +24,7 @@ from cubemorse.cubical import CubicalComplex
 from cubemorse import matching
 from cubemorse.matching import TemplateMatching, _flow_rows, _index_dtype, _peel, template_sweep
 from cubemorse.morse import homology, morse_boundary, template_round
-from .helpers import member_codes, random_cubical_complex, top_cube_complexes
+from .helpers import member_codes, nonzero_boundary, random_cubical_complex, top_cube_complexes
 
 
 def both_paths(cx, code):
@@ -136,7 +136,7 @@ def test_flow_pruning_skips_spheres(monkeypatch):
     for d in range(2, 7):
         cx = CubicalComplex.sphere(d)
         E = template_round(cx)
-        assert sorted(E.dims.values()) == [0, d] and not E.nonzero_boundary()
+        assert sorted(E.dims.values()) == [0, d] and not nonzero_boundary(E)
         assert both_paths(cx, template_sweep(cx)) == [{}, {}]
         assert calls == []
     assert homology(CubicalComplex.sphere(6)).betti == [1, 0, 0, 0, 0, 0, 1]
@@ -154,7 +154,7 @@ def test_round_one_takes_fixed_dims_in_one_array_pass(monkeypatch):
     monkeypatch.setattr(cx, "dim_of", lambda c: asked.append(c) or real_dim_of(c))
     monkeypatch.setattr(cx, "_dims", lambda ids: passes.append(ids.tolist()) or real_dims(ids))
     E = template_round(cx)
-    assert E.nonzero_boundary()  # flows were counted
+    assert nonzero_boundary(E)  # flows were counted
     assert asked == [] and passes == [sorted(E.dims)]
     assert E.dims == {c: real_dim_of(c) for c in E.dims}
 

@@ -23,7 +23,14 @@ from cubemorse.core import validate_complex
 from cubemorse.cubical import _WALK_CHUNK, CubicalComplex, alpha
 from cubemorse.matching import FLOW_CHECK_LIMIT, TemplateMatching, verify_acyclic, verify_matching, verify_stable
 from cubemorse.morse import template_round
-from .helpers import dense_top_cube_complexes, from_cells, random_cubical_complex, top_cube_complexes, traced_peak
+from .helpers import (
+    dense_top_cube_complexes,
+    from_cells,
+    random_cubical_complex,
+    top_cube_complexes,
+    traced_peak,
+    unstable_edges,
+)
 
 
 class PerCell:
@@ -157,31 +164,34 @@ def test_corrupted_boundary_rows(monkeypatch, check, kind, change):
     assert kind in kinds(cells[check])
 
 
-@pytest.mark.parametrize("where", ["below", "above", "centre"])
-def test_grid_face_out_of_range_or_centre(monkeypatch, where):
-    """The chunked closure check of a sparse explicit complex catches a
-    face below 0, at total_ids or at the grid's centre, which is no member:
-    the array pass reads ``_face_arrays`` and the per-cell walk
-    ``_boundary_raw``, both corrupted alike, and the walk reports the face."""
-    cx = CubicalComplex.from_top_cells(3, 2, [(0, 0)])  # one square: 9 members of 49 ids
+@pytest.mark.parametrize(
+    "gone, face_of",
+    [
+        # the vertex (0, 0), the least member, leaves the edge (1, 0) without
+        # its lower face, which is searched below every member left
+        pytest.param((0, 0), (1, 0), id="below"),
+        # the vertex (2, 2), the greatest member, leaves the edge (2, 1)
+        # without its upper face, searched above every member left
+        pytest.param((2, 2), (2, 1), id="above"),
+        # the vertex (2, 0) leaves the edge (1, 0) without its upper face,
+        # searched between two members
+        pytest.param((2, 0), (1, 0), id="between"),
+    ],
+)
+def test_sparse_face_below_above_or_between_members(gone, face_of):
+    """The digit-slice closure check of a sparse explicit complex searches
+    each face among the members: a face missing below the least member,
+    above the greatest or between two is caught, and the walk names it."""
+    made = CubicalComplex.from_top_cells(3, 2, [(0, 0)])  # one square: 9 members of 49 ids
+    cx = CubicalComplex(3, 2)
+    cx.members = made.members[made.members != made.cell_id(gone)]
+    cx.members.flags.writeable = False
     assert cx._member_mask is None
-    bad = {"below": -1, "above": cx.total_ids, "centre": cx.total_ids // 2}[where]
-    square = cx.cell_id((1, 1))
-    real = cx._face_arrays
-
-    def face_arrays(ids):
-        faces, owner, dims = real(ids)
-        at = np.flatnonzero(ids == square)
-        if at.size:
-            faces, owner = np.append(faces, bad), np.append(owner, at[0])
-        return faces, owner, dims
-
-    monkeypatch.setattr(cx, "_face_arrays", face_arrays)
-    patch_row(monkeypatch, cx, square, lambda row: sorted([*row, bad]))
     assert not cx._validates_clean()
     report = validate_complex(cx)
     assert report == validate_complex(PerCell(cx))
-    assert ("closure", square, f"face {bad} not a member") in [(v.kind, v.cell, v.detail) for v in report.violations]
+    detail = f"face {cx.cell_id(gone)} not a member"
+    assert ("closure", cx.cell_id(face_of), detail) in [(v.kind, v.cell, v.detail) for v in report.violations]
 
 
 @pytest.mark.parametrize("digits", [(0, 0, 0), (1, 0, 2), (1, 1, 0)])
@@ -225,8 +235,9 @@ def closure_inputs(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(closure_inputs())
 def test_closure_check_equals_every_face_a_member(cx):
-    """The digit-slice check of a grid or dense complex, and the chunked one
-    of a sparse complex, against "every face of every member is a member"."""
+    """The digit-slice check, views by id on a grid or dense complex and
+    gathered on a sparse complex, against "every face of every member is a
+    member"."""
     closed = all(cx.is_member(f) for c in cx.cells() for f in cx._boundary_raw(c))
     assert cx._validates_clean() is closed
     assert validate_complex(cx) == validate_complex(PerCell(cx))
@@ -258,6 +269,15 @@ def patch_codes(monkeypatch, cx, code):
 
 def sphere2():
     return CubicalComplex.sphere(2)
+
+
+def two_cubes_far_apart():
+    """The closure of cubes (0, 0, 0) and (999, 0, 0) of C(1000; 3): 54
+    members of 2001^3 ids, a sparse explicit complex whose second cube has
+    the digit 2m = 2000 on axis 0."""
+    cx = CubicalComplex.from_top_cells(1000, 3, [(0, 0, 0), (999, 0, 0)])
+    assert cx._member_mask is None
+    return cx
 
 
 @pytest.mark.parametrize(
@@ -299,17 +319,48 @@ def sphere2():
         # a code in -d..d at the centre, no code below -d left; its level
         # pairs still count as many as before
         pytest.param(sphere2, None, {13: 1}, id="centre-in-range"),
+        # On a sparse complex the slots are positions, so the keys below
+        # are the digits of members.  (2, 0, 0) pairs up with (3, 0, 0), no
+        # member, and its former partner (2, 1, 0) takes -1: each level
+        # keeps as many +t as -t codes
+        pytest.param(
+            two_cubes_far_apart, "non-member", {(2, 0, 0): 1, (2, 1, 0): -1}, id="sparse-non-member-partner"
+        ),
+        # (0, 0, 0) points at (0, 1, 0), which points at (1, 1, 0)
+        pytest.param(two_cubes_far_apart, "involution", {(0, 0, 0): 2}, id="sparse-involution"),
+        # (1, 0, 0) and (2, 1, 0) swap their upper levels: (1, 0, 0) then
+        # points below id 0
+        pytest.param(
+            two_cubes_far_apart, "non-member", {(1, 0, 0): -2, (2, 1, 0): -1}, id="sparse-upper-of-wrong-level"
+        ),
+        # (1, 0, 0) pairs with its plus face (2, 0, 0), their former partners
+        # fixed: a valid matching that is not the template's
+        pytest.param(
+            two_cubes_far_apart,
+            None,
+            {(1, 0, 0): 1, (2, 0, 0): -1, (0, 0, 0): 0, (2, 1, 0): 0},
+            id="sparse-up-on-odd-digit",
+        ),
+        # +1 on digit 2m: (2000, 0, 0) with the next id, (0, 1, 0), their
+        # former partners fixed
+        pytest.param(
+            two_cubes_far_apart,
+            "trichotomy",
+            {(2000, 0, 0): 1, (0, 1, 0): -1, (2000, 1, 0): 0, (1, 1, 0): 0},
+            id="sparse-up-on-digit-2m",
+        ),
+        pytest.param(two_cubes_far_apart, "involution", {(2, 2, 2): 4}, id="sparse-code-above-d"),
     ],
 )
 def test_corrupted_pairs(monkeypatch, make, kind, wrong):
     """The clean-sweep check refuses each corrupted sweep, so every check
     walks the cells and reports as the per-cell path does.  The keys of
-    ``wrong`` are slots, which on these complexes are the ids."""
+    ``wrong`` are slots, which on a grid or dense complex are the ids, or
+    the digits of a member."""
     cx = make()
     code = matching.template_sweep(cx)
-    assert cx._by_id
     for at, k in wrong.items():
-        code[at] = k
+        code[cx._position(cx.cell_id(at)) if isinstance(at, tuple) else at] = k
     patch_codes(monkeypatch, cx, code)
     assert TemplateMatching(cx)._clean_sweep is None
     arrays, cells = both_paths(cx)
@@ -361,11 +412,13 @@ def flow_edges_by_cells(cx, w):
 
 
 def assert_flow_edges_match(cx, grades=None):
-    """The flow edges of the array path equal the per-cell ones; a graded
-    matching is compared on the edges alone, since the reference flags
-    instability by the ungraded toggles."""
+    """The flow edges of the array path equal the per-cell ones, and so do
+    their instability flags by the tests' rule (:func:`unstable_edges`);
+    a graded matching is compared on the edges alone, since the reference
+    flags instability by the ungraded toggles."""
     w = TemplateMatching(cx, grades)
-    n, src, dst, unstable = w._flows
+    n, src, dst = w._flows
+    unstable = unstable_edges(cx, w._clean_sweep, src, dst)
     edges = list(zip(src.tolist(), dst.tolist(), unstable.tolist()))
     n_ref, edges_ref = flow_edges_by_cells(cx, w)
     if grades is not None:
@@ -444,30 +497,31 @@ def test_slice_facts_on_hand_made_codes(monkeypatch, pairs, facts):
     patch_codes(monkeypatch, cx, code)
     w = TemplateMatching(cx)
     assert w._clean_sweep is not None and w._slice_facts == facts
-    _, src, dst, unstable = w._flows
+    _, src, dst = w._flows
+    unstable = unstable_edges(cx, w._clean_sweep, src, dst)
     assert ((dst < src).tolist(), unstable.tolist()) == ([facts[0]], [facts[1]])  # one edge, between the lower cells
     arrays, cells = both_paths(cx)
     assert arrays == cells
     assert arrays[2] is True and arrays[3] is not facts[1]
 
 
-def two_cubes_on_an_edge():
-    """The closure of cubes (0, 0, 1) and (1, 0, 0) of C(2; 3), which share
-    one edge: 51 members of 125 ids, a dense explicit complex whose sweep
-    has a flow edge to a lower id."""
-    cx = CubicalComplex.from_top_cells(2, 3, [(0, 0, 1), (1, 0, 0)])
-    assert cx._member_mask is not None
+def two_cubes_on_an_edge(m=2):
+    """The closure of cubes (0, 0, 1) and (1, 0, 0) of C(m; 3), which share
+    one edge: 51 members, whose sweep has a flow edge to a lower id.  Of the
+    125 ids of C(2; 3) a dense explicit complex, of C(1000; 3) a sparse one."""
+    cx = CubicalComplex.from_top_cells(m, 3, [(0, 0, 1), (1, 0, 0)])
+    assert cx.cell_count == 51 and (cx._member_mask is not None) is (m == 2)
     return cx
 
 
 def test_each_fact_is_computed_once(monkeypatch):
-    """validate_complex checks a grid by digit slices alone, and expands the
-    face formula of a sparse explicit complex once per chunk; neither reads
-    a scalar row or dim.  The two flow checks share one pass over the digit
-    slices on a grid or dense explicit complex, which builds no flow edge
-    unless an edge descends, and then builds them once by digit slices (no
-    face array); they share one walk on a sparse explicit complex.  One
-    round builds its flow graph at most once."""
+    """validate_complex reads the faces of a grid and of a sparse explicit
+    complex by one pass of digit slices; neither reads a face array, a
+    scalar row or dim.  The two flow checks share one pass over the digit
+    slices on every storage, which builds no flow edge unless an edge
+    descends, and then builds them once: by digit slices (no face array)
+    when the slots are the ids, by the walk on a sparse explicit complex.
+    One round builds its flow graph at most once."""
     calls = {}
 
     def count(owner, name):
@@ -479,38 +533,38 @@ def test_each_fact_is_computed_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("_face_arrays", "_boundary_raw", "dim_of"):
+    for name in ("_face_arrays", "_face_slices", "_boundary_raw", "dim_of"):
         count(CubicalComplex, name)
     assert validate_complex(CubicalComplex.sphere(8)).ok
-    assert calls == {}
+    assert calls == {"_face_slices": 1}
     # 729 disjoint cubes of 27 cells, spread over a grid of 201^3 ids
     spread = [(4 * i, 4 * j, 4 * k) for i in range(9) for j in range(9) for k in range(9)]
     cx = CubicalComplex.from_top_cells(100, 3, spread)
     assert validate_complex(cx).ok
-    n = cx.cell_count
-    assert cx._member_mask is None and n > 4 * _WALK_CHUNK and calls == {"_face_arrays": -(-n // _WALK_CHUNK)}
+    assert cx._member_mask is None and cx.cell_count > 4 * _WALK_CHUNK and calls == {"_face_slices": 2}
 
     for name in ("_flow_graph", "_grid_flow_edges", "_flow_facts_by_slices"):
         count(matching, name)
     grids = [CubicalComplex.sphere(3), CubicalComplex.sphere(1)]
-    dense, sparse = two_cubes_on_an_edge(), random_cubical_complex(random.Random(9), 3)
-    assert sparse._member_mask is None  # a sparse explicit complex, which walks
+    scattered = CubicalComplex.from_top_cells(1000, 3, [(0, 0, 0), (500, 500, 500), (999, 999, 999)])
+    assert scattered._member_mask is None
     calls.clear()
-    for cx in grids:
+    for cx in [*grids, scattered]:
         w = TemplateMatching(cx)
         assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
-    assert calls == {"_flow_facts_by_slices": 2}  # no edge descends: no flow edge built
-    w = TemplateMatching(dense)
-    assert verify_acyclic(dense, w) is verify_stable(dense, w, w.entries(), w.provenance) is True
-    assert w._slice_facts == (True, False)
-    assert calls == {"_flow_facts_by_slices": 3, "_grid_flow_edges": 1}  # an edge descends: built once, peeled
-    w = TemplateMatching(sparse)
-    assert verify_acyclic(sparse, w) is verify_stable(sparse, w, w.entries(), w.provenance) is True
-    assert sparse.cell_count <= _WALK_CHUNK
-    assert calls == {"_flow_facts_by_slices": 3, "_grid_flow_edges": 1, "_flow_graph": 1, "_face_arrays": 1}
-    inputs = [*grids, sparse]
+        assert w._slice_facts == (False, False)
+    assert calls == {"_flow_facts_by_slices": 3, "_face_slices": 6}  # no edge descends: no flow edge built
+    for cx, built in ((two_cubes_on_an_edge(), "_grid_flow_edges"), (two_cubes_on_an_edge(1000), "_flow_graph")):
+        calls.clear()
+        w = TemplateMatching(cx)
+        assert verify_acyclic(cx, w) is verify_stable(cx, w, w.entries(), w.provenance) is True
+        assert w._slice_facts == (True, False)
+        walked = {"_face_arrays": 1} if built == "_flow_graph" else {}  # 51 cells: one chunk
+        assert calls == {"_flow_facts_by_slices": 1, "_face_slices": 2, built: 1, **walked}  # built once, peeled
+    sparse = random_cubical_complex(random.Random(9), 3)
+    assert sparse._member_mask is None
     rounds = []
-    for cx in inputs:
+    for cx in [*grids, sparse]:
         calls["_flow_graph"] = 0
         template_round(cx)
         rounds.append(calls["_flow_graph"])
@@ -537,9 +591,9 @@ def test_verify_memory_is_a_few_bytes_per_cell():
     digit slices, two bool masks of one odd slice: 0.87 and 0.69 bytes per
     cell measured on ``sphere(9)``, the largest sphere under
     ``FLOW_CHECK_LIMIT``, and on ``sphere(11)``.  The flow graph, built
-    only when an edge descends, peaks at 18.8 bytes per cell measured on
+    only when an edge descends, peaks at 14.8 bytes per cell measured on
     sphere(9), the edges and two bool masks over the grid; the walk from
-    all lower cells took 42.9.  Bounds: 2.2, 2 and 22."""
+    all lower cells took 42.9.  Bounds: 2.2, 2 and 17."""
     cx = CubicalComplex.sphere(11)
     peak = traced_peak(lambda: verify_matching(cx, TemplateMatching(cx)))
     assert peak < 2.2 * cx.cell_count, peak / cx.cell_count
@@ -560,7 +614,7 @@ def test_verify_memory_is_a_few_bytes_per_cell():
     for cx, name, bound in (
         (CubicalComplex.sphere(9), "_slice_facts", 2),
         (CubicalComplex.sphere(11), "_slice_facts", 2),
-        (CubicalComplex.sphere(9), "_flows", 22),
+        (CubicalComplex.sphere(9), "_flows", 17),
     ):
         checks_peak(cx, name)  # warms the numpy caches
         peak = checks_peak(cx, name)
